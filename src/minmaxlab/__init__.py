@@ -102,6 +102,7 @@ from .games import (
     best_response_action,
     decompose_symmetric_skew,
     deviation_payoffs,
+    deviation_vectors,
     evaluate_utility,
     max_team_inconsistency,
     regret,

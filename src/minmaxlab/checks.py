@@ -17,8 +17,10 @@ from .games import (
     MixedStrategy,
     SUPPORT_TOL,
     as_profile,
-    deviation_payoffs,
-    regret,
+    best_deviation,
+    deviation_gaps,
+    deviation_vectors,
+    profile_probs,
 )
 from .rational import FMat, FVec, fmat, fvec, mat_vec, shape, transpose
 
@@ -51,24 +53,15 @@ def epsilon_ne_report(
     bound_value: float | None = None,
 ) -> Certificate:
     """Per-player regrets of a profile, tested against epsilon."""
-    profile = as_profile(profile)
-    n_players = 2 if isinstance(game, BimatrixGame) else game.n_players
-    regrets = []
+    probs = profile_probs(game, profile)
     witnesses = []
-    for p in range(n_players):
-        dev = deviation_payoffs(game, profile, p)
-        current = float(dev @ profile[p].probs)
-        if game.orientation[p] == MAXIMIZE:
-            action = int(np.argmax(dev))
-            gain = float(dev[action] - current)
-        else:
-            action = int(np.argmin(dev))
-            gain = float(current - dev[action])
-        regrets.append(gain)
+    for p, dev in enumerate(deviation_vectors(game, probs)):
+        action, gain = best_deviation(dev, probs[p], game.orientation[p])
         witnesses.append((p, action, gain))
+    regrets = tuple(gain for _, _, gain in witnesses)
     satisfied = all(r <= epsilon + CERT_SLACK for r in regrets)
     return Certificate(
-        regrets=tuple(regrets),
+        regrets=regrets,
         epsilon=float(epsilon),
         satisfied=satisfied,
         witnesses=tuple(witnesses),
@@ -123,14 +116,11 @@ def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
 
 def _wsne_eps_bimatrix(game: BimatrixGame, profile: MixedProfile) -> float:
     """Largest supported-action suboptimality over both players (float)."""
+    probs = profile_probs(game, profile)
     worst = 0.0
-    for p in range(2):
-        dev = deviation_payoffs(game, profile, p)
-        support = profile[p].probs > SUPPORT_TOL
-        if game.orientation[p] == MAXIMIZE:
-            worst = max(worst, float((dev.max() - dev[support]).max()))
-        else:
-            worst = max(worst, float((dev[support] - dev.min()).max()))
+    for p, dev in enumerate(deviation_vectors(game, probs)):
+        gaps = deviation_gaps(dev, game.orientation[p])
+        worst = max(worst, float(gaps[probs[p] > SUPPORT_TOL].max()))
     return worst
 
 
@@ -152,12 +142,8 @@ def ne_to_wsne(game: BimatrixGame, profile: MixedProfile, epsilon: float) -> Mix
             f"profile is not an (eps^2/8)-equilibrium: regrets {cert.regrets}"
         )
     new_strategies = []
-    for p in range(2):
-        dev = deviation_payoffs(game, profile, p)
-        if game.orientation[p] == MAXIMIZE:
-            gaps = dev.max() - dev
-        else:
-            gaps = dev - dev.min()
+    for p, dev in enumerate(deviation_vectors(game, profile_probs(game, profile))):
+        gaps = deviation_gaps(dev, game.orientation[p])
         probs = profile[p].probs.copy()
         probs[gaps > epsilon] = 0.0
         probs /= probs.sum()
@@ -203,14 +189,9 @@ def mass_bound_audit(game: Game, profile: MixedProfile, epsilon: float) -> list[
         raise PreconditionError(
             f"profile is not an eps^2-equilibrium: regrets {cert.regrets}"
         )
-    n_players = 2 if isinstance(game, BimatrixGame) else game.n_players
     violations = []
-    for p in range(n_players):
-        dev = deviation_payoffs(game, profile, p)
-        if game.orientation[p] == MAXIMIZE:
-            gaps = dev.max() - dev
-        else:
-            gaps = dev - dev.min()
+    for p, dev in enumerate(deviation_vectors(game, profile_probs(game, profile))):
+        gaps = deviation_gaps(dev, game.orientation[p])
         for a in range(gaps.size):
             gap = float(gaps[a])
             if gap <= 0.0:

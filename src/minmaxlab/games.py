@@ -309,8 +309,15 @@ def _check_profile(game: Game, profile: MixedProfile) -> None:
 
 
 def _check_player(game: Game, player: int) -> None:
-    if not (0 <= player < (2 if isinstance(game, BimatrixGame) else game.n_players)):
+    if not (0 <= player < game.n_players):
         raise DimensionError(f"no player {player}")
+
+
+def profile_probs(game: Game, profile) -> list[np.ndarray]:
+    """Validate a profile against the game; return its per-player float vectors."""
+    profile = as_profile(profile)
+    _check_profile(game, profile)
+    return [s.probs for s in profile.strategies]
 
 
 def evaluate_utility(game: Game, profile: MixedProfile, player: int) -> float:
@@ -337,54 +344,84 @@ def evaluate_utility(game: Game, profile: MixedProfile, player: int) -> float:
     return float(t)
 
 
+def deviation_vectors(game: Game, probs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Every player's deviation_payoffs vector, in one pass.
+
+    `probs` holds one float vector per player and is not checked: callers
+    validate once (see profile_probs) and may then call this in a loop.  A
+    polymatrix pair (i, j) costs two products, M s_j for player i and M^T s_i
+    for player j; the latter also gives every other player the constant
+    s_i^T M s_j.
+    """
+    if isinstance(game, BimatrixGame):
+        return [game.row_float @ probs[1], game.col_float.T @ probs[0]]
+    n = game.n_players
+    if isinstance(game, PolymatrixGame):
+        vecs = [np.zeros(c) for c in game.action_counts]
+        consts = [0.0] * n
+        for (i, j), m in game.pair_floats.items():
+            vecs[i] += m @ probs[j]
+            col = m.T @ probs[i]
+            vecs[j] += col
+            value = float(col @ probs[j])
+            for q in range(n):
+                if q != i and q != j:
+                    consts[q] += value
+        return [v + c for v, c in zip(vecs, consts)]
+    letters = string.ascii_lowercase[:n]
+    out = []
+    for p in range(n):
+        others = [q for q in range(n) if q != p]
+        sub = letters + "," + ",".join(letters[q] for q in others) + "->" + letters[p]
+        out.append(np.einsum(sub, game.float_payoffs[p], *[probs[q] for q in others]))
+    return out
+
+
 def deviation_payoffs(game: Game, profile: MixedProfile, player: int) -> np.ndarray:
     """Stored payoff of each pure action of `player` against the co-players.
 
     For polymatrix games the constant contribution of pairs not touching
     `player` is included, so a dot with the player's own strategy recovers
-    evaluate_utility exactly.
+    evaluate_utility exactly.  This validates the profile and reads one entry
+    of deviation_vectors; a caller that needs every player calls that once.
     """
-    profile = as_profile(profile)
-    _check_profile(game, profile)
+    probs = profile_probs(game, profile)
     _check_player(game, player)
-    if isinstance(game, BimatrixGame):
-        if player == 0:
-            return game.row_float @ profile[1].probs
-        return game.col_float.T @ profile[0].probs
-    if isinstance(game, PolymatrixGame):
-        vec = np.zeros(game.action_counts[player])
-        const = 0.0
-        for (i, j), m in game.pair_floats.items():
-            if i == player:
-                vec += m @ profile[j].probs
-            elif j == player:
-                vec += m.T @ profile[i].probs
-            else:
-                const += float(profile[i].probs @ m @ profile[j].probs)
-        return vec + const
-    letters = string.ascii_lowercase[: game.n_players]
-    others = [q for q in range(game.n_players) if q != player]
-    sub = letters + "," + ",".join(letters[q] for q in others) + "->" + letters[player]
-    return np.einsum(sub, game.float_payoffs[player], *[profile[q].probs for q in others])
+    return deviation_vectors(game, probs)[player]
+
+
+def best_deviation(dev: np.ndarray, probs: np.ndarray, orientation: str) -> tuple[int, float]:
+    """Best pure deviation from `probs` and its gain, in the player's direction.
+
+    Ties go to the smallest index.
+    """
+    current = float(dev @ probs)
+    if orientation == MAXIMIZE:
+        action = int(dev.argmax())
+        return action, dev.item(action) - current
+    action = int(dev.argmin())
+    return action, current - dev.item(action)
+
+
+def deviation_gaps(dev: np.ndarray, orientation: str) -> np.ndarray:
+    """How far each pure action falls short of the best response (>= 0)."""
+    if orientation == MAXIMIZE:
+        return dev.max() - dev
+    return dev - dev.min()
 
 
 def regret(game: Game, profile: MixedProfile, player: int) -> float:
     """Best pure-deviation payoff minus current payoff, in the player's direction."""
     profile = as_profile(profile)
     dev = deviation_payoffs(game, profile, player)
-    current = float(dev @ profile[player].probs)
-    orientation = game.orientation[player]
-    if orientation == MAXIMIZE:
-        return float(dev.max() - current)
-    return float(current - dev.min())
+    return best_deviation(dev, profile[player].probs, game.orientation[player])[1]
 
 
 def best_response_action(game: Game, profile: MixedProfile, player: int) -> int:
     """Index of the best pure deviation; ties go to the smallest index."""
+    profile = as_profile(profile)
     dev = deviation_payoffs(game, profile, player)
-    if game.orientation[player] == MAXIMIZE:
-        return int(np.argmax(dev))
-    return int(np.argmin(dev))
+    return best_deviation(dev, profile[player].probs, game.orientation[player])[0]
 
 
 def signed_utility(game: Game, profile: MixedProfile, player: int) -> float:

@@ -29,7 +29,9 @@ from .games import (
     NormalFormGame,
     PolymatrixGame,
     as_profile,
-    deviation_payoffs,
+    best_deviation,
+    deviation_vectors,
+    profile_probs,
     to_normal_form,
 )
 from .geometry import simplex_grid
@@ -340,36 +342,46 @@ def local_ne_refine(
     averaging so oscillations shrink instead of limit-cycling.  Stops once
     the max regret reaches `target_regret`, returning a freshly recomputed
     certificate; otherwise returns the best profile seen with a failure flag.
+
+    `damping` must lie in (0, 1], so every step is a convex combination and
+    the iterates stay on the simplex; `max_iters` must be at least 1 and
+    `target_regret` finite and non-negative.  The arguments and the start
+    are validated once, on entry; the loop works on raw float vectors and a
+    validated profile is built only for the result.
     """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not (math.isfinite(target_regret) and target_regret >= 0.0):
+        raise ValueError(f"target_regret must be finite and non-negative, got {target_regret}")
     profile = as_profile(start)
-    n_players = len(profile)
-    strategies = [profile[p].probs.copy() for p in range(n_players)]
-    best_profile = profile
+    views = profile_probs(game, profile)
+    # the raw iterates; the views are the renormalised vectors a MixedStrategy
+    # would hold, since its clamp never fires on a convex combination
+    strategies = [v.copy() for v in views]
+    best = None  # raw copies of the best iterate; None while it is the start
     best_regret = math.inf
-    iterations = 0
     for t in range(max_iters):
-        iterations = t + 1
         worst = 0.0
         brs = []
-        for p in range(n_players):
-            dev = deviation_payoffs(game, profile, p)
-            cur = float(dev @ strategies[p])
-            if game.orientation[p] == MAXIMIZE:
-                br = int(np.argmax(dev))
-                worst = max(worst, float(dev[br] - cur))
-            else:
-                br = int(np.argmin(dev))
-                worst = max(worst, float(cur - dev[br]))
+        for p, dev in enumerate(deviation_vectors(game, views)):
+            br, gain = best_deviation(dev, strategies[p], game.orientation[p])
+            worst = max(worst, gain)
             brs.append(br)
         if worst < best_regret:
             best_regret = worst
-            best_profile = profile
+            best = [s.copy() for s in strategies] if t else None
         if worst <= target_regret:
+            if t:
+                profile = MixedProfile(tuple(MixedStrategy(s) for s in strategies))
             cert = epsilon_ne_report(game, profile, target_regret)
-            return RefineResult(profile, worst, iterations, True, cert)
+            return RefineResult(profile, worst, t + 1, True, cert)
         eta = damping / (1.0 + damping * t)
-        for p in range(n_players):
-            strategies[p] *= 1.0 - eta
-            strategies[p][brs[p]] += eta
-        profile = MixedProfile(tuple(MixedStrategy(s) for s in strategies))
-    return RefineResult(best_profile, best_regret, iterations, False, None)
+        for s, br in zip(strategies, brs):
+            s *= 1.0 - eta
+            s[br] += eta
+        views = [s / s.sum() for s in strategies]
+    if best is not None:
+        profile = MixedProfile(tuple(MixedStrategy(s) for s in best))
+    return RefineResult(profile, best_regret, max_iters, False, None)

@@ -144,6 +144,44 @@ def test_solve_enumerate_lists_all_symmetric_equilibria(capsys, tmp_path):
     assert values == ["1", "2", "2/3"]
 
 
+def _refine_inputs(tmp_path):
+    game = write_game(
+        tmp_path, "mp.json", [["1", "-1"], ["-1", "1"]], ["min", "max"]
+    )
+    profile = write_profile(tmp_path, "start.json", [["9/10", "1/10"], ["1/2", "1/2"]])
+    return ["solve", "refine", "--game", game, "--profile", profile]
+
+
+def test_solve_refine_converges(capsys, tmp_path):
+    code, report, _ = run_cli(capsys, _refine_inputs(tmp_path) + ["--target", "1/10"])
+    assert code == 0
+    assert report["exit_code"] == 0
+    assert report["data"]["converged"] is True
+    assert report["data"]["iterations"] >= 1
+    (bound,) = report["bounds"]
+    assert bound["name"] == "refine_target"
+    assert bound["value"] == pytest.approx(0.1)
+    assert bound["satisfied"] and bound["measured"] <= 0.1
+
+
+def test_solve_refine_cut_short_exits_1(capsys, tmp_path):
+    code, report, _ = run_cli(
+        capsys, _refine_inputs(tmp_path) + ["--target", "1e-12", "--max-iters", "1"]
+    )
+    assert code == 1
+    assert report["data"]["converged"] is False
+    assert report["data"]["iterations"] == 1
+    assert not report["bounds"][0]["satisfied"]
+
+
+def test_solve_refine_rejects_damping_above_one(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, _refine_inputs(tmp_path) + ["--target", "1/10", "--damping", "2"]
+    )
+    assert code == 2
+    assert "damping" in err
+
+
 def test_solve_2x2_closed_form(capsys, tmp_path):
     game = write_game(
         tmp_path, "mp.json", [["1", "-1"], ["-1", "1"]], ["min", "max"]

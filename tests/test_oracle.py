@@ -7,7 +7,7 @@ import pytest
 
 from minmaxlab import analytic, checks, oracle
 from minmaxlab.cliques import Graph, payoff_from_graph
-from minmaxlab.errors import CapExceededError
+from minmaxlab.errors import CapExceededError, DimensionError
 from minmaxlab.games import (
     MAXIMIZE,
     MINIMIZE,
@@ -117,3 +117,45 @@ def test_local_refinement_reports_honestly_when_cut_short():
     assert not result.converged
     assert result.iterations == 1
     assert result.max_regret > 1e-12
+
+
+PENNIES = BimatrixGame(
+    fmat([[1, -1], [-1, 1]]), fmat([[-1, 1], [1, -1]]), (MAXIMIZE, MAXIMIZE)
+)
+PURE_START = MixedProfile((MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0)))
+
+
+@pytest.mark.parametrize("damping", [2.0, 1.0 + 1e-12, 0.0, -0.1, float("nan"), float("inf")])
+def test_local_refinement_rejects_damping_outside_the_unit_interval(damping):
+    with pytest.raises(ValueError, match="damping"):
+        oracle.local_ne_refine(PENNIES, PURE_START, 1e-3, damping=damping)
+
+
+def test_local_refinement_accepts_full_damping():
+    result = oracle.local_ne_refine(PENNIES, PURE_START, 1e-12, max_iters=3, damping=1.0)
+    assert result.iterations == 3
+    assert all(np.all(s.probs >= 0.0) for s in result.profile.strategies)
+
+
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_local_refinement_rejects_a_cap_below_one(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        oracle.local_ne_refine(PENNIES, PURE_START, 1e-3, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("target", [-1e-9, float("nan"), float("inf")])
+def test_local_refinement_rejects_a_bad_target(target):
+    with pytest.raises(ValueError, match="target_regret"):
+        oracle.local_ne_refine(PENNIES, PURE_START, target)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        MixedProfile((MixedStrategy.uniform(3), MixedStrategy.uniform(2))),
+        MixedProfile((MixedStrategy.uniform(2),)),
+    ],
+)
+def test_local_refinement_rejects_a_start_that_does_not_fit_the_game(start):
+    with pytest.raises(DimensionError):
+        oracle.local_ne_refine(PENNIES, start, 1e-3, max_iters=5)
