@@ -82,6 +82,8 @@ from .gadgets import (
     coupled_gadget,
     coupling_width,
     gadget_structure_audit,
+    measure_gadget_structure,
+    measure_team3v3,
     median_backmap,
     quadratic_gadget,
     shift_to_gadget_range,

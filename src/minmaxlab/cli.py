@@ -2,9 +2,13 @@
 
 Every command emits a JSON report (stdout or --report PATH) whose exit code
 matches the process exit: 0 when all checked bounds hold, 1 when a bound or
-lemma is violated, 2 on malformed or out-of-scope input.  Artifact outputs
-(games, profiles, trajectories) go to -o.  Vertices in command output are
-1-indexed, matching the graph file format.
+lemma is violated, 2 on malformed or out-of-scope input; a report of an
+exit by exception carries ``error``.  Artifact outputs (games, profiles,
+trajectories) go to -o.  Vertices in command output are 1-indexed, matching
+the graph file format.
+
+Commands are declared in one table, ``COMMANDS``; ``main`` does the loading,
+input recording, artifact saving and reporting for all of them.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import fileio
+from . import dynamics, fileio
 from .analytic import (
     irrational_equilibrium,
     irrational_game,
@@ -35,33 +40,16 @@ from .cliques import (
     unique_ne_game,
     wsne_value_audit,
 )
-from .dynamics import (
-    ALTERNATING_GDA,
-    EXTRAGRADIENT,
-    GDA,
-    OMWU,
-    OPTIMISTIC_GDA,
-    DynamicsConfig,
-)
-from .dynamics import run as run_dynamics
-from .errors import (
-    BoundViolationError,
-    CapExceededError,
-    DegenerateGameError,
-    DimensionError,
-    FormatError,
-    PreconditionError,
-    UnsupportedDomainError,
-)
+from .errors import BoundViolationError, CapExceededError, FormatError
 from .fileio import BoundRecord, make_report, write_report
 from .gadgets import (
     coupled_gadget,
     coupling_width,
-    gadget_structure_audit,
+    measure_gadget_structure,
+    measure_team3v3,
     median_backmap,
     quadratic_gadget,
     symmetric_backmap,
-    team3v3_audit_and_backmap,
     team3v3_gadget,
     team_backmap,
     team_gadget,
@@ -81,14 +69,14 @@ from .oracle import (
     max_clique,
     symmetric_support_enumeration,
 )
-from .rational import FMat, fmat, mat_vec, to_fraction, transpose, vec_dot
+from .rational import FMat, fmat, mat_vec, transpose, vec_dot
 
 ALGO_NAMES = {
-    "gda": GDA,
-    "eg": EXTRAGRADIENT,
-    "ogda": OPTIMISTIC_GDA,
-    "omwu": OMWU,
-    "alt-gda": ALTERNATING_GDA,
+    "gda": dynamics.GDA,
+    "eg": dynamics.EXTRAGRADIENT,
+    "ogda": dynamics.OPTIMISTIC_GDA,
+    "omwu": dynamics.OMWU,
+    "alt-gda": dynamics.ALTERNATING_GDA,
 }
 
 SLACK = 1e-9
@@ -99,24 +87,6 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"expected a rational like 3/4 or 0.05, got {text!r}") from None
-
-
-def _load_game(path: str, inputs: dict, label: str = "game"):
-    game = fileio.load_game(path)
-    inputs[label] = fileio.game_to_dict(game)
-    return game
-
-
-def _load_graph(path: str, inputs: dict, label: str = "graph"):
-    graph = fileio.load_graph(path)
-    inputs[label] = fileio.graph_to_dict(graph)
-    return graph
-
-
-def _load_profile(path: str, inputs: dict, label: str = "profile") -> MixedProfile:
-    profile = fileio.load_profile(path)
-    inputs[label] = fileio.profile_to_dict(profile)
-    return profile
 
 
 def _require_problem(game) -> QuadraticMinMaxProblem:
@@ -162,161 +132,151 @@ def _strategy_obj(strategy: MixedStrategy) -> list:
     return [float(p) for p in strategy.probs]
 
 
-def _emit(args, report: dict) -> int:
-    write_report(report, args.report)
-    return report["exit_code"]
+def _equilibrium_obj(eq) -> dict:
+    return {
+        "probs": [str(p) for p in eq.probs],
+        "value": str(eq.value),
+        "support": [v + 1 for v in eq.support],
+    }
+
+
+def _eps_bound(name: str, eps: float | None, measured: float, slack: float = SLACK):
+    """Bound record against an optional --eps; without one it only measures."""
+    return BoundRecord(name, eps, measured, eps is None or measured <= eps + slack)
+
+
+def _violated(name: str, exc: BoundViolationError):
+    """Bounds and data of an audit that raised on its first violation."""
+    print(f"violation: {exc}", file=sys.stderr)
+    return [BoundRecord(name, None, None, False)], {"detail": str(exc)}
+
+
+def _symmetric_regret(name: str, target, strategy: MixedStrategy, bound: float):
+    """Bound record for the regret of (s, s) in the target game."""
+    cert = epsilon_ne_report(target, MixedProfile((strategy, strategy)), bound)
+    measured = max(cert.regrets)
+    return BoundRecord(name, bound, measured, measured <= bound + SLACK)
+
+
+def _structure_bounds(report) -> list[BoundRecord]:
+    """The pair-gap and mirror-mass records of a measured gadget report."""
+    return [
+        BoundRecord("pair_gap", report.pair_bound, report.max_pair_gap,
+                    report.max_pair_gap <= report.pair_bound + SLACK),
+        BoundRecord("mirror_mass", report.mirror_bound, report.max_mirror_mass,
+                    report.max_mirror_mass <= report.mirror_bound + SLACK),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # gadget
 
 
-def cmd_gadget_team(args) -> int:
-    inputs: dict = {}
-    matrix = _tensor_matrix(_load_game(args.game, inputs))
-    eps = _frac(args.eps)
-    inputs["eps"] = str(eps)
-    instance = team_gadget(matrix, eps)
-    if args.output:
-        fileio.save_game(instance.game, args.output)
+def cmd_gadget_team(args, inputs):
+    instance = team_gadget(_tensor_matrix(args.game), args.eps)
     data = {
         "n": instance.n,
         "players": 3,
         "anchor_action": instance.anchor_action + 1,
         "penalty_scale": str(instance.penalty_scale),
-        "output": args.output,
     }
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+    return [], data, instance.game
 
 
-def cmd_gadget_quadratic(args) -> int:
-    inputs: dict = {}
-    matrix = _tensor_matrix(_load_game(args.game, inputs))
-    problem = quadratic_gadget(matrix)
-    if args.output:
-        fileio.save_game(problem, args.output)
+def cmd_gadget_quadratic(args, inputs):
+    problem = quadratic_gadget(_tensor_matrix(args.game))
     data = {
         "n": problem.n_x,
         "smoothness_bound": problem.smoothness_bound,
         "lipschitz_bound": problem.lipschitz_bound,
-        "output": args.output,
     }
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+    return [], data, problem
 
 
-def cmd_gadget_coupled(args) -> int:
-    inputs: dict = {}
-    matrix = _tensor_matrix(_load_game(args.game, inputs))
+def cmd_gadget_coupled(args, inputs):
+    matrix = _tensor_matrix(args.game)
     n = len(matrix)
     if args.delta is not None:
-        delta = float(_frac(args.delta))
+        delta = args.delta
     elif args.eps is not None:
-        delta = coupling_width(float(_frac(args.eps)), n)
+        delta = coupling_width(args.eps, n)
     else:
         raise FormatError("gadget coupled needs --delta or --eps")
     inputs["delta"] = repr(delta)
-    problem = coupled_gadget(matrix, delta)
-    if args.output:
-        fileio.save_game(problem, args.output)
-    data = {"n": n, "delta": delta, "output": args.output}
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+    return [], {"n": n, "delta": delta}, coupled_gadget(matrix, delta)
 
 
-def cmd_gadget_team3v3(args) -> int:
-    inputs: dict = {}
-    matrix = _tensor_matrix(_load_game(args.game, inputs))
-    eps = _frac(args.eps)
-    inputs["eps"] = str(eps)
-    instance = team3v3_gadget(matrix, eps)
-    if args.output:
-        fileio.save_game(instance.game, args.output)
+def cmd_gadget_team3v3(args, inputs):
+    instance = team3v3_gadget(_tensor_matrix(args.game), args.eps)
     data = {
         "n": instance.n,
         "players": 6,
         "shift": str(instance.shift),
         "penalty_scale": str(instance.penalty_scale),
-        "output": args.output,
     }
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+    return [], data, instance.game
 
 
-def _default_regime(graph, k, delta, eps, strict=False) -> ParameterRegime:
-    n = graph.n
+def _default_regime(graph, k, delta, eps) -> ParameterRegime:
     if k is None:
         k, _ = max_clique(graph)
-    delta = _frac(delta) if delta is not None else Fraction(1, 2)
-    if eps is not None:
-        eps = _frac(eps)
-    else:
-        eps = delta * (1 - delta) / (12 * n**7)
-    return ParameterRegime(n=n, k=k, delta=delta, epsilon=eps, strict=strict)
+    if delta is None:
+        delta = Fraction(1, 2)
+    if eps is None:
+        eps = delta * (1 - delta) / (12 * graph.n**7)
+    return ParameterRegime(n=graph.n, k=k, delta=delta, epsilon=eps)
 
 
-def cmd_gadget_clique(args) -> int:
-    inputs: dict = {}
-    graph = _load_graph(args.graph, inputs)
-    inputs["variant"] = args.variant
+def _regime_obj(regime: ParameterRegime) -> dict:
+    return {
+        "n": regime.n,
+        "k": regime.k,
+        "delta": str(regime.delta),
+        "eps": str(regime.epsilon),
+    }
+
+
+def cmd_gadget_clique(args, inputs):
+    graph = args.graph
     data: dict = {"variant": args.variant}
     if args.variant == "base":
         matrix = payoff_from_graph(graph)
         game = BimatrixGame(matrix, matrix, (MAXIMIZE, MAXIMIZE))
     elif args.variant == "delta":
-        delta = _frac(args.delta) if args.delta is not None else Fraction(1, 2)
-        inputs["delta"] = str(delta)
-        data["delta"] = str(delta)
+        delta = args.delta if args.delta is not None else Fraction(1, 2)
+        inputs["delta"] = data["delta"] = str(delta)
         matrix = payoff_from_graph_delta(graph, delta)
         game = BimatrixGame(matrix, matrix, (MAXIMIZE, MAXIMIZE))
     elif args.variant == "unique":
         k = args.k if args.k is not None else max_clique(graph)[0]
-        inputs["k"] = k
-        data["k"] = k
+        inputs["k"] = data["k"] = k
         game = unique_ne_game(graph, k)
     else:  # robust
         regime = _default_regime(graph, args.k, args.delta, args.eps)
-        inputs["regime"] = {
-            "n": regime.n,
-            "k": regime.k,
-            "delta": str(regime.delta),
-            "eps": str(regime.epsilon),
-        }
-        data["regime"] = inputs["regime"]
+        inputs["regime"] = data["regime"] = _regime_obj(regime)
         game = robust_unique_ne_game(graph, regime)
-    if args.output:
-        fileio.save_game(game, args.output)
     data["actions"] = game.action_counts[0]
-    data["output"] = args.output
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+    return [], data, game
 
 
 # ---------------------------------------------------------------------------
 # check
 
 
-def cmd_check_ne(args) -> int:
-    inputs: dict = {}
-    game = _load_game(args.game, inputs)
-    profile = _load_profile(args.profile, inputs)
-    eps = float(_frac(args.eps)) if args.eps is not None else None
-    inputs["eps"] = repr(eps)
-    cert = epsilon_ne_report(game, profile, eps if eps is not None else 0.0)
-    measured = max(cert.regrets)
-    satisfied = cert.satisfied if eps is not None else True
-    bounds = [BoundRecord("epsilon_ne", eps, measured, satisfied)]
+def cmd_check_ne(args, inputs):
+    cert = epsilon_ne_report(args.game, args.profile, args.eps if args.eps is not None else 0.0)
+    satisfied = args.eps is None or cert.satisfied
+    bounds = [BoundRecord("epsilon_ne", args.eps, max(cert.regrets), satisfied)]
     data = {
         "regrets": list(cert.regrets),
         "witnesses": [list(w) for w in cert.witnesses],
     }
-    code = 0 if satisfied else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    return bounds, data
 
 
-def cmd_check_wsne(args) -> int:
-    inputs: dict = {}
-    game = _as_bimatrix(_load_game(args.game, inputs))
-    profile = _load_profile(args.profile, inputs)
-    x = _single_strategy(profile)
-    eps = float(_frac(args.eps)) if args.eps is not None else None
-    inputs["eps"] = repr(eps)
+def cmd_check_wsne(args, inputs):
+    game = _as_bimatrix(args.game)
+    x = _single_strategy(args.profile)
     data: dict = {}
     if x.exact is not None:
         exact = wsne_eps_exact(game.row_payoff, x.exact, game.orientation[0])
@@ -324,71 +284,39 @@ def cmd_check_wsne(args) -> int:
         data["measured_exact"] = str(exact)
     else:
         measured = wsne_report(game, x)
-    satisfied = measured <= eps + 1e-12 if eps is not None else True
-    bounds = [BoundRecord("wsne", eps, measured, satisfied)]
-    code = 0 if satisfied else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    return [_eps_bound("wsne", args.eps, measured, 1e-12)], data
 
 
-def cmd_check_fone(args) -> int:
-    inputs: dict = {}
-    problem = _require_problem(_load_game(args.game, inputs))
-    x, y = _pair(_load_profile(args.profile, inputs))
-    eps = float(_frac(args.eps)) if args.eps is not None else None
-    inputs["eps"] = repr(eps)
-    eps_x, eps_y = check_fone(problem, x, y)
-    measured = max(eps_x, eps_y)
-    satisfied = measured <= eps + SLACK if eps is not None else True
-    bounds = [BoundRecord("fone", eps, measured, satisfied)]
-    data = {"eps_x": eps_x, "eps_y": eps_y}
-    code = 0 if satisfied else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+def cmd_check_fone(args, inputs):
+    x, y = _pair(args.profile)
+    eps_x, eps_y = check_fone(_require_problem(args.game), x, y)
+    return [_eps_bound("fone", args.eps, max(eps_x, eps_y))], {"eps_x": eps_x, "eps_y": eps_y}
 
 
-def cmd_check_gap(args) -> int:
-    inputs: dict = {}
-    problem = _require_problem(_load_game(args.game, inputs))
-    x, y = _pair(_load_profile(args.profile, inputs))
-    eps = float(_frac(args.eps)) if args.eps is not None else None
-    stepsize = float(_frac(args.stepsize))
-    inputs["eps"] = repr(eps)
-    inputs["stepsize"] = repr(stepsize)
-    report = gda_gap(problem, x, y, stepsize=stepsize)
-    satisfied = report.gap <= eps + SLACK if eps is not None else True
-    bounds = [BoundRecord("gda_gap", eps, report.gap, satisfied)]
-    data: dict = {"gap": report.gap, "stepsize": stepsize}
+def cmd_check_gap(args, inputs):
+    x, y = _pair(args.profile)
+    report = gda_gap(_require_problem(args.game), x, y, stepsize=args.stepsize)
+    bounds = [_eps_bound("gda_gap", args.eps, report.gap)]
+    data: dict = {"gap": report.gap, "stepsize": args.stepsize}
     if report.vi_bound is not None:
         bounds.append(BoundRecord(report.bound_name, report.vi_bound, report.gap, True))
         data["vi_bound"] = report.vi_bound
         data["vi_bound_name"] = report.bound_name
-    code = 0 if satisfied else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    return bounds, data
 
 
 # ---------------------------------------------------------------------------
 # backmap
 
 
-def cmd_backmap_team(args) -> int:
-    inputs: dict = {}
-    matrix = _tensor_matrix(_load_game(args.game, inputs))
-    profile = _load_profile(args.profile, inputs)
-    eps = _frac(args.eps)
-    inputs["eps"] = str(eps)
-    instance = team_gadget(matrix, eps)
-    strategy, bound = team_backmap(instance, profile, float(eps) ** 2)
+def cmd_backmap_team(args, inputs):
+    instance = team_gadget(_tensor_matrix(args.game), args.eps)
+    strategy, bound = team_backmap(instance, args.profile, float(args.eps) ** 2)
     target = NormalFormGame(
         payoffs=(instance.a, instance.a), orientation=(MINIMIZE, MINIMIZE)
     )
-    cert = epsilon_ne_report(target, MixedProfile((strategy, strategy)), bound)
-    measured = max(cert.regrets)
-    satisfied = measured <= bound + SLACK
-    if args.output:
-        fileio.save_profile(MixedProfile((strategy,)), args.output)
-    bounds = [BoundRecord("team_backmap", bound, measured, satisfied)]
-    data = {"strategy": _strategy_obj(strategy), "output": args.output}
-    code = 0 if satisfied else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    bounds = [_symmetric_regret("team_backmap", target, strategy, bound)]
+    return bounds, {"strategy": _strategy_obj(strategy)}, MixedProfile((strategy,))
 
 
 def _max_vi_residual(matrix: FMat, strategy: MixedStrategy) -> float:
@@ -402,115 +330,50 @@ def _max_vi_residual(matrix: FMat, strategy: MixedStrategy) -> float:
     return float(payoffs.max() - strategy.probs @ payoffs)
 
 
-def cmd_backmap_symmetric(args) -> int:
-    inputs: dict = {}
-    matrix = _tensor_matrix(_load_game(args.game, inputs))
-    profile = _load_profile(args.profile, inputs)
-    x_star = _single_strategy(profile)
-    gap = float(_frac(args.gap))
-    inputs["gap"] = repr(gap)
-    bound = symmetric_backmap(matrix, x_star, gap)
+def cmd_backmap_symmetric(args, inputs):
+    matrix = _tensor_matrix(args.game)
+    x_star = _single_strategy(args.profile)
+    bound = symmetric_backmap(matrix, x_star, args.gap)
     measured = _max_vi_residual(matrix, x_star)
-    satisfied = measured <= bound + SLACK
-    if args.output:
-        fileio.save_profile(MixedProfile((x_star,)), args.output)
-    bounds = [BoundRecord("symmetric_vi", bound, measured, satisfied)]
-    data = {"strategy": _strategy_obj(x_star), "output": args.output}
-    code = 0 if satisfied else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    bounds = [BoundRecord("symmetric_vi", bound, measured, measured <= bound + SLACK)]
+    return bounds, {"strategy": _strategy_obj(x_star)}, MixedProfile((x_star,))
 
 
-def cmd_backmap_median(args) -> int:
-    inputs: dict = {}
-    matrix = _tensor_matrix(_load_game(args.game, inputs))
-    x_star, y_star = _pair(_load_profile(args.profile, inputs))
-    gap = float(_frac(args.gap))
-    delta = float(_frac(args.delta))
-    inputs["gap"] = repr(gap)
-    inputs["delta"] = repr(delta)
-    median, bound = median_backmap(matrix, x_star, y_star, gap, delta)
+def cmd_backmap_median(args, inputs):
+    matrix = _tensor_matrix(args.game)
+    x_star, y_star = _pair(args.profile)
+    median, bound = median_backmap(matrix, x_star, y_star, args.gap, args.delta)
     target = BimatrixGame(matrix, transpose(matrix), (MAXIMIZE, MAXIMIZE))
-    cert = epsilon_ne_report(target, MixedProfile((median, median)), bound)
-    measured = max(cert.regrets)
-    satisfied = measured <= bound + SLACK
-    if args.output:
-        fileio.save_profile(MixedProfile((median,)), args.output)
-    bounds = [BoundRecord("median_regret", bound, measured, satisfied)]
-    data = {"strategy": _strategy_obj(median), "output": args.output}
-    code = 0 if satisfied else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    bounds = [_symmetric_regret("median_regret", target, median, bound)]
+    return bounds, {"strategy": _strategy_obj(median)}, MixedProfile((median,))
 
 
-def cmd_backmap_team3v3(args) -> int:
-    inputs: dict = {}
-    matrix = _tensor_matrix(_load_game(args.game, inputs))
-    profile = _load_profile(args.profile, inputs)
-    eps = _frac(args.eps)
-    inputs["eps"] = str(eps)
-    instance = team3v3_gadget(matrix, eps)
-    report = team3v3_audit_and_backmap(instance, profile, float(eps))
+def cmd_backmap_team3v3(args, inputs):
+    matrix = _tensor_matrix(args.game)
+    report = measure_team3v3(team3v3_gadget(matrix, args.eps), args.profile, float(args.eps))
     target = BimatrixGame(matrix, transpose(matrix), (MAXIMIZE, MAXIMIZE))
-    cert = epsilon_ne_report(
-        target, MixedProfile((report.strategy, report.strategy)), report.bound
-    )
-    measured = max(cert.regrets)
-    satisfied = measured <= report.bound + SLACK
-    if args.output:
-        fileio.save_profile(MixedProfile((report.strategy,)), args.output)
-    bounds = [
-        BoundRecord("pair_gap", report.pair_bound, report.max_pair_gap,
-                    report.max_pair_gap <= report.pair_bound + SLACK),
-        BoundRecord("mirror_mass", report.mirror_bound, report.max_mirror_mass,
-                    report.max_mirror_mass <= report.mirror_bound + SLACK),
-        BoundRecord("team3v3_backmap", report.bound, measured, satisfied),
+    bounds = _structure_bounds(report) + [
+        _symmetric_regret("team3v3_backmap", target, report.strategy, report.bound)
     ]
-    data = {"strategy": _strategy_obj(report.strategy), "output": args.output}
-    code = 0 if all(b.satisfied for b in bounds) else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    data = {"strategy": _strategy_obj(report.strategy)}
+    return bounds, data, MixedProfile((report.strategy,))
 
 
 # ---------------------------------------------------------------------------
 # audit
 
 
-def cmd_audit_gadget_structure(args) -> int:
-    inputs: dict = {}
-    matrix = _tensor_matrix(_load_game(args.game, inputs))
-    profile = _load_profile(args.profile, inputs)
-    eps = _frac(args.eps)
-    inputs["eps"] = str(eps)
-    instance = team_gadget(matrix, eps)
-    try:
-        report = gadget_structure_audit(instance, profile, float(eps))
-        bounds = [
-            BoundRecord("pair_gap", report.pair_bound, report.max_pair_gap, True),
-            BoundRecord("mirror_mass", report.mirror_bound, report.max_mirror_mass, True),
-        ]
-        code = 0
-    except BoundViolationError as exc:
-        e = float(eps)
-        x, y, z = (profile[p].probs for p in range(3))
-        pair = float(np.abs(x - y).max())
-        mirror = float(z[: 2 * instance.n].max())
-        bounds = [
-            BoundRecord("pair_gap", 2 * e, pair, pair <= 2 * e + SLACK),
-            BoundRecord("mirror_mass", 9 * e, mirror, mirror <= 9 * e + SLACK),
-        ]
-        code = 1
-        print(f"violation: {exc}", file=sys.stderr)
-    return _emit(args, make_report(args.command, inputs, bounds, code))
+def cmd_audit_gadget_structure(args, inputs):
+    instance = team_gadget(_tensor_matrix(args.game), args.eps)
+    report = measure_gadget_structure(instance, args.profile, float(args.eps))
+    return _structure_bounds(report), None
 
 
-def cmd_audit_nashgap(args) -> int:
-    inputs: dict = {}
-    graph = _load_graph(args.graph, inputs)
+def cmd_audit_nashgap(args, inputs):
     try:
-        report = nashgap_audit(graph)
+        report = nashgap_audit(args.graph)
     except BoundViolationError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        bounds = [BoundRecord("nashgap_gap", None, None, False)]
-        data = {"detail": str(exc)}
-        return _emit(args, make_report(args.command, inputs, bounds, 1, data))
+        return _violated("nashgap_gap", exc)
     k = report.k
     bounds = [
         BoundRecord(
@@ -519,54 +382,29 @@ def cmd_audit_nashgap(args) -> int:
         )
     ]
     if report.nonclique_bound is not None:
-        measured = (
-            float(report.best_nonclique_value)
-            if report.best_nonclique_value is not None
-            else None
-        )
-        ok = (
-            report.best_nonclique_value is None
-            or report.best_nonclique_value <= report.nonclique_bound
-        )
-        bounds.append(
-            BoundRecord("nashgap_gap", float(report.nonclique_bound), measured, ok)
-        )
+        best = report.best_nonclique_value
+        bounds.append(BoundRecord(
+            "nashgap_gap", float(report.nonclique_bound),
+            float(best) if best is not None else None,
+            best is None or best <= report.nonclique_bound,
+        ))
     data = {
         "k": k,
         "max_value": str(report.max_value),
         "max_cliques": [[v + 1 for v in c] for c in report.max_cliques],
         "clique_form_count": report.clique_form_count,
-        "equilibria": [
-            {
-                "probs": [str(p) for p in eq.probs],
-                "value": str(eq.value),
-                "support": [v + 1 for v in eq.support],
-            }
-            for eq in report.equilibria
-        ],
+        "equilibria": [_equilibrium_obj(eq) for eq in report.equilibria],
     }
-    code = 0 if all(b.satisfied for b in bounds) else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    return bounds, data
 
 
-def cmd_audit_wsne_value(args) -> int:
-    inputs: dict = {}
-    graph = _load_graph(args.graph, inputs)
-    regime = _default_regime(graph, args.k, args.delta, args.eps)
-    resolution = _frac(args.resolution)
-    inputs["regime"] = {
-        "n": regime.n, "k": regime.k,
-        "delta": str(regime.delta), "eps": str(regime.epsilon),
-    }
-    inputs["resolution"] = str(resolution)
+def cmd_audit_wsne_value(args, inputs):
+    regime = _default_regime(args.graph, args.k, args.delta, args.eps)
+    inputs["regime"] = _regime_obj(regime)
     try:
-        report = wsne_value_audit(graph, regime, resolution)
+        report = wsne_value_audit(args.graph, regime, args.resolution)
     except BoundViolationError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        bounds = [BoundRecord("wsne_clique_value", None, None, False)]
-        return _emit(
-            args, make_report(args.command, inputs, bounds, 1, {"detail": str(exc)})
-        )
+        return _violated("wsne_clique_value", exc)
     base = 1 - Fraction(1, regime.k) + regime.delta / regime.k
     bounds = [
         BoundRecord(
@@ -582,49 +420,39 @@ def cmd_audit_wsne_value(args) -> int:
         ),
         BoundRecord("wsne_closeness", None, None, True),
     ]
-    data = {"k": report.k, "candidates": report.candidates}
-    return _emit(args, make_report(args.command, inputs, bounds, 0, data))
+    return bounds, {"k": report.k, "candidates": report.candidates}
 
 
-def cmd_audit_classify(args) -> int:
-    inputs: dict = {}
-    game = _as_bimatrix(_load_game(args.game, inputs))
-    profile = _load_profile(args.profile, inputs)
-    x_hat = _single_strategy(profile)
-    eps = float(_frac(args.eps)) if args.eps is not None else 0.0
+def cmd_audit_classify(args, inputs):
+    game = _as_bimatrix(args.game)
+    x_hat = _single_strategy(args.profile)
+    eps = float(args.eps) if args.eps is not None else 0.0
     inputs["eps"] = repr(eps)
-    inputs["k"] = args.k
-    inputs["well_supported"] = bool(args.wsne)
+    inputs["well_supported"] = args.wsne
     graph = graph_from_bordered_game(game)
     delta = game.row_payoff[0][0]
     regime = ParameterRegime(
         n=graph.n,
         k=args.k,
         delta=delta if 0 < delta < 1 else Fraction(1, 2),
-        epsilon=_frac(args.eps) if args.eps else Fraction(1, 10**9),
-        strict=False,
+        epsilon=args.eps if args.eps is not None else Fraction(1, 10**9),
     )
     result = classify_symmetric_profile(
-        game, args.k, regime, x_hat, eps, well_supported=bool(args.wsne)
+        game, args.k, regime, x_hat, eps, well_supported=args.wsne
     )
-    satisfied = result.form != OTHER
-    bounds = [BoundRecord("classify_distance", result.bound, result.distance, satisfied)]
+    bounds = [
+        BoundRecord("classify_distance", result.bound, result.distance, result.form != OTHER)
+    ]
     data = {
         "form": result.form,
         "clique": [v + 1 for v in result.clique] if result.clique is not None else None,
         "distance": result.distance,
     }
-    code = 0 if satisfied else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    return bounds, data
 
 
-def cmd_audit_mass_bound(args) -> int:
-    inputs: dict = {}
-    game = _load_game(args.game, inputs)
-    profile = _load_profile(args.profile, inputs)
-    eps = float(_frac(args.eps))
-    inputs["eps"] = repr(eps)
-    violations = mass_bound_audit(game, profile, eps)
+def cmd_audit_mass_bound(args, inputs):
+    violations = mass_bound_audit(args.game, args.profile, args.eps)
     worst = max((v.mass - v.bound for v in violations), default=0.0)
     bounds = [BoundRecord("mass_bound", 0.0, worst, not violations)]
     data = {
@@ -634,17 +462,15 @@ def cmd_audit_mass_bound(args) -> int:
             for v in violations
         ]
     }
-    code = 0 if not violations else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    return bounds, data
 
 
 # ---------------------------------------------------------------------------
 # solve
 
 
-def cmd_solve_enumerate(args) -> int:
-    inputs: dict = {}
-    game = _load_game(args.game, inputs)
+def cmd_solve_enumerate(args, inputs):
+    game = args.game
     matrix = _tensor_matrix(game)
     if game.orientation[0] != game.orientation[1]:
         raise FormatError(
@@ -653,26 +479,14 @@ def cmd_solve_enumerate(args) -> int:
     equilibria = symmetric_support_enumeration(matrix, game.orientation[0])
     data = {
         "equilibria": [
-            {
-                "probs": [str(p) for p in eq.probs],
-                "value": str(eq.value),
-                "value_float": float(eq.value),
-                "support": [v + 1 for v in eq.support],
-            }
-            for eq in equilibria
+            {**_equilibrium_obj(eq), "value_float": float(eq.value)} for eq in equilibria
         ]
     }
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+    return [], data
 
 
-def cmd_solve_grid(args) -> int:
-    inputs: dict = {}
-    game = _load_game(args.game, inputs)
-    resolution = _frac(args.resolution)
-    eps = _frac(args.eps)
-    inputs["resolution"] = str(resolution)
-    inputs["eps"] = str(eps)
-    hits = grid_ne_search(game, resolution, eps, cap=args.cap)
+def cmd_solve_grid(args, inputs):
+    hits = grid_ne_search(args.game, args.resolution, args.eps, cap=args.cap)
     data = {
         "hits": [
             {
@@ -682,36 +496,26 @@ def cmd_solve_grid(args) -> int:
             for profile, regret in hits
         ]
     }
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+    return [], data
 
 
-def cmd_solve_refine(args) -> int:
-    inputs: dict = {}
-    game = _load_game(args.game, inputs)
-    start = _load_profile(args.profile, inputs)
-    target = float(_frac(args.target))
-    inputs["target"] = repr(target)
+def cmd_solve_refine(args, inputs):
     result = local_ne_refine(
-        game, start, target, max_iters=args.max_iters, damping=args.damping
+        args.game, args.profile, args.target,
+        max_iters=args.max_iters, damping=args.damping,
     )
-    if args.output:
-        fileio.save_profile(result.profile, args.output)
-    bounds = [BoundRecord("refine_target", target, result.max_regret, result.converged)]
+    bounds = [BoundRecord("refine_target", args.target, result.max_regret, result.converged)]
     data = {
         "iterations": result.iterations,
         "converged": result.converged,
         "strategies": [_strategy_obj(s) for s in result.profile.strategies],
-        "output": args.output,
     }
-    code = 0 if result.converged else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    return bounds, data, result.profile
 
 
-def cmd_solve_2x2(args) -> int:
-    inputs: dict = {}
-    game = _load_game(args.game, inputs)
-    matrix = _tensor_matrix(game)
-    if game.orientation != (MINIMIZE, MAXIMIZE):
+def cmd_solve_2x2(args, inputs):
+    matrix = _tensor_matrix(args.game)
+    if args.game.orientation != (MINIMIZE, MAXIMIZE):
         raise FormatError("the closed form fixes orientation [minimize, maximize]")
     value, x, z = solve_2x2(matrix)
     data = {
@@ -720,68 +524,46 @@ def cmd_solve_2x2(args) -> int:
         "row_strategy": [str(p) for p in x],
         "col_strategy": [str(p) for p in z],
     }
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+    return [], data
 
 
-def cmd_solve_max_clique(args) -> int:
-    inputs: dict = {}
-    graph = _load_graph(args.graph, inputs)
-    size, clique = max_clique(graph)
-    data = {"size": size, "clique": [v + 1 for v in clique]}
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+def cmd_solve_max_clique(args, inputs):
+    size, clique = max_clique(args.graph)
+    return [], {"size": size, "clique": [v + 1 for v in clique]}
 
 
 # ---------------------------------------------------------------------------
 # dynamics and analytic
 
 
-def cmd_dynamics_run(args) -> int:
-    inputs: dict = {}
-    problem = _require_problem(_load_game(args.problem, inputs, "problem"))
-    init = None
-    if args.init:
-        init = _pair(_load_profile(args.init, inputs, "init"))
-    stepsize = float(_frac(args.stepsize))
-    inputs["algo"] = args.algo
-    inputs["steps"] = args.steps
-    inputs["stepsize"] = repr(stepsize)
-    config = DynamicsConfig(
+def cmd_dynamics_run(args, inputs):
+    config = dynamics.DynamicsConfig(
         algorithm=ALGO_NAMES[args.algo],
-        stepsize=stepsize,
+        stepsize=args.stepsize,
         horizon=args.steps,
-        init=init,
+        init=_pair(args.init) if args.init is not None else None,
     )
-    trajectory = run_dynamics(problem, config)
-    if args.output:
-        fileio.save_trajectory(trajectory, args.output)
+    trajectory = dynamics.run(_require_problem(args.problem), config)
     data = {
         "algorithm": config.algorithm,
         "final_gap": trajectory.gaps[-1],
         "min_gap": min(trajectory.gaps),
         "max_drift": max(trajectory.drifts),
         "final_utility": trajectory.utilities[-1],
-        "output": args.output,
     }
-    return _emit(args, make_report(args.command, inputs, [], 0, data))
+    return [], data, trajectory
 
 
-def cmd_analytic_irrational(args) -> int:
-    inputs: dict = {"verify": bool(args.verify)}
-    game = irrational_game()
-    profile = irrational_equilibrium()
-    if args.output:
-        fileio.save_game(game, args.output)
-
+def cmd_analytic_irrational(args, inputs):
     def surd_obj(s):
         return {"p": str(s.p), "q": str(s.q)}
 
+    profile = irrational_equilibrium()
     data = {
         "profile": [[surd_obj(c) for c in coords] for coords in profile],
         "float_profile": [[float(c) for c in coords] for coords in profile],
-        "output": args.output,
     }
     bounds = []
-    code = 0
     if args.verify:
         report = verify_irrational_equilibrium()
         measured = max(report.certificate.regrets)
@@ -792,19 +574,127 @@ def cmd_analytic_irrational(args) -> int:
         data["regrets"] = list(report.certificate.regrets)
         data["value"] = surd_obj(report.game_value)
         data["value_float"] = float(report.game_value)
-        code = 0 if all(b.satisfied for b in bounds) else 1
-    return _emit(args, make_report(args.command, inputs, bounds, code, data))
+    return bounds, data, irrational_game()
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table
+
+# option kinds that main converts: each maps the option's text to a value
+# and the value to its record in the report's inputs.  Files are loaded
+# through the fileio module attributes at call time.
+GAME, PROFILE, GRAPH, EXACT, FLOAT = "game", "profile", "graph", "exact", "float"
+KINDS = {
+    GAME: (lambda text: fileio.load_game(text), fileio.game_to_dict),
+    PROFILE: (lambda text: fileio.load_profile(text), fileio.profile_to_dict),
+    GRAPH: (lambda text: fileio.load_graph(text), fileio.graph_to_dict),
+    EXACT: (_frac, str),
+    FLOAT: (lambda text: float(_frac(text)), repr),
+}
 
 
-def _add_common(sub, report=True, output=False):
-    if output:
-        sub.add_argument("-o", "--output", default=None, help="artifact output path")
-    if report:
-        sub.add_argument("--report", default=None, help="report JSON path (default stdout)")
+class Arg:
+    """One declared option: its kind (None when argparse alone converts it,
+    as for ints, flags and choices), whether main records it in the inputs,
+    and its argparse settings."""
+
+    def __init__(self, flag: str, kind: str | None = None, record: bool = True, **options):
+        self.flag, self.kind, self.record, self.options = flag, kind, record, options
+        self.dest = flag.lstrip("-").replace("-", "_")
+
+
+class Command(NamedTuple):
+    """One subcommand.  Its handler takes the parsed options (files loaded,
+    rationals parsed) and the inputs record, to which it adds only derived
+    inputs, and returns (bounds, data), plus the artifact when it has -o."""
+
+    name: str  # "group kind"
+    handler: Callable
+    args: tuple[Arg, ...]
+    output: bool = False
+    help: str | None = None
+
+
+GROUPS = {
+    "gadget": "build reduction instances",
+    "check": "certificates for a given profile",
+    "backmap": "pull gadget solutions back",
+    "audit": "lemma-level structure audits",
+    "solve": "oracles and closed forms",
+    "dynamics": "learning trajectories",
+    "analytic": "closed-form exhibits",
+}
+
+_GAME = Arg("--game", GAME, required=True)
+_PROFILE = Arg("--profile", PROFILE, required=True)
+_GRAPH = Arg("--graph", GRAPH, required=True)
+_EPS_EXACT = Arg("--eps", EXACT, required=True)
+_EPS_FLOAT = Arg("--eps", FLOAT, default=None)
+_REGIME = (  # derived into a ParameterRegime and recorded by the handler
+    Arg("--k", record=False, type=int, default=None),
+    Arg("--delta", EXACT, record=False, default=None),
+    Arg("--eps", EXACT, record=False, default=None),
+)
+
+COMMANDS = (
+    Command("gadget team", cmd_gadget_team, (_GAME, _EPS_EXACT), output=True,
+            help="two team players vs one adversary"),
+    Command("gadget quadratic", cmd_gadget_quadratic, (_GAME,), output=True,
+            help="antisymmetric quadratic min-max"),
+    Command("gadget coupled", cmd_gadget_coupled,
+            (_GAME, Arg("--delta", FLOAT, record=False, default=None),
+             Arg("--eps", FLOAT, record=False, default=None)),
+            output=True, help="quadratic gadget on the coupled domain"),
+    Command("gadget team3v3", cmd_gadget_team3v3, (_GAME, _EPS_EXACT), output=True,
+            help="three-vs-three polymatrix gadget"),
+    Command("gadget clique", cmd_gadget_clique,
+            (_GRAPH, Arg("--variant", required=True, choices=["base", "delta", "unique", "robust"]),
+             *_REGIME),
+            output=True, help="clique-detection payoff families"),
+    Command("check ne", cmd_check_ne, (_GAME, _PROFILE, _EPS_FLOAT)),
+    Command("check wsne", cmd_check_wsne, (_GAME, _PROFILE, _EPS_FLOAT)),
+    Command("check fone", cmd_check_fone, (_GAME, _PROFILE, _EPS_FLOAT)),
+    Command("check gap", cmd_check_gap,
+            (_GAME, _PROFILE, _EPS_FLOAT, Arg("--stepsize", FLOAT, default="1"))),
+    Command("backmap team", cmd_backmap_team, (_GAME, _EPS_EXACT, _PROFILE), output=True),
+    Command("backmap symmetric", cmd_backmap_symmetric,
+            (_GAME, _PROFILE, Arg("--gap", FLOAT, required=True)), output=True),
+    Command("backmap median", cmd_backmap_median,
+            (_GAME, _PROFILE, Arg("--gap", FLOAT, required=True),
+             Arg("--delta", FLOAT, required=True)),
+            output=True),
+    Command("backmap team3v3", cmd_backmap_team3v3, (_GAME, _EPS_EXACT, _PROFILE), output=True),
+    Command("audit gadget-structure", cmd_audit_gadget_structure, (_GAME, _EPS_EXACT, _PROFILE)),
+    Command("audit nashgap", cmd_audit_nashgap, (_GRAPH,)),
+    Command("audit wsne-value", cmd_audit_wsne_value,
+            (_GRAPH, *_REGIME, Arg("--resolution", EXACT, default="1/6"))),
+    Command("audit classify", cmd_audit_classify,
+            (_GAME, _PROFILE, Arg("--k", type=int, required=True),
+             Arg("--eps", EXACT, record=False, default=None),
+             Arg("--wsne", record=False, action="store_true", help="input is well-supported"))),
+    Command("audit mass-bound", cmd_audit_mass_bound,
+            (_GAME, _PROFILE, Arg("--eps", FLOAT, required=True))),
+    Command("solve enumerate", cmd_solve_enumerate, (_GAME,)),
+    Command("solve grid", cmd_solve_grid,
+            (_GAME, Arg("--resolution", EXACT, required=True), _EPS_EXACT,
+             Arg("--cap", record=False, type=int, default=100_000_000))),
+    Command("solve refine", cmd_solve_refine,
+            (_GAME, _PROFILE, Arg("--target", FLOAT, required=True),
+             Arg("--max-iters", record=False, type=int, default=100_000),
+             Arg("--damping", record=False, type=float, default=0.1)),
+            output=True),
+    Command("solve 2x2", cmd_solve_2x2, (_GAME,)),
+    Command("solve max-clique", cmd_solve_max_clique, (_GRAPH,)),
+    Command("dynamics run", cmd_dynamics_run,
+            (Arg("--problem", GAME, required=True),
+             Arg("--algo", required=True, choices=sorted(ALGO_NAMES)),
+             Arg("--steps", type=int, default=100),
+             Arg("--stepsize", FLOAT, default="0.1"),
+             Arg("--init", PROFILE, default=None)),
+            output=True),
+    Command("analytic irrational", cmd_analytic_irrational,
+            (Arg("--verify", action="store_true"),), output=True),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -813,212 +703,71 @@ def build_parser() -> argparse.ArgumentParser:
         description="gadget builders, equilibrium checkers, and lemma audits",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    gadget = top.add_parser("gadget", help="build reduction instances").add_subparsers(
-        dest="kind", required=True
-    )
-    g = gadget.add_parser("team", help="two team players vs one adversary")
-    g.add_argument("--game", required=True)
-    g.add_argument("--eps", required=True)
-    _add_common(g, output=True)
-    g.set_defaults(func=cmd_gadget_team, command="gadget team")
-
-    g = gadget.add_parser("quadratic", help="antisymmetric quadratic min-max")
-    g.add_argument("--game", required=True)
-    _add_common(g, output=True)
-    g.set_defaults(func=cmd_gadget_quadratic, command="gadget quadratic")
-
-    g = gadget.add_parser("coupled", help="quadratic gadget on the coupled domain")
-    g.add_argument("--game", required=True)
-    g.add_argument("--delta", default=None)
-    g.add_argument("--eps", default=None)
-    _add_common(g, output=True)
-    g.set_defaults(func=cmd_gadget_coupled, command="gadget coupled")
-
-    g = gadget.add_parser("team3v3", help="three-vs-three polymatrix gadget")
-    g.add_argument("--game", required=True)
-    g.add_argument("--eps", required=True)
-    _add_common(g, output=True)
-    g.set_defaults(func=cmd_gadget_team3v3, command="gadget team3v3")
-
-    g = gadget.add_parser("clique", help="clique-detection payoff families")
-    g.add_argument("--graph", required=True)
-    g.add_argument("--variant", required=True, choices=["base", "delta", "unique", "robust"])
-    g.add_argument("--k", type=int, default=None)
-    g.add_argument("--delta", default=None)
-    g.add_argument("--eps", default=None)
-    _add_common(g, output=True)
-    g.set_defaults(func=cmd_gadget_clique, command="gadget clique")
-
-    check = top.add_parser("check", help="certificates for a given profile").add_subparsers(
-        dest="kind", required=True
-    )
-    for name, func in [
-        ("ne", cmd_check_ne),
-        ("wsne", cmd_check_wsne),
-        ("fone", cmd_check_fone),
-        ("gap", cmd_check_gap),
-    ]:
-        c = check.add_parser(name)
-        c.add_argument("--game", required=True)
-        c.add_argument("--profile", required=True)
-        c.add_argument("--eps", default=None)
-        if name == "gap":
-            c.add_argument("--stepsize", default="1")
-        _add_common(c)
-        c.set_defaults(func=func, command=f"check {name}")
-
-    backmap = top.add_parser("backmap", help="pull gadget solutions back").add_subparsers(
-        dest="kind", required=True
-    )
-    b = backmap.add_parser("team")
-    b.add_argument("--game", required=True)
-    b.add_argument("--eps", required=True)
-    b.add_argument("--profile", required=True)
-    _add_common(b, output=True)
-    b.set_defaults(func=cmd_backmap_team, command="backmap team")
-
-    b = backmap.add_parser("symmetric")
-    b.add_argument("--game", required=True)
-    b.add_argument("--profile", required=True)
-    b.add_argument("--gap", required=True)
-    _add_common(b, output=True)
-    b.set_defaults(func=cmd_backmap_symmetric, command="backmap symmetric")
-
-    b = backmap.add_parser("median")
-    b.add_argument("--game", required=True)
-    b.add_argument("--profile", required=True)
-    b.add_argument("--gap", required=True)
-    b.add_argument("--delta", required=True)
-    _add_common(b, output=True)
-    b.set_defaults(func=cmd_backmap_median, command="backmap median")
-
-    b = backmap.add_parser("team3v3")
-    b.add_argument("--game", required=True)
-    b.add_argument("--eps", required=True)
-    b.add_argument("--profile", required=True)
-    _add_common(b, output=True)
-    b.set_defaults(func=cmd_backmap_team3v3, command="backmap team3v3")
-
-    audit = top.add_parser("audit", help="lemma-level structure audits").add_subparsers(
-        dest="kind", required=True
-    )
-    a = audit.add_parser("gadget-structure")
-    a.add_argument("--game", required=True)
-    a.add_argument("--eps", required=True)
-    a.add_argument("--profile", required=True)
-    _add_common(a)
-    a.set_defaults(func=cmd_audit_gadget_structure, command="audit gadget-structure")
-
-    a = audit.add_parser("nashgap")
-    a.add_argument("--graph", required=True)
-    _add_common(a)
-    a.set_defaults(func=cmd_audit_nashgap, command="audit nashgap")
-
-    a = audit.add_parser("wsne-value")
-    a.add_argument("--graph", required=True)
-    a.add_argument("--k", type=int, default=None)
-    a.add_argument("--delta", default=None)
-    a.add_argument("--eps", default=None)
-    a.add_argument("--resolution", default="1/6")
-    _add_common(a)
-    a.set_defaults(func=cmd_audit_wsne_value, command="audit wsne-value")
-
-    a = audit.add_parser("classify")
-    a.add_argument("--game", required=True)
-    a.add_argument("--profile", required=True)
-    a.add_argument("--k", type=int, required=True)
-    a.add_argument("--eps", default=None)
-    a.add_argument("--wsne", action="store_true", help="input is well-supported")
-    _add_common(a)
-    a.set_defaults(func=cmd_audit_classify, command="audit classify")
-
-    a = audit.add_parser("mass-bound")
-    a.add_argument("--game", required=True)
-    a.add_argument("--profile", required=True)
-    a.add_argument("--eps", required=True)
-    _add_common(a)
-    a.set_defaults(func=cmd_audit_mass_bound, command="audit mass-bound")
-
-    solve = top.add_parser("solve", help="oracles and closed forms").add_subparsers(
-        dest="kind", required=True
-    )
-    s = solve.add_parser("enumerate")
-    s.add_argument("--game", required=True)
-    _add_common(s)
-    s.set_defaults(func=cmd_solve_enumerate, command="solve enumerate")
-
-    s = solve.add_parser("grid")
-    s.add_argument("--game", required=True)
-    s.add_argument("--resolution", required=True)
-    s.add_argument("--eps", required=True)
-    s.add_argument("--cap", type=int, default=100_000_000)
-    _add_common(s)
-    s.set_defaults(func=cmd_solve_grid, command="solve grid")
-
-    s = solve.add_parser("refine")
-    s.add_argument("--game", required=True)
-    s.add_argument("--profile", required=True)
-    s.add_argument("--target", required=True)
-    s.add_argument("--max-iters", type=int, default=100_000)
-    s.add_argument("--damping", type=float, default=0.1)
-    _add_common(s, output=True)
-    s.set_defaults(func=cmd_solve_refine, command="solve refine")
-
-    s = solve.add_parser("2x2")
-    s.add_argument("--game", required=True)
-    _add_common(s)
-    s.set_defaults(func=cmd_solve_2x2, command="solve 2x2")
-
-    s = solve.add_parser("max-clique")
-    s.add_argument("--graph", required=True)
-    _add_common(s)
-    s.set_defaults(func=cmd_solve_max_clique, command="solve max-clique")
-
-    dynamics = top.add_parser("dynamics", help="learning trajectories").add_subparsers(
-        dest="kind", required=True
-    )
-    d = dynamics.add_parser("run")
-    d.add_argument("--problem", required=True)
-    d.add_argument("--algo", required=True, choices=sorted(ALGO_NAMES))
-    d.add_argument("--steps", type=int, default=100)
-    d.add_argument("--stepsize", default="0.1")
-    d.add_argument("--init", default=None)
-    _add_common(d, output=True)
-    d.set_defaults(func=cmd_dynamics_run, command="dynamics run")
-
-    analytic = top.add_parser("analytic", help="closed-form exhibits").add_subparsers(
-        dest="kind", required=True
-    )
-    an = analytic.add_parser("irrational")
-    an.add_argument("--verify", action="store_true")
-    _add_common(an, output=True)
-    an.set_defaults(func=cmd_analytic_irrational, command="analytic irrational")
-
+    groups = {
+        name: top.add_parser(name, help=text).add_subparsers(dest="kind", required=True)
+        for name, text in GROUPS.items()
+    }
+    for command in COMMANDS:
+        group, kind = command.name.split()
+        sub = groups[group].add_parser(kind, help=command.help)
+        for arg in command.args:
+            sub.add_argument(arg.flag, **arg.options)
+        if command.output:
+            sub.add_argument("-o", "--output", default=None, help="artifact output path")
+        sub.add_argument("--report", default=None, help="report JSON path (default stdout)")
+        sub.set_defaults(command=command)
     return parser
 
 
+# ---------------------------------------------------------------------------
+# the dispatcher
+
+
+def _save(artifact, path: str) -> None:
+    if isinstance(artifact, MixedProfile):
+        fileio.save_profile(artifact, path)
+    elif isinstance(artifact, dynamics.Trajectory):
+        fileio.save_trajectory(artifact, path)
+    else:
+        fileio.save_game(artifact, path)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = args.command
+    inputs: dict = {}
     try:
-        return args.func(args)
+        for arg in command.args:
+            value = getattr(args, arg.dest)
+            parse, record = KINDS.get(arg.kind, (None, None))
+            if parse is not None and value is not None:
+                value = parse(value)
+                setattr(args, arg.dest, value)
+            # an absent file is not recorded; an absent FLOAT rational is, as "None"
+            if arg.record and (value is not None or arg.kind not in (GAME, PROFILE, GRAPH)):
+                inputs[arg.dest] = record(value) if record is not None else value
+        bounds, data, *artifact = command.handler(args, inputs)
+        if command.output:
+            if args.output:
+                _save(artifact[0], args.output)
+            data["output"] = args.output
+        code = 0 if all(b.satisfied for b in bounds) else 1
+        write_report(make_report(command.name, inputs, bounds, code, data), args.report)
+        return code
     except BoundViolationError as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 1
-    except (
-        FormatError,
-        DimensionError,
-        PreconditionError,
-        DegenerateGameError,
-        UnsupportedDomainError,
-        CapExceededError,
-        OverflowError,
-        OSError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, label, error = 1, "violation", exc
+    except (ValueError, CapExceededError, OverflowError, OSError) as exc:
+        # ValueError covers the input errors: FormatError, DimensionError,
+        # PreconditionError, DegenerateGameError, UnsupportedDomainError
+        code, label, error = 2, "error", exc
+    print(f"{label}: {error}", file=sys.stderr)
+    report = make_report(command.name, inputs, [], code)
+    report["error"] = str(error) or type(error).__name__
+    try:
+        write_report(report, args.report)
+    except OSError:  # the report path itself is unwritable
+        write_report(report, None)
+    return code
 
 
 if __name__ == "__main__":

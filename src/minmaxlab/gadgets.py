@@ -211,6 +211,20 @@ class GadgetStructureReport:
     certificate: Certificate
 
 
+def _enforce_structure(report):
+    """Raise BoundViolationError when a measured pair gap or mirror mass
+    exceeds its bound (1e-9 slack); otherwise return the report."""
+    if report.max_pair_gap > report.pair_bound + 1e-9:
+        raise BoundViolationError(
+            f"teammates differ by {report.max_pair_gap} > 2 eps = {report.pair_bound}"
+        )
+    if report.max_mirror_mass > report.mirror_bound + 1e-9:
+        raise BoundViolationError(
+            f"mirror action holds {report.max_mirror_mass} > 9 eps = {report.mirror_bound}"
+        )
+    return report
+
+
 def gadget_structure_audit(
     instance: TeamGadgetInstance, profile: MixedProfile, epsilon: float
 ) -> GadgetStructureReport:
@@ -220,6 +234,18 @@ def gadget_structure_audit(
     are close, ||x - y||_inf <= 2 eps, and the adversary leaves at most
     9 eps on each mirror action.  Violations raise BoundViolationError.
     """
+    return _enforce_structure(measure_gadget_structure(instance, profile, epsilon))
+
+
+def measure_gadget_structure(
+    instance: TeamGadgetInstance, profile: MixedProfile, epsilon: float
+) -> GadgetStructureReport:
+    """The pair gap and mirror mass of a certified eps^2-equilibrium.
+
+    Raises PreconditionError when eps is outside (0, 1/10] or the profile is
+    not a certified eps^2-equilibrium; the two lemma bounds are measured,
+    not enforced (see gadget_structure_audit).
+    """
     profile = as_profile(profile)
     eps = float(epsilon)
     if not (0 < eps <= float(EPS_CAP) + 1e-12):
@@ -228,7 +254,7 @@ def gadget_structure_audit(
     x, y, z = (profile[p].probs for p in range(3))
     pair_gap = float(np.abs(x - y).max())
     mirror_mass = float(z[: 2 * instance.n].max()) if instance.n else 0.0
-    report = GadgetStructureReport(
+    return GadgetStructureReport(
         epsilon=eps,
         max_pair_gap=pair_gap,
         pair_bound=2.0 * eps,
@@ -236,15 +262,6 @@ def gadget_structure_audit(
         mirror_bound=9.0 * eps,
         certificate=cert,
     )
-    if pair_gap > report.pair_bound + 1e-9:
-        raise BoundViolationError(
-            f"team strategies differ by {pair_gap} > 2 eps = {report.pair_bound}"
-        )
-    if mirror_mass > report.mirror_bound + 1e-9:
-        raise BoundViolationError(
-            f"mirror action holds {mirror_mass} > 9 eps = {report.mirror_bound}"
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +447,19 @@ def team3v3_audit_and_backmap(
     internal agreement (<= 2 eps per coordinate) and both adversaries'
     mirror masses (<= 9 eps), then returns x* with the guarantee that
     (x*, x*) is a (21 n + 1) |A_min| eps equilibrium of (R, R^T).
+    Violations raise BoundViolationError.
+    """
+    return _enforce_structure(measure_team3v3(instance, profile, epsilon))
+
+
+def measure_team3v3(
+    instance: Team3v3Instance, profile: MixedProfile, epsilon: float
+) -> Team3v3Report:
+    """The back-map of a certified, team-symmetric eps^2-equilibrium, with
+    its pair gap and mirror mass measured, not enforced.
+
+    Raises PreconditionError when eps is outside (0, 1/10], the profile is
+    not team-symmetric or not a certified eps^2-equilibrium.
     """
     profile = as_profile(profile)
     eps = float(epsilon)
@@ -454,7 +484,7 @@ def team3v3_audit_and_backmap(
         float(profile[5].probs[: 2 * n].max()),
     )
     bound = (21 * n + 1) * float(instance.penalty_scale) * eps
-    report = Team3v3Report(
+    return Team3v3Report(
         epsilon=eps,
         strategy=profile[0],
         bound=bound,
@@ -464,12 +494,3 @@ def team3v3_audit_and_backmap(
         mirror_bound=9.0 * eps,
         certificate=cert,
     )
-    if pair_gap > report.pair_bound + 1e-9:
-        raise BoundViolationError(
-            f"teammates differ by {pair_gap} > 2 eps = {report.pair_bound}"
-        )
-    if mirror_mass > report.mirror_bound + 1e-9:
-        raise BoundViolationError(
-            f"mirror action holds {mirror_mass} > 9 eps = {report.mirror_bound}"
-        )
-    return report

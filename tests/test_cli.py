@@ -1,11 +1,17 @@
 """End-to-end CLI runs, in process: exit codes, report shape, artifacts."""
 
+import dataclasses
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from minmaxlab import cli, fileio
+from minmaxlab import cli, fileio, gadgets, oracle
+from minmaxlab.errors import BoundViolationError
+from minmaxlab.games import MINIMIZE, MixedProfile, MixedStrategy
 from minmaxlab.minmax import QuadraticMinMaxProblem
+from minmaxlab.rational import fmat
 
 
 def run_cli(capsys, argv):
@@ -116,12 +122,13 @@ def test_malformed_game_file_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "error" in err
-    assert report is None
+    assert report["exit_code"] == 2
+    assert report["error"]
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
     profile = write_profile(tmp_path, "p.json", [["1", "0"]])
-    code, _, err = run_cli(
+    code, report, err = run_cli(
         capsys,
         [
             "check", "ne",
@@ -132,6 +139,7 @@ def test_missing_file_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "error" in err
+    assert report["exit_code"] == 2 and report["error"]
 
 
 def test_solve_enumerate_lists_all_symmetric_equilibria(capsys, tmp_path):
@@ -175,11 +183,12 @@ def test_solve_refine_cut_short_exits_1(capsys, tmp_path):
 
 
 def test_solve_refine_rejects_damping_above_one(capsys, tmp_path):
-    code, _, err = run_cli(
+    code, report, err = run_cli(
         capsys, _refine_inputs(tmp_path) + ["--target", "1/10", "--damping", "2"]
     )
     assert code == 2
     assert "damping" in err
+    assert report["exit_code"] == 2 and "damping" in report["error"]
 
 
 def test_solve_2x2_closed_form(capsys, tmp_path):
@@ -285,3 +294,98 @@ def test_usage_errors_exit_via_argparse(capsys):
         cli.main([])
     with pytest.raises(SystemExit):
         cli.main(["solve", "no-such-solver"])
+
+
+FILE_KINDS = (cli.GAME, cli.PROFILE, cli.GRAPH)
+MALFORMED_CASES = cli.COMMANDS  # one malformed-input case per table entry
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)
+
+
+def _malformed_argv(command, tmp_path):
+    """Required options of a command, every file holding malformed JSON."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops", encoding="utf-8")
+    argv = command.name.split()
+    for arg in command.args:
+        if not arg.options.get("required"):
+            continue
+        if arg.kind in FILE_KINDS:
+            value = str(bad)
+        elif "choices" in arg.options:
+            value = arg.options["choices"][0]
+        else:
+            value = "3" if arg.options.get("type") is int else "1/20"
+        argv += [arg.flag, value]
+    if not any(arg.kind in FILE_KINDS for arg in command.args):
+        argv += ["-o", str(tmp_path)]  # a directory: the artifact cannot be written
+    return argv
+
+
+@pytest.mark.parametrize("command", MALFORMED_CASES, ids=lambda c: c.name)
+def test_malformed_input_reports_exit_2(capsys, tmp_path, command):
+    code, report, err = run_cli(capsys, _malformed_argv(command, tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert report["command"] == command.name
+    assert report["exit_code"] == 2
+    assert report["bounds"] == []
+    assert report["error"]
+
+
+def test_every_command_has_a_golden_case_and_a_malformed_case():
+    table = {c.name for c in cli.COMMANDS}
+    golden = {case["report"]["command"] for case in GOLDEN["cases"].values()}
+    malformed = {c.name for c in MALFORMED_CASES}
+    assert table == golden == malformed == set(GOLDEN["surface"]["commands"])
+
+
+def test_unwritable_report_path_prints_the_error_report(capsys, tmp_path, fig1):
+    gpath = write_graph(tmp_path, "fig1.txt", fig1)
+    code, report, err = run_cli(
+        capsys, ["solve", "max-clique", "--graph", gpath, "--report", str(tmp_path)]
+    )
+    assert code == 2
+    assert "error" in err
+    assert report["exit_code"] == 2 and report["error"]
+    assert report["inputs_hash"] == fileio.hash_inputs({"graph": fileio.graph_to_dict(fig1)})
+
+
+def test_escaped_violation_reports_exit_1(capsys, tmp_path, fig1, monkeypatch):
+    def violated(graph):
+        raise BoundViolationError("planted violation")
+
+    monkeypatch.setattr(cli, "max_clique", violated)
+    gpath = write_graph(tmp_path, "fig1.txt", fig1)
+    code, report, err = run_cli(capsys, ["solve", "max-clique", "--graph", gpath])
+    assert code == 1
+    assert err.startswith("violation: planted violation")
+    assert report["exit_code"] == 1
+    assert report["bounds"] == []
+    assert report["error"] == "planted violation"
+
+
+def test_backmap_team3v3_reports_a_violated_structure_bound(capsys, tmp_path, monkeypatch):
+    r = [["1/2", "0"], ["0", "1/2"]]
+    game = write_game(tmp_path, "r.json", r, ["min", "min"])
+    inst = gadgets.team3v3_gadget(fmat(r), Fraction(1, 20))
+    eq = oracle.symmetric_support_enumeration(inst.a, orientation=MINIMIZE)[0]
+    s, anchor = MixedStrategy.from_exact(eq.probs), MixedStrategy.pure(5, 4)
+    profile = tmp_path / "team.json"
+    fileio.save_profile(MixedProfile((s, s, anchor, s, s, anchor)), str(profile))
+    measure = cli.measure_team3v3
+    monkeypatch.setattr(
+        cli, "measure_team3v3",
+        lambda *a: dataclasses.replace(measure(*a), max_pair_gap=0.5),
+    )
+    code, report, _ = run_cli(
+        capsys,
+        ["backmap", "team3v3", "--game", game, "--eps", "1/20", "--profile", str(profile)],
+    )
+    assert code == 1
+    bounds = {b["name"]: b for b in report["bounds"]}
+    assert bounds["pair_gap"]["measured"] == 0.5
+    assert not bounds["pair_gap"]["satisfied"]
+    assert bounds["mirror_mass"]["satisfied"]
+    assert bounds["team3v3_backmap"]["satisfied"]

@@ -1,10 +1,12 @@
 """Reduction gadgets: team game, quadratic saddle, coupled domain, 3v3."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from minmaxlab import checks, gadgets, oracle
-from minmaxlab.errors import PreconditionError
+from minmaxlab.errors import BoundViolationError, PreconditionError
 from minmaxlab.games import (
     MAXIMIZE,
     MINIMIZE,
@@ -174,3 +176,14 @@ def test_team3v3_exact_construction_passes_audit():
     assert report.bound == pytest.approx(
         (21 * 2 + 1) * float(inst.penalty_scale) * 0.05
     )
+
+
+def test_structure_audits_measure_then_enforce():
+    inst = gadgets.team_gadget(A2, 0.05)
+    prof = gadgets.canonical_team_ne(inst)
+    report = gadgets.measure_gadget_structure(inst, prof, 0.05)
+    assert gadgets.gadget_structure_audit(inst, prof, 0.05) == report
+    with pytest.raises(BoundViolationError, match="teammates differ"):
+        gadgets._enforce_structure(dataclasses.replace(report, max_pair_gap=0.2))
+    with pytest.raises(BoundViolationError, match="mirror action holds"):
+        gadgets._enforce_structure(dataclasses.replace(report, max_mirror_mass=0.5))
