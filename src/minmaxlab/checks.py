@@ -20,6 +20,7 @@ from .games import (
     best_deviation,
     deviation_gaps,
     deviation_vectors,
+    oriented,
     profile_probs,
 )
 from .rational import FMat, FVec, fmat, fvec, mat_vec, shape, transpose
@@ -70,33 +71,43 @@ def epsilon_ne_report(
     )
 
 
+def require_wsne_game(game) -> None:
+    """Raise unless one strategy x describes the profile (x, x) of `game`.
+
+    That needs a symmetric identical-payoff bimatrix game (R = C and R
+    symmetric) whose players share an orientation, so that both players
+    face the same deviation vector Rx in the same direction.
+    """
+    if not isinstance(game, BimatrixGame) or not game.identical_payoff():
+        raise PreconditionError("a WSNE check needs an identical-payoff bimatrix game")
+    if game.row_payoff != transpose(game.row_payoff):
+        raise PreconditionError("a WSNE check needs a symmetric payoff matrix")
+    if game.orientation[0] != game.orientation[1]:
+        raise PreconditionError("players must share an orientation")
+
+
 def wsne_report(game: BimatrixGame, x: MixedStrategy) -> float:
     """Smallest eps for which (x, x) is an eps-well-supported equilibrium.
 
-    Requires a symmetric identical-payoff game (R = C and R symmetric), so a
-    single strategy describes the profile and both players share the
-    deviation vector Rx.  Support means probability above 1e-12.
+    Requires the game require_wsne_game accepts.  Support means probability
+    above 1e-12.
     """
-    if not isinstance(game, BimatrixGame) or not game.identical_payoff():
-        raise PreconditionError("wsne_report needs an identical-payoff bimatrix game")
-    if game.row_payoff != transpose(game.row_payoff):
-        raise PreconditionError("wsne_report needs a symmetric payoff matrix")
-    if game.orientation[0] != game.orientation[1]:
-        raise PreconditionError("players must share an orientation")
+    require_wsne_game(game)
     probs = x.probs if isinstance(x, MixedStrategy) else np.asarray(x, dtype=float)
     if probs.size != game.action_counts[0]:
         raise PreconditionError("strategy length does not match the game")
-    payoffs = game.row_float @ probs
-    support = probs > SUPPORT_TOL
-    if game.orientation[0] == MAXIMIZE:
-        return float((payoffs.max() - payoffs[support]).max())
-    return float((payoffs[support] - payoffs.min()).max())
+    gaps = deviation_gaps(game.row_float @ probs, game.orientation[0])
+    return float(gaps[probs > SUPPORT_TOL].max())
 
 
 def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
-    """Exact-rational version of wsne_report on a raw symmetric matrix.
+    """Exact-rational version of wsne_report on a raw square matrix.
 
-    Support is exact here: every action with positive probability.
+    Support is exact here: every action with positive probability.  Each
+    payoff (Mx)_i is a Fraction, folded into the player's direction once
+    with `oriented`, so the value is the best payoff minus the worst
+    supported one.  The caller checks what require_wsne_game checks; this
+    function only computes.
     """
     m = fmat(matrix)
     n, n2 = shape(m)
@@ -105,13 +116,11 @@ def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
     xv = fvec(x)
     if len(xv) != n:
         raise PreconditionError("strategy length does not match the matrix")
-    payoffs = mat_vec(m, xv)
-    supported = [payoffs[i] for i in range(n) if xv[i] > 0]
+    payoffs = [oriented(p, orientation) for p in mat_vec(m, xv)]
+    supported = [p for p, w in zip(payoffs, xv) if w > 0]
     if not supported:
         raise PreconditionError("empty support")
-    if orientation == MAXIMIZE:
-        return max(payoffs) - min(supported)
-    return max(supported) - min(payoffs)
+    return max(payoffs) - min(supported)
 
 
 def _wsne_eps_bimatrix(game: BimatrixGame, profile: MixedProfile) -> float:
@@ -182,6 +191,8 @@ def mass_bound_audit(game: Game, profile: MixedProfile, epsilon: float) -> list[
     violating (player, action) pairs with measured masses, empty when the
     bound holds everywhere (with 1e-9 slack).
     """
+    if epsilon < 0:
+        raise PreconditionError("epsilon must be non-negative")
     profile = as_profile(profile)
     eps_sq = float(epsilon) ** 2
     cert = epsilon_ne_report(game, profile, eps_sq)

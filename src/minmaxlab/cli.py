@@ -27,7 +27,14 @@ from .analytic import (
     solve_2x2,
     verify_irrational_equilibrium,
 )
-from .checks import epsilon_ne_report, mass_bound_audit, wsne_eps_exact, wsne_report
+from .checks import (
+    CERT_SLACK,
+    epsilon_ne_report,
+    mass_bound_audit,
+    require_wsne_game,
+    wsne_eps_exact,
+    wsne_report,
+)
 from .cliques import (
     OTHER,
     ParameterRegime,
@@ -40,7 +47,7 @@ from .cliques import (
     unique_ne_game,
     wsne_value_audit,
 )
-from .errors import BoundViolationError, CapExceededError, FormatError
+from .errors import BoundViolationError, CapExceededError, FormatError, PreconditionError
 from .fileio import BoundRecord, make_report, write_report
 from .gadgets import (
     coupled_gadget,
@@ -142,6 +149,8 @@ def _equilibrium_obj(eq) -> dict:
 
 def _eps_bound(name: str, eps: float | None, measured: float, slack: float = SLACK):
     """Bound record against an optional --eps; without one it only measures."""
+    if eps is not None and eps < 0:
+        raise PreconditionError(f"--eps must be non-negative, got {eps}")
     return BoundRecord(name, eps, measured, eps is None or measured <= eps + slack)
 
 
@@ -264,9 +273,8 @@ def cmd_gadget_clique(args, inputs):
 
 
 def cmd_check_ne(args, inputs):
-    cert = epsilon_ne_report(args.game, args.profile, args.eps if args.eps is not None else 0.0)
-    satisfied = args.eps is None or cert.satisfied
-    bounds = [BoundRecord("epsilon_ne", args.eps, max(cert.regrets), satisfied)]
+    cert = epsilon_ne_report(args.game, args.profile)
+    bounds = [_eps_bound("epsilon_ne", args.eps, max(cert.regrets), CERT_SLACK)]
     data = {
         "regrets": list(cert.regrets),
         "witnesses": [list(w) for w in cert.witnesses],
@@ -277,6 +285,7 @@ def cmd_check_ne(args, inputs):
 def cmd_check_wsne(args, inputs):
     game = _as_bimatrix(args.game)
     x = _single_strategy(args.profile)
+    require_wsne_game(game)
     data: dict = {}
     if x.exact is not None:
         exact = wsne_eps_exact(game.row_payoff, x.exact, game.orientation[0])

@@ -410,6 +410,17 @@ def deviation_gaps(dev: np.ndarray, orientation: str) -> np.ndarray:
     return dev - dev.min()
 
 
+def oriented(values, orientation: str):
+    """`values` in the player's own direction: as given for a maximizer,
+    negated for a minimizer.
+
+    Negation is exact for float64 and for Fraction, so a caller that folds
+    once and then maximizes gets the same bits, or the same rational, as
+    minimizing the unfolded values.
+    """
+    return values if orientation == MAXIMIZE else -values
+
+
 def regret(game: Game, profile: MixedProfile, player: int) -> float:
     """Best pure-deviation payoff minus current payoff, in the player's direction."""
     profile = as_profile(profile)
@@ -426,8 +437,7 @@ def best_response_action(game: Game, profile: MixedProfile, player: int) -> int:
 
 def signed_utility(game: Game, profile: MixedProfile, player: int) -> float:
     """Utility with the orientation folded in: maximizers get +u, minimizers -u."""
-    u = evaluate_utility(game, profile, player)
-    return u if game.orientation[player] == MAXIMIZE else -u
+    return oriented(evaluate_utility(game, profile, player), game.orientation[player])
 
 
 def max_team_inconsistency(game: Game, samples: int = 100, seed: int = 0) -> float:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, UnsupportedDomainError
-from .games import MixedStrategy
+from .games import MAXIMIZE, MINIMIZE, MixedStrategy, best_deviation
 from .geometry import JointDomain, _project_simplex_rows, project_joint
 from .rational import FMat, fmat, shape, to_float_matrix, transpose
 
@@ -282,9 +282,7 @@ def check_fone(problem: QuadraticMinMaxProblem, x, y) -> tuple[float, float]:
         )
     xv, yv = _point(problem, x, y)
     gx, gy = gradient(problem, x, y)
-    eps_x = float(xv @ gx - gx.min())
-    eps_y = float(gy.max() - yv @ gy)
-    return eps_x, eps_y
+    return best_deviation(gx, xv, MINIMIZE)[1], best_deviation(gy, yv, MAXIMIZE)[1]
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .games import (
     as_profile,
     best_deviation,
     deviation_vectors,
+    oriented,
     profile_probs,
     to_normal_form,
 )
@@ -109,12 +110,8 @@ def symmetric_support_enumeration(
             x = [zero] * n
             for i, p in zip(support, x_support):
                 x[i] = p
-            payoffs = mat_vec(m, x)
-            if orientation == MAXIMIZE:
-                ok = all(payoffs[i] <= v for i in range(n) if i not in support)
-            else:
-                ok = all(payoffs[i] >= v for i in range(n) if i not in support)
-            if ok:
+            # (Mx)_i = v holds exactly on the support, so this tests off it
+            if max(oriented(p, orientation) for p in mat_vec(m, x)) == oriented(v, orientation):
                 results.append(SymmetricEquilibrium(tuple(x), v, support))
     results.sort(key=lambda eq: (eq.value, eq.probs))
     return results
@@ -200,49 +197,31 @@ def all_max_cliques(graph) -> list[tuple[int, ...]]:
 # grid search
 
 
-def _as_normal_form(game: Game) -> NormalFormGame | BimatrixGame:
+def _as_normal_form(game: Game) -> NormalFormGame:
     if isinstance(game, PolymatrixGame):
         return to_normal_form(game)
+    if isinstance(game, BimatrixGame):
+        tensors = [np.array(m, dtype=object) for m in (game.row_payoff, game.col_payoff)]
+        return NormalFormGame(tuple(tensors), game.orientation)
     return game
 
 
-def _player_tensors(game) -> tuple[list[np.ndarray], list[np.ndarray], tuple[str, ...]]:
-    """Float and exact per-player tensors for bimatrix or normal-form games."""
-    if isinstance(game, BimatrixGame):
-        floats = [game.row_float, game.col_float]
-        exacts = [
-            np.array(game.row_payoff, dtype=object),
-            np.array(game.col_payoff, dtype=object),
-        ]
-        return floats, exacts, game.orientation
-    return list(game.float_payoffs), list(game.payoffs), game.orientation
-
-
-def _exact_deviation(tensor: np.ndarray, strategies: list[FVec], player: int) -> list[Fraction]:
-    """Exact deviation payoffs of `player` from an object tensor."""
-    t = tensor
-    for q in range(len(strategies) - 1, -1, -1):
-        if q == player:
-            continue
-        vec = np.array(strategies[q], dtype=object)
-        t = np.tensordot(t, vec, axes=([q], [0]))
-    return list(t)
-
-
 def exact_max_regret(game: Game, strategies: Sequence[Iterable]) -> Fraction:
-    """Largest regret over players, computed in exact rational arithmetic."""
+    """Largest regret over players, computed in exact rational arithmetic.
+
+    Payoff tensors and strategies are object arrays of Fractions; each
+    player's deviation payoffs are folded into its direction once.
+    """
     game = _as_normal_form(game)
-    exact = [fvec(s) for s in strategies]
-    _, tensors, orientation = _player_tensors(game)
+    exact = [np.array(fvec(s), dtype=object) for s in strategies]
     worst = Fraction(0)
-    for p, tensor in enumerate(tensors):
-        dev = _exact_deviation(tensor, exact, p)
-        current = sum(d * w for d, w in zip(dev, exact[p]))
-        if orientation[p] == MAXIMIZE:
-            r = max(dev) - current
-        else:
-            r = current - min(dev)
-        worst = max(worst, r)
+    for p, tensor in enumerate(game.payoffs):
+        dev = tensor
+        for q in range(len(exact) - 1, -1, -1):
+            if q != p:
+                dev = np.tensordot(dev, exact[q], axes=([q], [0]))
+        dev = oriented(dev, game.orientation[p])
+        worst = max(worst, dev.max() - dev @ exact[p])
     return worst
 
 
@@ -274,7 +253,8 @@ def grid_ne_search(
     grids_float = [
         np.array([[float(p) for p in point] for point in g]) for g in grids_exact
     ]
-    floats, _, orientation = _player_tensors(nf)
+    # each player's regret is a maximisation once its tensor is folded
+    floats = [oriented(t, o) for t, o in zip(nf.float_payoffs, nf.orientation)]
 
     # per-player chunked regret arrays over the joint grid, chunking player 0
     act = [chr(ord("a") + p) for p in range(n_players)]
@@ -290,14 +270,9 @@ def grid_ne_search(
             sub_in = "".join(act) + "," + ",".join(gl[q] + act[q] for q in others)
             dev = np.einsum(sub_in + "->" + act[p] + "".join(gl[q] for q in others),
                             floats[p], *[chunk_grids[q] for q in others])
-            if orientation[p] == MAXIMIZE:
-                best = dev.max(axis=0)
-            else:
-                best = dev.min(axis=0)
             cur = np.einsum(gl[p] + act[p] + "," + act[p] + "".join(gl[q] for q in others)
                             + "->" + "".join(gl), chunk_grids[p], dev)
-            sign = 1.0 if orientation[p] == MAXIMIZE else -1.0
-            r = sign * (np.expand_dims(best, axis=p) - cur)
+            r = np.expand_dims(dev.max(axis=0), axis=p) - cur
             worst = r if worst is None else np.maximum(worst, r)
         hits = np.argwhere(worst <= eps_f + 1e-9)
         for idx in hits:

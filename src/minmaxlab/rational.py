@@ -86,10 +86,6 @@ def to_float_matrix(m: FMat) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in m], dtype=float)
 
 
-def to_float_vector(v: Sequence[Fraction]) -> np.ndarray:
-    return np.array([float(x) for x in v], dtype=float)
-
-
 def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> FVec | None:
     """Solve A x = b exactly by Gaussian elimination with partial pivoting.
 

@@ -154,6 +154,11 @@ def test_mass_bound_audit_rejects_bad_precondition():
     prof = MixedProfile((MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0)))
     with pytest.raises(PreconditionError):
         checks.mass_bound_audit(game, prof, 0.1)
+    # eps enters squared, so a negative eps used to pass as its absolute value
+    uniform = MixedProfile((MixedStrategy.uniform(2), MixedStrategy.uniform(2)))
+    assert checks.mass_bound_audit(game, uniform, 0.1) == []
+    with pytest.raises(PreconditionError):
+        checks.mass_bound_audit(game, uniform, -0.1)
 
 
 def test_mass_bound_entries_respect_the_ratio():

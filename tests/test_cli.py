@@ -112,6 +112,51 @@ def test_check_ne_rejects_the_uniform_profile(capsys, tmp_path):
     assert max(report["data"]["regrets"]) == pytest.approx(0.25)
 
 
+def _eps_argv(tmp_path, command):
+    """A command that takes --eps, on inputs where it measures a finite value."""
+    pair = write_profile(tmp_path, "pair.json", [["3/4", "1/4"], ["1/2", "1/2"]])
+    if command in ("check ne", "audit mass-bound"):
+        game = write_game(tmp_path, "diag.json", [["2", "0"], ["0", "1"]], ["max", "max"])
+        pure = write_profile(tmp_path, "pure.json", [["1", "0"], ["1", "0"]])
+        return command.split() + ["--game", game, "--profile", pure]
+    quad = tmp_path / "quad.json"
+    fileio.save_game(gadgets.quadratic_gadget(fmat([["1/2", "-1/4"], ["1/4", "1/2"]])), str(quad))
+    return command.split() + ["--game", str(quad), "--profile", pair]
+
+
+@pytest.mark.parametrize("command", ["check ne", "check fone", "check gap", "audit mass-bound"])
+def test_negative_eps_exits_2(capsys, tmp_path, command):
+    argv = _eps_argv(tmp_path, command)
+    code, report, _ = run_cli(capsys, argv + ["--eps", "10"])
+    assert code == 0
+    code, report, err = run_cli(capsys, argv + ["--eps", "-0.1"])
+    assert code == 2
+    assert err.startswith("error:")
+    assert report["exit_code"] == 2
+    assert report["bounds"] == []
+    assert "non-negative" in report["error"]
+
+
+@pytest.mark.parametrize("profile", [["1/2", "1/2"], [0.5, 0.5]], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "tensor, orientation, reason",
+    [
+        ([["0", "1"], ["0", "0"]], ["max", "max"], "symmetric"),
+        ([["1", "0"], ["0", "1"]], ["min", "max"], "orientation"),
+    ],
+    ids=["non-symmetric", "mixed-orientation"],
+)
+def test_check_wsne_rejects_games_one_strategy_cannot_describe(
+    capsys, tmp_path, tensor, orientation, reason, profile
+):
+    game = write_game(tmp_path, "g.json", tensor, orientation)
+    x = write_profile(tmp_path, "x.json", [profile])
+    code, report, _ = run_cli(capsys, ["check", "wsne", "--game", game, "--profile", x])
+    assert code == 2
+    assert report["bounds"] == []
+    assert reason in report["error"]
+
+
 def test_malformed_game_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")
