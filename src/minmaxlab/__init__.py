@@ -39,7 +39,9 @@ from .cliques import (
     clique_uniform,
     find_nonadjacent_cover,
     graph_from_bordered_game,
+    measure_nashgap,
     nashgap_audit,
+    nashgap_violation,
     nonsym_instance,
     payoff_from_graph,
     payoff_from_graph_delta,

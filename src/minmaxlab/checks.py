@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .games import (
     oriented,
     profile_probs,
 )
-from .rational import FMat, FVec, fmat, fvec, mat_vec, shape, transpose
+from .rational import fmat, fvec, mat_vec, shape, transpose
 
 CERT_SLACK = 1e-12
 

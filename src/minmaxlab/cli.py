@@ -40,7 +40,8 @@ from .cliques import (
     ParameterRegime,
     classify_symmetric_profile,
     graph_from_bordered_game,
-    nashgap_audit,
+    measure_nashgap,
+    nashgap_violation,
     payoff_from_graph,
     payoff_from_graph_delta,
     robust_unique_ne_game,
@@ -379,15 +380,13 @@ def cmd_audit_gadget_structure(args, inputs):
 
 
 def cmd_audit_nashgap(args, inputs):
-    try:
-        report = nashgap_audit(args.graph)
-    except BoundViolationError as exc:
-        return _violated("nashgap_gap", exc)
+    report = measure_nashgap(args.graph)
     k = report.k
+    clique_ok = all(v == Fraction(-1, k) for v in report.clique_values)
     bounds = [
         BoundRecord(
             "nashgap_max", float(Fraction(-1, k)), float(report.max_value),
-            report.max_value == Fraction(-1, k),
+            clique_ok and report.max_value == Fraction(-1, k),
         )
     ]
     if report.nonclique_bound is not None:
@@ -395,7 +394,7 @@ def cmd_audit_nashgap(args, inputs):
         bounds.append(BoundRecord(
             "nashgap_gap", float(report.nonclique_bound),
             float(best) if best is not None else None,
-            best is None or best <= report.nonclique_bound,
+            not report.offenders,
         ))
     data = {
         "k": k,
@@ -404,6 +403,11 @@ def cmd_audit_nashgap(args, inputs):
         "clique_form_count": report.clique_form_count,
         "equilibria": [_equilibrium_obj(eq) for eq in report.equilibria],
     }
+    violation = nashgap_violation(report)
+    if violation is not None:
+        print(f"violation: {violation}", file=sys.stderr)
+        data["detail"] = violation
+        data["offenders"] = [_equilibrium_obj(eq) for eq in report.offenders]
     return bounds, data
 
 

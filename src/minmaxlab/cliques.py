@@ -40,7 +40,7 @@ from .oracle import (
     symmetric_support_enumeration,
 )
 from .geometry import simplex_grid
-from .rational import FMat, FVec, fvec, mat_vec, to_fraction, vec_dot
+from .rational import FMat, FVec, mat_vec, to_fraction, vec_dot
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,12 @@ def _bordered_game(a: FMat, r: Fraction, v: Fraction) -> BimatrixGame:
 
 @dataclass(frozen=True)
 class NashGapReport:
-    """Exact symmetric equilibrium census of A(G)."""
+    """Exact symmetric equilibrium census of A(G), measured against the lemma.
+
+    `clique_values` holds the equilibrium value of uniform play on each
+    maximum clique (None when it is not an equilibrium); `offenders` are the
+    non-clique-form equilibria worth more than `nonclique_bound`.
+    """
 
     k: int
     max_cliques: tuple[tuple[int, ...], ...]
@@ -235,6 +240,8 @@ class NashGapReport:
     clique_form_count: int
     best_nonclique_value: Fraction | None
     nonclique_bound: Fraction | None
+    clique_values: tuple[Fraction | None, ...]
+    offenders: tuple[SymmetricEquilibrium, ...]
 
 
 def _is_clique_uniform(graph: Graph, probs: FVec) -> bool:
@@ -246,8 +253,69 @@ def _is_clique_uniform(graph: Graph, probs: FVec) -> bool:
     return graph.is_clique(support)
 
 
+def measure_nashgap(graph: Graph) -> NashGapReport:
+    """Enumerate all symmetric equilibria of A(G) and measure the value gap.
+
+    Records the value of uniform play on every maximum clique, the best
+    symmetric equilibrium value, the best value of an equilibrium that is
+    not uniform on a clique, and (for k >= 2) every such equilibrium worth
+    more than -1/(k-1).  Nothing is enforced; see `nashgap_audit`.
+    """
+    a = payoff_from_graph(graph)
+    k, _ = max_clique(graph)
+    maxima = tuple(cliques_of_size(graph, k))
+    eqs = symmetric_support_enumeration(a, orientation=MAXIMIZE)
+    by_probs = {eq.probs: eq for eq in eqs}
+    clique_values = []
+    for clique in maxima:
+        eq = by_probs.get(clique_uniform(graph, clique).exact)
+        clique_values.append(None if eq is None else eq.value)
+    clique_form = 0
+    best_nonclique = None
+    bound = Fraction(-1, k - 1) if k >= 2 else None
+    offenders = []
+    for eq in eqs:
+        if _is_clique_uniform(graph, eq.probs):
+            clique_form += 1
+            continue
+        if best_nonclique is None or eq.value > best_nonclique:
+            best_nonclique = eq.value
+        if bound is not None and eq.value > bound + Fraction(1, 10**9):
+            offenders.append(eq)
+    return NashGapReport(
+        k=k,
+        max_cliques=maxima,
+        equilibria=tuple(eqs),
+        max_value=max(eq.value for eq in eqs),
+        clique_form_count=clique_form,
+        best_nonclique_value=best_nonclique,
+        nonclique_bound=bound,
+        clique_values=tuple(clique_values),
+        offenders=tuple(offenders),
+    )
+
+
+def nashgap_violation(report: NashGapReport) -> str | None:
+    """The first clause of the value-gap lemma the report violates, or None."""
+    k = report.k
+    for clique, value in zip(report.max_cliques, report.clique_values):
+        if value is None:
+            return f"uniform play on maximum clique {clique} is not an equilibrium"
+        if value != Fraction(-1, k):
+            return f"clique {clique} equilibrium value {value} != -1/{k}"
+    if report.max_value != Fraction(-1, k):
+        return f"best symmetric equilibrium value {report.max_value} != -1/{k}"
+    if report.offenders:
+        listing = "; ".join(f"{eq.probs} at value {eq.value}" for eq in report.offenders[:4])
+        return (
+            f"{len(report.offenders)} non-clique-form symmetric equilibria exceed "
+            f"-1/(k-1) = {report.nonclique_bound}: {listing}"
+        )
+    return None
+
+
 def nashgap_audit(graph: Graph) -> NashGapReport:
-    """Enumerate all symmetric equilibria of A(G) and check the value gap.
+    """Measure the value gap of A(G) and raise on a violated clause.
 
     Asserts that uniform play on every maximum clique is an exact
     equilibrium of value -1/k, that the best symmetric equilibrium value is
@@ -262,57 +330,13 @@ def nashgap_audit(graph: Graph) -> NashGapReport:
     (1/8, 1/8, 3/8, 3/8) is an exact symmetric equilibrium of value -3/8 >
     -1/2.  The audit reports such profiles in its error message; the
     maximum-value and clique-uniform assertions are always sound.
+    `measure_nashgap` returns the same report without raising.
     """
-    a = payoff_from_graph(graph)
-    k, _ = max_clique(graph)
-    maxima = tuple(cliques_of_size(graph, k))
-    eqs = symmetric_support_enumeration(a, orientation=MAXIMIZE)
-    by_probs = {eq.probs: eq for eq in eqs}
-    for clique in maxima:
-        probs = clique_uniform(graph, clique).exact
-        eq = by_probs.get(probs)
-        if eq is None:
-            raise BoundViolationError(
-                f"uniform play on maximum clique {clique} is not an equilibrium"
-            )
-        if eq.value != Fraction(-1, k):
-            raise BoundViolationError(
-                f"clique {clique} equilibrium value {eq.value} != -1/{k}"
-            )
-    max_value = max(eq.value for eq in eqs)
-    if max_value != Fraction(-1, k):
-        raise BoundViolationError(
-            f"best symmetric equilibrium value {max_value} != -1/{k}"
-        )
-    clique_form = 0
-    best_nonclique = None
-    bound = Fraction(-1, k - 1) if k >= 2 else None
-    offenders = []
-    for eq in eqs:
-        if _is_clique_uniform(graph, eq.probs):
-            clique_form += 1
-            continue
-        if best_nonclique is None or eq.value > best_nonclique:
-            best_nonclique = eq.value
-        if bound is not None and eq.value > bound + Fraction(1, 10**9):
-            offenders.append(eq)
-    if offenders:
-        listing = "; ".join(
-            f"{eq.probs} at value {eq.value}" for eq in offenders[:4]
-        )
-        raise BoundViolationError(
-            f"{len(offenders)} non-clique-form symmetric equilibria exceed "
-            f"-1/(k-1) = {bound}: {listing}"
-        )
-    return NashGapReport(
-        k=k,
-        max_cliques=maxima,
-        equilibria=tuple(eqs),
-        max_value=max_value,
-        clique_form_count=clique_form,
-        best_nonclique_value=best_nonclique,
-        nonclique_bound=bound,
-    )
+    report = measure_nashgap(graph)
+    violation = nashgap_violation(report)
+    if violation is not None:
+        raise BoundViolationError(violation)
+    return report
 
 
 @dataclass(frozen=True)

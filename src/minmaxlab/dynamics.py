@@ -13,7 +13,7 @@ which is enough to pull the iterates apart on ordinary bilinear problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -2,8 +2,8 @@
 
 Everything here is meant to be slow but trustworthy at desk scale, so the
 closed forms and reduction gadgets can be audited against independent
-computations.  Support enumeration and grid search work in exact rationals
-at the decision points; floats are only a pre-filter.
+computations.  Support enumeration decides in exact rationals and grid
+search in exact integers; only local refinement works in floats.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .games import (
     profile_probs,
     to_normal_form,
 )
-from .geometry import simplex_grid
-from .rational import FMat, FVec, fmat, fvec, mat_vec, shape, solve_linear, to_fraction
+from .geometry import _compositions, _resolution_denominator
+from .rational import FVec, fmat, fvec, mat_vec, shape, solve_linear, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -206,23 +206,67 @@ def _as_normal_form(game: Game) -> NormalFormGame:
     return game
 
 
-def exact_max_regret(game: Game, strategies: Sequence[Iterable]) -> Fraction:
-    """Largest regret over players, computed in exact rational arithmetic.
+def _integer_tensors(nf: NormalFormGame, denominators: Sequence[int]):
+    """Payoff tensors folded into each player's direction, times D, and D.
 
-    Payoff tensors and strategies are object arrays of Fractions; each
-    player's deviation payoffs are folded into its direction once.
+    D is the lcm of the payoff denominators.  When player q plays integer
+    numerators over m_q, every regret is an integer over D * prod(m_q) of
+    size at most 2 * max|T * D| * prod(m_q): the tensors are int64 when that
+    bound fits, Python-int object arrays otherwise.
     """
-    game = _as_normal_form(game)
-    exact = [np.array(fvec(s), dtype=object) for s in strategies]
-    worst = Fraction(0)
-    for p, tensor in enumerate(game.payoffs):
-        dev = tensor
-        for q in range(len(exact) - 1, -1, -1):
-            if q != p:
-                dev = np.tensordot(dev, exact[q], axes=([q], [0]))
-        dev = oriented(dev, game.orientation[p])
-        worst = max(worst, dev.max() - dev @ exact[p])
+    cells = [x for t in nf.payoffs for x in t.flat]
+    d = math.lcm(*(x.denominator for x in cells))
+    bound = 2 * max((abs(x) for x in cells), default=0) * d * math.prod(denominators)
+    dtype = np.int64 if bound < 2**63 else object
+    tensors = [
+        oriented(np.array([x.numerator * (d // x.denominator) for x in t.flat], dtype=dtype)
+                 .reshape(t.shape), o)
+        for t, o in zip(nf.payoffs, nf.orientation)
+    ]
+    return tensors, d
+
+
+def _worst_regret(tensors: list[np.ndarray], grids: list[np.ndarray], denominators) -> np.ndarray:
+    """Largest regret numerator over players at every joint grid profile.
+
+    `grids[q]` holds player q's points as rows of integer numerators over
+    `denominators[q]` = m_q.  Player p's deviation payoffs are integers over
+    D * prod(m_q, q != p), so m_p * max(dev) - cur is its regret over the
+    common scale D * prod(m_q).
+    """
+    n_players = len(grids)
+    act = [chr(ord("a") + p) for p in range(n_players)]
+    gl = [chr(ord("A") + p) for p in range(n_players)]
+    worst = None
+    for p in range(n_players):
+        others = [q for q in range(n_players) if q != p]
+        sub_in = "".join(act) + "," + ",".join(gl[q] + act[q] for q in others)
+        dev = np.einsum(sub_in + "->" + act[p] + "".join(gl[q] for q in others),
+                        tensors[p], *[grids[q] for q in others])
+        cur = np.einsum(gl[p] + act[p] + "," + act[p] + "".join(gl[q] for q in others)
+                        + "->" + "".join(gl), grids[p], dev)
+        r = denominators[p] * np.expand_dims(dev.max(axis=0), axis=p) - cur
+        worst = r if worst is None else np.maximum(worst, r)
     return worst
+
+
+def exact_max_regret(game: Game, strategies: Sequence[Iterable]) -> Fraction:
+    """Largest regret over players, computed in exact integer arithmetic.
+
+    The profile is a one-point grid: player q's strategy becomes integer
+    numerators over the lcm m_q of its denominators, and the regret is an
+    integer over D * prod(m_q) (see `_integer_tensors`).
+    """
+    nf = _as_normal_form(game)
+    exact = [fvec(s) for s in strategies]
+    ms = [math.lcm(*(p.denominator for p in s)) for s in exact]
+    tensors, d = _integer_tensors(nf, ms)
+    grids = [
+        np.array([[p.numerator * (m // p.denominator) for p in s]], dtype=t.dtype)
+        for s, m, t in zip(exact, ms, tensors)
+    ]
+    worst = int(_worst_regret(tensors, grids, ms).max())
+    return Fraction(max(worst, 0), d * math.prod(ms))
 
 
 def grid_ne_search(
@@ -231,61 +275,48 @@ def grid_ne_search(
     eps,
     cap: int = GRID_SEARCH_CAP,
 ) -> list[tuple[MixedProfile, float]]:
-    """All grid profiles whose max regret is at most eps (exact comparison).
+    """All grid profiles whose exact max regret is at most eps, in grid order.
 
     Each player's strategy ranges over the simplex grid with spacing
-    `resolution` = 1/m.  Regrets are computed for every joint profile with
-    vectorized float arithmetic, candidates within 1e-9 of the threshold are
-    re-checked in exact rational arithmetic, and only profiles with exact
-    max regret <= eps survive.  Raises CapExceededError when the number of
+    `resolution` = 1/m, in the order of `geometry.simplex_grid`, as integer
+    numerators over m.  With the payoffs scaled by the lcm D of their
+    denominators, every regret on the joint grid is an integer over
+    m^n * D; one vectorised pass computes these integers (int64 when a
+    bound proves they fit, Python ints otherwise) and a profile is a hit iff
+    its largest one is at most floor(eps * m^n * D).  Each hit carries its
+    exact max regret as a float.  Raises CapExceededError when the number of
     joint profiles exceeds `cap`.
     """
     nf = _as_normal_form(game)
     counts = nf.action_counts
-    n_players = len(counts)
-    eps_exact = to_fraction(eps)
-    eps_f = float(eps_exact)
-    grids_exact: list[list[FVec]] = [list(simplex_grid(c, resolution, cap)) for c in counts]
-    sizes = [len(g) for g in grids_exact]
+    m = _resolution_denominator(resolution)
+    sizes = [math.comb(m + c - 1, c - 1) for c in counts]
     total = math.prod(sizes)
     if total > cap:
         raise CapExceededError(f"{total} grid profiles exceed cap {cap}")
-    grids_float = [
-        np.array([[float(p) for p in point] for point in g]) for g in grids_exact
-    ]
-    # each player's regret is a maximisation once its tensor is folded
-    floats = [oriented(t, o) for t, o in zip(nf.float_payoffs, nf.orientation)]
+    ms = [m] * len(counts)
+    tensors, d = _integer_tensors(nf, ms)
+    scale = d * m ** len(counts)
+    threshold = math.floor(to_fraction(eps) * scale)
+    grids = [np.array(list(_compositions(m, c)), dtype=tensors[0].dtype) for c in counts]
 
-    # per-player chunked regret arrays over the joint grid, chunking player 0
-    act = [chr(ord("a") + p) for p in range(n_players)]
-    gl = [chr(ord("A") + p) for p in range(n_players)]
-    chunk_rows = max(1, min(sizes[0], int(2e7 // max(1, total // sizes[0]))))
-    candidates: list[tuple[int, ...]] = []
-    for start in range(0, sizes[0], chunk_rows):
-        stop = min(sizes[0], start + chunk_rows)
-        chunk_grids = [grids_float[0][start:stop]] + grids_float[1:]
-        worst = None
-        for p in range(n_players):
-            others = [q for q in range(n_players) if q != p]
-            sub_in = "".join(act) + "," + ",".join(gl[q] + act[q] for q in others)
-            dev = np.einsum(sub_in + "->" + act[p] + "".join(gl[q] for q in others),
-                            floats[p], *[chunk_grids[q] for q in others])
-            cur = np.einsum(gl[p] + act[p] + "," + act[p] + "".join(gl[q] for q in others)
-                            + "->" + "".join(gl), chunk_grids[p], dev)
-            r = np.expand_dims(dev.max(axis=0), axis=p) - cur
-            worst = r if worst is None else np.maximum(worst, r)
-        hits = np.argwhere(worst <= eps_f + 1e-9)
-        for idx in hits:
-            idx = tuple(int(i) for i in idx)
-            candidates.append((idx[0] + start,) + idx[1:])
+    # chunk player 0's grid; Python-int entries take a smaller budget
+    budget = 2e7 if tensors[0].dtype == np.int64 else 2e5
+    chunk_rows = max(1, min(sizes[0], int(budget // max(1, total // sizes[0]))))
+    cache: list[dict[int, MixedStrategy]] = [{} for _ in counts]
+
+    def strategy(p: int, i: int) -> MixedStrategy:
+        if i not in cache[p]:
+            cache[p][i] = MixedStrategy.from_exact(Fraction(int(c), m) for c in grids[p][i])
+        return cache[p][i]
 
     results = []
-    for idx in candidates:
-        strategies = [grids_exact[p][idx[p]] for p in range(n_players)]
-        exact_regret = exact_max_regret(nf, strategies)
-        if exact_regret <= eps_exact:
-            profile = MixedProfile(tuple(MixedStrategy.from_exact(s) for s in strategies))
-            results.append((profile, float(exact_regret)))
+    for start in range(0, sizes[0], chunk_rows):
+        worst = _worst_regret(tensors, [grids[0][start:start + chunk_rows]] + grids[1:], ms)
+        for idx in np.argwhere(worst <= threshold):
+            point = (int(idx[0]) + start, *map(int, idx[1:]))
+            profile = MixedProfile(tuple(strategy(p, i) for p, i in enumerate(point)))
+            results.append((profile, float(Fraction(int(worst[tuple(idx)]), scale))))
     return results
 
 

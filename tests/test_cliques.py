@@ -59,6 +59,15 @@ def test_nashgap_audit_flags_the_path_graph(path3):
         cliques.nashgap_audit(path3)
 
 
+def test_measure_nashgap_reports_the_violation_it_does_not_enforce(path3):
+    rep = cliques.measure_nashgap(path3)
+    assert rep.clique_values == (Fraction(-1, 2), Fraction(-1, 2))
+    assert rep.best_nonclique_value == Fraction(-3, 5)
+    assert [eq.probs for eq in rep.offenders] == [(Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))]
+    assert "exceed -1/(k-1) = -1" in cliques.nashgap_violation(rep)
+    assert cliques.nashgap_violation(cliques.measure_nashgap(Graph.from_edges(3, [(0, 1)]))) is None
+
+
 def test_nashgap_audit_flags_the_almost_complete_graph(k4_minus_edge):
     """K4 minus one edge carries a full-support equilibrium worth -3/8.
 

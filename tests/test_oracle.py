@@ -1,5 +1,6 @@
 """Brute-force reference machinery: enumeration, grids, refinement, cliques."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,13 @@ from minmaxlab.games import (
     BimatrixGame,
     MixedProfile,
     MixedStrategy,
+    NormalFormGame,
 )
+from minmaxlab.geometry import _compositions, simplex_grid
 from minmaxlab.rational import fmat
+
+# the float prefilter with exact re-checks that the integer grid replaced
+from test_exact_kernel import assert_same_hits, prior_exact_max_regret, prior_grid_ne_search
 
 RPS = fmat([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
 
@@ -159,3 +165,61 @@ def test_local_refinement_rejects_a_bad_target(target):
 def test_local_refinement_rejects_a_start_that_does_not_fit_the_game(start):
     with pytest.raises(DimensionError):
         oracle.local_ne_refine(PENNIES, start, 1e-3, max_iters=5)
+
+
+# ---------------------------------------------------------------------------
+# the exact integer grid kernel
+
+HUGE_DENOMINATORS = (2**40 + 1, 2**40 + 3, 2**40 + 7)
+
+
+def _huge_denominator_games():
+    """Games whose payoffs a + b/q, q near 2^40, overflow the int64 bound."""
+    rng = np.random.default_rng(11)
+
+    def entries(shape):
+        flat = [Fraction(int(a), 1) + Fraction(int(b), HUGE_DENOMINATORS[i % 3])
+                for i, (a, b) in enumerate(zip(rng.integers(-3, 4, math.prod(shape)),
+                                               rng.integers(-5, 6, math.prod(shape))))]
+        return np.array(flat, dtype=object).reshape(shape)
+
+    yield BimatrixGame(fmat(entries((3, 3))), fmat(entries((3, 3))), (MAXIMIZE, MINIMIZE)), Fraction(1, 4)
+    yield NormalFormGame(tuple(entries((2, 2, 2)) for _ in range(3)),
+                         (MINIMIZE, MAXIMIZE, MAXIMIZE)), Fraction(1, 3)
+
+
+def test_grid_search_falls_back_to_python_ints_and_matches_the_prior_search():
+    for game, resolution in _huge_denominator_games():
+        nf = oracle._as_normal_form(game)
+        tensors, _ = oracle._integer_tensors(nf, [resolution.denominator] * nf.n_players)
+        assert tensors[0].dtype == object  # the int64 bound fails
+        found = 0
+        for eps in (Fraction(0), Fraction(1, 50), Fraction(1, 5)):
+            new = oracle.grid_ne_search(game, resolution, eps)
+            assert_same_hits(new, prior_grid_ne_search(game, resolution, eps))
+            found += len(new)
+        assert found > 0  # the comparison is not vacuous
+        profile = [tuple(Fraction(v, 7) for v in (3, 4) + (0,) * (c - 2))
+                   for c in nf.action_counts]
+        assert oracle.exact_max_regret(game, profile) == prior_exact_max_regret(game, profile)
+
+
+def test_grid_search_decides_the_threshold_exactly():
+    """The pure corner has exact regret 1/100: a hit at eps = 1/100 and not
+    at eps = 1/100 - 1/10^12, which a float comparison cannot tell apart."""
+    game = analytic.irrational_game()
+    corner = (Fraction(1), Fraction(0))
+
+    def corner_hit(eps):
+        hits = oracle.grid_ne_search(game, Fraction(1, 10), eps)
+        found = [r for prof, r in hits if all(s.exact == corner for s in prof.strategies)]
+        return found[0] if found else None
+
+    assert corner_hit(Fraction(1, 100)) == float(Fraction(1, 100))
+    assert corner_hit(Fraction(1, 100) - Fraction(1, 10**12)) is None
+
+
+@pytest.mark.parametrize("m,c", [(1, 1), (1, 3), (4, 1), (4, 2), (5, 3), (6, 4), (3, 5)])
+def test_compositions_are_the_simplex_grid_in_order(m, c):
+    points = [tuple(Fraction(v, m) for v in comp) for comp in _compositions(m, c)]
+    assert points == list(simplex_grid(c, Fraction(1, m)))
