@@ -22,7 +22,7 @@ from .games import (
     oriented,
     profile_probs,
 )
-from .rational import fmat, fvec, mat_vec, shape, transpose
+from .rational import FVec, fmat, fvec, scale_to_integers, shape, transpose
 
 CERT_SLACK = 1e-12
 
@@ -102,11 +102,10 @@ def wsne_report(game: BimatrixGame, x: MixedStrategy) -> float:
 def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
     """Exact-rational version of wsne_report on a raw square matrix.
 
-    Support is exact here: every action with positive probability.  Each
-    payoff (Mx)_i is a Fraction, folded into the player's direction once
-    with `oriented`, so the value is the best payoff minus the worst
-    supported one.  The caller checks what require_wsne_game checks; this
-    function only computes.
+    Support is exact here: every action with positive probability.  The
+    matrix, folded into the player's direction with `oriented`, is scaled to
+    integers; the value is the best payoff minus the worst supported one.
+    The caller checks what require_wsne_game checks; this only computes.
     """
     m = fmat(matrix)
     n, n2 = shape(m)
@@ -115,11 +114,23 @@ def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
     xv = fvec(x)
     if len(xv) != n:
         raise PreconditionError("strategy length does not match the matrix")
-    payoffs = [oriented(p, orientation) for p in mat_vec(m, xv)]
-    supported = [p for p, w in zip(payoffs, xv) if w > 0]
-    if not supported:
+    rows, d = scale_to_integers(m)
+    return _wsne_and_value(oriented(rows, orientation), d, xv)[0]
+
+
+def _wsne_and_value(rows: np.ndarray, d: int, x: FVec) -> tuple[Fraction, Fraction]:
+    """WSNE slack of (x, x) and the value x^T M x, from one integer product.
+
+    `rows` is M, folded into the players' direction, as integers over d
+    (`rational.scale_to_integers`); x is exact.  The caller validates.
+    """
+    xs, dx = scale_to_integers(x)
+    support = xs > 0
+    if not support.any():
         raise PreconditionError("empty support")
-    return max(payoffs) - min(supported)
+    payoffs = rows.dot(xs)  # M x, integers over d * dx
+    slack = Fraction(payoffs.max() - payoffs[support].min(), d * dx)
+    return slack, Fraction(payoffs.dot(xs), d * dx * dx)
 
 
 def _wsne_eps_bimatrix(game: BimatrixGame, profile: MixedProfile) -> float:

@@ -72,12 +72,13 @@ from .games import (
 )
 from .minmax import QuadraticMinMaxProblem, check_fone, gda_gap
 from .oracle import (
+    exact_max_regret,
     grid_ne_search,
     local_ne_refine,
     max_clique,
     symmetric_support_enumeration,
 )
-from .rational import FMat, fmat, mat_vec, transpose, vec_dot
+from .rational import FMat, fmat, transpose
 
 ALGO_NAMES = {
     "gda": dynamics.GDA,
@@ -331,10 +332,9 @@ def cmd_backmap_team(args, inputs):
 
 def _max_vi_residual(matrix: FMat, strategy: MixedStrategy) -> float:
     """Largest gain of a deviation from x* when maximizing <x, M x*>."""
-    if strategy.exact is not None:
-        payoffs = mat_vec(matrix, strategy.exact)
-        value = vec_dot(strategy.exact, payoffs)
-        return float(max(payoffs) - value)
+    if strategy.exact is not None:  # the regret of (x*, x*) in (M, M^T), exactly
+        target = BimatrixGame(matrix, transpose(matrix), (MAXIMIZE, MAXIMIZE))
+        return float(exact_max_regret(target, [strategy.exact] * 2))
     m = np.array([[float(e) for e in row] for row in matrix])
     payoffs = m @ strategy.probs
     return float(payoffs.max() - strategy.probs @ payoffs)

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BoundViolationError, DimensionError, PreconditionError
-from .checks import wsne_eps_exact
+from .checks import _wsne_and_value
 from .games import MAXIMIZE, BimatrixGame, MixedStrategy
 from .minmax import QuadraticMinMaxProblem
 from .oracle import (
@@ -40,7 +40,7 @@ from .oracle import (
     symmetric_support_enumeration,
 )
 from .geometry import simplex_grid
-from .rational import FMat, FVec, mat_vec, to_fraction, vec_dot
+from .rational import FMat, FVec, scale_to_integers, to_fraction
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,18 @@ class Graph:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
 
+def _graph_matrix(graph: Graph, diagonal: Fraction, edge: Fraction, non_edge: Fraction) -> FMat:
+    """The n x n matrix with `diagonal` on the diagonal, `edge` across edges, else `non_edge`."""
+    return tuple(
+        tuple(diagonal if i == j else edge if graph.has_edge(i, j) else non_edge
+              for j in range(graph.n))
+        for i in range(graph.n)
+    )
+
+
 def payoff_from_graph(graph: Graph) -> FMat:
     """A(G): -1 diagonal, 0 across edges, -2 across non-edges."""
-    rows = []
-    for i in range(graph.n):
-        row = []
-        for j in range(graph.n):
-            if i == j:
-                row.append(Fraction(-1))
-            elif graph.has_edge(i, j):
-                row.append(Fraction(0))
-            else:
-                row.append(Fraction(-2))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _graph_matrix(graph, Fraction(-1), Fraction(0), Fraction(-2))
 
 
 def payoff_from_graph_delta(graph: Graph, delta) -> FMat:
@@ -104,18 +102,7 @@ def payoff_from_graph_delta(graph: Graph, delta) -> FMat:
     d = to_fraction(delta)
     if not (0 < d < 1):
         raise PreconditionError(f"delta must lie in (0, 1), got {d}")
-    rows = []
-    for i in range(graph.n):
-        row = []
-        for j in range(graph.n):
-            if i == j:
-                row.append(d)
-            elif graph.has_edge(i, j):
-                row.append(Fraction(1))
-            else:
-                row.append(Fraction(0))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _graph_matrix(graph, d, Fraction(1), Fraction(0))
 
 
 def clique_uniform(graph: Graph, clique: Sequence[int]) -> MixedStrategy:
@@ -280,7 +267,7 @@ def measure_nashgap(graph: Graph) -> NashGapReport:
             continue
         if best_nonclique is None or eq.value > best_nonclique:
             best_nonclique = eq.value
-        if bound is not None and eq.value > bound + Fraction(1, 10**9):
+        if bound is not None and eq.value > bound:
             offenders.append(eq)
     return NashGapReport(
         k=k,
@@ -415,9 +402,9 @@ def wsne_value_audit(
     records = []
     min_clique_value = None
     max_other_value = None
+    rows, d = scale_to_integers(a)  # maximizing players: nothing to fold
     for probs in candidates:
-        eps_hat = wsne_eps_exact(a, probs, MAXIMIZE)
-        value = vec_dot(probs, mat_vec(a, probs))
+        eps_hat, value = _wsne_and_value(rows, d, probs)
         support = frozenset(i for i, p in enumerate(probs) if p > 0)
         containing = [c for c in clique_sets if support <= c]
         clique_supported = bool(containing)

@@ -36,7 +36,7 @@ from .games import (
     to_normal_form,
 )
 from .geometry import _compositions, _resolution_denominator
-from .rational import FVec, fmat, fvec, mat_vec, shape, solve_linear, to_fraction
+from .rational import FVec, fmat, fvec, scale_to_integers, shape, solve_linear, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -70,10 +70,10 @@ def symmetric_support_enumeration(
     Both players share the deviation vector Mx, so (x, x) is an equilibrium
     iff (Mx)_i = v on the support and every off-support payoff is no better
     than v in the given orientation.  For each candidate support the linear
-    system is solved exactly over the rationals; singular systems (which can
-    hide equilibrium continua) are skipped and logged.  Solutions must be
-    strictly positive on their support, so each equilibrium is reported once,
-    under its true support.
+    system is solved exactly, in integers (`rational.solve_linear`); singular
+    systems (which can hide equilibrium continua) are skipped and logged.
+    Solutions must be strictly positive on their support, so each
+    equilibrium is reported once, under its true support.
 
     M need not be symmetric: for a matrix R this enumerates the symmetric
     equilibria of (R, R^T).  When M is symmetric these are also the symmetric
@@ -87,32 +87,26 @@ def symmetric_support_enumeration(
         raise CapExceededError(f"support enumeration capped at n = {cap_n}, got {n}")
     if orientation not in (MAXIMIZE, MINIMIZE):
         raise ValueError(f"bad orientation {orientation!r}")
-    zero = Fraction(0)
-    one = Fraction(1)
+    # F = oriented(M) * D in integers; unknowns x on the support, then w = D * oriented(v)
+    cells, d = scale_to_integers(m)
+    f = oriented(cells, orientation).tolist()
     results: list[SymmetricEquilibrium] = []
     for size in range(1, n + 1):
         for support in itertools.combinations(range(n), size):
-            # unknowns: x on the support, then v
-            rows = []
-            rhs = []
-            for i in support:
-                rows.append([m[i][j] for j in support] + [Fraction(-1)])
-                rhs.append(zero)
-            rows.append([one] * size + [zero])
-            rhs.append(one)
-            sol = solve_linear(rows, rhs)
+            system = [[f[i][j] for j in support] + [-1] for i in support] + [[1] * size + [0]]
+            sol = solve_linear(system, [0] * size + [1])
             if sol is None:
                 logger.debug("singular support system skipped: %s", support)
                 continue
-            x_support, v = sol[:-1], sol[-1]
-            if any(p <= 0 for p in x_support):
-                continue
-            x = [zero] * n
-            for i, p in zip(support, x_support):
-                x[i] = p
-            # (Mx)_i = v holds exactly on the support, so this tests off it
-            if max(oriented(p, orientation) for p in mat_vec(m, x)) == oriented(v, orientation):
-                results.append(SymmetricEquilibrium(tuple(x), v, support))
+            (*x_num, w), det = sol
+            off = (i for i in range(n) if i not in support)
+            # det > 0, so numerators over det compare as the values do
+            if min(x_num) > 0 and all(sum(f[i][j] * p for j, p in zip(support, x_num)) <= w
+                                      for i in off):
+                probs = dict(zip(support, x_num))
+                x = tuple(Fraction(probs.get(i, 0), det) for i in range(n))
+                value = Fraction(oriented(w, orientation), det * d)
+                results.append(SymmetricEquilibrium(x, value, support))
     results.sort(key=lambda eq: (eq.value, eq.probs))
     return results
 
@@ -214,16 +208,10 @@ def _integer_tensors(nf: NormalFormGame, denominators: Sequence[int]):
     size at most 2 * max|T * D| * prod(m_q): the tensors are int64 when that
     bound fits, Python-int object arrays otherwise.
     """
-    cells = [x for t in nf.payoffs for x in t.flat]
-    d = math.lcm(*(x.denominator for x in cells))
-    bound = 2 * max((abs(x) for x in cells), default=0) * d * math.prod(denominators)
+    cells, d = scale_to_integers(nf.payoffs)  # every player's tensor has the same shape
+    bound = 2 * max(map(abs, cells.flat), default=0) * math.prod(denominators)
     dtype = np.int64 if bound < 2**63 else object
-    tensors = [
-        oriented(np.array([x.numerator * (d // x.denominator) for x in t.flat], dtype=dtype)
-                 .reshape(t.shape), o)
-        for t, o in zip(nf.payoffs, nf.orientation)
-    ]
-    return tensors, d
+    return [oriented(t.astype(dtype), o) for t, o in zip(cells, nf.orientation)], d
 
 
 def _worst_regret(tensors: list[np.ndarray], grids: list[np.ndarray], denominators) -> np.ndarray:
@@ -258,13 +246,10 @@ def exact_max_regret(game: Game, strategies: Sequence[Iterable]) -> Fraction:
     integer over D * prod(m_q) (see `_integer_tensors`).
     """
     nf = _as_normal_form(game)
-    exact = [fvec(s) for s in strategies]
-    ms = [math.lcm(*(p.denominator for p in s)) for s in exact]
+    scaled = [scale_to_integers(fvec(s)) for s in strategies]
+    ms = [m for _, m in scaled]
     tensors, d = _integer_tensors(nf, ms)
-    grids = [
-        np.array([[p.numerator * (m // p.denominator) for p in s]], dtype=t.dtype)
-        for s, m, t in zip(exact, ms, tensors)
-    ]
+    grids = [xs[None].astype(t.dtype) for (xs, _), t in zip(scaled, tensors)]
     worst = int(_worst_regret(tensors, grids, ms).max())
     return Fraction(max(worst, 0), d * math.prod(ms))
 

@@ -1,13 +1,15 @@
-"""Exact rational vectors and matrices on top of fractions.Fraction.
+"""Exact rational matrices, and the integer core that decides on them.
 
-Payoff data is kept as nested tuples of Fraction so that audits and
-support enumeration can compare values exactly; float mirrors are taken
-only at evaluation boundaries.  Matrices are tuples of row tuples.
+Payoff data is kept as nested tuples of Fraction; exact decisions scale it to
+integers over a common denominator.  `mat_vec` and `vec_dot` are the plain
+Fraction products, kept as the reference the integer core is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,11 +63,6 @@ def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def quad_form(x: Sequence[Fraction], m: FMat, y: Sequence[Fraction]) -> Fraction:
-    """x^T M y with exact arithmetic."""
-    return vec_dot(x, mat_vec(m, y))
-
-
 def mat_add(a: FMat, b: FMat) -> FMat:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -86,25 +83,40 @@ def to_float_matrix(m: FMat) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in m], dtype=float)
 
 
-def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> FVec | None:
-    """Solve A x = b exactly by Gaussian elimination with partial pivoting.
+def scale_to_integers(cells) -> tuple[np.ndarray, int]:
+    """Exact cells (any nesting) times the lcm D of their denominators, as Python ints, and D."""
+    a = np.array(cells, dtype=object)
+    d = math.lcm(*(x.denominator for x in a.flat))
+    scaled = [x.numerator * (d // x.denominator) for x in a.flat]
+    return np.array(scaled, dtype=object).reshape(a.shape), d
 
-    Returns None when A is singular (no unique solution).
+
+def solve_linear(a: Sequence[Sequence[int]], b: Sequence[int]):
+    """Solve the integer system A x = b by fraction-free (Bareiss) elimination.
+
+    Returns None when A is singular, else integer numerators `num` over the
+    positive denominator `det` = |det A|, with A num = b det.  Every division
+    is exact; see docs/decisions.md, "Exact integer core".
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve_linear expects a square system")
-    # augmented working copy
-    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+    # augmented working copy; index() refuses a Fraction or a float
+    rows = [[index(x) for x in row] + [index(rhs)] for row, rhs in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
             return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(row[n] for row in rows)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top, p = rows[k][k + 1:], rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = p
+    num = [0] * n  # det x, back-substituted; prev is det A up to sign
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        num[i] = (prev * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
+    sign = 1 if prev > 0 else -1
+    return tuple(sign * x for x in num), sign * prev

@@ -68,6 +68,17 @@ def test_measure_nashgap_reports_the_violation_it_does_not_enforce(path3):
     assert cliques.nashgap_violation(cliques.measure_nashgap(Graph.from_edges(3, [(0, 1)]))) is None
 
 
+def test_measure_nashgap_compares_with_the_bound_exactly(path3, monkeypatch):
+    """An equilibrium a hair above -1/(k-1) is an offender; one at it is not."""
+    real = cliques.measure_nashgap(path3).equilibria  # k = 2, bound -1
+    hair = Fraction(1, 10**12)
+    for value, offends in ((Fraction(-1) + hair, True), (Fraction(-1), False)):
+        fake = oracle.SymmetricEquilibrium((Fraction(1, 3),) * 3, value, (0, 1, 2))
+        monkeypatch.setattr(cliques, "symmetric_support_enumeration",
+                            lambda a, orientation: [*real, fake])
+        assert (fake in cliques.measure_nashgap(path3).offenders) == offends
+
+
 def test_nashgap_audit_flags_the_almost_complete_graph(k4_minus_edge):
     """K4 minus one edge carries a full-support equilibrium worth -3/8.
 

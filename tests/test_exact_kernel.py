@@ -1,11 +1,13 @@
-"""Orientation folded once: exact WSNE, exact regret, enumeration, grid, fone.
+"""Exact WSNE, exact regret, enumeration, grid and fone against prior versions.
 
-These paths used to write out their own min and max branches; they now fold
-a minimiser's values once, with `games.oriented` or the float deviation
-kernel, and maximise.  Each is checked against the implementation it
-replaced, kept below as a test-only reference (verbatim except for the
-`prior_*` names): every Fraction and equilibrium list must be equal, and
-every float equal bit for bit.
+These paths used to write out their own min and max branches and decide in
+tuples of Fractions; they now fold a minimiser's values once, with
+`games.oriented` or the float deviation kernel, and decide in integers over
+a common denominator.  Each is checked against the implementation it
+replaced, kept below as a self-contained test-only reference (verbatim
+except for the `prior_*` names and type annotations), down to the Fraction
+Gauss-Jordan solve and the tuple products it ran on: every Fraction and
+equilibrium list must be equal, and every float equal bit for bit.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from minmaxlab import analytic, checks, gadgets, oracle
+from minmaxlab import analytic, checks, cli, gadgets, oracle
 from minmaxlab.cliques import Graph, payoff_from_graph, payoff_from_graph_delta
 from minmaxlab.errors import (
     CapExceededError,
@@ -38,12 +40,56 @@ from minmaxlab.games import (
 from minmaxlab.geometry import simplex_grid
 from minmaxlab.minmax import QuadraticMinMaxProblem, _point, check_fone, gradient
 from minmaxlab.oracle import GRID_SEARCH_CAP, SUPPORT_ENUM_MAX_N, SymmetricEquilibrium
-from minmaxlab.rational import fmat, fvec, mat_vec, shape, solve_linear, to_fraction, transpose
+from minmaxlab.rational import (
+    fmat,
+    fvec,
+    scale_to_integers,
+    shape,
+    solve_linear,
+    to_fraction,
+    transpose,
+)
 
 logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # the prior implementation (reference only)
+
+
+def prior_mat_vec(m, v):
+    if m and len(m[0]) != len(v):
+        raise ValueError("matrix-vector shape mismatch")
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+
+
+def prior_vec_dot(u, v):
+    if len(u) != len(v):
+        raise ValueError("vector length mismatch")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def prior_solve_linear(a, b):
+    """Solve A x = b exactly by Gaussian elimination with partial pivoting.
+
+    Returns None when A is singular (no unique solution).
+    """
+    n = len(a)
+    if any(len(row) != n for row in a) or len(b) != n:
+        raise ValueError("solve_linear expects a square system")
+    # augmented working copy
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return tuple(row[n] for row in rows)
 
 
 def prior_wsne_report(game, x):
@@ -71,7 +117,7 @@ def prior_wsne_eps_exact(matrix, x, orientation=MAXIMIZE):
     xv = fvec(x)
     if len(xv) != n:
         raise PreconditionError("strategy length does not match the matrix")
-    payoffs = mat_vec(m, xv)
+    payoffs = prior_mat_vec(m, xv)
     supported = [payoffs[i] for i in range(n) if xv[i] > 0]
     if not supported:
         raise PreconditionError("empty support")
@@ -102,7 +148,7 @@ def prior_symmetric_support_enumeration(matrix, orientation=MAXIMIZE, cap_n=SUPP
                 rhs.append(zero)
             rows.append([one] * size + [zero])
             rhs.append(one)
-            sol = solve_linear(rows, rhs)
+            sol = prior_solve_linear(rows, rhs)
             if sol is None:
                 logger.debug("singular support system skipped: %s", support)
                 continue
@@ -112,7 +158,7 @@ def prior_symmetric_support_enumeration(matrix, orientation=MAXIMIZE, cap_n=SUPP
             x = [zero] * n
             for i, p in zip(support, x_support):
                 x[i] = p
-            payoffs = mat_vec(m, x)
+            payoffs = prior_mat_vec(m, x)
             if orientation == MAXIMIZE:
                 ok = all(payoffs[i] <= v for i in range(n) if i not in support)
             else:
@@ -121,6 +167,17 @@ def prior_symmetric_support_enumeration(matrix, orientation=MAXIMIZE, cap_n=SUPP
                 results.append(SymmetricEquilibrium(tuple(x), v, support))
     results.sort(key=lambda eq: (eq.value, eq.probs))
     return results
+
+
+def prior_max_vi_residual(matrix, strategy):
+    """Largest gain of a deviation from x* when maximizing <x, M x*>."""
+    if strategy.exact is not None:
+        payoffs = prior_mat_vec(matrix, strategy.exact)
+        value = prior_vec_dot(strategy.exact, payoffs)
+        return float(max(payoffs) - value)
+    m = np.array([[float(e) for e in row] for row in matrix])
+    payoffs = m @ strategy.probs
+    return float(payoffs.max() - strategy.probs @ payoffs)
 
 
 def prior_as_normal_form(game):
@@ -308,6 +365,46 @@ def square_cases(draw):
 
 
 # ---------------------------------------------------------------------------
+# the exact linear solve
+
+BIG = 2**40
+
+
+@st.composite
+def rational_systems(draw):
+    """Square rational systems of size 1-8, some singular by a duplicated row."""
+    n = draw(st.integers(1, 8))
+    denominators = st.sampled_from([1, 2, 3, 7]) | st.integers(BIG - 50, BIG + 50)
+    entry = st.builds(Fraction, st.integers(-9, 9), denominators)
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = draw(st.lists(entry, min_size=n, max_size=n))
+    singular = n >= 2 and draw(st.booleans())
+    if singular:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a[j] = list(a[i])
+    return a, b, singular
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_solve_linear_matches_the_prior_gauss_jordan(case):
+    a, b, singular = case
+    cells, _ = scale_to_integers([row + [rhs] for row, rhs in zip(a, b)])
+    a_int, b_int = cells[:, :-1].tolist(), cells[:, -1].tolist()
+    new = solve_linear(a_int, b_int)
+    old = prior_solve_linear(a, b)
+    if singular:
+        assert new is None and old is None
+    if old is None:
+        assert new is None
+        return
+    num, det = new
+    assert det > 0 and all(isinstance(v, int) for v in num)
+    assert tuple(Fraction(v, det) for v in num) == old
+    assert [sum(x * v for x, v in zip(row, num)) for row in a_int] == [r * det for r in b_int]
+
+
+# ---------------------------------------------------------------------------
 # exact regret and the grid prefilter
 
 
@@ -364,6 +461,8 @@ def test_wsne_values_and_enumeration_match_the_prior_branches(case):
         oracle.symmetric_support_enumeration(matrix, orientation),
         prior_symmetric_support_enumeration(matrix, orientation),
     )
+    for x in (MixedStrategy(float_x), MixedStrategy.from_exact(exact_x)):
+        assert cli._max_vi_residual(matrix, x) == prior_max_vi_residual(matrix, x)
 
 
 GRAPHS = [
@@ -388,6 +487,23 @@ def test_enumeration_and_wsne_values_match_on_the_graph_corpus():
                             matrix, eq.probs, o
                         )
     assert total > 0
+
+
+def gnp_graph(n, seed):
+    """G(n, 1/2): each edge present with probability 1/2, seeded."""
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < 0.5])
+
+
+def test_enumeration_matches_at_census_sizes():
+    for n, seed in ((8, 1), (9, 2)):
+        g = gnp_graph(n, seed)
+        for matrix in (payoff_from_graph(g), payoff_from_graph_delta(g, Fraction(1, 2))):
+            for orientation in (MAXIMIZE, MINIMIZE):
+                new = oracle.symmetric_support_enumeration(matrix, orientation)
+                assert new  # the comparison is not vacuous
+                assert_same_equilibria(new, prior_symmetric_support_enumeration(matrix, orientation))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Exact matrix helpers: parsing, algebra, and linear solves."""
+"""Exact matrix helpers: parsing, algebra, integer scaling and linear solves."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from minmaxlab.checks import _wsne_and_value
 from minmaxlab.rational import (
     fmat,
     fvec,
@@ -13,7 +14,7 @@ from minmaxlab.rational import (
     mat_min,
     mat_scale,
     mat_vec,
-    quad_form,
+    scale_to_integers,
     shape,
     solve_linear,
     to_float_matrix,
@@ -60,11 +61,14 @@ def test_mat_add_is_entrywise(a_rows, b_rows):
             assert c[i][j] == a[i][j] + b[i][j]
 
 
-@given(square(3), st.lists(fractions, min_size=3, max_size=3))
-def test_quad_form_matches_mat_vec(rows, vec):
-    m = fmat(rows)
-    v = fvec(vec)
-    assert quad_form(v, m, v) == vec_dot(v, mat_vec(m, v))
+@given(square(3), st.lists(st.fractions(0, 1, max_denominator=64), min_size=3, max_size=3))
+def test_integer_product_matches_the_fraction_reference(rows, weights):
+    assume(any(weights))
+    m, x = fmat(rows), fvec(weights)
+    slack, value = _wsne_and_value(*scale_to_integers(m), x)
+    payoffs = mat_vec(m, x)
+    assert value == vec_dot(x, payoffs)
+    assert slack == max(payoffs) - min(p for p, w in zip(payoffs, x) if w > 0)
 
 
 def test_mat_min_and_max_scan_all_entries():
@@ -79,16 +83,32 @@ def test_mat_scale_keeps_exactness():
 
 
 def test_solve_linear_exact_solution():
-    a = fmat([[2, 1], [1, 3]])
-    b = fvec([1, 0])
-    x = solve_linear(a, b)
-    assert x == (Fraction(3, 5), Fraction(-1, 5))
-    assert mat_vec(a, x) == b
+    a = [[2, 1], [1, 3]]
+    b = [1, 0]
+    num, det = solve_linear(a, b)
+    assert det > 0
+    assert [Fraction(v, det) for v in num] == [Fraction(3, 5), Fraction(-1, 5)]
+    assert [sum(x * v for x, v in zip(row, num)) for row in a] == [r * det for r in b]
+    # the same system over Fractions, through the Fraction reference product
+    x = fvec(Fraction(v, det) for v in num)
+    assert mat_vec(fmat(a), x) == fvec(b)
 
 
 def test_solve_linear_singular_returns_none():
-    a = fmat([[1, 2], [2, 4]])
-    assert solve_linear(a, fvec([1, 1])) is None
+    assert solve_linear([[1, 2], [2, 4]], [1, 1]) is None
+
+
+def test_solve_linear_refuses_fractions():
+    with pytest.raises(TypeError):
+        solve_linear(fmat([[Fraction(1, 2)]]), [1])
+
+
+def test_scale_to_integers_uses_the_lcm():
+    cells, d = scale_to_integers([Fraction(1, 4), Fraction(-5, 6), 3])
+    assert cells.tolist() == [3, -10, 36] and d == 12
+    cells, d = scale_to_integers(fmat([["1/2", 1], [0, "-1/3"]]))
+    assert cells.tolist() == [[3, 6], [0, -2]] and d == 6
+    assert all(type(c) is int for c in cells.flat)
 
 
 def test_to_float_matrix_values():
