@@ -561,7 +561,7 @@ def cmd_dynamics_run(args, inputs):
         "algorithm": config.algorithm,
         "final_gap": trajectory.gaps[-1],
         "min_gap": min(trajectory.gaps),
-        "max_drift": max(trajectory.drifts),
+        "max_drift": dynamics.symmetry_drift(trajectory),
         "final_utility": trajectory.utilities[-1],
     }
     return [], data, trajectory

@@ -172,17 +172,19 @@ def run(problem: QuadraticMinMaxProblem, config: DynamicsConfig) -> Trajectory:
             with np.errstate(over="ignore", invalid="ignore"):
                 x_w = x * np.exp(-eta * (2.0 * gx - gx_prev))
                 y_w = y * np.exp(-eta * (2.0 * gy - gy_prev))
+            x_sum = np.add.reduce(x_w)
+            y_sum = np.add.reduce(y_w)
             if (
                 not np.isfinite(x_w).all()
                 or not np.isfinite(y_w).all()
-                or x_w.sum() <= 0
-                or y_w.sum() <= 0
+                or x_sum <= 0
+                or y_sum <= 0
             ):
                 raise OverflowError(
                     f"multiplicative update overflowed at step {t + 1}"
                 )
-            x = x_w / x_w.sum()
-            y = y_w / y_w.sum()
+            x = x_w / x_sum
+            y = y_w / y_sum
             gx_prev, gy_prev = gx, gy
         else:  # AlternatingGDA: x moves first, y reacts to the fresh x
             gx = problem.minimizer_feedback(x, y)
@@ -198,10 +200,17 @@ def run(problem: QuadraticMinMaxProblem, config: DynamicsConfig) -> Trajectory:
     )
 
 
-def symmetry_drift(trajectory: Trajectory) -> float:
-    """Largest recorded ||x^t - y^t||_inf over the run."""
+def symmetry_drift(trajectory: Trajectory) -> float | None:
+    """Largest recorded ||x^t - y^t||_inf over the run.
+
+    None when x and y differ in length: such a run has no drift, and records
+    inf at every step.
+    """
     if not trajectory.points:
         raise PreconditionError("empty trajectory")
+    x, y = trajectory.points[0]
+    if x.size != y.size:
+        return None
     return max(trajectory.drifts)
 
 

@@ -441,7 +441,12 @@ def make_report(
 
 
 def write_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    """Print the report, or write it to `path`, as strict JSON.
+
+    A non-finite float raises ValueError instead of being written as the
+    non-JSON tokens Infinity or NaN.
+    """
+    text = json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     if path is None:
         print(text, end="")
     else:

@@ -37,6 +37,7 @@ from .rational import (
     mat_max,
     mat_min,
     mat_scale,
+    scale_to_integers,
     shape,
     to_fraction,
     transpose,
@@ -277,7 +278,8 @@ def quadratic_gadget(matrix) -> QuadraticMinMaxProblem:
     (both recorded on the problem).
     """
     r = _square_exact(matrix)
-    if mat_min(r) < -1 or mat_max(r) > 1:
+    cells, d = scale_to_integers(r)
+    if cells.min() < -d or cells.max() > d:
         raise PreconditionError("entries of R must lie in [-1, 1]")
     a, c = decompose_symmetric_skew(r)
     n = len(r)

@@ -33,6 +33,7 @@ from .rational import (
     FVec,
     fmat,
     fvec,
+    scale_to_integers,
     shape,
     to_float_matrix,
     to_fraction,
@@ -245,6 +246,19 @@ class PolymatrixGame:
             out[key] = fm
         return out
 
+    @cached_property
+    def pair_plan(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray, tuple[int, ...]], ...]:
+        """(i, j, M, M^T, players outside the pair) per pair, in pair_floats order.
+
+        M^T is the transposed view, not a contiguous copy: a copy would run
+        another BLAS kernel, whose sums may round differently.
+        """
+        players = range(self.n_players)
+        return tuple(
+            (i, j, m, m.T, tuple(q for q in players if q != i and q != j))
+            for (i, j), m in self.pair_floats.items()
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class NormalFormGame:
@@ -351,23 +365,38 @@ def deviation_vectors(game: Game, probs: Sequence[np.ndarray]) -> list[np.ndarra
     validate once (see profile_probs) and may then call this in a loop.  A
     polymatrix pair (i, j) costs two products, M s_j for player i and M^T s_i
     for player j; the latter also gives every other player the constant
-    s_i^T M s_j.
+    s_i^T M s_j.  A player's first product is kept as is, not added to a zero
+    vector; adding the constant last maps any -0.0 to +0.0, so every entry
+    equals the sum started from zeros (docs/decisions.md, "Float loops").
     """
     if isinstance(game, BimatrixGame):
-        return [game.row_float @ probs[1], game.col_float.T @ probs[0]]
+        return [game.row_float.dot(probs[1]), game.col_float.T.dot(probs[0])]
     n = game.n_players
     if isinstance(game, PolymatrixGame):
-        vecs = [np.zeros(c) for c in game.action_counts]
+        vecs = [None] * n
         consts = [0.0] * n
-        for (i, j), m in game.pair_floats.items():
-            vecs[i] += m @ probs[j]
-            col = m.T @ probs[i]
-            vecs[j] += col
-            value = float(col @ probs[j])
-            for q in range(n):
-                if q != i and q != j:
-                    consts[q] += value
-        return [v + c for v, c in zip(vecs, consts)]
+        for i, j, m, mt, others in game.pair_plan:
+            row = m.dot(probs[j])
+            col = mt.dot(probs[i])
+            value = float(col.dot(probs[j]))
+            for q in others:
+                consts[q] += value
+            if vecs[i] is None:
+                vecs[i] = row
+            else:
+                vecs[i] += row
+            if vecs[j] is None:
+                vecs[j] = col
+            else:
+                vecs[j] += col
+        out = []
+        for v, c, count in zip(vecs, consts, game.action_counts):
+            if v is None:
+                out.append(np.full(count, c))
+            else:
+                v += c
+                out.append(v)
+        return out
     letters = string.ascii_lowercase[:n]
     out = []
     for p in range(n):
@@ -395,7 +424,7 @@ def best_deviation(dev: np.ndarray, probs: np.ndarray, orientation: str) -> tupl
 
     Ties go to the smallest index.
     """
-    current = float(dev @ probs)
+    current = float(dev.dot(probs))
     if orientation == MAXIMIZE:
         action = int(dev.argmax())
         return action, dev.item(action) - current
@@ -474,11 +503,13 @@ def decompose_symmetric_skew(matrix) -> tuple[FMat, FMat]:
     n, m = shape(r)
     if n != m:
         raise DimensionError("square matrix required")
-    rt = transpose(r)
-    half = Fraction(1, 2)
-    a = tuple(tuple((x + y) * half for x, y in zip(ra, rb)) for ra, rb in zip(r, rt))
-    c = tuple(tuple((x - y) * half for x, y in zip(ra, rb)) for ra, rb in zip(r, rt))
-    return a, c
+    cells, d = scale_to_integers(r)  # R = cells / d, so (R +- R^T)/2 = (cells +- cells^T) / 2d
+    twice = 2 * d
+
+    def halves(ints) -> FMat:
+        return tuple(tuple(Fraction(x, twice) for x in row) for row in ints.tolist())
+
+    return halves(cells + cells.T), halves(cells - cells.T)
 
 
 def to_normal_form(game: PolymatrixGame, cap: int = 10_000_000) -> NormalFormGame:

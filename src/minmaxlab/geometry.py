@@ -19,23 +19,25 @@ FEASIBILITY_TOL = 1e-8
 
 
 def _project_simplex_raw(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort and threshold)."""
+    """Euclidean projection onto the probability simplex (sort and threshold).
+
+    theta = css[k] / (k + 1) at the last k with u[k] > css[k] / (k + 1), where
+    u is v sorted descending and css its cumulative sums less 1.
+    """
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    cond = u - css / ind > 0.0
-    rho = ind[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
+    css = u.cumsum()
+    css -= 1.0
+    k = (u > css / np.arange(1, v.size + 1)).nonzero()[0][-1]
+    return np.maximum(v - css[k] / (k + 1), 0.0)
 
 
 def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
     """Row-wise `_project_simplex_raw` of a 2-D array, bit-identical per row."""
     u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
+    css = u.cumsum(axis=1)
+    css -= 1.0
     ind = np.arange(1, v.shape[1] + 1)
-    cond = u - css / ind > 0.0
-    rho = (cond * ind).max(axis=1)
+    rho = ((u > css / ind) * ind).max(axis=1)
     theta = css[np.arange(v.shape[0]), rho - 1] / rho
     return np.maximum(v - theta[:, None], 0.0)
 

@@ -12,7 +12,7 @@ symmetric, exactly, in rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError, UnsupportedDomainError
 from .games import MAXIMIZE, MINIMIZE, MixedStrategy, best_deviation
 from .geometry import JointDomain, _project_simplex_rows, project_joint
-from .rational import FMat, fmat, shape, to_float_matrix, transpose
+from .rational import FMat, fmat, scale_to_integers, scaled_to_float, shape, transpose
 
 
 def _spectral_norm(m: np.ndarray) -> float:
@@ -36,7 +36,9 @@ class QuadraticMinMaxProblem:
     `smoothness_bound` (L) and `lipschitz_bound` (G) are conservative upper
     bounds used by the gap-to-VI translations; constructors of specific
     instances may pass tighter or customary values, otherwise spectral-norm
-    estimates are filled in.
+    estimates are filled in.  The exact data is scaled to integers once, for
+    the symmetry check and the float mirrors `qx_float`, `qy_float` and
+    `m_float`.
     """
 
     qx: FMat
@@ -45,6 +47,9 @@ class QuadraticMinMaxProblem:
     domain: JointDomain | None = None
     smoothness_bound: float | None = None
     lipschitz_bound: float | None = None
+    qx_float: np.ndarray = field(init=False, repr=False)
+    qy_float: np.ndarray = field(init=False, repr=False)
+    m_float: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         qx = fmat(self.qx)
@@ -54,7 +59,9 @@ class QuadraticMinMaxProblem:
         ny, ny2 = shape(qy)
         if nx != nx2 or ny != ny2:
             raise DimensionError("Qx and Qy must be square")
-        if qx != transpose(qx) or qy != transpose(qy):
+        qx_cells, qx_d = scale_to_integers(qx)
+        qy_cells, qy_d = scale_to_integers(qy)
+        if (qx_cells != qx_cells.T).any() or (qy_cells != qy_cells.T).any():
             raise DimensionError("Qx and Qy must be symmetric (exactly)")
         if shape(mm) != (ny, nx):
             raise DimensionError(f"M must have shape ({ny}, {nx}), got {shape(mm)}")
@@ -63,6 +70,9 @@ class QuadraticMinMaxProblem:
         object.__setattr__(self, "qx", qx)
         object.__setattr__(self, "qy", qy)
         object.__setattr__(self, "m", mm)
+        object.__setattr__(self, "qx_float", scaled_to_float(qx_cells, qx_d))
+        object.__setattr__(self, "qy_float", scaled_to_float(qy_cells, qy_d))
+        object.__setattr__(self, "m_float", scaled_to_float(*scale_to_integers(mm)))
         if self.smoothness_bound is None:
             l_est = 2.0 * (
                 _spectral_norm(self.qx_float)
@@ -84,18 +94,6 @@ class QuadraticMinMaxProblem:
         return len(self.qy)
 
     @cached_property
-    def qx_float(self) -> np.ndarray:
-        return to_float_matrix(self.qx)
-
-    @cached_property
-    def qy_float(self) -> np.ndarray:
-        return to_float_matrix(self.qy)
-
-    @cached_property
-    def m_float(self) -> np.ndarray:
-        return to_float_matrix(self.m)
-
-    @cached_property
     def mt_float(self) -> np.ndarray:
         # contiguous transpose so both players' feedbacks run the same kernel
         return np.ascontiguousarray(self.m_float.T)
@@ -114,11 +112,11 @@ class QuadraticMinMaxProblem:
 
     def minimizer_feedback(self, own: np.ndarray, other: np.ndarray) -> np.ndarray:
         """Gradient fed to the x player: grad_x f."""
-        return self.mt_float @ other - self.qx_float @ own
+        return self.mt_float.dot(other) - self.qx_float.dot(own)
 
     def maximizer_feedback(self, own: np.ndarray, other: np.ndarray) -> np.ndarray:
         """Gradient fed to the y player: -grad_y f (it descends on -f)."""
-        return self.neg_m_float @ other - self.qy_float @ own
+        return self.neg_m_float.dot(other) - self.qy_float.dot(own)
 
 
 def _point(problem: QuadraticMinMaxProblem, x, y) -> tuple[np.ndarray, np.ndarray]:

@@ -353,12 +353,14 @@ def local_ne_refine(
     strategies = [v.copy() for v in views]
     best = None  # raw copies of the best iterate; None while it is the start
     best_regret = math.inf
+    orientation = game.orientation
     for t in range(max_iters):
         worst = 0.0
         brs = []
-        for p, dev in enumerate(deviation_vectors(game, views)):
-            br, gain = best_deviation(dev, strategies[p], game.orientation[p])
-            worst = max(worst, gain)
+        for dev, s, o in zip(deviation_vectors(game, views), strategies, orientation):
+            br, gain = best_deviation(dev, s, o)
+            if gain > worst:
+                worst = gain
             brs.append(br)
         if worst < best_regret:
             best_regret = worst
@@ -369,10 +371,13 @@ def local_ne_refine(
             cert = epsilon_ne_report(game, profile, target_regret)
             return RefineResult(profile, worst, t + 1, True, cert)
         eta = damping / (1.0 + damping * t)
+        keep = 1.0 - eta
+        views = []
         for s, br in zip(strategies, brs):
-            s *= 1.0 - eta
+            s *= keep
             s[br] += eta
-        views = [s / s.sum() for s in strategies]
+            # np.add.reduce is what ndarray.sum runs, without its Python wrapper
+            views.append(s / np.add.reduce(s))
     if best is not None:
         profile = MixedProfile(tuple(MixedStrategy(s) for s in best))
     return RefineResult(profile, best_regret, max_iters, False, None)

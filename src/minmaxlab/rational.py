@@ -91,6 +91,15 @@ def scale_to_integers(cells) -> tuple[np.ndarray, int]:
     return np.array(scaled, dtype=object).reshape(a.shape), d
 
 
+def scaled_to_float(cells: np.ndarray, d: int) -> np.ndarray:
+    """to_float_matrix of the exact matrix cells / d, from scale_to_integers' output.
+
+    Python's int true division rounds correctly, as float(Fraction) does, so
+    the bits are the same; with the cells at hand it is about ten times faster.
+    """
+    return (cells / d).astype(float)
+
+
 def solve_linear(a: Sequence[Sequence[int]], b: Sequence[int]):
     """Solve the integer system A x = b by fraction-free (Bareiss) elimination.
 

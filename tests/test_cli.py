@@ -321,6 +321,35 @@ def test_dynamics_run_writes_a_trajectory(capsys, tmp_path):
     assert len(rows) == 25
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_dynamics_run_on_a_rectangular_problem_reports_no_drift(capsys, tmp_path):
+    problem = QuadraticMinMaxProblem(
+        qx=fmat([[1, 0], [0, 1]]),
+        qy=fmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        m=fmat([[1, -1], [0, "1/2"], [-1, 0]]),
+    )
+    path = tmp_path / "rect.json"
+    fileio.save_game(problem, str(path))
+    code = cli.main(["dynamics", "run", "--problem", str(path), "--algo", "gda", "--steps", "5"])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert report["data"]["max_drift"] is None
+    assert report["data"]["min_gap"] >= 0.0
+
+
+def test_reports_refuse_non_finite_values(tmp_path):
+    with pytest.raises(ValueError):
+        fileio.write_report({"value": float("inf")}, str(tmp_path / "r.json"))
+    with pytest.raises(ValueError):
+        fileio.write_report({"value": float("nan")}, None)
+
+
 def test_report_file_flag(capsys, tmp_path, fig1):
     gpath = write_graph(tmp_path, "fig1.txt", fig1)
     rpath = tmp_path / "report.json"

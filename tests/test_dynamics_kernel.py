@@ -1,0 +1,280 @@
+"""The dynamics loop, its feedback and the simplex projections, bit for bit.
+
+Each is checked against the implementation it replaced, kept below as a
+test-only reference: matmul feedback, a projection that thresholds on
+`u - css/ind > 0` and gathers with boolean masks, and the loop that ran
+on them.  Points, gaps, drifts and utilities must match to the last bit
+(`tobytes`), so the recorded symmetry drift, which is the experiment, is
+exactly what it was.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from minmaxlab import dynamics, gadgets
+from minmaxlab.dynamics import (
+    ALGORITHMS,
+    ALTERNATING_GDA,
+    EXTRAGRADIENT,
+    GDA,
+    OMWU,
+    OPTIMISTIC_GDA,
+    DynamicsConfig,
+    run,
+)
+from minmaxlab.games import MixedStrategy
+from minmaxlab.geometry import _project_simplex_raw, _project_simplex_rows
+from minmaxlab.minmax import QuadraticMinMaxProblem, _f_rows
+from minmaxlab.rational import fmat
+
+# ---------------------------------------------------------------------------
+# the prior implementation (reference only)
+
+
+def prior_project_simplex_raw(v):
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ind = np.arange(1, v.size + 1)
+    cond = u - css / ind > 0.0
+    rho = ind[cond][-1]
+    theta = css[cond][-1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def prior_project_simplex_rows(v):
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    ind = np.arange(1, v.shape[1] + 1)
+    cond = u - css / ind > 0.0
+    rho = (cond * ind).max(axis=1)
+    theta = css[np.arange(v.shape[0]), rho - 1] / rho
+    return np.maximum(v - theta[:, None], 0.0)
+
+
+def prior_minimizer_feedback(problem, own, other):
+    return problem.mt_float @ other - problem.qx_float @ own
+
+
+def prior_maximizer_feedback(problem, own, other):
+    return problem.neg_m_float @ other - problem.qy_float @ own
+
+
+def prior_simplex_gda_gaps(problem, xs, ys, stepsize=1.0):
+    gx = ys @ problem.m_float - xs @ problem.qx_float
+    gy = ys @ problem.qy_float + xs @ problem.mt_float
+    x2 = prior_project_simplex_rows(xs - stepsize * gx)
+    y2 = prior_project_simplex_rows(ys + stepsize * gy)
+    return np.hypot(np.linalg.norm(xs - x2, axis=1), np.linalg.norm(ys - y2, axis=1))
+
+
+def prior_record_pending(problem, points, gaps, drifts, utilities):
+    pending = points[len(gaps):]
+    if not pending:
+        return
+    xs = np.array([x for x, _ in pending])
+    ys = np.array([y for _, y in pending])
+    gaps.extend(prior_simplex_gda_gaps(problem, xs, ys, stepsize=1.0).tolist())
+    if problem.n_x == problem.n_y:
+        drifts.extend(np.abs(xs - ys).max(axis=1).tolist())
+    else:
+        drifts.extend([float("inf")] * len(pending))
+    utilities.extend(_f_rows(problem, xs, ys).tolist())
+
+
+def prior_run(problem, config):
+    x, y = dynamics._init_point(problem, config)
+    eta = config.stepsize
+    algo = config.algorithm
+    project = prior_project_simplex_raw
+
+    def fx(own, other):
+        return prior_minimizer_feedback(problem, own, other)
+
+    def fy(own, other):
+        return prior_maximizer_feedback(problem, own, other)
+
+    gx_prev = np.zeros_like(x)
+    gy_prev = np.zeros_like(y)
+    block = max(1, dynamics.RECORD_CELLS // max(x.size, y.size))
+    points, gaps, drifts, utilities = [], [], [], []
+    for t in range(config.horizon):
+        points.append((x, y))
+        if len(points) - len(gaps) == block:
+            prior_record_pending(problem, points, gaps, drifts, utilities)
+        if t == config.horizon - 1:
+            break
+        if algo == GDA:
+            gx = fx(x, y)
+            gy = fy(y, x)
+            x = project(x - eta * gx)
+            y = project(y - eta * gy)
+        elif algo == EXTRAGRADIENT:
+            gx = fx(x, y)
+            gy = fy(y, x)
+            x_half = project(x - eta * gx)
+            y_half = project(y - eta * gy)
+            gx2 = fx(x_half, y_half)
+            gy2 = fy(y_half, x_half)
+            x = project(x - eta * gx2)
+            y = project(y - eta * gy2)
+        elif algo == OPTIMISTIC_GDA:
+            gx = fx(x, y)
+            gy = fy(y, x)
+            x = project(x - eta * (2.0 * gx - gx_prev))
+            y = project(y - eta * (2.0 * gy - gy_prev))
+            gx_prev, gy_prev = gx, gy
+        elif algo == OMWU:
+            gx = fx(x, y)
+            gy = fy(y, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_w = x * np.exp(-eta * (2.0 * gx - gx_prev))
+                y_w = y * np.exp(-eta * (2.0 * gy - gy_prev))
+            x = x_w / x_w.sum()
+            y = y_w / y_w.sum()
+            gx_prev, gy_prev = gx, gy
+        else:
+            gx = fx(x, y)
+            x = project(x - eta * gx)
+            gy = fy(y, x)
+            y = project(y - eta * gy)
+    prior_record_pending(problem, points, gaps, drifts, utilities)
+    return points, gaps, drifts, utilities
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+
+
+def _gadget(n, seed):
+    rng = np.random.default_rng(seed)
+    r = fmat(
+        [[Fraction(int(rng.integers(-100, 101)), 100) for _ in range(n)] for _ in range(n)]
+    )
+    return gadgets.quadratic_gadget(r)
+
+
+def _rectangular():
+    """n_x = 2, n_y = 3: no symmetry, so every drift is recorded as inf."""
+    return QuadraticMinMaxProblem(
+        qx=fmat([["1/2", "-1/3"], ["-1/3", "1/5"]]),
+        qy=fmat([[1, 0, "1/7"], [0, "-1/2", "1/4"], ["1/7", "1/4", 0]]),
+        m=fmat([["3/4", -1], ["-2/5", "1/3"], ["1/9", "5/6"]]),
+    )
+
+
+def _start(n, seed):
+    return MixedStrategy(np.random.default_rng(seed).dirichlet(np.ones(n)))
+
+
+def _bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def assert_same_run(problem, config):
+    traj = run(problem, config)
+    points, gaps, drifts, utilities = prior_run(problem, config)
+    assert len(traj.points) == len(points) == config.horizon
+    for (x, y), (px, py) in zip(traj.points, points):
+        assert x.tobytes() == px.tobytes()
+        assert y.tobytes() == py.tobytes()
+    assert _bytes(traj.gaps) == _bytes(gaps)
+    assert _bytes(traj.drifts) == _bytes(drifts)
+    assert _bytes(traj.utilities) == _bytes(utilities)
+    return traj
+
+
+# ---------------------------------------------------------------------------
+# the loop: bit-identical to the prior loop
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("n, horizon", [(2, 400), (3, 400), (8, 300), (64, 120)])
+def test_runs_match_the_prior_loop(algorithm, n, horizon):
+    problem = _gadget(n, seed=n)
+    start = _start(n, seed=100 + n)
+    symmetric = DynamicsConfig(algorithm, stepsize=0.1, horizon=horizon, init=(start, start))
+    traj = assert_same_run(problem, symmetric)
+    if algorithm != ALTERNATING_GDA:
+        assert max(traj.drifts) == 0.0
+    apart = (start, _start(n, seed=200 + n))
+    assert_same_run(problem, DynamicsConfig(algorithm, stepsize=0.3, horizon=horizon, init=apart))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_uniform_start_matches_the_prior_loop(algorithm):
+    assert_same_run(_gadget(3, seed=7), DynamicsConfig(algorithm, stepsize=1.0, horizon=200))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_rectangular_runs_match_the_prior_loop(algorithm):
+    problem = _rectangular()
+    init = (_start(2, seed=1), _start(3, seed=2))
+    traj = assert_same_run(problem, DynamicsConfig(algorithm, stepsize=0.2, horizon=300, init=init))
+    assert all(d == float("inf") for d in traj.drifts)
+    assert dynamics.symmetry_drift(traj) is None
+
+
+def test_feedback_matches_the_prior_products():
+    rng = np.random.default_rng(3)
+    for problem in (_gadget(2, 1), _gadget(8, 2), _gadget(64, 3), _rectangular()):
+        for _ in range(20):
+            x = rng.dirichlet(np.ones(problem.n_x))
+            y = rng.dirichlet(np.ones(problem.n_y))
+            assert (
+                problem.minimizer_feedback(x, y).tobytes()
+                == prior_minimizer_feedback(problem, x, y).tobytes()
+            )
+            assert (
+                problem.maximizer_feedback(y, x).tobytes()
+                == prior_maximizer_feedback(problem, y, x).tobytes()
+            )
+
+
+# ---------------------------------------------------------------------------
+# the projections: bit-identical to the prior ones
+
+
+SIZES = st.sampled_from([1, 2, 3, 4, 5, 8, 17, 64])
+
+
+@st.composite
+def projection_inputs(draw, n=SIZES):
+    """A vector with ties, a point already on the simplex, or a plain one; n >= 1."""
+    n = draw(n)
+    kind = draw(st.sampled_from(["ties", "simplex", "vertex", "plain"]))
+    if kind == "ties":
+        pool = draw(st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=3))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        return np.array(values)
+    if kind == "simplex":
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        return w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n)
+    if kind == "vertex":
+        v = np.zeros(n)
+        v[draw(st.integers(0, n - 1))] = 1.0
+        return v
+    values = draw(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n)
+    )
+    return np.array(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(projection_inputs())
+def test_vector_projection_matches_the_prior_one(v):
+    assert _project_simplex_raw(v).tobytes() == prior_project_simplex_raw(v).tobytes()
+
+
+@st.composite
+def projection_rows(draw):
+    n = draw(SIZES)
+    return np.array(draw(st.lists(projection_inputs(st.just(n)), min_size=1, max_size=6)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(projection_rows())
+def test_row_projection_matches_the_prior_one(rows):
+    assert _project_simplex_rows(rows).tobytes() == prior_project_simplex_rows(rows).tobytes()

@@ -1,9 +1,11 @@
 """Reduction gadgets: team game, quadratic saddle, coupled domain, 3v3."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minmaxlab import checks, gadgets, oracle
 from minmaxlab.errors import BoundViolationError, PreconditionError
@@ -13,8 +15,9 @@ from minmaxlab.games import (
     BimatrixGame,
     MixedProfile,
     MixedStrategy,
+    decompose_symmetric_skew,
 )
-from minmaxlab.rational import fmat, mat_min, transpose
+from minmaxlab.rational import fmat, mat_max, mat_min, to_float_matrix, transpose
 
 A2 = fmat([["-3/2", -1], [-1, "-2"]])  # symmetric, entries in [-2, -1]
 
@@ -187,3 +190,44 @@ def test_structure_audits_measure_then_enforce():
         gadgets._enforce_structure(dataclasses.replace(report, max_pair_gap=0.2))
     with pytest.raises(BoundViolationError, match="mirror action holds"):
         gadgets._enforce_structure(dataclasses.replace(report, max_mirror_mass=0.5))
+
+
+# the Fraction formulas the integer scaling replaced (reference only)
+
+
+def prior_decompose_symmetric_skew(r):
+    half = Fraction(1, 2)
+    rt = transpose(r)
+    a = tuple(tuple((x + y) * half for x, y in zip(ra, rb)) for ra, rb in zip(r, rt))
+    c = tuple(tuple((x - y) * half for x, y in zip(ra, rb)) for ra, rb in zip(r, rt))
+    return a, c
+
+
+# denominators up to 10^15 make the common denominator of a matrix exceed 2^53
+exact_entries = st.one_of(
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**15),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return fmat(draw(st.lists(
+        st.lists(exact_entries, min_size=n, max_size=n), min_size=n, max_size=n
+    )))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_quadratic_gadget_matches_the_fraction_formula(r):
+    a, c = prior_decompose_symmetric_skew(r)
+    assert decompose_symmetric_skew(r) == (a, c)
+    if mat_min(r) < -1 or mat_max(r) > 1:
+        with pytest.raises(PreconditionError):
+            gadgets.quadratic_gadget(r)
+        return
+    problem = gadgets.quadratic_gadget(r)
+    assert (problem.qx, problem.qy, problem.m) == (a, a, c)
+    for mirror, exact in ((problem.qx_float, a), (problem.qy_float, a), (problem.m_float, c)):
+        assert mirror.tobytes() == to_float_matrix(exact).tobytes()

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minmaxlab import gadgets, minmax, oracle
+from minmaxlab.errors import DimensionError
 from minmaxlab.games import MAXIMIZE, MixedStrategy
 from minmaxlab.minmax import QuadraticMinMaxProblem
-from minmaxlab.rational import fmat, mat_scale
+from minmaxlab.rational import fmat, mat_scale, to_float_matrix, transpose
 
 
 def skew_problem():
@@ -121,3 +123,35 @@ def test_vi_bound_formulas():
         k * np.sqrt(0.25)
     )
     assert minmax.gap_to_vi_bound(0.0, 7.0) == 0.0
+
+
+@st.composite
+def quadratic_data(draw):
+    """Qx, Qy and M with huge and small denominators; Qx is symmetric or not."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-10, max_value=10, max_denominator=10**15)
+
+    def matrix(rows, cols):
+        return fmat(draw(st.lists(
+            st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )))
+
+    qx = matrix(nx, nx)
+    if draw(st.booleans()):
+        qx = tuple(tuple(qx[min(i, j)][max(i, j)] for j in range(nx)) for i in range(nx))
+    qy = matrix(ny, ny)
+    qy = tuple(tuple(qy[min(i, j)][max(i, j)] for j in range(ny)) for i in range(ny))
+    return qx, qy, matrix(ny, nx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadratic_data())
+def test_symmetry_check_and_float_mirrors_match_the_fraction_formula(data):
+    qx, qy, m = data
+    if qx != transpose(qx):
+        with pytest.raises(DimensionError):
+            QuadraticMinMaxProblem(qx=qx, qy=qy, m=m)
+        return
+    problem = QuadraticMinMaxProblem(qx=qx, qy=qy, m=m)
+    for mirror, exact in ((problem.qx_float, qx), (problem.qy_float, qy), (problem.m_float, m)):
+        assert mirror.tobytes() == to_float_matrix(exact).tobytes()

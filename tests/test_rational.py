@@ -15,6 +15,7 @@ from minmaxlab.rational import (
     mat_scale,
     mat_vec,
     scale_to_integers,
+    scaled_to_float,
     shape,
     solve_linear,
     to_float_matrix,
@@ -115,3 +116,11 @@ def test_to_float_matrix_values():
     out = to_float_matrix(fmat([["1/2", "1/4"]]))
     assert out.shape == (1, 2)
     assert out[0, 0] == 0.5 and out[0, 1] == 0.25
+
+
+@given(st.lists(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**18), min_size=1, max_size=12
+))
+def test_scaled_to_float_rounds_as_to_float_matrix(row):
+    m = fmat([row])
+    assert scaled_to_float(*scale_to_integers(m)).tobytes() == to_float_matrix(m).tobytes()
