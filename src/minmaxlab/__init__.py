@@ -34,12 +34,14 @@ from .cliques import (
     NashGapReport,
     ParameterRegime,
     ProfileClassification,
+    WsneOffender,
     WsneValueReport,
     classify_symmetric_profile,
     clique_uniform,
     find_nonadjacent_cover,
     graph_from_bordered_game,
     measure_nashgap,
+    measure_wsne_value,
     nashgap_audit,
     nashgap_violation,
     nonsym_instance,
@@ -49,6 +51,7 @@ from .cliques import (
     strict_conditions_hold,
     unique_ne_game,
     wsne_value_audit,
+    wsne_value_violation,
 )
 from .dynamics import (
     ALGORITHMS,

@@ -22,7 +22,7 @@ from .games import (
     oriented,
     profile_probs,
 )
-from .rational import FVec, fmat, fvec, scale_to_integers, shape, transpose
+from .rational import fmat, fvec, scale_to_integers, shape, transpose
 
 CERT_SLACK = 1e-12
 
@@ -115,22 +115,28 @@ def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
     if len(xv) != n:
         raise PreconditionError("strategy length does not match the matrix")
     rows, d = scale_to_integers(m)
-    return _wsne_and_value(oriented(rows, orientation), d, xv)[0]
+    xs, dx = scale_to_integers(xv)
+    if max(xs.tolist(), default=0) <= 0:
+        raise PreconditionError("empty support")
+    _, _, slack = _wsne_slack(oriented(rows, orientation), xs[None])
+    return Fraction(slack[0], d * dx)
 
 
-def _wsne_and_value(rows: np.ndarray, d: int, x: FVec) -> tuple[Fraction, Fraction]:
-    """WSNE slack of (x, x) and the value x^T M x, from one integer product.
+def _wsne_slack(rows: np.ndarray, xs: np.ndarray):
+    """Support, payoffs and WSNE slack of (x, x) for every candidate row of xs.
 
     `rows` is M, folded into the players' direction, as integers over d
-    (`rational.scale_to_integers`); x is exact.  The caller validates.
+    (`rational.scale_to_integers`); row c of `xs` is a candidate x with a
+    nonempty support, as integer numerators over its own dx_c.  One integer
+    product gives the payoffs M x over d * dx_c, and from them the slack
+    (best payoff minus the worst supported one) over d * dx_c.  The value
+    x^T M x is the row sum of xs * payoffs, over d * dx_c^2.  The caller
+    validates the inputs and picks a dtype that holds these numerators.
     """
-    xs, dx = scale_to_integers(x)
     support = xs > 0
-    if not support.any():
-        raise PreconditionError("empty support")
-    payoffs = rows.dot(xs)  # M x, integers over d * dx
-    slack = Fraction(payoffs.max() - payoffs[support].min(), d * dx)
-    return slack, Fraction(payoffs.dot(xs), d * dx * dx)
+    payoffs = xs @ rows.T
+    top = payoffs.max(axis=1)
+    return support, payoffs, top - np.where(support, payoffs, top[:, None]).min(axis=1)
 
 
 def _wsne_eps_bimatrix(game: BimatrixGame, profile: MixedProfile) -> float:

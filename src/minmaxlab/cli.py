@@ -41,12 +41,14 @@ from .cliques import (
     classify_symmetric_profile,
     graph_from_bordered_game,
     measure_nashgap,
+    measure_wsne_value,
     nashgap_violation,
     payoff_from_graph,
     payoff_from_graph_delta,
     robust_unique_ne_game,
     unique_ne_game,
-    wsne_value_audit,
+    wsne_value_bounds,
+    wsne_value_violation,
 )
 from .errors import BoundViolationError, CapExceededError, FormatError, PreconditionError
 from .fileio import BoundRecord, make_report, write_report
@@ -154,12 +156,6 @@ def _eps_bound(name: str, eps: float | None, measured: float, slack: float = SLA
     if eps is not None and eps < 0:
         raise PreconditionError(f"--eps must be non-negative, got {eps}")
     return BoundRecord(name, eps, measured, eps is None or measured <= eps + slack)
-
-
-def _violated(name: str, exc: BoundViolationError):
-    """Bounds and data of an audit that raised on its first violation."""
-    print(f"violation: {exc}", file=sys.stderr)
-    return [BoundRecord(name, None, None, False)], {"detail": str(exc)}
 
 
 def _symmetric_regret(name: str, target, strategy: MixedStrategy, bound: float):
@@ -414,26 +410,37 @@ def cmd_audit_nashgap(args, inputs):
 def cmd_audit_wsne_value(args, inputs):
     regime = _default_regime(args.graph, args.k, args.delta, args.eps)
     inputs["regime"] = _regime_obj(regime)
-    try:
-        report = wsne_value_audit(args.graph, regime, args.resolution)
-    except BoundViolationError as exc:
-        return _violated("wsne_clique_value", exc)
-    base = 1 - Fraction(1, regime.k) + regime.delta / regime.k
-    bounds = [
-        BoundRecord(
-            "wsne_clique_value", float(base),
-            float(report.min_clique_value) if report.min_clique_value is not None else None,
-            True,
-        ),
-        BoundRecord(
-            "wsne_nonclique_value",
-            float(base - 2 * regime.delta / (regime.n**2 * regime.k**4)),
-            float(report.max_other_value) if report.max_other_value is not None else None,
-            True,
-        ),
-        BoundRecord("wsne_closeness", None, None, True),
-    ]
-    return bounds, {"k": report.k, "candidates": report.candidates}
+    report = measure_wsne_value(args.graph, regime, args.resolution)
+    base, _, other = wsne_value_bounds(regime.n, regime.k, regime.delta)
+    records = {
+        "wsne_clique_value": (base, report.min_clique_value),
+        "wsne_nonclique_value": (other, report.max_other_value),
+        "wsne_closeness": (None, None),
+    }
+    first = {}  # each violated clause's first offender
+    for offender in report.offenders:
+        first.setdefault(offender.clause, offender)
+    bounds = []
+    for name, (value, measured) in records.items():
+        if name in first:
+            value, measured = first[name].bound, first[name].measured
+        bounds.append(BoundRecord(
+            name,
+            float(value) if value is not None else None,
+            float(measured) if measured is not None else None,
+            name not in first,
+        ))
+    data = {"k": report.k, "candidates": report.candidates}
+    violation = wsne_value_violation(report)
+    if violation is not None:
+        print(f"violation: {violation}", file=sys.stderr)
+        data["detail"] = violation
+        data["offenders"] = [
+            {"clause": o.clause, "candidate": [str(p) for p in o.probs],
+             "measured": str(o.measured), "bound": str(o.bound)}
+            for o in report.offenders
+        ]
+    return bounds, data
 
 
 def cmd_audit_classify(args, inputs):

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BoundViolationError, DimensionError, PreconditionError
-from .checks import _wsne_and_value
+from .checks import _wsne_slack
 from .games import MAXIMIZE, BimatrixGame, MixedStrategy
 from .minmax import QuadraticMinMaxProblem
 from .oracle import (
@@ -39,7 +39,7 @@ from .oracle import (
     max_clique,
     symmetric_support_enumeration,
 )
-from .geometry import simplex_grid
+from .geometry import SIMPLEX_GRID_CAP, _compositions, _grid_denominator
 from .rational import FMat, FVec, scale_to_integers, to_fraction
 
 
@@ -335,25 +335,90 @@ class WsneCandidateRecord:
 
 
 @dataclass(frozen=True)
+class WsneOffender:
+    """A candidate that violates a clause: the measured quantity and its bound.
+
+    `clause` names the report record: `wsne_clique_value` (value below its
+    bound), `wsne_closeness` (sup distance to the nearest uniform clique
+    profile above its bound) or `wsne_nonclique_value` (value above its bound).
+    """
+
+    clause: str
+    probs: FVec
+    measured: Fraction
+    bound: Fraction
+
+
+@dataclass(frozen=True)
 class WsneValueReport:
     k: int
     candidates: int
     min_clique_value: Fraction | None
     max_other_value: Fraction | None
     records: tuple[WsneCandidateRecord, ...]
+    offenders: tuple[WsneOffender, ...]
 
 
-def wsne_value_audit(
+PERTURB_WEIGHTS = (Fraction(1, 100), Fraction(1, 10))
+AUDIT_CHUNK_ROWS = 4096
+WSNE_CLAUSES = ("wsne_clique_value", "wsne_closeness", "wsne_nonclique_value")
+
+
+def _wsne_candidates(n: int, m: int, eqs) -> tuple[np.ndarray, np.ndarray]:
+    """Every WSNE audit candidate once, in first-occurrence order.
+
+    Returns integer rows over per-row denominators.  The simplex grid with
+    spacing 1/m comes first, in `simplex_grid` order, over m.  Then
+    each equilibrium and its perturbations with weight w in PERTURB_WEIGHTS,
+    (1 - w) x + w u toward the uniform profile u and then toward each vertex,
+    in lowest terms.  Such a point is on the grid iff its denominator divides
+    m; it is kept only when it is off the grid and new.
+    """
+    grid = np.array(list(_compositions(m, n)), dtype=object)
+    if not eqs:
+        return grid, np.full(len(grid), m, dtype=object)
+    scaled = [scale_to_integers(eq.probs) for eq in eqs]
+    e = np.array([row for row, _ in scaled], dtype=object)
+    den = np.array([dx for _, dx in scaled], dtype=object)
+    rows, dens = [e[:, None]], [den[:, None]]
+    for w in PERTURB_WEIGHTS:
+        a, b = w.numerator, w.denominator
+        rows.append(((b - a) * n * e + a * den[:, None])[:, None])
+        dens.append(b * n * den[:, None])
+        rows.append((b - a) * e[:, None, :] + a * den[:, None, None] * np.eye(n, dtype=int))
+        dens.append(np.repeat(b * den[:, None], n, axis=1))
+    rows = np.concatenate(rows, axis=1).reshape(-1, n)
+    dens = np.concatenate(dens, axis=1).reshape(-1)
+    g = np.gcd.reduce(rows, axis=1)  # the entries sum to the denominator, so g divides it
+    rows, dens = rows // g[:, None], dens // g
+    seen: dict[tuple, int] = {}
+    for i, (row, dx) in enumerate(zip(rows.tolist(), dens.tolist())):
+        if m % dx:
+            seen.setdefault(tuple(row), i)
+    kept = list(seen.values())
+    return (np.concatenate([grid, rows[kept]]),
+            np.concatenate([np.full(len(grid), m, dtype=object), dens[kept]]))
+
+
+class _FractionCache(dict):
+    """Fraction(p, q) for each key (p, q), built on first use."""
+
+    def __missing__(self, key):
+        value = self[key] = Fraction(*key)
+        return value
+
+
+def measure_wsne_value(
     graph: Graph,
     regime: ParameterRegime,
     resolution=Fraction(1, 6),
 ) -> WsneValueReport:
-    """Check the two well-supported value bounds on A-bar(G, delta), exactly.
+    """Measure the two well-supported value bounds on A-bar(G, delta), exactly.
 
     Candidates are every simplex grid point at `resolution`, every exact
-    symmetric equilibrium, and rational perturbations of those equilibria.
-    For each candidate x with measured well-supported slack e (the smallest
-    e for which x is an e-WSNE):
+    symmetric equilibrium, and rational perturbations of those equilibria
+    (`_wsne_candidates`).  For each candidate x with measured well-supported
+    slack e (the smallest e for which x is an e-WSNE):
 
       * support inside a maximum clique:  value >= 1 - 1/k + delta/k
         - ((k - delta)/(1 - delta)) e, and x is within that same factor of
@@ -361,7 +426,14 @@ def wsne_value_audit(
       * support not inside any maximum clique:  value <= 1 - 1/k + delta/k
         - 2 delta / (n^2 k^4) + 2 e.
 
-    All comparisons are exact rational arithmetic; a violation raises.
+    Candidate c is a row X_c of integers over its denominator q_c.  One
+    chunked integer product with the payoffs, integers over D, gives its
+    support, slack E_c / (D q_c) and value V_c / (D q_c^2)
+    (`checks._wsne_slack`); its sup distance to the uniform
+    profile on clique K is max_i |k X_ci - q_c [i in K]| / (k q_c).  Every
+    clause is decided on these integers.  Nothing is enforced: the report
+    lists each violation as an offender, in candidate order and, within a
+    candidate, in clause order.  See `wsne_value_audit`.
     """
     if regime.n != graph.n:
         raise DimensionError("regime n does not match the graph")
@@ -372,78 +444,110 @@ def wsne_value_audit(
     delta = regime.delta
     a = payoff_from_graph_delta(graph, delta)
     maxima = cliques_of_size(graph, k)
-    clique_sets = [frozenset(c) for c in maxima]
-    uniforms = {
-        frozenset(c): clique_uniform(graph, c).exact for c in maxima
-    }
-
-    candidates: dict[FVec, None] = {}
-    for point in simplex_grid(n, resolution):
-        candidates.setdefault(point, None)
+    m = _grid_denominator(n, resolution, SIMPLEX_GRID_CAP)
+    in_clique = np.zeros((len(maxima), n), dtype=bool)
+    for i, clique in enumerate(maxima):
+        in_clique[i, list(clique)] = True
     eqs = symmetric_support_enumeration(a, orientation=MAXIMIZE)
-    uniform = tuple(Fraction(1, n) for _ in range(n))
-    for eq in eqs:
-        candidates.setdefault(eq.probs, None)
-        for weight in (Fraction(1, 100), Fraction(1, 10)):
-            mixed = tuple(
-                (1 - weight) * p + weight * q for p, q in zip(eq.probs, uniform)
-            )
-            candidates.setdefault(mixed, None)
-            for v in range(n):
-                toward = tuple(
-                    (1 - weight) * p + (weight if i == v else 0)
-                    for i, p in enumerate(eq.probs)
-                )
-                candidates.setdefault(toward, None)
-
-    base = 1 - Fraction(1, k) + delta / k
-    factor = Fraction(k - delta, 1 - delta) if delta != 1 else None
-    other_cap_const = base - 2 * delta / (n**2 * k**4)
-    records = []
-    min_clique_value = None
-    max_other_value = None
+    xs, dens = _wsne_candidates(n, m, eqs)
     rows, d = scale_to_integers(a)  # maximizing players: nothing to fold
-    for probs in candidates:
-        eps_hat, value = _wsne_and_value(rows, d, probs)
-        support = frozenset(i for i, p in enumerate(probs) if p > 0)
-        containing = [c for c in clique_sets if support <= c]
-        clique_supported = bool(containing)
-        if clique_supported:
-            lower = base - factor * eps_hat
-            if value < lower:
-                raise BoundViolationError(
-                    f"clique-supported candidate {probs} has value {value} < {lower}"
-                )
-            dist_bound = factor * eps_hat
-            best_dist = min(
-                max(abs(p - q) for p, q in zip(probs, uniforms[c]))
-                for c in containing
-            )
-            if best_dist > dist_bound:
-                raise BoundViolationError(
-                    f"clique-supported candidate {probs} strays {best_dist} "
-                    f"> {dist_bound} from the uniform clique profile"
-                )
-            if min_clique_value is None or value < min_clique_value:
-                min_clique_value = value
-        else:
-            upper = other_cap_const + 2 * eps_hat
-            if value > upper:
-                raise BoundViolationError(
-                    f"non-clique candidate {probs} has value {value} > {upper}"
-                )
-            if max_other_value is None or value > max_other_value:
-                max_other_value = value
-        records.append(
-            WsneCandidateRecord(probs, eps_hat, value, clique_supported)
-        )
+    # |M x| <= max|M| q and |x^T M x| <= max|M| q^2 fit in int64, or stay Python ints
+    if max(map(abs, rows.flat)) * max(dens) ** 2 < 2**63:
+        xs, dens, rows = xs.astype(np.int64), dens.astype(np.int64), rows.astype(np.int64)
+
+    slack, value, clique_supported, dist = [], [], [], []
+    for start in range(0, len(xs), AUDIT_CHUNK_ROWS):
+        x, q = xs[start:start + AUDIT_CHUNK_ROWS], dens[start:start + AUDIT_CHUNK_ROWS]
+        support, payoffs, e = _wsne_slack(rows, x)
+        contained = ~(support @ ~in_clique.T)  # support inside clique K
+        # k q bounds every distance numerator, so it stands in where K does not contain x
+        far = np.abs(k * x[:, None, :] - (q[:, None, None] * in_clique)).max(axis=2)
+        slack += e.tolist()
+        value += (x * payoffs).sum(axis=1).tolist()
+        clique_supported += contained.any(axis=1).tolist()
+        dist += np.where(contained, far, (k * q)[:, None]).min(axis=1).tolist()
+    e, v, near, q = (np.array(t, dtype=object) for t in (slack, value, dist, dens.tolist()))
+    bounds = wsne_value_bounds(n, k, delta)
+    base, factor, other = bounds
+    violated = _violated_clauses(bounds, d, k, q, e, v, near, np.array(clique_supported))
+
+    made = _FractionCache()  # coordinates repeat: build each Fraction once
+    records, offenders = [], []
+    for row, dx, ec, vc, cs in zip(xs.tolist(), dens.tolist(), slack, value, clique_supported):
+        probs = tuple(made[p, dx] for p in row)
+        records.append(WsneCandidateRecord(probs, Fraction(ec, d * dx), Fraction(vc, d * dx * dx), cs))
+    for c in np.flatnonzero(violated[0] | violated[1] | violated[2]).tolist():
+        r = records[c]
+        measured = (r.value, Fraction(dist[c], k * q[c]), r.value)
+        bound = (base - factor * r.wsne_eps, factor * r.wsne_eps, other + 2 * r.wsne_eps)
+        offenders += [WsneOffender(clause, r.probs, measured[i], bound[i])
+                      for i, clause in enumerate(WSNE_CLAUSES) if violated[i][c]]
     return WsneValueReport(
         k=k,
         candidates=len(records),
-        min_clique_value=min_clique_value,
-        max_other_value=max_other_value,
+        min_clique_value=min((r.value for r in records if r.clique_supported), default=None),
+        max_other_value=max((r.value for r in records if not r.clique_supported), default=None),
         records=tuple(records),
+        offenders=tuple(offenders),
     )
+
+
+def wsne_value_bounds(n: int, k: int, delta: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(base, factor, other) of the WSNE value clauses at slack e.
+
+    A clique-supported candidate needs value >= base - factor e and sup
+    distance <= factor e to the uniform clique profile; any other candidate
+    needs value <= other + 2 e.
+    """
+    base = 1 - Fraction(1, k) + delta / k
+    return base, Fraction(k - delta, 1 - delta), base - 2 * delta / (n**2 * k**4)
+
+
+def _violated_clauses(bounds, d: int, k: int, q, e, v, near, clique) -> tuple:
+    """Which candidates violate each clause of WSNE_CLAUSES, decided in integers.
+
+    Candidate c has slack e_c / (d q_c), value v_c / (d q_c^2) and sup
+    distance near_c / (k q_c), as Python ints in object arrays; `clique`
+    says whether a maximum clique contains its support.  Each clause is
+    multiplied through by its positive denominators: d q^2 bd fd for the
+    clique value, d q fd for the distance and d q^2 od for the other value.
+    """
+    (bn, bd), (fn, fd), (on, od) = (b.as_integer_ratio() for b in bounds)
+    return (
+        clique & (v * bd * fd < bn * fd * d * q * q - fn * bd * e * q),
+        clique & (near * d * fd > fn * e * k),
+        ~clique & (v * od > on * d * q * q + 2 * e * q * od),
+    )
+
+
+def wsne_value_violation(report: WsneValueReport) -> str | None:
+    """The message of the report's first offender, or None when both bounds hold."""
+    if not report.offenders:
+        return None
+    o = report.offenders[0]
+    if o.clause == "wsne_clique_value":
+        return f"clique-supported candidate {o.probs} has value {o.measured} < {o.bound}"
+    if o.clause == "wsne_closeness":
+        return (f"clique-supported candidate {o.probs} strays {o.measured} "
+                f"> {o.bound} from the uniform clique profile")
+    return f"non-clique candidate {o.probs} has value {o.measured} > {o.bound}"
+
+
+def wsne_value_audit(
+    graph: Graph,
+    regime: ParameterRegime,
+    resolution=Fraction(1, 6),
+) -> WsneValueReport:
+    """Measure the two well-supported value bounds and raise on the first violation.
+
+    All comparisons are exact rational arithmetic (`measure_wsne_value`);
+    the first offender, in candidate order, raises BoundViolationError.
+    """
+    report = measure_wsne_value(graph, regime, resolution)
+    violation = wsne_value_violation(report)
+    if violation is not None:
+        raise BoundViolationError(violation)
+    return report
 
 
 def find_nonadjacent_cover(graph: Graph, k: int) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ from .rational import FVec, to_fraction
 PROJECT_JOINT_TOL = 1e-10
 PROJECT_JOINT_MAX_SWEEPS = 100_000
 FEASIBILITY_TOL = 1e-8
+SIMPLEX_GRID_CAP = 10_000_000
 
 
 def _project_simplex_raw(v: np.ndarray) -> np.ndarray:
@@ -158,19 +159,25 @@ def _resolution_denominator(resolution) -> int:
     return r.denominator
 
 
-def simplex_grid(n: int, resolution, cap: int = 10_000_000) -> Iterator[FVec]:
-    """Stream all points of the n-simplex with coordinates in multiples of 1/m.
-
-    Yields exact rational vectors in a fixed (first-coordinate descending)
-    order.  Raises CapExceededError when the grid would hold more than `cap`
-    points; nothing is materialized.
-    """
+def _grid_denominator(n: int, resolution, cap: int) -> int:
+    """m for `resolution` = 1/m, once the n-simplex grid is known to hold at most `cap` points."""
     if n < 1:
         raise DimensionError("need at least one coordinate")
     m = _resolution_denominator(resolution)
     count = math.comb(m + n - 1, n - 1)
     if count > cap:
         raise CapExceededError(f"grid holds {count} points, cap is {cap}")
+    return m
+
+
+def simplex_grid(n: int, resolution, cap: int = SIMPLEX_GRID_CAP) -> Iterator[FVec]:
+    """Stream all points of the n-simplex with coordinates in multiples of 1/m.
+
+    Yields exact rational vectors in a fixed (first-coordinate descending)
+    order.  Raises CapExceededError when the grid would hold more than `cap`
+    points; nothing is materialized.
+    """
+    m = _grid_denominator(n, resolution, cap)
 
     def _stream() -> Iterator[FVec]:
         for comp in _compositions(m, n):

@@ -36,7 +36,7 @@ from .games import (
     to_normal_form,
 )
 from .geometry import _compositions, _resolution_denominator
-from .rational import FVec, fmat, fvec, scale_to_integers, shape, solve_linear, to_fraction
+from .rational import FVec, fmat, fvec, scale_to_integers, shape, solve_stacked, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -69,9 +69,10 @@ def symmetric_support_enumeration(
 
     Both players share the deviation vector Mx, so (x, x) is an equilibrium
     iff (Mx)_i = v on the support and every off-support payoff is no better
-    than v in the given orientation.  For each candidate support the linear
-    system is solved exactly, in integers (`rational.solve_linear`); singular
-    systems (which can hide equilibrium continua) are skipped and logged.
+    than v in the given orientation.  The linear systems of all supports of
+    one size are solved together, exactly, in integers
+    (`rational.solve_stacked`); singular systems (which can hide equilibrium
+    continua) are skipped and logged.
     Solutions must be strictly positive on their support, so each
     equilibrium is reported once, under its true support.
 
@@ -89,24 +90,35 @@ def symmetric_support_enumeration(
         raise ValueError(f"bad orientation {orientation!r}")
     # F = oriented(M) * D in integers; unknowns x on the support, then w = D * oriented(v)
     cells, d = scale_to_integers(m)
-    f = oriented(cells, orientation).tolist()
+    f = oriented(cells, orientation)
+    if max(map(abs, f.flat), default=0) < 2**63:
+        f = f.astype(np.int64)
     results: list[SymmetricEquilibrium] = []
     for size in range(1, n + 1):
-        for support in itertools.combinations(range(n), size):
-            system = [[f[i][j] for j in support] + [-1] for i in support] + [[1] * size + [0]]
-            sol = solve_linear(system, [0] * size + [1])
-            if sol is None:
-                logger.debug("singular support system skipped: %s", support)
-                continue
-            (*x_num, w), det = sol
-            off = (i for i in range(n) if i not in support)
-            # det > 0, so numerators over det compare as the values do
-            if min(x_num) > 0 and all(sum(f[i][j] * p for j, p in zip(support, x_num)) <= w
-                                      for i in off):
-                probs = dict(zip(support, x_num))
-                x = tuple(Fraction(probs.get(i, 0), det) for i in range(n))
-                value = Fraction(oriented(w, orientation), det * d)
-                results.append(SymmetricEquilibrium(x, value, support))
+        # every support of this size at once, in combinations order
+        supports = np.array(list(itertools.combinations(range(n), size)))
+        systems = np.zeros((len(supports), size + 1, size + 2), f.dtype)
+        systems[:, :size, :size] = f[supports[:, :, None], supports[:, None, :]]
+        systems[:, :size, size] = -1
+        systems[:, size, :size] = 1
+        systems[:, size, size + 1] = 1
+        num, det = solve_stacked(systems)
+        if logger.isEnabledFor(logging.DEBUG):
+            for support in supports[det == 0].tolist():
+                logger.debug("singular support system skipped: %s", tuple(support))
+        # det > 0 on solved systems, so numerators over det compare as the values do
+        keep = (det > 0) & (num[:, :size] > 0).all(axis=1)
+        supports, x, w, det = supports[keep], num[keep, :size], num[keep, size], det[keep]
+        # (F x)_i = w on the support, so testing every row tests the off-support ones.
+        # In int64 this cannot overflow: x_j = 1 at size 1, and at size >= 2 each
+        # F_ij sits in some system of this size, so |F_ij x_j| <= H^2 (`_bareiss_dtype`)
+        keep = ((f[:, supports] * x).sum(axis=2) <= w).all(axis=0)
+        for support, xs, wv, dv in zip(supports[keep].tolist(), x[keep].tolist(),
+                                       w[keep].tolist(), det[keep].tolist()):
+            probs = dict(zip(support, xs))
+            x_exact = tuple(Fraction(probs.get(i, 0), dv) for i in range(n))
+            value = Fraction(oriented(wv, orientation), dv * d)
+            results.append(SymmetricEquilibrium(x_exact, value, tuple(support)))
     results.sort(key=lambda eq: (eq.value, eq.probs))
     return results
 

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable, Sequence
 
 import numpy as np
 
 FVec = tuple[Fraction, ...]
 FMat = tuple[FVec, ...]
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 def to_fraction(value) -> Fraction:
@@ -86,8 +88,11 @@ def to_float_matrix(m: FMat) -> np.ndarray:
 def scale_to_integers(cells) -> tuple[np.ndarray, int]:
     """Exact cells (any nesting) times the lcm D of their denominators, as Python ints, and D."""
     a = np.array(cells, dtype=object)
-    d = math.lcm(*(x.denominator for x in a.flat))
-    scaled = [x.numerator * (d // x.denominator) for x in a.flat]
+    flat = a.ravel().tolist()
+    dens = list(map(_denominator, flat))
+    d = math.lcm(*dens)
+    nums = list(map(_numerator, flat))
+    scaled = nums if d == 1 else [p * (d // q) for p, q in zip(nums, dens)]
     return np.array(scaled, dtype=object).reshape(a.shape), d
 
 
@@ -104,28 +109,79 @@ def solve_linear(a: Sequence[Sequence[int]], b: Sequence[int]):
     """Solve the integer system A x = b by fraction-free (Bareiss) elimination.
 
     Returns None when A is singular, else integer numerators `num` over the
-    positive denominator `det` = |det A|, with A num = b det.  Every division
-    is exact; see docs/decisions.md, "Exact integer core".
+    positive denominator `det` = |det A|, with A num = b det.  A batch of one
+    of `solve_stacked`; see docs/decisions.md, "Exact integer core".
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve_linear expects a square system")
-    # augmented working copy; index() refuses a Fraction or a float
+    # index() refuses a Fraction or a float
     rows = [[index(x) for x in row] + [index(rhs)] for row, rhs in zip(a, b)]
-    prev = 1
+    num, det = solve_stacked(np.array(rows, dtype=object).reshape(1, n, n + 1))
+    if not det[0]:
+        return None
+    return tuple(num[0].tolist()), int(det[0])
+
+
+def _bareiss_dtype(systems: np.ndarray):
+    """int64 when Hadamard's bound proves every Bareiss intermediate fits, else object.
+
+    Every entry the elimination produces, and every numerator and det, is a
+    minor of some system's augmented matrix [A | b], so at most H, the product
+    over rows of max(1, |row|) taken with each position's largest magnitude in
+    the stack.  Products of two minors and sums of n of them stay below
+    (n + 1) H^2.
+    """
+    n = systems.shape[1]
+    if systems.size == 0:
+        return np.int64
+    hi, lo = systems.max(axis=0).ravel().tolist(), systems.min(axis=0).ravel().tolist()
+    peak = [max(x, -y) for x, y in zip(hi, lo)]
+    h2 = math.prod(max(1, sum(v * v for v in peak[i:i + n + 1]))
+                   for i in range(0, len(peak), n + 1))
+    return np.int64 if (n + 1) * h2 < 2**63 else object
+
+
+def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bareiss elimination of a stack of augmented integer systems [A | b].
+
+    `systems` is a (batch, n, n + 1) integer array (int64 or Python ints).
+    Each system is eliminated as `solve_linear` would: the pivot of column k
+    is its first nonzero entry from row k down, and a column without one
+    makes the system singular.  Returns (num, det), of shapes (batch, n) and
+    (batch,): for a nonsingular system det = |det A| > 0 and A num = b det;
+    a singular one has det = 0 and num = 0.  The arrays are int64 when
+    `_bareiss_dtype` proves that int64 holds every intermediate, else
+    Python ints.
+    """
+    dtype = _bareiss_dtype(systems)
+    a = systems.astype(dtype)
+    batch, n = a.shape[:2]
+    live = np.arange(batch)  # the systems still being eliminated
+    prev = np.ones(batch, dtype)
     for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
-        if pivot is None:
-            return None
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        top, p = rows[k][k + 1:], rows[k][k]
-        for row in rows[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top)]
+        nonzero = a[:, k:, k] != 0
+        found = nonzero.any(axis=1)
+        if not found.all():
+            a, prev, live, nonzero = a[found], prev[found], live[found], nonzero[found]
+        pivot = k + nonzero.argmax(axis=1)
+        idx = (pivot != k).nonzero()[0]  # the systems that swap rows k and pivot
+        top = a[idx, pivot[idx]]
+        a[idx, pivot[idx]] = a[idx, k]
+        a[idx, k] = top
+        p = a[:, k, k]
+        below = a[:, k + 1:, k + 1:]
+        below *= p[:, None, None]
+        below -= a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
+        below //= prev[:, None, None]
         prev = p
-    num = [0] * n  # det x, back-substituted; prev is det A up to sign
+    num = np.zeros((len(a), n), dtype)  # det x, back-substituted; prev is det A up to sign
     for i in range(n - 1, -1, -1):
-        row = rows[i]
-        num[i] = (prev * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
-    sign = 1 if prev > 0 else -1
-    return tuple(sign * x for x in num), sign * prev
+        rest = (a[:, i, i + 1:n] * num[:, i + 1:]).sum(axis=1)
+        num[:, i] = (prev * a[:, i, n] - rest) // a[:, i, i]
+    sign = np.where(prev > 0, 1, -1)
+    out_num = np.zeros((batch, n), dtype)
+    out_det = np.zeros(batch, dtype)
+    out_num[live] = num * sign[:, None]
+    out_det[live] = prev * sign
+    return out_num, out_det

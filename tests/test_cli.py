@@ -76,6 +76,30 @@ def test_nashgap_audit_fig1(capsys, tmp_path, fig1):
     assert all(b["satisfied"] for b in report["bounds"])
 
 
+def test_wsne_value_audit_names_the_violated_clause(capsys, tmp_path, path3):
+    gpath = write_graph(tmp_path, "p3.txt", path3)
+    code, report, err = run_cli(
+        capsys, ["audit", "wsne-value", "--graph", gpath, "--delta", "99/100"]
+    )
+    assert code == 1 and report["exit_code"] == 1
+    failed = [b for b in report["bounds"] if not b["satisfied"]]
+    assert [b["name"] for b in failed] == ["wsne_nonclique_value"]
+    assert failed[0]["value"] == float(Fraction(157, 160))
+    assert failed[0]["measured"] == float(Fraction(10199, 10300))
+    assert [b["name"] for b in report["bounds"]] == [
+        "wsne_clique_value", "wsne_nonclique_value", "wsne_closeness"
+    ]
+    data = report["data"]
+    assert data["candidates"] == 53
+    assert data["offenders"][0] == {
+        "clause": "wsne_nonclique_value",
+        "candidate": ["1/103", "101/103", "1/103"],
+        "measured": "10199/10300",
+        "bound": "157/160",
+    }
+    assert data["detail"] in err and "non-clique candidate" in err
+
+
 def test_nashgap_audit_flags_path3(capsys, tmp_path, path3):
     gpath = write_graph(tmp_path, "p3.txt", path3)
     code, report, err = run_cli(capsys, ["audit", "nashgap", "--graph", gpath])

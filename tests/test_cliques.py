@@ -16,7 +16,7 @@ from minmaxlab.cliques import (
     payoff_from_graph,
     payoff_from_graph_delta,
 )
-from minmaxlab.errors import BoundViolationError, PreconditionError
+from minmaxlab.errors import BoundViolationError, CapExceededError, PreconditionError
 from minmaxlab.games import MixedStrategy
 
 
@@ -188,9 +188,107 @@ def test_wsne_value_audit_smoke(k3):
     assert rep.candidates == 34
 
 
+def test_wsne_value_audit_keeps_the_grid_cap(fig1):
+    regime = regime_for(fig1, 4)
+    with pytest.raises(CapExceededError, match=r"grid holds 42084793751 points, cap is 10000000"):
+        cliques.wsne_value_audit(fig1, regime, Fraction(1, 1000))
+    with pytest.raises(ValueError, match="resolution must be 1/m"):
+        cliques.measure_wsne_value(fig1, regime, Fraction(2, 3))
+
+
 def test_wsne_value_audit_requires_the_true_clique_number(k3):
     with pytest.raises(PreconditionError):
         cliques.wsne_value_audit(k3, regime_for(k3, 2))
+
+
+def test_measure_wsne_value_reports_the_nonclique_offender_at_delta_99_100(path3):
+    # a finding about the stated bound: the non-clique clause fails at delta = 99/100
+    regime = ParameterRegime(n=3, k=2, delta=Fraction(99, 100), epsilon=Fraction(1, 10**6))
+    report = cliques.measure_wsne_value(path3, regime)
+    assert report.candidates == 53
+    first = report.offenders[0]
+    assert first.clause == "wsne_nonclique_value"
+    assert first.probs == (Fraction(1, 103), Fraction(101, 103), Fraction(1, 103))
+    assert (first.measured, first.bound) == (Fraction(10199, 10300), Fraction(157, 160))
+    assert {o.clause for o in report.offenders} == {"wsne_nonclique_value"}
+    assert first.measured == next(r.value for r in report.records if r.probs == first.probs)
+    message = cliques.wsne_value_violation(report)
+    assert message == (
+        "non-clique candidate (Fraction(1, 103), Fraction(101, 103), Fraction(1, 103)) "
+        "has value 10199/10300 > 157/160"
+    )
+    with pytest.raises(BoundViolationError) as exc:
+        cliques.wsne_value_audit(path3, regime)
+    assert str(exc.value) == message
+
+
+def fraction_offenders(graph, regime, report):
+    """The offenders of a report's records, recomputed clause by clause in Fractions."""
+    n, k, delta = graph.n, regime.k, regime.delta
+    maxima = [set(c) for c in oracle.cliques_of_size(graph, k)]
+    base = 1 - Fraction(1, k) + delta / k
+    factor = (k - delta) / (1 - delta)
+    other = base - 2 * delta / (n**2 * k**4)
+    out = []
+    for r in report.records:
+        support = {i for i, p in enumerate(r.probs) if p > 0}
+        containing = [c for c in maxima if support <= c]
+        assert r.clique_supported == bool(containing)
+        if containing:
+            if r.value < base - factor * r.wsne_eps:
+                out.append(("wsne_clique_value", r.probs, r.value, base - factor * r.wsne_eps))
+            dist = min(max(abs(p - (Fraction(1, k) if i in c else 0)) for i, p in enumerate(r.probs))
+                       for c in containing)
+            if dist > factor * r.wsne_eps:
+                out.append(("wsne_closeness", r.probs, dist, factor * r.wsne_eps))
+        elif r.value > other + 2 * r.wsne_eps:
+            out.append(("wsne_nonclique_value", r.probs, r.value, other + 2 * r.wsne_eps))
+    return out
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 2), Fraction(99, 100)])
+def test_wsne_offenders_are_the_clauses_decided_in_fractions(path3, fig1, petersen, delta):
+    for graph in (path3, fig1, petersen, Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])):
+        k, _ = oracle.max_clique(graph)
+        regime = ParameterRegime(n=graph.n, k=k, delta=delta, epsilon=Fraction(1, 10**6))
+        report = cliques.measure_wsne_value(graph, regime, Fraction(1, 4))
+        got = [(o.clause, o.probs, o.measured, o.bound) for o in report.offenders]
+        assert got == fraction_offenders(graph, regime, report)
+        for r in report.records:
+            assert r.wsne_eps == checks.wsne_eps_exact(payoff_from_graph_delta(graph, delta), r.probs)
+
+
+def test_wsne_clauses_hold_at_equality():
+    # n = 3, k = 2, delta = 1/2: base 3/4, factor 3, other 107/144
+    bounds = cliques.wsne_value_bounds(3, 2, Fraction(1, 2))
+    assert bounds == (Fraction(3, 4), Fraction(3), Fraction(107, 144))
+    d, k, q, e = 2, 2, 72, 1  # slack 1/144
+    clique = np.array([True, True, False, False, True, True])
+    # value at the clique bound and one below; at the other bound and one above
+    at_low = (Fraction(3, 4) - 3 * Fraction(e, d * q)) * d * q * q
+    at_high = (Fraction(107, 144) + 2 * Fraction(e, d * q)) * d * q * q
+    assert at_low.denominator == at_high.denominator == 1
+    v = np.array([int(at_low), int(at_low) - 1, int(at_high), int(at_high) + 1,
+                  d * q * q, d * q * q], dtype=object)
+    # distance at the bound factor e = 3/144, i.e. 3 e k / d over k q, and one above
+    near = np.array([0, 0, 0, 0, 3 * e * k // d, 3 * e * k // d + 1], dtype=object)
+    low, strays, high = cliques._violated_clauses(
+        bounds, d, k, np.full(6, q, dtype=object), np.full(6, e, dtype=object), v, near, clique)
+    assert low.tolist() == [False, True, False, False, False, False]
+    assert strays.tolist() == [False, False, False, False, False, True]
+    assert high.tolist() == [False, False, False, True, False, False]
+
+
+def test_wsne_candidates_keep_first_occurrences():
+    # uniform play on K5 is an equilibrium, and its mix toward uniform is
+    # itself, at weight 1/100 and again at 1/10; 1/5 is not on the 1/6 grid
+    k5 = Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    report = cliques.measure_wsne_value(k5, regime_for(k5, 5))
+    probs = [r.probs for r in report.records]
+    assert len(set(probs)) == len(probs)
+    uniform = (Fraction(1, 5),) * 5
+    toward_first = (Fraction(26, 125),) + (Fraction(99, 500),) * 4  # weight 1/100 toward vertex 0
+    assert probs.index(uniform) < probs.index(toward_first)
 
 
 def test_nonadjacent_cover(path3, petersen):

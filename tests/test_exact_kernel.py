@@ -1,26 +1,45 @@
-"""Exact WSNE, exact regret, enumeration, grid and fone against prior versions.
+"""Exact WSNE, exact regret, enumeration, grid, fone and the WSNE audit against prior versions.
 
 These paths used to write out their own min and max branches and decide in
-tuples of Fractions; they now fold a minimiser's values once, with
-`games.oriented` or the float deviation kernel, and decide in integers over
-a common denominator.  Each is checked against the implementation it
-replaced, kept below as a self-contained test-only reference (verbatim
-except for the `prior_*` names and type annotations), down to the Fraction
-Gauss-Jordan solve and the tuple products it ran on: every Fraction and
-equilibrium list must be equal, and every float equal bit for bit.
+tuples of Fractions, one support system or one audit candidate at a time;
+they now fold a minimiser's values once, with `games.oriented` or the float
+deviation kernel, and decide in integers over a common denominator, whole
+stacks of systems and candidates at once.  Each is checked against the
+implementation it replaced, kept below as a self-contained test-only
+reference (verbatim except for the `prior_*` names and type annotations),
+down to the Fraction Gauss-Jordan solve and the tuple products it ran on:
+every Fraction, equilibrium list and audit report must be equal, and every
+float equal bit for bit.  The prior audit calls the prior enumeration and
+returns its report with no offenders, since it raised on the first one.
 """
 
 import itertools
 import logging
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from minmaxlab import analytic, checks, cli, gadgets, oracle
-from minmaxlab.cliques import Graph, payoff_from_graph, payoff_from_graph_delta
+from minmaxlab import analytic, checks, cli, cliques, gadgets, oracle, rational
+from minmaxlab.cliques import (
+    Graph,
+    ParameterRegime,
+    WsneCandidateRecord,
+    WsneValueReport,
+    clique_uniform,
+    cliques_of_size,
+    max_clique,
+    payoff_from_graph,
+    payoff_from_graph_delta,
+    robust_unique_ne_game,
+    unique_ne_game,
+)
 from minmaxlab.errors import (
+    BoundViolationError,
     CapExceededError,
     DimensionError,
     PreconditionError,
@@ -46,6 +65,7 @@ from minmaxlab.rational import (
     scale_to_integers,
     shape,
     solve_linear,
+    solve_stacked,
     to_fraction,
     transpose,
 )
@@ -289,6 +309,125 @@ def prior_check_fone(problem, x, y):
     eps_x = float(xv @ gx - gx.min())
     eps_y = float(gy.max() - yv @ gy)
     return eps_x, eps_y
+
+
+def prior_wsne_and_value(rows, d, x):
+    """WSNE slack of (x, x) and the value x^T M x, from one integer product.
+
+    `rows` is M, folded into the players' direction, as integers over d
+    (`rational.scale_to_integers`); x is exact.  The caller validates.
+    """
+    xs, dx = scale_to_integers(x)
+    support = xs > 0
+    if not support.any():
+        raise PreconditionError("empty support")
+    payoffs = rows.dot(xs)  # M x, integers over d * dx
+    slack = Fraction(payoffs.max() - payoffs[support].min(), d * dx)
+    return slack, Fraction(payoffs.dot(xs), d * dx * dx)
+
+
+def prior_wsne_value_audit(
+    graph,
+    regime,
+    resolution=Fraction(1, 6),
+):
+    """Check the two well-supported value bounds on A-bar(G, delta), exactly.
+
+    Candidates are every simplex grid point at `resolution`, every exact
+    symmetric equilibrium, and rational perturbations of those equilibria.
+    For each candidate x with measured well-supported slack e (the smallest
+    e for which x is an e-WSNE):
+
+      * support inside a maximum clique:  value >= 1 - 1/k + delta/k
+        - ((k - delta)/(1 - delta)) e, and x is within that same factor of
+        the uniform clique profile in sup norm;
+      * support not inside any maximum clique:  value <= 1 - 1/k + delta/k
+        - 2 delta / (n^2 k^4) + 2 e.
+
+    All comparisons are exact rational arithmetic; a violation raises.
+    """
+    if regime.n != graph.n:
+        raise DimensionError("regime n does not match the graph")
+    n, k = graph.n, regime.k
+    true_k, _ = max_clique(graph)
+    if true_k != k:
+        raise PreconditionError(f"regime says k = {k} but the maximum clique has {true_k}")
+    delta = regime.delta
+    a = payoff_from_graph_delta(graph, delta)
+    maxima = cliques_of_size(graph, k)
+    clique_sets = [frozenset(c) for c in maxima]
+    uniforms = {
+        frozenset(c): clique_uniform(graph, c).exact for c in maxima
+    }
+
+    candidates: dict[FVec, None] = {}
+    for point in simplex_grid(n, resolution):
+        candidates.setdefault(point, None)
+    eqs = prior_symmetric_support_enumeration(a, orientation=MAXIMIZE)
+    uniform = tuple(Fraction(1, n) for _ in range(n))
+    for eq in eqs:
+        candidates.setdefault(eq.probs, None)
+        for weight in (Fraction(1, 100), Fraction(1, 10)):
+            mixed = tuple(
+                (1 - weight) * p + weight * q for p, q in zip(eq.probs, uniform)
+            )
+            candidates.setdefault(mixed, None)
+            for v in range(n):
+                toward = tuple(
+                    (1 - weight) * p + (weight if i == v else 0)
+                    for i, p in enumerate(eq.probs)
+                )
+                candidates.setdefault(toward, None)
+
+    base = 1 - Fraction(1, k) + delta / k
+    factor = Fraction(k - delta, 1 - delta) if delta != 1 else None
+    other_cap_const = base - 2 * delta / (n**2 * k**4)
+    records = []
+    min_clique_value = None
+    max_other_value = None
+    rows, d = scale_to_integers(a)  # maximizing players: nothing to fold
+    for probs in candidates:
+        eps_hat, value = prior_wsne_and_value(rows, d, probs)
+        support = frozenset(i for i, p in enumerate(probs) if p > 0)
+        containing = [c for c in clique_sets if support <= c]
+        clique_supported = bool(containing)
+        if clique_supported:
+            lower = base - factor * eps_hat
+            if value < lower:
+                raise BoundViolationError(
+                    f"clique-supported candidate {probs} has value {value} < {lower}"
+                )
+            dist_bound = factor * eps_hat
+            best_dist = min(
+                max(abs(p - q) for p, q in zip(probs, uniforms[c]))
+                for c in containing
+            )
+            if best_dist > dist_bound:
+                raise BoundViolationError(
+                    f"clique-supported candidate {probs} strays {best_dist} "
+                    f"> {dist_bound} from the uniform clique profile"
+                )
+            if min_clique_value is None or value < min_clique_value:
+                min_clique_value = value
+        else:
+            upper = other_cap_const + 2 * eps_hat
+            if value > upper:
+                raise BoundViolationError(
+                    f"non-clique candidate {probs} has value {value} > {upper}"
+                )
+            if max_other_value is None or value > max_other_value:
+                max_other_value = value
+        records.append(
+            WsneCandidateRecord(probs, eps_hat, value, clique_supported)
+        )
+    return WsneValueReport(
+        k=k,
+        candidates=len(records),
+        min_clique_value=min_clique_value,
+        max_other_value=max_other_value,
+        records=tuple(records),
+        offenders=(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -536,3 +675,179 @@ def test_check_fone_matches_on_quadratic_gadgets():
         for _ in range(20):
             x, y = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
             assert check_fone(problem, x, y) == prior_check_fone(problem, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the stacked solve
+
+
+@st.composite
+def integer_stacks(draw):
+    """Stacks of square integer systems [A | b], small or large entries, some singular."""
+    n, batch = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    large = draw(st.booleans())
+    entry = st.sampled_from([0, 1, -1])
+    entry |= st.integers(-2**30, 2**30) if large else st.integers(-3, 3)
+    systems = draw(st.lists(
+        st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1), min_size=n, max_size=n),
+        min_size=batch, max_size=batch))
+    for system in systems:
+        if n >= 2 and draw(st.booleans()):  # singular: A repeats a row, b need not
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            system[j][:n] = system[i][:n]
+    return systems, draw(st.sampled_from([np.int64, object]))
+
+
+def assert_stack_matches_the_prior(systems, dtype):
+    n = len(systems[0])
+    num, det = solve_stacked(np.array(systems, dtype=dtype))
+    assert num.shape == (len(systems), n) and det.shape == (len(systems),)
+    for system, x, q in zip(systems, num.tolist(), det.tolist()):
+        old = prior_solve_linear([[Fraction(v) for v in row[:n]] for row in system],
+                                 [Fraction(row[n]) for row in system])
+        if old is None:
+            assert q == 0 and x == [0] * n
+        else:
+            assert q > 0 and tuple(Fraction(v, q) for v in x) == old
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_stacks())
+def test_stacked_solve_matches_the_prior_gauss_jordan(case):
+    systems, dtype = case
+    assert_stack_matches_the_prior(systems, dtype)
+
+
+def test_stacked_solve_picks_int64_only_under_the_hadamard_bound():
+    rng = np.random.default_rng(9)
+    small = rng.integers(-3, 4, (5, 6, 7))
+    large = rng.integers(-2**20, 2**20, (5, 6, 7))
+    # 6 x 6 minors of 2^20-entries reach 2^135: int64 would wrap
+    for systems in (small, large, np.concatenate([small, large])):
+        assert_stack_matches_the_prior(systems.tolist(), np.int64)
+    assert solve_stacked(small)[1].dtype == np.int64
+    assert solve_stacked(large)[1].dtype == object
+    assert solve_stacked(np.concatenate([small, large]))[1].dtype == object
+    # a single entry of -2^63 has magnitude 2^63: not int64
+    edge = np.array([[[-2**63, 1]], [[1, 1]]], dtype=np.int64)
+    assert rational._bareiss_dtype(edge) is object
+    assert solve_stacked(edge)[0].tolist() == [[-1], [1]]
+
+
+def test_stacked_solve_swaps_to_the_first_nonzero_pivot():
+    # column 0 is zero in row 0; rows 1 and 2 both hold a pivot
+    systems = [[[0, 1, 2, 1], [0, 3, 1, 2], [4, 0, 1, 3]],
+               [[0, 2, 1, 1], [5, 1, 0, 2], [1, 0, 3, 3]],
+               [[0, 0, 1, 1], [0, 0, 2, 2], [1, 1, 1, 1]]]
+    assert_stack_matches_the_prior(systems, np.int64)
+    assert_stack_matches_the_prior(systems, object)
+
+
+# ---------------------------------------------------------------------------
+# batched enumeration on the bordered games
+
+
+def test_enumeration_matches_on_bordered_games(monkeypatch):
+    dtypes = set()
+
+    def recording(systems):
+        num, det = solve_stacked(systems)
+        dtypes.add(det.dtype)
+        return num, det
+
+    monkeypatch.setattr(oracle, "solve_stacked", recording)
+    for n, seed in ((8, 1), (9, 2)):
+        g = gnp_graph(n, seed)
+        k, _ = max_clique(g)
+        games = [unique_ne_game(g, kk) for kk in (k, k + 1) if 2 <= kk <= n]
+        regime = ParameterRegime(n=n, k=k, delta=Fraction(1, 2), epsilon=Fraction(1, 10**9))
+        games.append(robust_unique_ne_game(g, regime))
+        for game in games:
+            new = oracle.symmetric_support_enumeration(game.row_payoff, MAXIMIZE)
+            assert new
+            assert_same_equilibria(new, prior_symmetric_support_enumeration(game.row_payoff))
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}  # both paths ran
+
+
+def test_enumeration_matches_with_one_huge_payoff():
+    # a payoff near 2^61: the stacks of supports that hold it run on Python
+    # ints, the others in int64, and the off-support test multiplies it in both
+    rng = np.random.default_rng(4)
+    for trial in range(40):
+        cells = rng.integers(-3, 4, (4, 4)).tolist()
+        i, j = rng.integers(0, 4, 2)
+        cells[i][j] = int(rng.choice([-1, 1])) * (2**61 + int(rng.integers(0, 99)))
+        matrix = fmat(cells)
+        for orientation in (MAXIMIZE, MINIMIZE):
+            assert_same_equilibria(
+                oracle.symmetric_support_enumeration(matrix, orientation),
+                prior_symmetric_support_enumeration(matrix, orientation),
+            )
+
+
+def test_enumeration_logs_each_singular_support_in_order(caplog):
+    g = gnp_graph(6, 3)
+    matrix = payoff_from_graph(g)
+    with caplog.at_level(logging.DEBUG):
+        oracle.symmetric_support_enumeration(matrix)
+    new = [r.getMessage() for r in caplog.records if r.name == "minmaxlab.oracle"]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG):
+        prior_symmetric_support_enumeration(matrix)
+    old = [r.getMessage() for r in caplog.records if r.name == __name__]
+    assert new and new == old
+
+
+# ---------------------------------------------------------------------------
+# the batched WSNE value audit
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  the benchmark's census menu
+
+PETERSEN = Graph.from_edges(10, [
+    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+])  # criterion 08's 10-vertex graph
+
+
+def audit_graphs():
+    menu = [workloads.census_entry(n, i)["graph"] for n, i in workloads.census_menu() if n <= 7]
+    complete = [Graph.from_edges(n, itertools.combinations(range(n), 2)) for n in (4, 5, 7)]
+    return menu + complete + [PETERSEN]
+
+
+def assert_same_audit(graph, delta):
+    k, _ = max_clique(graph)
+    regime = ParameterRegime(n=graph.n, k=k, delta=delta,
+                             epsilon=delta * (1 - delta) / (12 * graph.n**7))
+    try:
+        old = prior_wsne_value_audit(graph, regime)
+    except BoundViolationError as exc:
+        with pytest.raises(BoundViolationError) as new:
+            cliques.wsne_value_audit(graph, regime)
+        assert str(new.value) == str(exc)
+        return False
+    assert cliques.wsne_value_audit(graph, regime) == old
+    return True
+
+
+def test_wsne_value_audit_matches_the_prior_on_the_census_menu():
+    graphs = [g for g in audit_graphs() if max_clique(g)[0] >= 2]
+    assert len(graphs) > 100
+    assert all(assert_same_audit(g, Fraction(1, 2)) for g in graphs)
+
+
+def test_wsne_value_audit_matches_the_prior_with_a_large_delta_denominator():
+    # D = 2^32 and equilibrium denominators near it: x^T M x leaves int64
+    delta = Fraction(2**31 - 1, 2**32)
+    graphs = [Graph.from_edges(3, [(0, 1), (1, 2)]), gnp_graph(5, 1)]
+    assert all(assert_same_audit(g, delta) for g in graphs)
+
+
+def test_wsne_value_audit_matches_the_prior_on_violations():
+    path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    outcomes = [assert_same_audit(g, delta)
+                for g in (path3, gnp_graph(5, 1), gnp_graph(6, 2))
+                for delta in (Fraction(1, 10), Fraction(9, 10), Fraction(99, 100))]
+    assert False in outcomes and True in outcomes  # both a violation and a pass

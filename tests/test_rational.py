@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from minmaxlab.checks import _wsne_and_value
+from minmaxlab.checks import _wsne_slack
 from minmaxlab.rational import (
     fmat,
     fvec,
@@ -66,7 +66,10 @@ def test_mat_add_is_entrywise(a_rows, b_rows):
 def test_integer_product_matches_the_fraction_reference(rows, weights):
     assume(any(weights))
     m, x = fmat(rows), fvec(weights)
-    slack, value = _wsne_and_value(*scale_to_integers(m), x)
+    (cells, d), (xs, dx) = scale_to_integers(m), scale_to_integers(x)
+    _, product, slack = _wsne_slack(cells, xs[None])
+    slack = Fraction(slack[0], d * dx)
+    value = Fraction((xs * product[0]).sum(), d * dx * dx)
     payoffs = mat_vec(m, x)
     assert value == vec_dot(x, payoffs)
     assert slack == max(payoffs) - min(p for p, w in zip(payoffs, x) if w > 0)

@@ -12,11 +12,17 @@ For every seed, each checkout runs
 in its own directory, for each of BENCHMARK.json's workloads in turn, with
 its `run_seconds` as T.  The checkouts run in the given order at even
 positions of the seed list and in reverse at odd ones, so that with two of
-them each goes first equally often.  The file records the machine (cores,
+them each goes first equally often.  After the benchmark runs, each checkout
+runs its acceptance gate once, in the given order:
+
+    python3 -m pytest tests/test_acceptance.py -q --durations=0 --durations-min=0 -p no:cacheprovider
+
+with its own `src` on PYTHONPATH.  The file records the machine (cores,
 Python and numpy versions), the commit of each checkout (for one whose code
 has uncommitted changes, also the sha256 of that diff), the median, quartiles
 and IQR of each end-to-end metric that BENCHMARK.json names, every run's
-value, and how many runs were correct and how many tasks failed.  With two
+value, how many runs were correct and how many tasks failed, and the call
+time of each `test_criterion_*` test with the gate's exit status.  With two
 checkouts it also counts, per metric, the pairs the second one won.
 """
 
@@ -27,6 +33,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +42,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MEASURED = ("src", "perfbench")  # the code a benchmark run executes
 RUN_TIMEOUT_S = 900
+GATE_TIMEOUT_S = 1800
+CRITERION_CALL = re.compile(r"^\s*([0-9.]+)s call\s+\S+::(test_criterion_\S+)")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -96,6 +105,17 @@ def run_once(path: str, workload: str, seed: int, seconds: float) -> dict:
     return {"provenance": out["provenance"]["provenance"], "result": lines[-1]}
 
 
+def criterion_times(path: str) -> dict:
+    """One run of the checkout's acceptance gate: each criterion's call time and the exit status."""
+    cmd = [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-q", "--durations=0",
+           "--durations-min=0", "-p", "no:cacheprovider"]
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(path), "src")}
+    proc = subprocess.run(cmd, cwd=path, env=env, capture_output=True, text=True,
+                          timeout=GATE_TIMEOUT_S)
+    seconds = {m[2]: float(m[1]) for m in map(CRITERION_CALL.match, proc.stdout.splitlines()) if m}
+    return {"exit_code": proc.returncode, "seconds": dict(sorted(seconds.items()))}
+
+
 def summary(values: list[float]) -> dict:
     points = values if len(values) > 1 else values * 2  # quantiles() needs two
     q1, median, q3 = statistics.quantiles(points, n=4, method="inclusive")
@@ -121,6 +141,13 @@ def main(argv=None) -> int:
                       f"correct {run['result']['correct']} ({time.time() - started:.0f} s)",
                       flush=True)
 
+    criteria = {}
+    for label, path in args.checkout:
+        started = time.time()
+        criteria[label] = criterion_times(path)
+        print(f"{label}: acceptance gate exit {criteria[label]['exit_code']} "
+              f"({time.time() - started:.0f} s)", flush=True)
+
     entries = []
     for label, path in args.checkout:
         workloads = {}
@@ -136,7 +163,8 @@ def main(argv=None) -> int:
                     for m in args.metrics
                 },
             }
-        entries.append({"label": label, **commit_of(path), "workloads": workloads})
+        entries.append({"label": label, **commit_of(path), "workloads": workloads,
+                        "criteria": criteria[label]})
 
     doc = {
         "machine": machine,
