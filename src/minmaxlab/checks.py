@@ -33,25 +33,16 @@ class Certificate:
 
     `witnesses` lists one (player, pure action, gain) per player: the best
     deviation found and how much it gains.  `satisfied` is true when every
-    regret is at most epsilon + 1e-12.  Audits that certify a lemma bound
-    can attach its name and value.
+    regret is at most epsilon + 1e-12.
     """
 
     regrets: tuple[float, ...]
     epsilon: float
     satisfied: bool
     witnesses: tuple[tuple[int, int, float], ...]
-    bound_name: str | None = None
-    bound_value: float | None = None
 
 
-def epsilon_ne_report(
-    game: Game,
-    profile: MixedProfile,
-    epsilon: float = 0.0,
-    bound_name: str | None = None,
-    bound_value: float | None = None,
-) -> Certificate:
+def epsilon_ne_report(game: Game, profile: MixedProfile, epsilon: float = 0.0) -> Certificate:
     """Per-player regrets of a profile, tested against epsilon."""
     probs = profile_probs(game, profile)
     witnesses = []
@@ -65,9 +56,18 @@ def epsilon_ne_report(
         epsilon=float(epsilon),
         satisfied=satisfied,
         witnesses=tuple(witnesses),
-        bound_name=bound_name,
-        bound_value=bound_value,
     )
+
+
+def certify(game: Game, profile: MixedProfile, epsilon: float) -> Certificate:
+    """The certificate of an epsilon-equilibrium; PreconditionError when the
+    profile is not one (the precondition of every lemma audit)."""
+    cert = epsilon_ne_report(game, profile, epsilon)
+    if not cert.satisfied:
+        raise PreconditionError(
+            f"profile is not a certified {epsilon}-equilibrium: regrets {cert.regrets}"
+        )
+    return cert
 
 
 def require_wsne_game(game) -> None:
@@ -161,11 +161,7 @@ def ne_to_wsne(game: BimatrixGame, profile: MixedProfile, epsilon: float) -> Mix
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
     profile = as_profile(profile)
-    cert = epsilon_ne_report(game, profile, epsilon**2 / 8.0)
-    if not cert.satisfied:
-        raise PreconditionError(
-            f"profile is not an (eps^2/8)-equilibrium: regrets {cert.regrets}"
-        )
+    certify(game, profile, epsilon**2 / 8.0)
     new_strategies = []
     for p, dev in enumerate(deviation_vectors(game, profile_probs(game, profile))):
         gaps = deviation_gaps(dev, game.orientation[p])
@@ -211,11 +207,7 @@ def mass_bound_audit(game: Game, profile: MixedProfile, epsilon: float) -> list[
         raise PreconditionError("epsilon must be non-negative")
     profile = as_profile(profile)
     eps_sq = float(epsilon) ** 2
-    cert = epsilon_ne_report(game, profile, eps_sq)
-    if not cert.satisfied:
-        raise PreconditionError(
-            f"profile is not an eps^2-equilibrium: regrets {cert.regrets}"
-        )
+    certify(game, profile, eps_sq)
     violations = []
     for p, dev in enumerate(deviation_vectors(game, profile_probs(game, profile))):
         gaps = deviation_gaps(dev, game.orientation[p])

@@ -53,6 +53,13 @@ def parse_rational(value) -> Fraction:
     return Fraction(int(value))
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer field: an int that is not a bool, else FormatError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def rational_str(value: Fraction) -> str:
     return str(Fraction(value))
 
@@ -90,7 +97,7 @@ def _parse_team_partition(value, players: int):
         or not all(isinstance(t, list) for t in value)
     ):
         raise FormatError("team_partition must be two lists of player indices")
-    teams = tuple(frozenset(int(p) for p in t) for t in value)
+    teams = tuple(frozenset(_integer(p, "team_partition index") for p in t) for t in value)
     if any(not (0 <= p < players) for t in teams for p in t):
         raise FormatError("team_partition names an unknown player")
     return teams
@@ -130,11 +137,14 @@ def game_from_dict(doc) -> GameLike:
     if not isinstance(doc, dict):
         raise FormatError("game file must hold a JSON object")
     try:
-        players = int(doc["players"])
-        counts = tuple(int(c) for c in doc["action_counts"])
+        players = _integer(doc["players"], "players")
+        counts = doc["action_counts"]
         payoff = doc["payoff"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"missing or malformed game field: {exc}") from None
+    except KeyError as exc:
+        raise FormatError(f"missing game field: {exc}") from None
+    if not isinstance(counts, list):
+        raise FormatError("action_counts must be a list")
+    counts = tuple(_integer(c, "action count") for c in counts)
     if players < 1 or len(counts) != players or any(c < 1 for c in counts):
         raise FormatError("action_counts must list a positive count per player")
     orientation = _parse_orientation(doc.get("orientation"), players)
@@ -155,7 +165,7 @@ def game_from_dict(doc) -> GameLike:
         pairs = {}
         for block in body:
             try:
-                i, j = int(block["i"]), int(block["j"])
+                i, j = _integer(block["i"], "pair index"), _integer(block["j"], "pair index")
                 m = _parse_matrix(block["matrix"], f"pair ({i}, {j}) matrix")
             except (KeyError, TypeError) as exc:
                 raise FormatError(f"bad polymatrix block: {exc}") from None

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import Certificate, epsilon_ne_report
+from .checks import Certificate, certify
 from .errors import BoundViolationError, DimensionError, PreconditionError
 from .games import (
     MAXIMIZE,
@@ -30,20 +30,25 @@ from .games import (
 from .geometry import JointDomain
 from .minmax import QuadraticMinMaxProblem
 from .oracle import symmetric_support_enumeration
-from .rational import (
-    FMat,
-    fmat,
-    mat_add,
-    mat_max,
-    mat_min,
-    mat_scale,
-    scale_to_integers,
-    shape,
-    to_fraction,
-    transpose,
-)
+from .rational import FMat, fmat, scale_to_integers, shape, to_fraction, transpose
 
 EPS_CAP = Fraction(1, 10)
+
+
+def _exact_eps(epsilon) -> Fraction:
+    """The gadget parameter eps as a Fraction; PreconditionError outside (0, 1/10]."""
+    eps = to_fraction(epsilon)
+    if not (0 < eps <= EPS_CAP):
+        raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
+    return eps
+
+
+def _float_eps(epsilon) -> float:
+    """A measured eps as a float; PreconditionError outside (0, 1/10 + 1e-12]."""
+    eps = float(epsilon)
+    if not (0 < eps <= float(EPS_CAP) + 1e-12):
+        raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
+    return eps
 
 
 def _square_exact(matrix) -> FMat:
@@ -64,7 +69,7 @@ def shift_to_gadget_range(matrix) -> tuple[FMat, Fraction]:
     grows.  Returns (shifted matrix, shift used).
     """
     m = _square_exact(matrix)
-    top = mat_max(m)
+    top = max(map(max, m))
     if top <= -1:
         return m, Fraction(0)
     shift = top + 2
@@ -72,28 +77,21 @@ def shift_to_gadget_range(matrix) -> tuple[FMat, Fraction]:
     return shifted, shift
 
 
-def _mirror_coupling(n: int, scale: Fraction) -> FMat:
-    """(2n+1) x n matrix P with P[i, i] = scale, P[n+i, i] = -scale, last row 0."""
-    zero = Fraction(0)
-    rows = []
-    for i in range(n):
-        row = [zero] * n
-        row[i] = scale
-        rows.append(tuple(row))
-    for i in range(n):
-        row = [zero] * n
-        row[i] = -scale
-        rows.append(tuple(row))
-    rows.append(tuple([zero] * n))
-    return tuple(rows)
+def _mirror_adversary(a: FMat, eps: Fraction) -> tuple[Fraction, np.ndarray, np.ndarray]:
+    """|A_min| and the adversary's two (2n+1) x n blocks against the teammates.
 
-
-def _anchor_matrix(n: int, payoff: Fraction) -> FMat:
-    """(2n+1) x n matrix paying `payoff` on the anchor row (folds a z-linear term)."""
-    zero = Fraction(0)
-    rows = [tuple([zero] * n) for _ in range(2 * n)]
-    rows.append(tuple([payoff] * n))
-    return tuple(rows)
+    Against the first teammate, mirror action i pays |A_min| / eps on
+    coordinate i, mirror action n + i pays -|A_min| / eps, and the anchor
+    (last row) pays |A_min| flat; against the second teammate the blocks
+    pay the mirror part negated.  The blocks are object arrays of Fraction.
+    """
+    n = len(a)
+    penalty = -min(map(min, a))
+    eye = np.identity(n, dtype=object) * (penalty / eps)
+    mirror = np.vstack([eye, -eye, np.zeros((1, n), dtype=object)])
+    anchored = mirror.copy()
+    anchored[-1] = penalty
+    return penalty, anchored, -mirror
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +107,6 @@ class TeamGadgetInstance:
 
     a: FMat
     epsilon: Fraction
-    shift: Fraction
     penalty_scale: Fraction
     game: PolymatrixGame
 
@@ -122,39 +119,30 @@ class TeamGadgetInstance:
         return 2 * self.n
 
 
-def team_gadget(matrix, epsilon, shift=0) -> TeamGadgetInstance:
+def team_gadget(matrix, epsilon) -> TeamGadgetInstance:
     """Build the two-team-player gadget for a symmetric A with entries <= -1.
 
     `epsilon` must satisfy 0 < eps <= 1/10 (rational, kept exact).  Callers
     holding a matrix with larger entries shift it first via
-    shift_to_gadget_range and pass the recorded shift along.
+    shift_to_gadget_range.
     """
     a = _square_exact(matrix)
     if a != transpose(a):
         raise PreconditionError("A must be symmetric")
-    if mat_max(a) > -1:
+    if max(map(max, a)) > -1:
         raise PreconditionError(
             "A must have entries <= -1; see shift_to_gadget_range"
         )
-    eps = to_fraction(epsilon)
-    if not (0 < eps <= EPS_CAP):
-        raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
+    eps = _exact_eps(epsilon)
     n = len(a)
-    penalty = -mat_min(a)
-    coupling = _mirror_coupling(n, penalty / eps)
+    penalty, toward_x, toward_y = _mirror_adversary(a, eps)
     game = PolymatrixGame(
         action_counts=(n, n, 2 * n + 1),
-        pair_matrices={
-            (0, 1): a,
-            (2, 0): mat_add(coupling, _anchor_matrix(n, penalty)),
-            (2, 1): mat_scale(coupling, Fraction(-1)),
-        },
+        pair_matrices={(0, 1): a, (2, 0): toward_x, (2, 1): toward_y},
         orientation=(MINIMIZE, MINIMIZE, MAXIMIZE),
         team_partition=(frozenset({0, 1}), frozenset({2})),
     )
-    return TeamGadgetInstance(
-        a=a, epsilon=eps, shift=to_fraction(shift), penalty_scale=penalty, game=game
-    )
+    return TeamGadgetInstance(a=a, epsilon=eps, penalty_scale=penalty, game=game)
 
 
 def canonical_team_ne(instance: TeamGadgetInstance) -> MixedProfile:
@@ -173,13 +161,9 @@ def canonical_team_ne(instance: TeamGadgetInstance) -> MixedProfile:
     return MixedProfile((x_bar, x_bar, z))
 
 
-def _certify(game, profile, eps_sq: float) -> Certificate:
-    cert = epsilon_ne_report(game, profile, eps_sq)
-    if not cert.satisfied:
-        raise PreconditionError(
-            f"profile is not a certified {eps_sq}-equilibrium: regrets {cert.regrets}"
-        )
-    return cert
+def _backmap_bound(instance: TeamGadgetInstance | Team3v3Instance, eps: float) -> float:
+    """(21 n + 1) |A_min| eps: the regret bound both team back-maps carry."""
+    return (21 * instance.n + 1) * float(instance.penalty_scale) * eps
 
 
 def team_backmap(
@@ -191,13 +175,9 @@ def team_backmap(
     (both players minimizing) has regret at most (21 n + 1) |A_min| eps.
     """
     profile = as_profile(profile)
-    eps = math.sqrt(float(eps2_certified))
-    if eps > float(EPS_CAP) + 1e-12:
-        raise PreconditionError(f"need eps <= 1/10, got {eps}")
-    _certify(instance.game, profile, float(eps2_certified))
-    n = instance.n
-    bound = (21 * n + 1) * float(instance.penalty_scale) * eps
-    return profile[1], bound
+    eps = _float_eps(math.sqrt(float(eps2_certified)))
+    certify(instance.game, profile, float(eps2_certified))
+    return profile[1], _backmap_bound(instance, eps)
 
 
 @dataclass(frozen=True)
@@ -210,6 +190,33 @@ class GadgetStructureReport:
     max_mirror_mass: float    # max_j z_j over the 2n mirror actions, bounded by 9 eps
     mirror_bound: float
     certificate: Certificate
+
+
+def _measure_structure(
+    instance: TeamGadgetInstance | Team3v3Instance,
+    profile: MixedProfile,
+    eps: float,
+    pairs: tuple[tuple[int, int], ...],
+    adversaries: tuple[int, ...],
+) -> GadgetStructureReport:
+    """Certify `profile` as an eps^2-equilibrium, then measure both lemmas.
+
+    The pair gap is the largest ||x - y||_inf over the teammate `pairs`; the
+    mirror mass is the largest probability an adversary in `adversaries`
+    puts on one of its 2n mirror actions.
+    """
+    cert = certify(instance.game, profile, eps * eps)
+    mirrors = 2 * instance.n
+    return GadgetStructureReport(
+        epsilon=eps,
+        max_pair_gap=max(
+            float(np.abs(profile[x].probs - profile[y].probs).max()) for x, y in pairs
+        ),
+        pair_bound=2.0 * eps,
+        max_mirror_mass=max(float(profile[z].probs[:mirrors].max()) for z in adversaries),
+        mirror_bound=9.0 * eps,
+        certificate=cert,
+    )
 
 
 def _enforce_structure(report):
@@ -248,21 +255,8 @@ def measure_gadget_structure(
     not enforced (see gadget_structure_audit).
     """
     profile = as_profile(profile)
-    eps = float(epsilon)
-    if not (0 < eps <= float(EPS_CAP) + 1e-12):
-        raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
-    cert = _certify(instance.game, profile, eps * eps)
-    x, y, z = (profile[p].probs for p in range(3))
-    pair_gap = float(np.abs(x - y).max())
-    mirror_mass = float(z[: 2 * instance.n].max()) if instance.n else 0.0
-    return GadgetStructureReport(
-        epsilon=eps,
-        max_pair_gap=pair_gap,
-        pair_bound=2.0 * eps,
-        max_mirror_mass=mirror_mass,
-        mirror_bound=9.0 * eps,
-        certificate=cert,
-    )
+    eps = _float_eps(epsilon)
+    return _measure_structure(instance, profile, eps, ((0, 1),), (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -388,29 +382,23 @@ class Team3v3Instance:
 def team3v3_gadget(matrix, epsilon) -> Team3v3Instance:
     """Build the three-versus-three gadget from any square rational R."""
     r = _square_exact(matrix)
-    eps = to_fraction(epsilon)
-    if not (0 < eps <= EPS_CAP):
-        raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
-    sym, skew = decompose_symmetric_skew(r)
-    a_raw = mat_scale(sym, Fraction(-1))
-    a, shift = shift_to_gadget_range(a_raw)
-    c = mat_scale(skew, Fraction(-2))  # C = R^T - R = -2 * skew(R)
+    eps = _exact_eps(epsilon)
+    sym, skew = (np.array(m, dtype=object) for m in decompose_symmetric_skew(r))
+    a, shift = shift_to_gadget_range(-sym)
+    c = fmat(-2 * skew)  # C = R^T - R = -2 * skew(R)
     n = len(r)
-    penalty = -mat_min(a)
-    coupling = _mirror_coupling(n, penalty / eps)
-    anchored = mat_add(coupling, _anchor_matrix(n, penalty))
-    neg = lambda m: mat_scale(m, Fraction(-1))
+    penalty, toward_x, toward_y = _mirror_adversary(a, eps)
     # players: 0 x, 1 y, 2 z (unhatted, minimize u); 3 x-hat, 4 y-hat, 5 z-hat
     game = PolymatrixGame(
         action_counts=(n, n, 2 * n + 1, n, n, 2 * n + 1),
         pair_matrices={
-            (0, 1): a,            # <x, A y>
-            (3, 4): neg(a),       # -<x-hat, A y-hat>
-            (0, 3): c,            # <x, C x-hat>
-            (5, 0): anchored,     # delta(x, y, z-hat): + side and anchor
-            (5, 1): neg(coupling),
-            (2, 3): neg(anchored),  # -delta(x-hat, y-hat, z)
-            (2, 4): coupling,
+            (0, 1): a,                           # <x, A y>
+            (3, 4): -np.array(a, dtype=object),  # -<x-hat, A y-hat>
+            (0, 3): c,                           # <x, C x-hat>
+            (5, 0): toward_x,                    # delta(x, y, z-hat)
+            (5, 1): toward_y,
+            (2, 3): -toward_x,                   # -delta(x-hat, y-hat, z)
+            (2, 4): -toward_y,
         },
         orientation=(MINIMIZE, MINIMIZE, MINIMIZE, MAXIMIZE, MAXIMIZE, MAXIMIZE),
         team_partition=(frozenset({0, 1, 2}), frozenset({3, 4, 5})),
@@ -427,17 +415,11 @@ def team3v3_gadget(matrix, epsilon) -> Team3v3Instance:
 
 
 @dataclass(frozen=True)
-class Team3v3Report:
+class Team3v3Report(GadgetStructureReport):
     """Structure audit and back-map of a team-symmetric 3v3 profile."""
 
-    epsilon: float
     strategy: MixedStrategy
     bound: float
-    max_pair_gap: float
-    pair_bound: float
-    max_mirror_mass: float
-    mirror_bound: float
-    certificate: Certificate
 
 
 def team3v3_audit_and_backmap(
@@ -464,9 +446,7 @@ def measure_team3v3(
     not team-symmetric or not a certified eps^2-equilibrium.
     """
     profile = as_profile(profile)
-    eps = float(epsilon)
-    if not (0 < eps <= float(EPS_CAP) + 1e-12):
-        raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
+    eps = _float_eps(epsilon)
     if len(profile) != 6:
         raise DimensionError("profile must cover all six players")
     for p in range(3):
@@ -475,24 +455,7 @@ def measure_team3v3(
             raise PreconditionError(
                 f"profile is not symmetric across teams (player {p}: {mismatch})"
             )
-    cert = _certify(instance.game, profile, eps * eps)
-    n = instance.n
-    pair_gap = max(
-        float(np.abs(profile[0].probs - profile[1].probs).max()),
-        float(np.abs(profile[3].probs - profile[4].probs).max()),
-    )
-    mirror_mass = max(
-        float(profile[2].probs[: 2 * n].max()),
-        float(profile[5].probs[: 2 * n].max()),
-    )
-    bound = (21 * n + 1) * float(instance.penalty_scale) * eps
+    report = _measure_structure(instance, profile, eps, ((0, 1), (3, 4)), (2, 5))
     return Team3v3Report(
-        epsilon=eps,
-        strategy=profile[0],
-        bound=bound,
-        max_pair_gap=pair_gap,
-        pair_bound=2.0 * eps,
-        max_mirror_mass=mirror_mass,
-        mirror_bound=9.0 * eps,
-        certificate=cert,
+        **vars(report), strategy=profile[0], bound=_backmap_bound(instance, eps)
     )

@@ -59,6 +59,24 @@ def _validate_orientation(orientation: Sequence[str], n_players: int) -> tuple[s
     return out
 
 
+def _validate_partition(
+    partition, orientation: tuple[str, ...]
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Two non-empty teams covering the players, each sharing one orientation,
+    pulling in opposite directions; None stays None."""
+    if partition is None:
+        return None
+    t0, t1 = (frozenset(t) for t in partition)
+    if t0 & t1 or (t0 | t1) != set(range(len(orientation))) or not t0 or not t1:
+        raise ValueError("team partition must split the players into two non-empty sets")
+    for team in (t0, t1):
+        if len({orientation[q] for q in team}) != 1:
+            raise ValueError("players on one team must share an orientation")
+    if orientation[min(t0)] == orientation[min(t1)]:
+        raise ValueError("the two teams must pull the shared payoff in opposite directions")
+    return t0, t1
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """A point of the probability simplex, stored as float64.
@@ -222,16 +240,9 @@ class PolymatrixGame:
             pairs[(i, j)] = fm
         object.__setattr__(self, "pair_matrices", pairs)
         object.__setattr__(self, "orientation", _validate_orientation(self.orientation, p))
-        if self.team_partition is not None:
-            t0, t1 = (frozenset(t) for t in self.team_partition)
-            if t0 & t1 or (t0 | t1) != set(range(p)) or not t0 or not t1:
-                raise ValueError("team partition must split the players into two non-empty sets")
-            for team in (t0, t1):
-                if len({self.orientation[q] for q in team}) != 1:
-                    raise ValueError("players on one team must share an orientation")
-            if self.orientation[min(t0)] == self.orientation[min(t1)]:
-                raise ValueError("the two teams must pull the shared payoff in opposite directions")
-            object.__setattr__(self, "team_partition", (t0, t1))
+        object.__setattr__(
+            self, "team_partition", _validate_partition(self.team_partition, self.orientation)
+        )
 
     @property
     def n_players(self) -> int:
@@ -286,11 +297,9 @@ class NormalFormGame:
         object.__setattr__(self, "payoffs", tuple(tensors))
         p = len(tensors)
         object.__setattr__(self, "orientation", _validate_orientation(self.orientation, p))
-        if self.team_partition is not None:
-            t0, t1 = (frozenset(t) for t in self.team_partition)
-            if t0 & t1 or (t0 | t1) != set(range(p)) or not t0 or not t1:
-                raise ValueError("team partition must split the players into two non-empty sets")
-            object.__setattr__(self, "team_partition", (t0, t1))
+        object.__setattr__(
+            self, "team_partition", _validate_partition(self.team_partition, self.orientation)
+        )
 
     @property
     def n_players(self) -> int:

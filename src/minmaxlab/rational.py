@@ -65,22 +65,6 @@ def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def mat_add(a: FMat, b: FMat) -> FMat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: FMat, c: Fraction) -> FMat:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_min(m: FMat) -> Fraction:
-    return min(x for row in m for x in row)
-
-
-def mat_max(m: FMat) -> Fraction:
-    return max(x for row in m for x in row)
-
-
 def to_float_matrix(m: FMat) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in m], dtype=float)
 

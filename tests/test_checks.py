@@ -32,6 +32,8 @@ def test_certificate_on_exact_equilibrium():
     cert = checks.epsilon_ne_report(matching_pennies(), uniform_profile((2, 2)))
     assert max(cert.regrets) <= 1e-12
     assert cert.satisfied
+    cert = checks.epsilon_ne_report(matching_pennies(), uniform_profile((2, 2)), epsilon=0.1)
+    assert cert.satisfied
 
 
 def test_certificate_flags_pure_profile():
@@ -39,18 +41,6 @@ def test_certificate_flags_pure_profile():
     cert = checks.epsilon_ne_report(matching_pennies(), prof, epsilon=0.5)
     assert not cert.satisfied
     assert max(cert.regrets) == pytest.approx(2.0)
-
-
-def test_certificate_carries_named_bound():
-    cert = checks.epsilon_ne_report(
-        matching_pennies(),
-        uniform_profile((2, 2)),
-        epsilon=0.1,
-        bound_name="demo",
-        bound_value=0.1,
-    )
-    assert cert.bound_name == "demo"
-    assert cert.satisfied
 
 
 def test_enumerated_equilibria_all_certify():

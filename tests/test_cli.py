@@ -195,6 +195,33 @@ def test_malformed_game_file_exits_2(capsys, tmp_path):
     assert report["error"]
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"team_partition": [[0, 1.9], [2]]}, {"team_partition": [[0, True], [2]]}, {"players": 3.7}],
+    ids=["float-index", "bool-index", "float-players"],
+)
+def test_non_integer_game_fields_exit_2(capsys, tmp_path, fields):
+    doc = {
+        "players": 3,
+        "action_counts": [1, 1, 1],
+        "orientation": ["min", "min", "max"],
+        "payoff": {"polymatrix": [{"i": 0, "j": 2, "matrix": [["1"]]}]},
+        "team_partition": [[0, 1], [2]],
+    }
+    game = tmp_path / "team.json"
+    profile = write_profile(tmp_path, "p.json", [["1"], ["1"], ["1"]])
+    argv = ["check", "ne", "--game", str(game), "--profile", profile, "--eps", "0.1"]
+    game.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 0 and report["exit_code"] == 0
+    game.write_text(json.dumps({**doc, **fields}), encoding="utf-8")
+    code, report, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert report["exit_code"] == 2 and report["bounds"] == []
+    assert "must be an integer" in report["error"]
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     profile = write_profile(tmp_path, "p.json", [["1", "0"]])
     code, report, err = run_cli(

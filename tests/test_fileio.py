@@ -124,6 +124,43 @@ def test_malformed_game_files(tmp_path):
         load_game(str(bad))
 
 
+def team_doc(**fields):
+    """A valid three-player polymatrix team game file, with `fields` replaced."""
+    doc = {
+        "players": 3,
+        "action_counts": [1, 1, 1],
+        "orientation": ["min", "min", "max"],
+        "payoff": {"polymatrix": [{"i": 0, "j": 2, "matrix": [["1"]]}]},
+        "team_partition": [[0, 1], [2]],
+    }
+    doc.update(fields)
+    return doc
+
+
+BAD_INTEGER_FIELDS = {
+    "float index": {"team_partition": [[0, 1.9], [2]]},
+    "bool index": {"team_partition": [[0, True], [2]]},
+    "float players": {"players": 3.7},
+    "string players": {"players": "3"},
+    "bool count": {"action_counts": [1, True, 1]},
+    "float count": {"action_counts": [1, 1.0, 1]},
+    "counts not a list": {"action_counts": "111"},
+    "float pair index": {"payoff": {"polymatrix": [{"i": 0.0, "j": 2, "matrix": [["1"]]}]}},
+    "bool pair index": {"payoff": {"polymatrix": [{"i": 0, "j": True, "matrix": [["1"]]}]}},
+}
+
+
+def test_the_team_document_loads():
+    game = game_from_dict(team_doc())
+    assert game.team_partition == (frozenset({0, 1}), frozenset({2}))
+
+
+@pytest.mark.parametrize("fields", BAD_INTEGER_FIELDS.values(), ids=list(BAD_INTEGER_FIELDS))
+def test_integer_fields_are_read_strictly(fields):
+    with pytest.raises(FormatError, match="integer|list"):
+        game_from_dict(team_doc(**fields))
+
+
 def test_graph_round_trip(tmp_path, fig1):
     path = tmp_path / "g.txt"
     save_graph(fig1, str(path))

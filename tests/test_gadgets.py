@@ -8,23 +8,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minmaxlab import checks, gadgets, oracle
-from minmaxlab.errors import BoundViolationError, PreconditionError
+from minmaxlab.errors import BoundViolationError, DimensionError, PreconditionError
 from minmaxlab.games import (
     MAXIMIZE,
     MINIMIZE,
     BimatrixGame,
     MixedProfile,
     MixedStrategy,
+    as_profile,
     decompose_symmetric_skew,
 )
-from minmaxlab.rational import fmat, mat_max, mat_min, to_float_matrix, transpose
+from minmaxlab.rational import fmat, to_float_matrix, transpose
 
 A2 = fmat([["-3/2", -1], [-1, "-2"]])  # symmetric, entries in [-2, -1]
 
 
 def test_shift_keeps_entries_in_the_working_range():
     shifted, shift = gadgets.shift_to_gadget_range(fmat([[3, 5], [5, 4]]))
-    assert mat_min(shifted) >= -10
+    assert min(map(min, shifted)) >= -10
     assert max(max(row) for row in shifted) <= -1
     assert shift != 0
     inert, no_shift = gadgets.shift_to_gadget_range(A2)
@@ -223,7 +224,7 @@ def square_matrices(draw):
 def test_quadratic_gadget_matches_the_fraction_formula(r):
     a, c = prior_decompose_symmetric_skew(r)
     assert decompose_symmetric_skew(r) == (a, c)
-    if mat_min(r) < -1 or mat_max(r) > 1:
+    if min(map(min, r)) < -1 or max(map(max, r)) > 1:
         with pytest.raises(PreconditionError):
             gadgets.quadratic_gadget(r)
         return
@@ -231,3 +232,336 @@ def test_quadratic_gadget_matches_the_fraction_formula(r):
     assert (problem.qx, problem.qy, problem.m) == (a, a, c)
     for mirror, exact in ((problem.qx_float, a), (problem.qy_float, a), (problem.m_float, c)):
         assert mirror.tobytes() == to_float_matrix(exact).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# differential test: both team gadgets and their structure measurements
+# against verbatim copies of the code they replaced (reference only)
+
+
+def prior_mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def prior_mat_scale(a, c):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def prior_mat_min(m):
+    return min(x for row in m for x in row)
+
+
+def prior_mat_max(m):
+    return max(x for row in m for x in row)
+
+
+def prior_shift_to_gadget_range(matrix):
+    m = gadgets._square_exact(matrix)
+    top = prior_mat_max(m)
+    if top <= -1:
+        return m, Fraction(0)
+    shift = top + 2
+    shifted = tuple(tuple(x - shift for x in row) for row in m)
+    return shifted, shift
+
+
+def prior_mirror_coupling(n, scale):
+    """(2n+1) x n matrix P with P[i, i] = scale, P[n+i, i] = -scale, last row 0."""
+    zero = Fraction(0)
+    rows = []
+    for i in range(n):
+        row = [zero] * n
+        row[i] = scale
+        rows.append(tuple(row))
+    for i in range(n):
+        row = [zero] * n
+        row[i] = -scale
+        rows.append(tuple(row))
+    rows.append(tuple([zero] * n))
+    return tuple(rows)
+
+
+def prior_anchor_matrix(n, payoff):
+    """(2n+1) x n matrix paying `payoff` on the anchor row (folds a z-linear term)."""
+    zero = Fraction(0)
+    rows = [tuple([zero] * n) for _ in range(2 * n)]
+    rows.append(tuple([payoff] * n))
+    return tuple(rows)
+
+
+def prior_team_pairs(matrix, epsilon):
+    """The prior team_gadget up to its pair_matrices dict: (a, eps, penalty, pairs)."""
+    a = gadgets._square_exact(matrix)
+    eps = Fraction(epsilon)
+    n = len(a)
+    penalty = -prior_mat_min(a)
+    coupling = prior_mirror_coupling(n, penalty / eps)
+    pairs = {
+        (0, 1): a,
+        (2, 0): prior_mat_add(coupling, prior_anchor_matrix(n, penalty)),
+        (2, 1): prior_mat_scale(coupling, Fraction(-1)),
+    }
+    return a, eps, penalty, pairs
+
+
+def prior_team3v3_pairs(matrix, epsilon):
+    """The prior team3v3_gadget up to its pair_matrices dict."""
+    r = gadgets._square_exact(matrix)
+    eps = Fraction(epsilon)
+    sym, skew = decompose_symmetric_skew(r)
+    a_raw = prior_mat_scale(sym, Fraction(-1))
+    a, shift = prior_shift_to_gadget_range(a_raw)
+    c = prior_mat_scale(skew, Fraction(-2))  # C = R^T - R = -2 * skew(R)
+    n = len(r)
+    penalty = -prior_mat_min(a)
+    coupling = prior_mirror_coupling(n, penalty / eps)
+    anchored = prior_mat_add(coupling, prior_anchor_matrix(n, penalty))
+    neg = lambda m: prior_mat_scale(m, Fraction(-1))
+    pairs = {
+        (0, 1): a,            # <x, A y>
+        (3, 4): neg(a),       # -<x-hat, A y-hat>
+        (0, 3): c,            # <x, C x-hat>
+        (5, 0): anchored,     # delta(x, y, z-hat): + side and anchor
+        (5, 1): neg(coupling),
+        (2, 3): neg(anchored),  # -delta(x-hat, y-hat, z)
+        (2, 4): coupling,
+    }
+    return r, a, c, shift, eps, penalty, pairs
+
+
+def prior_certify(game, profile, eps_sq):
+    cert = checks.epsilon_ne_report(game, profile, eps_sq)
+    if not cert.satisfied:
+        raise PreconditionError(
+            f"profile is not a certified {eps_sq}-equilibrium: regrets {cert.regrets}"
+        )
+    return cert
+
+
+def prior_enforce_structure(report):
+    if report.max_pair_gap > report.pair_bound + 1e-9:
+        raise BoundViolationError(
+            f"teammates differ by {report.max_pair_gap} > 2 eps = {report.pair_bound}"
+        )
+    if report.max_mirror_mass > report.mirror_bound + 1e-9:
+        raise BoundViolationError(
+            f"mirror action holds {report.max_mirror_mass} > 9 eps = {report.mirror_bound}"
+        )
+    return report
+
+
+def prior_measure_gadget_structure(instance, profile, epsilon):
+    profile = as_profile(profile)
+    eps = float(epsilon)
+    if not (0 < eps <= float(gadgets.EPS_CAP) + 1e-12):
+        raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
+    cert = prior_certify(instance.game, profile, eps * eps)
+    x, y, z = (profile[p].probs for p in range(3))
+    pair_gap = float(np.abs(x - y).max())
+    mirror_mass = float(z[: 2 * instance.n].max()) if instance.n else 0.0
+    return gadgets.GadgetStructureReport(
+        epsilon=eps,
+        max_pair_gap=pair_gap,
+        pair_bound=2.0 * eps,
+        max_mirror_mass=mirror_mass,
+        mirror_bound=9.0 * eps,
+        certificate=cert,
+    )
+
+
+def prior_measure_team3v3(instance, profile, epsilon):
+    profile = as_profile(profile)
+    eps = float(epsilon)
+    if not (0 < eps <= float(gadgets.EPS_CAP) + 1e-12):
+        raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
+    if len(profile) != 6:
+        raise DimensionError("profile must cover all six players")
+    for p in range(3):
+        mismatch = float(np.abs(profile[p].probs - profile[p + 3].probs).max())
+        if mismatch > 1e-9:
+            raise PreconditionError(
+                f"profile is not symmetric across teams (player {p}: {mismatch})"
+            )
+    cert = prior_certify(instance.game, profile, eps * eps)
+    n = instance.n
+    pair_gap = max(
+        float(np.abs(profile[0].probs - profile[1].probs).max()),
+        float(np.abs(profile[3].probs - profile[4].probs).max()),
+    )
+    mirror_mass = max(
+        float(profile[2].probs[: 2 * n].max()),
+        float(profile[5].probs[: 2 * n].max()),
+    )
+    bound = (21 * n + 1) * float(instance.penalty_scale) * eps
+    return gadgets.Team3v3Report(
+        epsilon=eps,
+        strategy=profile[0],
+        bound=bound,
+        max_pair_gap=pair_gap,
+        pair_bound=2.0 * eps,
+        max_mirror_mass=mirror_mass,
+        mirror_bound=9.0 * eps,
+        certificate=cert,
+    )
+
+
+def seeded_matrices():
+    """(raw R, symmetric A with entries <= -1) for n = 1..6."""
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 6
+        raw = [[Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9))) for _ in range(n)]
+               for _ in range(n)]
+        sym = [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)]
+        yield fmat(raw), gadgets.shift_to_gadget_range(sym)[0]
+
+
+DIFF_EPS = (Fraction(1, 10), Fraction(1, 20), Fraction(3, 97))
+
+
+def assert_same_pairs(game, pairs):
+    """Equal exact matrices in the same insertion order, every entry a Fraction."""
+    assert list(game.pair_matrices) == list(pairs)
+    for key, m in game.pair_matrices.items():
+        assert m == pairs[key]
+        assert all(type(x) is Fraction for row in m for x in row)
+
+
+def test_team_gadgets_match_the_prior_construction():
+    for raw, a in seeded_matrices():
+        for eps in DIFF_EPS:
+            inst = gadgets.team_gadget(a, eps)
+            prior_a, prior_eps, penalty, pairs = prior_team_pairs(a, eps)
+            assert (inst.a, inst.epsilon, inst.penalty_scale) == (prior_a, prior_eps, penalty)
+            assert_same_pairs(inst.game, pairs)
+            inst3 = gadgets.team3v3_gadget(raw, eps)
+            r, a3, c, shift, eps3, penalty3, pairs3 = prior_team3v3_pairs(raw, eps)
+            assert (inst3.r, inst3.a, inst3.c, inst3.shift, inst3.epsilon, inst3.penalty_scale) == (
+                r, a3, c, shift, eps3, penalty3
+            )
+            assert_same_pairs(inst3.game, pairs3)
+
+
+def outcome(measure, *args):
+    """The report of a measurement, or the type and message of what it raised."""
+    try:
+        return measure(*args)
+    except (PreconditionError, BoundViolationError, DimensionError) as exc:
+        return type(exc), str(exc)
+
+
+def kind(result) -> str:
+    """What an outcome exercised: the error raised, or whether the report has a pair gap."""
+    if isinstance(result, tuple):
+        return result[0].__name__
+    return "pair gap" if result.max_pair_gap > 0 else "no gap"
+
+
+def assert_same_outcome(new, old):
+    assert type(new) is type(old)
+    if isinstance(new, tuple):
+        assert new == old
+        return
+    assert vars(new).keys() == vars(old).keys()
+    for name, value in vars(new).items():
+        if isinstance(value, MixedStrategy):
+            assert value.probs.tobytes() == vars(old)[name].probs.tobytes()
+        else:
+            assert value == vars(old)[name], name
+
+
+def nudged(strategy, shift):
+    """`strategy` with `shift` mass moved from its largest entry to its smallest."""
+    probs = strategy.probs.copy()
+    probs[probs.argmax()] -= shift
+    probs[probs.argmin()] += shift
+    return MixedStrategy(probs)
+
+
+def test_team_gadget_measurement_matches_the_prior():
+    seen = set()
+    for _, a in seeded_matrices():
+        inst = gadgets.team_gadget(a, Fraction(1, 20))
+        x, _, z = gadgets.canonical_team_ne(inst)
+        mirror = np.zeros(2 * inst.n + 1)
+        mirror[0], mirror[-1] = 1e-7, 1 - 1e-7
+        profiles = [
+            (x, x, z),                                    # exact, gap 0
+            (x, nudged(x, 1e-6), z),                      # certified, nonzero gap
+            (x, x, MixedStrategy(mirror)),                # certified, mirror mass
+            (MixedStrategy.pure(inst.n, 0), x, MixedStrategy(mirror)),
+        ]
+        for profile in profiles:
+            for eps in (0.05, 0.01, 0.1, 0.2, 0.0):
+                args = (inst, MixedProfile(profile), eps)
+                new = outcome(gadgets.measure_gadget_structure, *args)
+                assert_same_outcome(new, outcome(prior_measure_gadget_structure, *args))
+                audited = outcome(gadgets.gadget_structure_audit, *args)
+                prior = outcome(
+                    lambda *a: prior_enforce_structure(prior_measure_gadget_structure(*a)), *args
+                )
+                assert_same_outcome(audited, prior)
+                seen.add(kind(new))
+    assert seen == {"no gap", "pair gap", "PreconditionError"}
+
+
+def test_structure_violation_paths_match_the_prior():
+    # with A constant the team is indifferent, and a pair gap below the
+    # gadget's eps leaves the mirrors no better than the anchor: an exact
+    # equilibrium whose gap exceeds 2 eps once audited at a smaller eps
+    flat = fmat([[-1, -1], [-1, -1]])
+    inst = gadgets.team_gadget(flat, Fraction(1, 10))
+    x = MixedStrategy.pure(2, 0)
+    y = nudged(x, 0.05)
+    profile = MixedProfile((x, y, MixedStrategy.pure(5, 4)))
+    new = outcome(gadgets.gadget_structure_audit, inst, profile, 0.01)
+    assert new[0] is BoundViolationError and "teammates differ" in new[1]
+    assert new == outcome(
+        lambda *a: prior_enforce_structure(prior_measure_gadget_structure(*a)), inst, profile, 0.01
+    )
+    inst3 = gadgets.team3v3_gadget(fmat([[0, 0], [0, 0]]), Fraction(1, 10))
+    anchor = MixedStrategy.pure(5, 4)
+    profile3 = MixedProfile((x, y, anchor, x, y, anchor))
+    kinds = []
+    for eps in (0.01, 0.1):
+        new = outcome(gadgets.team3v3_audit_and_backmap, inst3, profile3, eps)
+        old = outcome(
+            lambda *a: prior_enforce_structure(prior_measure_team3v3(*a)), inst3, profile3, eps
+        )
+        assert_same_outcome(new, old)
+        assert_same_outcome(
+            outcome(gadgets.measure_team3v3, inst3, profile3, eps),
+            outcome(prior_measure_team3v3, inst3, profile3, eps),
+        )
+        kinds.append(kind(new))
+    assert kinds == ["BoundViolationError", "pair gap"]  # 0.05 > 2 eps only at eps = 0.01
+
+
+def test_team3v3_measurement_matches_the_prior():
+    seen = set()
+    for raw, _ in seeded_matrices():
+        inst = gadgets.team3v3_gadget(raw, Fraction(1, 20))
+        eqs = oracle.symmetric_support_enumeration(inst.a, orientation=MINIMIZE)
+        s = MixedStrategy.from_exact(eqs[0].probs)
+        anchor = MixedStrategy.pure(2 * inst.n + 1, 2 * inst.n)
+        t, wider = nudged(s, 1e-7), nudged(s, 1e-7 + 5e-10)
+        # mirror masses 1e-8 and, within the 1e-9 team tolerance, a bit more
+        z, z_hat = nudged(anchor, 1e-8), nudged(anchor, 1e-8 + 5e-10)
+        profiles = [
+            (s, s, anchor, s, s, anchor),
+            (s, t, anchor, s, t, anchor),
+            (s, t, z, s, wider, z_hat),  # the hatted team holds the larger gap and mass
+            (s, wider, z_hat, s, t, z),
+            (s, s, anchor, s, t, anchor),
+            (s, s, anchor, s, s),
+        ]
+        for profile in profiles:
+            for eps in (0.05, 0.1, 0.2):
+                args = (inst, MixedProfile(profile), eps)
+                new = outcome(gadgets.measure_team3v3, *args)
+                assert_same_outcome(new, outcome(prior_measure_team3v3, *args))
+                audited = outcome(gadgets.team3v3_audit_and_backmap, *args)
+                prior = outcome(lambda *a: prior_enforce_structure(prior_measure_team3v3(*a)), *args)
+                assert_same_outcome(audited, prior)
+                seen.add(kind(new))
+    assert seen == {"no gap", "pair gap", "PreconditionError", "DimensionError"}

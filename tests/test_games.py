@@ -163,6 +163,20 @@ def test_partition_with_aligned_orientations_is_rejected():
         )
 
 
+def test_normal_form_partition_with_aligned_orientations_is_rejected():
+    # both teams maximizing the same payoff is not a team game; the tensor
+    # form used to load it (and max_team_inconsistency read 1.11 on it)
+    a = [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="opposite directions"):
+        NormalFormGame((a, a), (MAXIMIZE, MAXIMIZE), team_partition=([0], [1]))
+    with pytest.raises(ValueError, match="share an orientation"):
+        NormalFormGame(
+            (np.zeros((2, 2, 2)),) * 3, (MAXIMIZE, MINIMIZE, MINIMIZE), team_partition=({0, 1}, {2})
+        )
+    game = NormalFormGame((a, a), (MAXIMIZE, MINIMIZE), team_partition=([0], [1]))
+    assert game.team_partition == (frozenset({0}), frozenset({1}))
+
+
 def test_normal_form_tensor_utilities():
     payoffs = np.zeros((2, 2))
     payoffs[0, 0] = 1.0

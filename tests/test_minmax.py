@@ -10,7 +10,7 @@ from minmaxlab import gadgets, minmax, oracle
 from minmaxlab.errors import DimensionError
 from minmaxlab.games import MAXIMIZE, MixedStrategy
 from minmaxlab.minmax import QuadraticMinMaxProblem
-from minmaxlab.rational import fmat, mat_scale, to_float_matrix, transpose
+from minmaxlab.rational import fmat, to_float_matrix, transpose
 
 
 def skew_problem():
@@ -69,7 +69,7 @@ def test_antisymmetry_check_flags_a_biased_problem():
     prob = gadgets.quadratic_gadget(fmat([[1, 0], [0, -1]]))
     biased = QuadraticMinMaxProblem(
         qx=prob.qx,
-        qy=mat_scale(prob.qy, Fraction(2)),
+        qy=tuple(tuple(Fraction(2) * x for x in row) for row in prob.qy),
         m=prob.m,
         domain=prob.domain,
         smoothness_bound=prob.smoothness_bound,

@@ -9,10 +9,6 @@ from minmaxlab.checks import _wsne_slack
 from minmaxlab.rational import (
     fmat,
     fvec,
-    mat_add,
-    mat_max,
-    mat_min,
-    mat_scale,
     mat_vec,
     scale_to_integers,
     scaled_to_float,
@@ -53,15 +49,6 @@ def test_transpose_is_an_involution(rows):
     assert transpose(transpose(m)) == m
 
 
-@given(square(2), square(2))
-def test_mat_add_is_entrywise(a_rows, b_rows):
-    a, b = fmat(a_rows), fmat(b_rows)
-    c = mat_add(a, b)
-    for i in range(2):
-        for j in range(2):
-            assert c[i][j] == a[i][j] + b[i][j]
-
-
 @given(square(3), st.lists(st.fractions(0, 1, max_denominator=64), min_size=3, max_size=3))
 def test_integer_product_matches_the_fraction_reference(rows, weights):
     assume(any(weights))
@@ -73,17 +60,6 @@ def test_integer_product_matches_the_fraction_reference(rows, weights):
     payoffs = mat_vec(m, x)
     assert value == vec_dot(x, payoffs)
     assert slack == max(payoffs) - min(p for p, w in zip(payoffs, x) if w > 0)
-
-
-def test_mat_min_and_max_scan_all_entries():
-    m = fmat([[1, -5], [3, 2]])
-    assert mat_min(m) == Fraction(-5)
-    assert mat_max(m) == Fraction(3)
-
-
-def test_mat_scale_keeps_exactness():
-    m = fmat([["1/3", "1/7"]])
-    assert mat_scale(m, Fraction(21))[0] == (Fraction(7), Fraction(3))
 
 
 def test_solve_linear_exact_solution():
