@@ -43,7 +43,6 @@ from .cliques import (
     measure_nashgap,
     measure_wsne_value,
     nashgap_audit,
-    nashgap_violation,
     nonsym_instance,
     payoff_from_graph,
     payoff_from_graph_delta,
@@ -51,7 +50,6 @@ from .cliques import (
     strict_conditions_hold,
     unique_ne_game,
     wsne_value_audit,
-    wsne_value_violation,
 )
 from .dynamics import (
     ALGORITHMS,

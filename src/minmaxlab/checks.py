@@ -25,6 +25,30 @@ from .games import (
 from .rational import fmat, fvec, scale_to_integers, shape, transpose
 
 CERT_SLACK = 1e-12
+BOUND_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class BoundRecord:
+    """One verdict, decided by the audit that measured it: bound, measured value, holds."""
+
+    name: str
+    value: float | str | None
+    measured: float | str | None
+    satisfied: bool
+
+
+def bound_record(name: str, bound: float, measured: float) -> BoundRecord:
+    """The record of `measured <= bound`, with the 1e-9 slack of float lemma bounds."""
+    return BoundRecord(name, bound, measured, measured <= bound + BOUND_SLACK)
+
+
+def enforce(report):
+    """The one raise policy of the lemma audits: return the report, or raise
+    its `violation`, which is set exactly when one of its `bounds` fails."""
+    if report.violation is not None:
+        raise BoundViolationError(report.violation)
+    return report
 
 
 @dataclass(frozen=True)
@@ -68,6 +92,11 @@ def certify(game: Game, profile: MixedProfile, epsilon: float) -> Certificate:
             f"profile is not a certified {epsilon}-equilibrium: regrets {cert.regrets}"
         )
     return cert
+
+
+def symmetric_regret(game: Game, strategy: MixedStrategy) -> float:
+    """The largest regret of the profile (s, s) in a two-player `game`."""
+    return max(epsilon_ne_report(game, MixedProfile((strategy, strategy))).regrets)
 
 
 def require_wsne_game(game) -> None:
@@ -217,6 +246,6 @@ def mass_bound_audit(game: Game, profile: MixedProfile, epsilon: float) -> list[
                 continue
             mass = float(profile[p].probs[a])
             bound = eps_sq / gap
-            if mass > bound + 1e-9:
+            if mass > bound + BOUND_SLACK:
                 violations.append(MassBoundEntry(p, a, mass, gap, bound))
     return violations

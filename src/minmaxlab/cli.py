@@ -28,10 +28,13 @@ from .analytic import (
     verify_irrational_equilibrium,
 )
 from .checks import (
-    CERT_SLACK,
+    BOUND_SLACK,
+    BoundRecord,
+    bound_record,
     epsilon_ne_report,
     mass_bound_audit,
     require_wsne_game,
+    symmetric_regret,
     wsne_eps_exact,
     wsne_report,
 )
@@ -42,16 +45,13 @@ from .cliques import (
     graph_from_bordered_game,
     measure_nashgap,
     measure_wsne_value,
-    nashgap_violation,
     payoff_from_graph,
     payoff_from_graph_delta,
     robust_unique_ne_game,
     unique_ne_game,
-    wsne_value_bounds,
-    wsne_value_violation,
 )
 from .errors import BoundViolationError, CapExceededError, FormatError, PreconditionError
-from .fileio import BoundRecord, make_report, write_report
+from .fileio import make_report, write_report
 from .gadgets import (
     coupled_gadget,
     coupling_width,
@@ -89,8 +89,6 @@ ALGO_NAMES = {
     "omwu": dynamics.OMWU,
     "alt-gda": dynamics.ALTERNATING_GDA,
 }
-
-SLACK = 1e-9
 
 
 def _frac(text: str) -> Fraction:
@@ -137,12 +135,6 @@ def _pair(profile: MixedProfile) -> tuple[MixedStrategy, MixedStrategy]:
     return profile[0], profile[1]
 
 
-def _strategy_obj(strategy: MixedStrategy) -> list:
-    if strategy.exact is not None:
-        return [str(p) for p in strategy.exact]
-    return [float(p) for p in strategy.probs]
-
-
 def _equilibrium_obj(eq) -> dict:
     return {
         "probs": [str(p) for p in eq.probs],
@@ -151,28 +143,16 @@ def _equilibrium_obj(eq) -> dict:
     }
 
 
-def _eps_bound(name: str, eps: float | None, measured: float, slack: float = SLACK):
-    """Bound record against an optional --eps; without one it only measures."""
+def _check_user_eps(eps: float | None) -> None:
     if eps is not None and eps < 0:
         raise PreconditionError(f"--eps must be non-negative, got {eps}")
+
+
+def _eps_bound(name: str, eps: float | None, measured: float, slack: float = BOUND_SLACK):
+    """Bound record against an optional --eps; without one it only measures.
+    The only verdict the CLI decides: the library's audits decide the rest."""
+    _check_user_eps(eps)
     return BoundRecord(name, eps, measured, eps is None or measured <= eps + slack)
-
-
-def _symmetric_regret(name: str, target, strategy: MixedStrategy, bound: float):
-    """Bound record for the regret of (s, s) in the target game."""
-    cert = epsilon_ne_report(target, MixedProfile((strategy, strategy)), bound)
-    measured = max(cert.regrets)
-    return BoundRecord(name, bound, measured, measured <= bound + SLACK)
-
-
-def _structure_bounds(report) -> list[BoundRecord]:
-    """The pair-gap and mirror-mass records of a measured gadget report."""
-    return [
-        BoundRecord("pair_gap", report.pair_bound, report.max_pair_gap,
-                    report.max_pair_gap <= report.pair_bound + SLACK),
-        BoundRecord("mirror_mass", report.mirror_bound, report.max_mirror_mass,
-                    report.max_mirror_mass <= report.mirror_bound + SLACK),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +251,10 @@ def cmd_gadget_clique(args, inputs):
 
 
 def cmd_check_ne(args, inputs):
-    cert = epsilon_ne_report(args.game, args.profile)
-    bounds = [_eps_bound("epsilon_ne", args.eps, max(cert.regrets), CERT_SLACK)]
+    cert = epsilon_ne_report(args.game, args.profile, args.eps or 0.0)
+    _check_user_eps(args.eps)
+    satisfied = args.eps is None or cert.satisfied
+    bounds = [BoundRecord("epsilon_ne", args.eps, max(cert.regrets), satisfied)]
     data = {
         "regrets": list(cert.regrets),
         "witnesses": [list(w) for w in cert.witnesses],
@@ -322,8 +304,8 @@ def cmd_backmap_team(args, inputs):
     target = NormalFormGame(
         payoffs=(instance.a, instance.a), orientation=(MINIMIZE, MINIMIZE)
     )
-    bounds = [_symmetric_regret("team_backmap", target, strategy, bound)]
-    return bounds, {"strategy": _strategy_obj(strategy)}, MixedProfile((strategy,))
+    bounds = [bound_record("team_backmap", bound, symmetric_regret(target, strategy))]
+    return bounds, {"strategy": fileio.strategy_obj(strategy)}, MixedProfile((strategy,))
 
 
 def _max_vi_residual(matrix: FMat, strategy: MixedStrategy) -> float:
@@ -341,8 +323,8 @@ def cmd_backmap_symmetric(args, inputs):
     x_star = _single_strategy(args.profile)
     bound = symmetric_backmap(matrix, x_star, args.gap)
     measured = _max_vi_residual(matrix, x_star)
-    bounds = [BoundRecord("symmetric_vi", bound, measured, measured <= bound + SLACK)]
-    return bounds, {"strategy": _strategy_obj(x_star)}, MixedProfile((x_star,))
+    bounds = [bound_record("symmetric_vi", bound, measured)]
+    return bounds, {"strategy": fileio.strategy_obj(x_star)}, MixedProfile((x_star,))
 
 
 def cmd_backmap_median(args, inputs):
@@ -350,19 +332,15 @@ def cmd_backmap_median(args, inputs):
     x_star, y_star = _pair(args.profile)
     median, bound = median_backmap(matrix, x_star, y_star, args.gap, args.delta)
     target = BimatrixGame(matrix, transpose(matrix), (MAXIMIZE, MAXIMIZE))
-    bounds = [_symmetric_regret("median_regret", target, median, bound)]
-    return bounds, {"strategy": _strategy_obj(median)}, MixedProfile((median,))
+    bounds = [bound_record("median_regret", bound, symmetric_regret(target, median))]
+    return bounds, {"strategy": fileio.strategy_obj(median)}, MixedProfile((median,))
 
 
 def cmd_backmap_team3v3(args, inputs):
-    matrix = _tensor_matrix(args.game)
-    report = measure_team3v3(team3v3_gadget(matrix, args.eps), args.profile, float(args.eps))
-    target = BimatrixGame(matrix, transpose(matrix), (MAXIMIZE, MAXIMIZE))
-    bounds = _structure_bounds(report) + [
-        _symmetric_regret("team3v3_backmap", target, report.strategy, report.bound)
-    ]
-    data = {"strategy": _strategy_obj(report.strategy)}
-    return bounds, data, MixedProfile((report.strategy,))
+    instance = team3v3_gadget(_tensor_matrix(args.game), args.eps)
+    report = measure_team3v3(instance, args.profile, float(args.eps))
+    data = {"strategy": fileio.strategy_obj(report.strategy)}
+    return report.bounds, data, MixedProfile((report.strategy,))
 
 
 # ---------------------------------------------------------------------------
@@ -372,75 +350,41 @@ def cmd_backmap_team3v3(args, inputs):
 def cmd_audit_gadget_structure(args, inputs):
     instance = team_gadget(_tensor_matrix(args.game), args.eps)
     report = measure_gadget_structure(instance, args.profile, float(args.eps))
-    return _structure_bounds(report), None
+    return report.bounds, None
+
+
+def _add_violation(report, data: dict, offenders: list) -> None:
+    """Name a measured report's violation, if any, in the data and on stderr."""
+    if report.violation is not None:
+        print(f"violation: {report.violation}", file=sys.stderr)
+        data["detail"] = report.violation
+        data["offenders"] = offenders
 
 
 def cmd_audit_nashgap(args, inputs):
     report = measure_nashgap(args.graph)
-    k = report.k
-    clique_ok = all(v == Fraction(-1, k) for v in report.clique_values)
-    bounds = [
-        BoundRecord(
-            "nashgap_max", float(Fraction(-1, k)), float(report.max_value),
-            clique_ok and report.max_value == Fraction(-1, k),
-        )
-    ]
-    if report.nonclique_bound is not None:
-        best = report.best_nonclique_value
-        bounds.append(BoundRecord(
-            "nashgap_gap", float(report.nonclique_bound),
-            float(best) if best is not None else None,
-            not report.offenders,
-        ))
     data = {
-        "k": k,
+        "k": report.k,
         "max_value": str(report.max_value),
         "max_cliques": [[v + 1 for v in c] for c in report.max_cliques],
         "clique_form_count": report.clique_form_count,
         "equilibria": [_equilibrium_obj(eq) for eq in report.equilibria],
     }
-    violation = nashgap_violation(report)
-    if violation is not None:
-        print(f"violation: {violation}", file=sys.stderr)
-        data["detail"] = violation
-        data["offenders"] = [_equilibrium_obj(eq) for eq in report.offenders]
-    return bounds, data
+    _add_violation(report, data, [_equilibrium_obj(eq) for eq in report.offenders])
+    return report.bounds, data
 
 
 def cmd_audit_wsne_value(args, inputs):
     regime = _default_regime(args.graph, args.k, args.delta, args.eps)
     inputs["regime"] = _regime_obj(regime)
     report = measure_wsne_value(args.graph, regime, args.resolution)
-    base, _, other = wsne_value_bounds(regime.n, regime.k, regime.delta)
-    records = {
-        "wsne_clique_value": (base, report.min_clique_value),
-        "wsne_nonclique_value": (other, report.max_other_value),
-        "wsne_closeness": (None, None),
-    }
-    first = {}  # each violated clause's first offender
-    for offender in report.offenders:
-        first.setdefault(offender.clause, offender)
-    bounds = []
-    for name, (value, measured) in records.items():
-        if name in first:
-            value, measured = first[name].bound, first[name].measured
-        bounds.append(BoundRecord(
-            name,
-            float(value) if value is not None else None,
-            float(measured) if measured is not None else None,
-            name not in first,
-        ))
     data = {"k": report.k, "candidates": report.candidates}
-    violation = wsne_value_violation(report)
-    if violation is not None:
-        print(f"violation: {violation}", file=sys.stderr)
-        data["detail"] = violation
-        data["offenders"] = [
-            {"clause": o.clause, "candidate": [str(p) for p in o.probs],
-             "measured": str(o.measured), "bound": str(o.bound)}
-            for o in report.offenders
-        ]
-    return bounds, data
+    _add_violation(report, data, [
+        {"clause": o.clause, "candidate": [str(p) for p in o.probs],
+         "measured": str(o.measured), "bound": str(o.bound)}
+        for o in report.offenders
+    ])
+    return report.bounds, data
 
 
 def cmd_audit_classify(args, inputs):
@@ -510,7 +454,7 @@ def cmd_solve_grid(args, inputs):
     data = {
         "hits": [
             {
-                "strategies": [_strategy_obj(s) for s in profile.strategies],
+                "strategies": [fileio.strategy_obj(s) for s in profile.strategies],
                 "max_regret": regret,
             }
             for profile, regret in hits
@@ -528,7 +472,7 @@ def cmd_solve_refine(args, inputs):
     data = {
         "iterations": result.iterations,
         "converged": result.converged,
-        "strategies": [_strategy_obj(s) for s in result.profile.strategies],
+        "strategies": [fileio.strategy_obj(s) for s in result.profile.strategies],
     }
     return bounds, data, result.profile
 
@@ -586,10 +530,10 @@ def cmd_analytic_irrational(args, inputs):
     bounds = []
     if args.verify:
         report = verify_irrational_equilibrium()
-        measured = max(report.certificate.regrets)
+        cert = report.certificate
         bounds = [
             BoundRecord("irrational_exact", 0.0, 0.0, report.exact),
-            BoundRecord("irrational_regret", 1e-9, measured, measured <= 1e-9),
+            BoundRecord("irrational_regret", cert.epsilon, max(cert.regrets), cert.satisfied),
         ]
         data["regrets"] = list(report.certificate.regrets)
         data["value"] = surd_obj(report.game_value)

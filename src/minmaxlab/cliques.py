@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BoundViolationError, DimensionError, PreconditionError
-from .checks import _wsne_slack
+from .checks import BOUND_SLACK, BoundRecord, _wsne_slack, enforce
 from .games import MAXIMIZE, BimatrixGame, MixedStrategy
 from .minmax import QuadraticMinMaxProblem
 from .oracle import (
@@ -68,11 +68,6 @@ class Graph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(
-            j for j in range(self.n) if j != i and self.has_edge(i, j)
-        )
 
     def is_clique(self, vertices: Sequence[int]) -> bool:
         return all(
@@ -230,6 +225,42 @@ class NashGapReport:
     clique_values: tuple[Fraction | None, ...]
     offenders: tuple[SymmetricEquilibrium, ...]
 
+    @property
+    def bounds(self) -> tuple[BoundRecord, ...]:
+        """nashgap_max (every maximum clique and the best equilibrium worth
+        exactly -1/k) and, for k >= 2, nashgap_gap (no offender); exact."""
+        top = Fraction(-1, self.k)
+        records = (BoundRecord(
+            "nashgap_max", float(top), float(self.max_value),
+            self.max_value == top and all(v == top for v in self.clique_values),
+        ),)
+        if self.nonclique_bound is not None:
+            best = self.best_nonclique_value
+            records += (BoundRecord(
+                "nashgap_gap", float(self.nonclique_bound),
+                float(best) if best is not None else None, not self.offenders,
+            ),)
+        return records
+
+    @property
+    def violation(self) -> str | None:
+        """The first violated clause of the value-gap lemma, or None when every record holds."""
+        if all(b.satisfied for b in self.bounds):
+            return None
+        k = self.k
+        for clique, value in zip(self.max_cliques, self.clique_values):
+            if value is None:
+                return f"uniform play on maximum clique {clique} is not an equilibrium"
+            if value != Fraction(-1, k):
+                return f"clique {clique} equilibrium value {value} != -1/{k}"
+        if self.max_value != Fraction(-1, k):
+            return f"best symmetric equilibrium value {self.max_value} != -1/{k}"
+        listing = "; ".join(f"{eq.probs} at value {eq.value}" for eq in self.offenders[:4])
+        return (
+            f"{len(self.offenders)} non-clique-form symmetric equilibria exceed "
+            f"-1/(k-1) = {self.nonclique_bound}: {listing}"
+        )
+
 
 def _is_clique_uniform(graph: Graph, probs: FVec) -> bool:
     """True when probs is the uniform distribution over some clique of G."""
@@ -282,25 +313,6 @@ def measure_nashgap(graph: Graph) -> NashGapReport:
     )
 
 
-def nashgap_violation(report: NashGapReport) -> str | None:
-    """The first clause of the value-gap lemma the report violates, or None."""
-    k = report.k
-    for clique, value in zip(report.max_cliques, report.clique_values):
-        if value is None:
-            return f"uniform play on maximum clique {clique} is not an equilibrium"
-        if value != Fraction(-1, k):
-            return f"clique {clique} equilibrium value {value} != -1/{k}"
-    if report.max_value != Fraction(-1, k):
-        return f"best symmetric equilibrium value {report.max_value} != -1/{k}"
-    if report.offenders:
-        listing = "; ".join(f"{eq.probs} at value {eq.value}" for eq in report.offenders[:4])
-        return (
-            f"{len(report.offenders)} non-clique-form symmetric equilibria exceed "
-            f"-1/(k-1) = {report.nonclique_bound}: {listing}"
-        )
-    return None
-
-
 def nashgap_audit(graph: Graph) -> NashGapReport:
     """Measure the value gap of A(G) and raise on a violated clause.
 
@@ -319,11 +331,7 @@ def nashgap_audit(graph: Graph) -> NashGapReport:
     maximum-value and clique-uniform assertions are always sound.
     `measure_nashgap` returns the same report without raising.
     """
-    report = measure_nashgap(graph)
-    violation = nashgap_violation(report)
-    if violation is not None:
-        raise BoundViolationError(violation)
-    return report
+    return enforce(measure_nashgap(graph))
 
 
 @dataclass(frozen=True)
@@ -351,12 +359,28 @@ class WsneOffender:
 
 @dataclass(frozen=True)
 class WsneValueReport:
+    """The WSNE value audit's candidates and verdicts (see `measure_wsne_value`)."""
+
     k: int
     candidates: int
     min_clique_value: Fraction | None
     max_other_value: Fraction | None
     records: tuple[WsneCandidateRecord, ...]
     offenders: tuple[WsneOffender, ...]
+    bounds: tuple[BoundRecord, ...]
+
+    @property
+    def violation(self) -> str | None:
+        """The message of the first offender in candidate order, or None."""
+        if not self.offenders:
+            return None
+        o = self.offenders[0]
+        if o.clause == "wsne_clique_value":
+            return f"clique-supported candidate {o.probs} has value {o.measured} < {o.bound}"
+        if o.clause == "wsne_closeness":
+            return (f"clique-supported candidate {o.probs} strays {o.measured} "
+                    f"> {o.bound} from the uniform clique profile")
+        return f"non-clique candidate {o.probs} has value {o.measured} > {o.bound}"
 
 
 PERTURB_WEIGHTS = (Fraction(1, 100), Fraction(1, 10))
@@ -433,7 +457,8 @@ def measure_wsne_value(
     profile on clique K is max_i |k X_ci - q_c [i in K]| / (k q_c).  Every
     clause is decided on these integers.  Nothing is enforced: the report
     lists each violation as an offender, in candidate order and, within a
-    candidate, in clause order.  See `wsne_value_audit`.
+    candidate, in clause order; `bounds` records each clause with its bound
+    and measured value, or its first offender's.  See `wsne_value_audit`.
     """
     if regime.n != graph.n:
         raise DimensionError("regime n does not match the graph")
@@ -482,13 +507,29 @@ def measure_wsne_value(
         bound = (base - factor * r.wsne_eps, factor * r.wsne_eps, other + 2 * r.wsne_eps)
         offenders += [WsneOffender(clause, r.probs, measured[i], bound[i])
                       for i, clause in enumerate(WSNE_CLAUSES) if violated[i][c]]
+    lowest = min((r.value for r in records if r.clique_supported), default=None)
+    highest = max((r.value for r in records if not r.clique_supported), default=None)
+    first = {}  # each violated clause's first offender
+    for o in offenders:
+        first.setdefault(o.clause, o)
+    verdicts = []
+    for name, value, measured in (("wsne_clique_value", base, lowest),
+                                  ("wsne_nonclique_value", other, highest),
+                                  ("wsne_closeness", None, None)):
+        if name in first:
+            value, measured = first[name].bound, first[name].measured
+        verdicts.append(BoundRecord(
+            name, None if value is None else float(value),
+            None if measured is None else float(measured), name not in first,
+        ))
     return WsneValueReport(
         k=k,
         candidates=len(records),
-        min_clique_value=min((r.value for r in records if r.clique_supported), default=None),
-        max_other_value=max((r.value for r in records if not r.clique_supported), default=None),
+        min_clique_value=lowest,
+        max_other_value=highest,
         records=tuple(records),
         offenders=tuple(offenders),
+        bounds=tuple(verdicts),
     )
 
 
@@ -520,19 +561,6 @@ def _violated_clauses(bounds, d: int, k: int, q, e, v, near, clique) -> tuple:
     )
 
 
-def wsne_value_violation(report: WsneValueReport) -> str | None:
-    """The message of the report's first offender, or None when both bounds hold."""
-    if not report.offenders:
-        return None
-    o = report.offenders[0]
-    if o.clause == "wsne_clique_value":
-        return f"clique-supported candidate {o.probs} has value {o.measured} < {o.bound}"
-    if o.clause == "wsne_closeness":
-        return (f"clique-supported candidate {o.probs} strays {o.measured} "
-                f"> {o.bound} from the uniform clique profile")
-    return f"non-clique candidate {o.probs} has value {o.measured} > {o.bound}"
-
-
 def wsne_value_audit(
     graph: Graph,
     regime: ParameterRegime,
@@ -543,11 +571,7 @@ def wsne_value_audit(
     All comparisons are exact rational arithmetic (`measure_wsne_value`);
     the first offender, in candidate order, raises BoundViolationError.
     """
-    report = measure_wsne_value(graph, regime, resolution)
-    violation = wsne_value_violation(report)
-    if violation is not None:
-        raise BoundViolationError(violation)
-    return report
+    return enforce(measure_wsne_value(graph, regime, resolution))
 
 
 def find_nonadjacent_cover(graph: Graph, k: int) -> tuple[int, ...]:
@@ -701,7 +725,7 @@ def classify_symmetric_profile(
     _, clique, form, dist = best
     n = graph.n
     bound = 2.0 * n**6 * eps if well_supported else n**6 * math.sqrt(eps)
-    if dist > bound + 1e-9:
+    if dist > bound + BOUND_SLACK:
         if regime.strict:
             raise BoundViolationError(
                 f"profile sits {dist} from every canonical shape, above {bound}"

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
 from fractions import Fraction
 from numbers import Integral, Real
 
 import numpy as np
 
+from .checks import BoundRecord
 from .cliques import Graph
 from .dynamics import Trajectory
 from .errors import FormatError
@@ -58,6 +60,19 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _finite(value, what: str) -> float:
+    """A JSON real field: a rational string or a number, not a bool, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (str, Real)):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(parse_rational(value) if isinstance(value, str) else value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise FormatError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def rational_str(value: Fraction) -> str:
@@ -123,14 +138,17 @@ def _tensor_obj(node):
     return rational_str(node)
 
 
-def load_game(path: str) -> GameLike:
-    """Read a game file; the payoff variant decides the returned type."""
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from None
-    return game_from_dict(doc)
+
+
+def load_game(path: str) -> GameLike:
+    """Read a game file; the payoff variant decides the returned type."""
+    return game_from_dict(_load_json(path))
 
 
 def game_from_dict(doc) -> GameLike:
@@ -188,16 +206,13 @@ def game_from_dict(doc) -> GameLike:
         qx = _parse_matrix(body.get("qx"), "qx")
         qy = _parse_matrix(body.get("qy"), "qy")
         m = _parse_matrix(body.get("m"), "m")
-        def _num(value) -> float:
-            return float(parse_rational(value)) if isinstance(value, str) else float(value)
-
         domain = None
         if body.get("delta") is not None:
-            domain = JointDomain(shape(qx)[0], _num(body["delta"]))
+            domain = JointDomain(shape(qx)[0], _finite(body["delta"], "delta"))
         kwargs = {}
         for key in ("smoothness_bound", "lipschitz_bound"):
             if body.get(key) is not None:
-                kwargs[key] = _num(body[key])
+                kwargs[key] = _finite(body[key], key)
         problem = QuadraticMinMaxProblem(qx=qx, qy=qy, m=m, domain=domain, **kwargs)
         if problem.n_x != counts[0] or problem.n_y != counts[1]:
             raise FormatError("action_counts disagree with the quadratic blocks")
@@ -216,32 +231,25 @@ def game_to_dict(game: GameLike) -> dict:
             payoffs=(game.row_payoff, game.row_payoff),
             orientation=game.orientation,
         )
-    if isinstance(game, NormalFormGame):
-        first = game.payoffs[0]
-        for other in game.payoffs[1:]:
-            if not np.array_equal(first, other):
-                raise FormatError(
-                    "only shared-payoff games fit the single-tensor format"
-                )
+    if isinstance(game, (NormalFormGame, PolymatrixGame)):
+        if isinstance(game, NormalFormGame):
+            first = game.payoffs[0]
+            for other in game.payoffs[1:]:
+                if not np.array_equal(first, other):
+                    raise FormatError(
+                        "only shared-payoff games fit the single-tensor format"
+                    )
+            payoff = {"tensor": _tensor_obj(first)}
+        else:
+            payoff = {"polymatrix": [
+                {"i": i, "j": j, "matrix": _matrix_obj(m)}
+                for (i, j), m in sorted(game.pair_matrices.items())
+            ]}
         doc = {
             "players": game.n_players,
             "action_counts": list(game.action_counts),
             "orientation": list(game.orientation),
-            "payoff": {"tensor": _tensor_obj(first)},
-        }
-        if game.team_partition is not None:
-            doc["team_partition"] = [sorted(t) for t in game.team_partition]
-        return doc
-    if isinstance(game, PolymatrixGame):
-        blocks = [
-            {"i": i, "j": j, "matrix": _matrix_obj(m)}
-            for (i, j), m in sorted(game.pair_matrices.items())
-        ]
-        doc = {
-            "players": game.n_players,
-            "action_counts": list(game.action_counts),
-            "orientation": list(game.orientation),
-            "payoff": {"polymatrix": blocks},
+            "payoff": payoff,
         }
         if game.team_partition is not None:
             doc["team_partition"] = [sorted(t) for t in game.team_partition]
@@ -326,11 +334,7 @@ def graph_to_dict(graph: Graph) -> dict:
 
 def load_profile(path: str) -> MixedProfile:
     """Profile file: {"strategies": [[...], ...]}, rationals or decimals."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    doc = _load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("strategies"), list):
         raise FormatError(f"{path}: profile file needs a 'strategies' list")
     strategies = []
@@ -357,14 +361,15 @@ def load_profile(path: str) -> MixedProfile:
     return MixedProfile(tuple(strategies))
 
 
+def strategy_obj(strategy: MixedStrategy) -> list:
+    """A strategy on the wire: rational strings when exact, else floats."""
+    if strategy.exact is not None:
+        return [rational_str(p) for p in strategy.exact]
+    return [float(p) for p in strategy.probs]
+
+
 def profile_to_dict(profile: MixedProfile) -> dict:
-    rows = []
-    for s in profile.strategies:
-        if s.exact is not None:
-            rows.append([rational_str(p) for p in s.exact])
-        else:
-            rows.append([float(p) for p in s.probs])
-    return {"strategies": rows}
+    return {"strategies": [strategy_obj(s) for s in profile.strategies]}
 
 
 def save_profile(profile: MixedProfile, path: str) -> None:
@@ -404,23 +409,15 @@ REPORT_ANCHORS = {
 }
 
 
-@dataclass(frozen=True)
-class BoundRecord:
-    """One bound line of a report: target value, measurement, verdict."""
-
-    name: str
-    value: float | str | None
-    measured: float | str | None
-    satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_anchor": REPORT_ANCHORS.get(self.name, "invented — artifact plumbing"),
-            "value": self.value,
-            "measured": self.measured,
-            "satisfied": bool(self.satisfied),
-        }
+def record_to_dict(record: BoundRecord) -> dict:
+    """One bound line of a report: the record with its paper anchor."""
+    return {
+        "name": record.name,
+        "paper_anchor": REPORT_ANCHORS.get(record.name, "invented — artifact plumbing"),
+        "value": record.value,
+        "measured": record.measured,
+        "satisfied": bool(record.satisfied),
+    }
 
 
 def canonical_json(obj) -> str:
@@ -435,14 +432,14 @@ def hash_inputs(inputs: dict) -> str:
 def make_report(
     command: str,
     inputs: dict,
-    bounds: list[BoundRecord],
+    bounds: Sequence[BoundRecord],
     exit_code: int,
     data: dict | None = None,
 ) -> dict:
     report = {
         "command": command,
         "inputs_hash": hash_inputs(inputs),
-        "bounds": [b.to_dict() for b in bounds],
+        "bounds": [record_to_dict(b) for b in bounds],
         "exit_code": int(exit_code),
     }
     if data is not None:
@@ -483,17 +480,3 @@ def save_trajectory(trajectory: Trajectory, path: str) -> None:
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_trajectory_rows(path: str) -> list[tuple[int, float, float, float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "t,gap,drift,utility":
-        raise FormatError(f"{path}: missing trajectory header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"{path}: bad trajectory row {ln!r}")
-        rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
-    return rows

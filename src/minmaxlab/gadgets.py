@@ -16,11 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import Certificate, certify
-from .errors import BoundViolationError, DimensionError, PreconditionError
+from .checks import BoundRecord, Certificate, bound_record, certify, enforce, symmetric_regret
+from .errors import DimensionError, PreconditionError
 from .games import (
     MAXIMIZE,
     MINIMIZE,
+    BimatrixGame,
     MixedProfile,
     MixedStrategy,
     PolymatrixGame,
@@ -43,11 +44,14 @@ def _exact_eps(epsilon) -> Fraction:
     return eps
 
 
-def _float_eps(epsilon) -> float:
-    """A measured eps as a float; PreconditionError outside (0, 1/10 + 1e-12]."""
+def _float_eps(instance: TeamGadgetInstance | Team3v3Instance, epsilon) -> float:
+    """A measured eps as a float; PreconditionError outside (0, 1/10 + 1e-12]
+    or when it is not the gadget's own eps, at which alone the lemmas hold."""
     eps = float(epsilon)
     if not (0 < eps <= float(EPS_CAP) + 1e-12):
         raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
+    if eps != float(instance.epsilon):
+        raise PreconditionError(f"epsilon {eps} is not the gadget's own {instance.epsilon}")
     return eps
 
 
@@ -173,11 +177,19 @@ def team_backmap(
 
     Returns (y*, bound): playing (y*, y*) in the identical-payoff game on A
     (both players minimizing) has regret at most (21 n + 1) |A_min| eps.
+    eps^2 must be the square of the gadget's own eps.
     """
     profile = as_profile(profile)
-    eps = _float_eps(math.sqrt(float(eps2_certified)))
+    eps = _float_eps(instance, math.sqrt(float(eps2_certified)))
     certify(instance.game, profile, float(eps2_certified))
     return profile[1], _backmap_bound(instance, eps)
+
+
+VIOLATIONS = {  # the message of each unsatisfied record: measured, then bound
+    "pair_gap": "teammates differ by {} > 2 eps = {}",
+    "mirror_mass": "mirror action holds {} > 9 eps = {}",
+    "team3v3_backmap": "back-mapped strategy has regret {} > {} in (R, R^T)",
+}
 
 
 @dataclass(frozen=True)
@@ -190,6 +202,22 @@ class GadgetStructureReport:
     max_mirror_mass: float    # max_j z_j over the 2n mirror actions, bounded by 9 eps
     mirror_bound: float
     certificate: Certificate
+
+    @property
+    def bounds(self) -> tuple[BoundRecord, ...]:
+        """The pair-gap and mirror-mass verdicts (1e-9 slack)."""
+        return (
+            bound_record("pair_gap", self.pair_bound, self.max_pair_gap),
+            bound_record("mirror_mass", self.mirror_bound, self.max_mirror_mass),
+        )
+
+    @property
+    def violation(self) -> str | None:
+        """The message of the first unsatisfied record, or None."""
+        for b in self.bounds:
+            if not b.satisfied:
+                return VIOLATIONS[b.name].format(b.measured, b.value)
+        return None
 
 
 def _measure_structure(
@@ -219,20 +247,6 @@ def _measure_structure(
     )
 
 
-def _enforce_structure(report):
-    """Raise BoundViolationError when a measured pair gap or mirror mass
-    exceeds its bound (1e-9 slack); otherwise return the report."""
-    if report.max_pair_gap > report.pair_bound + 1e-9:
-        raise BoundViolationError(
-            f"teammates differ by {report.max_pair_gap} > 2 eps = {report.pair_bound}"
-        )
-    if report.max_mirror_mass > report.mirror_bound + 1e-9:
-        raise BoundViolationError(
-            f"mirror action holds {report.max_mirror_mass} > 9 eps = {report.mirror_bound}"
-        )
-    return report
-
-
 def gadget_structure_audit(
     instance: TeamGadgetInstance, profile: MixedProfile, epsilon: float
 ) -> GadgetStructureReport:
@@ -242,7 +256,7 @@ def gadget_structure_audit(
     are close, ||x - y||_inf <= 2 eps, and the adversary leaves at most
     9 eps on each mirror action.  Violations raise BoundViolationError.
     """
-    return _enforce_structure(measure_gadget_structure(instance, profile, epsilon))
+    return enforce(measure_gadget_structure(instance, profile, epsilon))
 
 
 def measure_gadget_structure(
@@ -250,12 +264,12 @@ def measure_gadget_structure(
 ) -> GadgetStructureReport:
     """The pair gap and mirror mass of a certified eps^2-equilibrium.
 
-    Raises PreconditionError when eps is outside (0, 1/10] or the profile is
-    not a certified eps^2-equilibrium; the two lemma bounds are measured,
-    not enforced (see gadget_structure_audit).
+    Raises PreconditionError when eps is outside (0, 1/10], is not the
+    gadget's own, or the profile is not a certified eps^2-equilibrium; the
+    two lemma bounds are measured, not enforced (see gadget_structure_audit).
     """
     profile = as_profile(profile)
-    eps = _float_eps(epsilon)
+    eps = _float_eps(instance, epsilon)
     return _measure_structure(instance, profile, eps, ((0, 1),), (2,))
 
 
@@ -416,10 +430,17 @@ def team3v3_gadget(matrix, epsilon) -> Team3v3Instance:
 
 @dataclass(frozen=True)
 class Team3v3Report(GadgetStructureReport):
-    """Structure audit and back-map of a team-symmetric 3v3 profile."""
+    """Structure audit and back-map of a team-symmetric 3v3 profile; `bound`
+    caps `backmap_regret`, the regret of (x*, x*) in (R, R^T), both maximizing."""
 
     strategy: MixedStrategy
     bound: float
+    backmap_regret: float
+
+    @property
+    def bounds(self) -> tuple[BoundRecord, ...]:
+        """Both structure verdicts, then the back-map's (1e-9 slack)."""
+        return super().bounds + (bound_record("team3v3_backmap", self.bound, self.backmap_regret),)
 
 
 def team3v3_audit_and_backmap(
@@ -430,10 +451,10 @@ def team3v3_audit_and_backmap(
     Requires x = x-hat, y = y-hat, z = z-hat up to 1e-9.  Checks both teams'
     internal agreement (<= 2 eps per coordinate) and both adversaries'
     mirror masses (<= 9 eps), then returns x* with the guarantee that
-    (x*, x*) is a (21 n + 1) |A_min| eps equilibrium of (R, R^T).
-    Violations raise BoundViolationError.
+    (x*, x*) is a (21 n + 1) |A_min| eps equilibrium of (R, R^T), which it
+    measures too.  Violations raise BoundViolationError.
     """
-    return _enforce_structure(measure_team3v3(instance, profile, epsilon))
+    return enforce(measure_team3v3(instance, profile, epsilon))
 
 
 def measure_team3v3(
@@ -442,11 +463,12 @@ def measure_team3v3(
     """The back-map of a certified, team-symmetric eps^2-equilibrium, with
     its pair gap and mirror mass measured, not enforced.
 
-    Raises PreconditionError when eps is outside (0, 1/10], the profile is
-    not team-symmetric or not a certified eps^2-equilibrium.
+    Raises PreconditionError when eps is outside (0, 1/10] or not the
+    gadget's own, or the profile is not team-symmetric or not a certified
+    eps^2-equilibrium.
     """
     profile = as_profile(profile)
-    eps = _float_eps(epsilon)
+    eps = _float_eps(instance, epsilon)
     if len(profile) != 6:
         raise DimensionError("profile must cover all six players")
     for p in range(3):
@@ -456,6 +478,10 @@ def measure_team3v3(
                 f"profile is not symmetric across teams (player {p}: {mismatch})"
             )
     report = _measure_structure(instance, profile, eps, ((0, 1), (3, 4)), (2, 5))
+    target = BimatrixGame(instance.r, transpose(instance.r), (MAXIMIZE, MAXIMIZE))
     return Team3v3Report(
-        **vars(report), strategy=profile[0], bound=_backmap_bound(instance, eps)
+        **vars(report),
+        strategy=profile[0],
+        bound=_backmap_bound(instance, eps),
+        backmap_regret=symmetric_regret(target, profile[0]),
     )

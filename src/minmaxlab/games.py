@@ -168,6 +168,12 @@ def as_profile(strategies) -> MixedProfile:
     return MixedProfile(tuple(as_strategy(s) for s in strategies))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, locked: the float mirrors of a game's payoffs are shared, never written."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class BimatrixGame:
     """Two-player game with dense rational payoff matrices R (row) and C (column)."""
@@ -197,15 +203,11 @@ class BimatrixGame:
 
     @cached_property
     def row_float(self) -> np.ndarray:
-        m = to_float_matrix(self.row_payoff)
-        m.flags.writeable = False
-        return m
+        return _read_only(to_float_matrix(self.row_payoff))
 
     @cached_property
     def col_float(self) -> np.ndarray:
-        m = to_float_matrix(self.col_payoff)
-        m.flags.writeable = False
-        return m
+        return _read_only(to_float_matrix(self.col_payoff))
 
     def symmetric(self) -> bool:
         """True when the column player faces the transposed row matrix."""
@@ -250,12 +252,7 @@ class PolymatrixGame:
 
     @cached_property
     def pair_floats(self) -> dict[tuple[int, int], np.ndarray]:
-        out = {}
-        for key, m in self.pair_matrices.items():
-            fm = to_float_matrix(m)
-            fm.flags.writeable = False
-            out[key] = fm
-        return out
+        return {key: _read_only(to_float_matrix(m)) for key, m in self.pair_matrices.items()}
 
     @cached_property
     def pair_plan(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray, tuple[int, ...]], ...]:
@@ -311,12 +308,7 @@ class NormalFormGame:
 
     @cached_property
     def float_payoffs(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for t in self.payoffs:
-            f = t.astype(float)
-            f.flags.writeable = False
-            out.append(f)
-        return tuple(out)
+        return tuple(_read_only(t.astype(float)) for t in self.payoffs)
 
 
 Game = BimatrixGame | PolymatrixGame | NormalFormGame

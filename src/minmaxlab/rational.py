@@ -66,6 +66,9 @@ def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 def to_float_matrix(m: FMat) -> np.ndarray:
+    """One float(Fraction) per cell.  From Fractions, scaling first gives the same bits
+    at about the same cost (bordered A(G) payoffs, 2-core x86_64 host: 19-25 vs 28-29 us
+    at 5 actions, 63-71 vs 66-71 at 9, 287-323 vs 268-293 at 20); it pays on held cells."""
     return np.array([[float(x) for x in row] for row in m], dtype=float)
 
 
@@ -84,7 +87,8 @@ def scaled_to_float(cells: np.ndarray, d: int) -> np.ndarray:
     """to_float_matrix of the exact matrix cells / d, from scale_to_integers' output.
 
     Python's int true division rounds correctly, as float(Fraction) does, so
-    the bits are the same; with the cells at hand it is about ten times faster.
+    the bits are the same; with the cells at hand, as QuadraticMinMaxProblem
+    holds them for its symmetry check, it is about ten times faster.
     """
     return (cells / d).astype(float)
 

@@ -12,6 +12,7 @@ from minmaxlab.errors import BoundViolationError
 from minmaxlab.games import MINIMIZE, MixedProfile, MixedStrategy
 from minmaxlab.minmax import QuadraticMinMaxProblem
 from minmaxlab.rational import fmat
+from trajectory_csv import load_trajectory_rows
 
 
 def run_cli(capsys, argv):
@@ -222,6 +223,30 @@ def test_non_integer_game_fields_exit_2(capsys, tmp_path, fields):
     assert "must be an integer" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "field",
+    [("delta", "true"), ("smoothness_bound", "true"), ("lipschitz_bound", "true"),
+     ("delta", "1e400")],
+    ids=["bool-delta", "bool-smoothness", "bool-lipschitz", "overflowing-delta"],
+)
+def test_bool_or_non_finite_real_fields_exit_2(capsys, tmp_path, field):
+    doc = fileio.game_to_dict(gadgets.coupled_gadget(fmat([["1/2", "-1/4"], ["1/4", "1/2"]]), 0.25))
+    game = tmp_path / "quad.json"
+    profile = write_profile(tmp_path, "p.json", [["1/2", "1/2"], ["1/2", "1/2"]])
+    argv = ["check", "gap", "--game", str(game), "--profile", profile, "--eps", "1"]
+    game.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, _ = run_cli(capsys, argv)
+    assert code in (0, 1) and report["exit_code"] == code
+    key, raw = field
+    doc["payoff"]["quadratic"][key] = "@"
+    game.write_text(json.dumps(doc).replace('"@"', raw), encoding="utf-8")
+    code, report, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert report["exit_code"] == 2 and report["bounds"] == []
+    assert key in report["error"]
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     profile = write_profile(tmp_path, "p.json", [["1", "0"]])
     code, report, err = run_cli(
@@ -368,7 +393,7 @@ def test_dynamics_run_writes_a_trajectory(capsys, tmp_path):
         ],
     )
     assert code == 0
-    rows = fileio.load_trajectory_rows(str(out_csv))
+    rows = load_trajectory_rows(str(out_csv))
     assert len(rows) == 25
 
 

@@ -27,6 +27,7 @@ from minmaxlab import cli, fileio, gadgets, oracle
 from minmaxlab.cliques import Graph, unique_ne_game
 from minmaxlab.games import MAXIMIZE, MINIMIZE, MixedProfile, MixedStrategy
 from minmaxlab.rational import fmat
+from trajectory_csv import load_trajectory_rows
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 REL_TOL = 1e-12
@@ -150,6 +151,8 @@ CASES = {
     "audit-nashgap-fig1": ["audit", "nashgap", "--graph", "{fig1.txt}"],
     "audit-nashgap-path3": ["audit", "nashgap", "--graph", "{path3.txt}"],
     "audit-wsne-value": ["audit", "wsne-value", "--graph", "{path3.txt}"],
+    "audit-wsne-value-violated": ["audit", "wsne-value", "--graph", "{path3.txt}",
+                                  "--delta", "99/100"],
     "audit-classify": ["audit", "classify", "--game", "{bordered.json}", "--profile",
                        "{bordered_ne.json}", "--k", "4"],
     "audit-classify-wsne": ["audit", "classify", "--game", "{bordered.json}", "--profile",
@@ -189,7 +192,7 @@ def _write_input(name: str, directory: Path) -> str:
 
 def _read_artifact(path: str):
     if path.endswith(".csv"):
-        return [[int(r[0]), *r[1:]] for r in fileio.load_trajectory_rows(path)]
+        return [[int(r[0]), *r[1:]] for r in load_trajectory_rows(path)]
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 

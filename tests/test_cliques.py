@@ -64,8 +64,8 @@ def test_measure_nashgap_reports_the_violation_it_does_not_enforce(path3):
     assert rep.clique_values == (Fraction(-1, 2), Fraction(-1, 2))
     assert rep.best_nonclique_value == Fraction(-3, 5)
     assert [eq.probs for eq in rep.offenders] == [(Fraction(1, 5), Fraction(3, 5), Fraction(1, 5))]
-    assert "exceed -1/(k-1) = -1" in cliques.nashgap_violation(rep)
-    assert cliques.nashgap_violation(cliques.measure_nashgap(Graph.from_edges(3, [(0, 1)]))) is None
+    assert "exceed -1/(k-1) = -1" in rep.violation
+    assert cliques.measure_nashgap(Graph.from_edges(3, [(0, 1)])).violation is None
 
 
 def test_measure_nashgap_compares_with_the_bound_exactly(path3, monkeypatch):
@@ -212,7 +212,7 @@ def test_measure_wsne_value_reports_the_nonclique_offender_at_delta_99_100(path3
     assert (first.measured, first.bound) == (Fraction(10199, 10300), Fraction(157, 160))
     assert {o.clause for o in report.offenders} == {"wsne_nonclique_value"}
     assert first.measured == next(r.value for r in report.records if r.probs == first.probs)
-    message = cliques.wsne_value_violation(report)
+    message = report.violation
     assert message == (
         "non-clique candidate (Fraction(1, 103), Fraction(101, 103), Fraction(1, 103)) "
         "has value 10199/10300 > 157/160"

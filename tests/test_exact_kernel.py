@@ -420,6 +420,16 @@ def prior_wsne_value_audit(
         records.append(
             WsneCandidateRecord(probs, eps_hat, value, clique_supported)
         )
+    def as_float(value):
+        return float(value) if value is not None else None
+
+    # the records the CLI built from a passing report
+    bounds = (
+        checks.BoundRecord("wsne_clique_value", float(base), as_float(min_clique_value), True),
+        checks.BoundRecord("wsne_nonclique_value", float(other_cap_const),
+                           as_float(max_other_value), True),
+        checks.BoundRecord("wsne_closeness", None, None, True),
+    )
     return WsneValueReport(
         k=k,
         candidates=len(records),
@@ -427,6 +437,7 @@ def prior_wsne_value_audit(
         max_other_value=max_other_value,
         records=tuple(records),
         offenders=(),
+        bounds=bounds,
     )
 
 

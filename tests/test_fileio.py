@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from minmaxlab import dynamics, gadgets
+from minmaxlab.checks import BoundRecord
 from minmaxlab.dynamics import GDA, DynamicsConfig
 from minmaxlab.errors import FormatError
 from minmaxlab.fileio import (
     REPORT_ANCHORS,
-    BoundRecord,
     canonical_json,
     game_from_dict,
     game_to_dict,
@@ -20,11 +20,11 @@ from minmaxlab.fileio import (
     load_game,
     load_graph,
     load_profile,
-    load_trajectory_rows,
     make_report,
     parse_rational,
     profile_to_dict,
     rational_str,
+    record_to_dict,
     save_game,
     save_graph,
     save_profile,
@@ -39,6 +39,7 @@ from minmaxlab.games import (
     MixedStrategy,
 )
 from minmaxlab.rational import fmat
+from trajectory_csv import load_trajectory_rows
 
 
 def test_parse_rational_forms():
@@ -161,6 +162,36 @@ def test_integer_fields_are_read_strictly(fields):
         game_from_dict(team_doc(**fields))
 
 
+def quadratic_text(key: str, raw: str) -> str:
+    """A coupled quadratic problem file whose `key` field is the JSON text `raw`."""
+    doc = game_to_dict(gadgets.coupled_gadget(fmat([["1/2", "-1/4"], ["1/4", "1/2"]]), 0.25))
+    doc["payoff"]["quadratic"][key] = "@"
+    return json.dumps(doc).replace('"@"', raw)
+
+
+BAD_REAL_FIELDS = {
+    "bool delta": ("delta", "true"),
+    "bool smoothness": ("smoothness_bound", "true"),
+    "bool lipschitz": ("lipschitz_bound", "true"),
+    "overflowing delta": ("delta", "1e400"),
+    "overflowing smoothness": ("smoothness_bound", "-1e400"),
+    "overflowing rational": ("lipschitz_bound", '"1e400"'),
+    "NaN lipschitz": ("lipschitz_bound", "NaN"),
+    "list delta": ("delta", "[1]"),
+}
+
+
+def test_the_quadratic_document_loads():
+    problem = game_from_dict(json.loads(quadratic_text("delta", '"1/4"')))
+    assert problem.domain.delta == 0.25 and problem.smoothness_bound == 8.0
+
+
+@pytest.mark.parametrize("field", BAD_REAL_FIELDS.values(), ids=list(BAD_REAL_FIELDS))
+def test_real_fields_are_finite_numbers(field):
+    with pytest.raises(FormatError, match="must be"):
+        game_from_dict(json.loads(quadratic_text(*field)))
+
+
 def test_graph_round_trip(tmp_path, fig1):
     path = tmp_path / "g.txt"
     save_graph(fig1, str(path))
@@ -256,7 +287,7 @@ def test_report_anchors_cover_emitted_bounds():
         assert REPORT_ANCHORS[key]
     # unknown bound names still serialize, marked as local plumbing
     rec = BoundRecord("no_such_bound", None, None, True)
-    assert rec.to_dict()["paper_anchor"] == "invented — artifact plumbing"
+    assert record_to_dict(rec)["paper_anchor"] == "invented — artifact plumbing"
 
 
 def test_trajectory_round_trip(tmp_path):
@@ -271,10 +302,3 @@ def test_trajectory_round_trip(tmp_path):
         assert gap == traj.gaps[t]
         assert drift == traj.drifts[t]
         assert util == traj.utilities[t]
-
-
-def test_trajectory_header_is_required(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("0,1,2,3\n", encoding="utf-8")
-    with pytest.raises(FormatError):
-        load_trajectory_rows(str(path))

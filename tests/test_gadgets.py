@@ -87,6 +87,24 @@ def test_team_backmap_certifies_against_the_symmetric_game():
     assert max(cert.regrets) <= bound + 1e-9
 
 
+def test_structure_lemmas_are_measured_only_at_the_gadget_eps():
+    inst = gadgets.team_gadget(A2, Fraction(1, 20))
+    prof = gadgets.canonical_team_ne(inst)
+    # a float eps equal to the gadget's passes, and so does its square's root
+    assert gadgets.gadget_structure_audit(inst, prof, 0.05).epsilon == 0.05
+    assert gadgets.team_backmap(inst, prof, 0.05**2)[1] == pytest.approx(43 * 2 * 0.05)
+    for measure, eps in (
+        (gadgets.measure_gadget_structure, 0.01),
+        (gadgets.gadget_structure_audit, 0.1),
+        (lambda i, p, e: gadgets.team_backmap(i, p, e * e), 0.01),
+    ):
+        with pytest.raises(PreconditionError, match="is not the gadget's own 1/20"):
+            measure(inst, prof, eps)
+    inst3 = gadgets.team3v3_gadget(fmat([["1/2", 0], [0, "1/2"]]), Fraction(1, 20))
+    with pytest.raises(PreconditionError, match="is not the gadget's own 1/20"):
+        gadgets.measure_team3v3(inst3, MixedProfile((prof[0],) * 6), 0.1)
+
+
 def test_quadratic_gadget_dimensions_and_bounds():
     r = fmat([[1, 0], [0, -1]])
     prob = gadgets.quadratic_gadget(r)
@@ -188,9 +206,9 @@ def test_structure_audits_measure_then_enforce():
     report = gadgets.measure_gadget_structure(inst, prof, 0.05)
     assert gadgets.gadget_structure_audit(inst, prof, 0.05) == report
     with pytest.raises(BoundViolationError, match="teammates differ"):
-        gadgets._enforce_structure(dataclasses.replace(report, max_pair_gap=0.2))
+        checks.enforce(dataclasses.replace(report, max_pair_gap=0.2))
     with pytest.raises(BoundViolationError, match="mirror action holds"):
-        gadgets._enforce_structure(dataclasses.replace(report, max_mirror_mass=0.5))
+        checks.enforce(dataclasses.replace(report, max_mirror_mass=0.5))
 
 
 # the Fraction formulas the integer scaling replaced (reference only)
@@ -393,16 +411,30 @@ def prior_measure_team3v3(instance, profile, epsilon):
         float(profile[5].probs[: 2 * n].max()),
     )
     bound = (21 * n + 1) * float(instance.penalty_scale) * eps
+    # the back-map regret, measured as the CLI measured it
+    target = BimatrixGame(instance.r, transpose(instance.r), (MAXIMIZE, MAXIMIZE))
+    backmap = checks.epsilon_ne_report(target, MixedProfile((profile[0], profile[0])), bound)
     return gadgets.Team3v3Report(
         epsilon=eps,
         strategy=profile[0],
         bound=bound,
+        backmap_regret=max(backmap.regrets),
         max_pair_gap=pair_gap,
         pair_bound=2.0 * eps,
         max_mirror_mass=mirror_mass,
         mirror_bound=9.0 * eps,
         certificate=cert,
     )
+
+
+def prior_own_eps(measure):
+    """A prior measurement behind the later rule that eps be the gadget's own."""
+    def run(instance, profile, epsilon):
+        eps = float(epsilon)
+        if 0 < eps <= float(gadgets.EPS_CAP) + 1e-12 and eps != float(instance.epsilon):
+            raise PreconditionError(f"epsilon {eps} is not the gadget's own {instance.epsilon}")
+        return measure(instance, profile, epsilon)
+    return run
 
 
 def seeded_matrices():
@@ -491,15 +523,14 @@ def test_team_gadget_measurement_matches_the_prior():
             (x, x, MixedStrategy(mirror)),                # certified, mirror mass
             (MixedStrategy.pure(inst.n, 0), x, MixedStrategy(mirror)),
         ]
+        prior_measure = prior_own_eps(prior_measure_gadget_structure)
         for profile in profiles:
             for eps in (0.05, 0.01, 0.1, 0.2, 0.0):
                 args = (inst, MixedProfile(profile), eps)
                 new = outcome(gadgets.measure_gadget_structure, *args)
-                assert_same_outcome(new, outcome(prior_measure_gadget_structure, *args))
+                assert_same_outcome(new, outcome(prior_measure, *args))
                 audited = outcome(gadgets.gadget_structure_audit, *args)
-                prior = outcome(
-                    lambda *a: prior_enforce_structure(prior_measure_gadget_structure(*a)), *args
-                )
+                prior = outcome(lambda *a: prior_enforce_structure(prior_measure(*a)), *args)
                 assert_same_outcome(audited, prior)
                 seen.add(kind(new))
     assert seen == {"no gap", "pair gap", "PreconditionError"}
@@ -508,33 +539,42 @@ def test_team_gadget_measurement_matches_the_prior():
 def test_structure_violation_paths_match_the_prior():
     # with A constant the team is indifferent, and a pair gap below the
     # gadget's eps leaves the mirrors no better than the anchor: an exact
-    # equilibrium whose gap exceeds 2 eps once audited at a smaller eps
+    # equilibrium whose gap 0.05 is within 2 eps.  Audited at a smaller eps
+    # it is refused as a precondition, since the lemma holds only at the
+    # gadget's own eps; the violation path runs on a report whose bound is
+    # tightened to 2 * 0.01.
     flat = fmat([[-1, -1], [-1, -1]])
     inst = gadgets.team_gadget(flat, Fraction(1, 10))
     x = MixedStrategy.pure(2, 0)
     y = nudged(x, 0.05)
     profile = MixedProfile((x, y, MixedStrategy.pure(5, 4)))
-    new = outcome(gadgets.gadget_structure_audit, inst, profile, 0.01)
+    mismatch = outcome(gadgets.gadget_structure_audit, inst, profile, 0.01)
+    assert mismatch == (PreconditionError, "epsilon 0.01 is not the gadget's own 1/10")
+    report = gadgets.gadget_structure_audit(inst, profile, 0.1)
+    assert kind(report) == "pair gap"
+    tight = dataclasses.replace(report, pair_bound=0.02)
+    new = outcome(checks.enforce, tight)
     assert new[0] is BoundViolationError and "teammates differ" in new[1]
-    assert new == outcome(
-        lambda *a: prior_enforce_structure(prior_measure_gadget_structure(*a)), inst, profile, 0.01
-    )
+    assert new == outcome(prior_enforce_structure, tight)
     inst3 = gadgets.team3v3_gadget(fmat([[0, 0], [0, 0]]), Fraction(1, 10))
     anchor = MixedStrategy.pure(5, 4)
     profile3 = MixedProfile((x, y, anchor, x, y, anchor))
+    prior_measure = prior_own_eps(prior_measure_team3v3)
     kinds = []
     for eps in (0.01, 0.1):
         new = outcome(gadgets.team3v3_audit_and_backmap, inst3, profile3, eps)
-        old = outcome(
-            lambda *a: prior_enforce_structure(prior_measure_team3v3(*a)), inst3, profile3, eps
-        )
+        old = outcome(lambda *a: prior_enforce_structure(prior_measure(*a)), inst3, profile3, eps)
         assert_same_outcome(new, old)
         assert_same_outcome(
             outcome(gadgets.measure_team3v3, inst3, profile3, eps),
-            outcome(prior_measure_team3v3, inst3, profile3, eps),
+            outcome(prior_measure, inst3, profile3, eps),
         )
         kinds.append(kind(new))
-    assert kinds == ["BoundViolationError", "pair gap"]  # 0.05 > 2 eps only at eps = 0.01
+    assert kinds == ["PreconditionError", "pair gap"]
+    tight3 = dataclasses.replace(new, pair_bound=0.02)
+    new = outcome(checks.enforce, tight3)
+    assert new[0] is BoundViolationError and "teammates differ" in new[1]
+    assert new == outcome(prior_enforce_structure, tight3)
 
 
 def test_team3v3_measurement_matches_the_prior():
@@ -555,13 +595,14 @@ def test_team3v3_measurement_matches_the_prior():
             (s, s, anchor, s, t, anchor),
             (s, s, anchor, s, s),
         ]
+        prior_measure = prior_own_eps(prior_measure_team3v3)
         for profile in profiles:
             for eps in (0.05, 0.1, 0.2):
                 args = (inst, MixedProfile(profile), eps)
                 new = outcome(gadgets.measure_team3v3, *args)
-                assert_same_outcome(new, outcome(prior_measure_team3v3, *args))
+                assert_same_outcome(new, outcome(prior_measure, *args))
                 audited = outcome(gadgets.team3v3_audit_and_backmap, *args)
-                prior = outcome(lambda *a: prior_enforce_structure(prior_measure_team3v3(*a)), *args)
+                prior = outcome(lambda *a: prior_enforce_structure(prior_measure(*a)), *args)
                 assert_same_outcome(audited, prior)
                 seen.add(kind(new))
     assert seen == {"no gap", "pair gap", "PreconditionError", "DimensionError"}

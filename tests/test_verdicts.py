@@ -1,0 +1,123 @@
+"""Each lemma verdict is decided once, by the audit that measures it.
+
+A report's `bounds` records and its `violation` message come from the same
+measurement, and `checks.enforce` raises BoundViolationError exactly when
+one of the records is unsatisfied, with the message the audits raised
+before the records moved onto the reports.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from minmaxlab import checks, cliques, gadgets, oracle
+from minmaxlab.cliques import Graph, ParameterRegime
+from minmaxlab.errors import BoundViolationError
+from minmaxlab.games import MINIMIZE, MixedProfile, MixedStrategy
+from minmaxlab.rational import fmat
+
+PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+CHORD = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 minus one edge
+EDGE = Graph.from_edges(3, [(0, 1)])
+A2 = fmat([["-3/2", -1], [-1, "-2"]])
+
+
+def assert_enforced(report, message):
+    """enforce returns the report when `message` is None, else raises it; and
+    it raises exactly when one of the report's records is unsatisfied."""
+    assert any(not b.satisfied for b in report.bounds) == (message is not None)
+    assert report.violation == message
+    if message is None:
+        assert checks.enforce(report) is report
+        return
+    with pytest.raises(BoundViolationError) as exc:
+        checks.enforce(report)
+    assert str(exc.value) == message
+
+
+def test_nashgap_verdicts():
+    assert_enforced(cliques.measure_nashgap(EDGE), None)
+    assert_enforced(
+        cliques.measure_nashgap(PATH3),
+        "1 non-clique-form symmetric equilibria exceed -1/(k-1) = -1: "
+        "(Fraction(1, 5), Fraction(3, 5), Fraction(1, 5)) at value -3/5",
+    )
+    assert_enforced(
+        cliques.measure_nashgap(CHORD),
+        "1 non-clique-form symmetric equilibria exceed -1/(k-1) = -1/2: "
+        "(Fraction(3, 8), Fraction(3, 8), Fraction(1, 8), Fraction(1, 8)) at value -3/8",
+    )
+    # on a graph without offenders, each clause of nashgap_max fails alone
+    edge = cliques.measure_nashgap(EDGE)
+    for report, message in (
+        (dataclasses.replace(edge, clique_values=(None,)),
+         "uniform play on maximum clique (0, 1) is not an equilibrium"),
+        (dataclasses.replace(edge, clique_values=(Fraction(-1, 3),)),
+         "clique (0, 1) equilibrium value -1/3 != -1/2"),
+        (dataclasses.replace(edge, max_value=Fraction(-1, 3)),
+         "best symmetric equilibrium value -1/3 != -1/2"),
+    ):
+        assert [b.name for b in report.bounds if not b.satisfied] == ["nashgap_max"]
+        assert_enforced(report, message)
+    path3 = cliques.measure_nashgap(PATH3)  # the first violated clause comes first
+    assert_enforced(
+        dataclasses.replace(path3, clique_values=(Fraction(-1, 2), Fraction(-1, 3))),
+        "clique (1, 2) equilibrium value -1/3 != -1/2",
+    )
+
+
+def test_nashgap_audit_raises_the_report_violation():
+    with pytest.raises(BoundViolationError) as exc:
+        cliques.nashgap_audit(CHORD)
+    assert str(exc.value) == cliques.measure_nashgap(CHORD).violation
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(99, 100)])
+def test_wsne_value_verdicts(delta):
+    regime = ParameterRegime(n=3, k=2, delta=delta, epsilon=Fraction(1, 10**6))
+    report = cliques.measure_wsne_value(PATH3, regime)
+    message = None
+    if delta == Fraction(99, 100):
+        message = (
+            "non-clique candidate (Fraction(1, 103), Fraction(101, 103), Fraction(1, 103)) "
+            "has value 10199/10300 > 157/160"
+        )
+    assert_enforced(report, message)
+    assert [b.name for b in report.bounds] == [
+        "wsne_clique_value", "wsne_nonclique_value", "wsne_closeness"
+    ]
+
+
+def test_team_gadget_structure_verdicts():
+    inst = gadgets.team_gadget(A2, Fraction(1, 20))
+    report = gadgets.measure_gadget_structure(inst, gadgets.canonical_team_ne(inst), 0.05)
+    assert_enforced(report, None)
+    assert [b.name for b in report.bounds] == ["pair_gap", "mirror_mass"]
+    gap = dataclasses.replace(report, max_pair_gap=0.2)
+    assert_enforced(gap, f"teammates differ by 0.2 > 2 eps = {report.pair_bound}")
+    mass = dataclasses.replace(report, max_mirror_mass=0.5)
+    assert_enforced(mass, f"mirror action holds 0.5 > 9 eps = {report.mirror_bound}")
+    both = dataclasses.replace(gap, max_mirror_mass=0.5)
+    assert_enforced(both, gap.violation)  # the pair gap comes first
+    # the records sit on the 1e-9 slack
+    assert_enforced(dataclasses.replace(report, max_pair_gap=report.pair_bound + 5e-10), None)
+
+
+def test_team3v3_verdicts():
+    inst = gadgets.team3v3_gadget(fmat([["1/2", 0], [0, "1/2"]]), Fraction(1, 20))
+    s = MixedStrategy.from_exact(
+        oracle.symmetric_support_enumeration(inst.a, orientation=MINIMIZE)[0].probs
+    )
+    anchor = MixedStrategy.pure(5, 4)
+    report = gadgets.measure_team3v3(inst, MixedProfile((s, s, anchor, s, s, anchor)), 0.05)
+    assert_enforced(report, None)
+    assert [b.name for b in report.bounds] == ["pair_gap", "mirror_mass", "team3v3_backmap"]
+    assert_enforced(
+        dataclasses.replace(report, max_pair_gap=0.5),
+        f"teammates differ by 0.5 > 2 eps = {report.pair_bound}",
+    )
+    assert_enforced(
+        dataclasses.replace(report, backmap_regret=2 * report.bound),
+        f"back-mapped strategy has regret {2 * report.bound} > {report.bound} in (R, R^T)",
+    )

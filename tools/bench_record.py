@@ -21,9 +21,10 @@ with its own `src` on PYTHONPATH.  The file records the machine (cores,
 Python and numpy versions), the commit of each checkout (for one whose code
 has uncommitted changes, also the sha256 of that diff), the median, quartiles
 and IQR of each end-to-end metric that BENCHMARK.json names, every run's
-value, how many runs were correct and how many tasks failed, and the call
-time of each `test_criterion_*` test with the gate's exit status.  With two
-checkouts it also counts, per metric, the pairs the second one won.
+value, how many runs were correct and how many tasks failed, the call
+time of each `test_criterion_*` test with the gate's exit status, and the
+line count of the checkout's `src/minmaxlab/*.py` (as `wc -l` counts it).
+With two checkouts it also counts, per metric, the pairs the second one won.
 """
 
 from __future__ import annotations
@@ -91,6 +92,17 @@ def commit_of(path: str) -> dict:
     diff = git("diff", "--no-color", "--no-ext-diff", "--binary", "HEAD", "--", *MEASURED)
     return {"commit": git("rev-parse", "HEAD").decode().strip(),
             "code_diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None}
+
+
+def src_lines(path: str) -> int:
+    """Newlines in the checkout's src/minmaxlab/*.py, the total `wc -l` prints."""
+    package = os.path.join(path, "src", "minmaxlab")
+    total = 0
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(path: str, workload: str, seed: int, seconds: float) -> dict:
@@ -163,8 +175,8 @@ def main(argv=None) -> int:
                     for m in args.metrics
                 },
             }
-        entries.append({"label": label, **commit_of(path), "workloads": workloads,
-                        "criteria": criteria[label]})
+        entries.append({"label": label, **commit_of(path), "src_lines": src_lines(path),
+                        "workloads": workloads, "criteria": criteria[label]})
 
     doc = {
         "machine": machine,
