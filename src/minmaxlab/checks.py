@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -56,14 +56,19 @@ class Certificate:
     """Regret audit of a profile against a target epsilon.
 
     `witnesses` lists one (player, pure action, gain) per player: the best
-    deviation found and how much it gains.  `satisfied` is true when every
-    regret is at most epsilon + 1e-12.
+    deviation found and how much it gains.  The gains are the `regrets`, and
+    `satisfied` is true when every regret is at most epsilon + 1e-12.
     """
 
-    regrets: tuple[float, ...]
     epsilon: float
-    satisfied: bool
     witnesses: tuple[tuple[int, int, float], ...]
+    regrets: tuple[float, ...] = field(init=False)
+    satisfied: bool = field(init=False)
+
+    def __post_init__(self):
+        regrets = tuple(gain for _, _, gain in self.witnesses)
+        object.__setattr__(self, "regrets", regrets)
+        object.__setattr__(self, "satisfied", all(r <= self.epsilon + CERT_SLACK for r in regrets))
 
 
 def epsilon_ne_report(game: Game, profile: MixedProfile, epsilon: float = 0.0) -> Certificate:
@@ -73,14 +78,7 @@ def epsilon_ne_report(game: Game, profile: MixedProfile, epsilon: float = 0.0) -
     for p, dev in enumerate(deviation_vectors(game, probs)):
         action, gain = best_deviation(dev, probs[p], game.orientation[p])
         witnesses.append((p, action, gain))
-    regrets = tuple(gain for _, _, gain in witnesses)
-    satisfied = all(r <= epsilon + CERT_SLACK for r in regrets)
-    return Certificate(
-        regrets=regrets,
-        epsilon=float(epsilon),
-        satisfied=satisfied,
-        witnesses=tuple(witnesses),
-    )
+    return Certificate(epsilon=float(epsilon), witnesses=tuple(witnesses))
 
 
 def certify(game: Game, profile: MixedProfile, epsilon: float) -> Certificate:

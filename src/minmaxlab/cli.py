@@ -122,7 +122,7 @@ def _single_strategy(profile: MixedProfile) -> MixedStrategy:
         return profile[0]
     if len(profile) == 2:
         if profile[0].probs.shape == profile[1].probs.shape and np.allclose(
-            profile[0].probs, profile[1].probs, atol=1e-12
+            profile[0].probs, profile[1].probs, rtol=0, atol=1e-12
         ):
             return profile[0] if profile[0].exact is not None else profile[1]
         raise FormatError("the two strategies of a symmetric profile must agree")
@@ -309,13 +309,12 @@ def cmd_backmap_team(args, inputs):
 
 
 def _max_vi_residual(matrix: FMat, strategy: MixedStrategy) -> float:
-    """Largest gain of a deviation from x* when maximizing <x, M x*>."""
-    if strategy.exact is not None:  # the regret of (x*, x*) in (M, M^T), exactly
-        target = BimatrixGame(matrix, transpose(matrix), (MAXIMIZE, MAXIMIZE))
+    """Largest gain of a deviation from x* when maximizing <x, M x*>: the
+    regret of (x*, x*) in (M, M^T), exactly when x* is exact."""
+    target = BimatrixGame(matrix, transpose(matrix), (MAXIMIZE, MAXIMIZE))
+    if strategy.exact is not None:
         return float(exact_max_regret(target, [strategy.exact] * 2))
-    m = np.array([[float(e) for e in row] for row in matrix])
-    payoffs = m @ strategy.probs
-    return float(payoffs.max() - strategy.probs @ payoffs)
+    return epsilon_ne_report(target, MixedProfile((strategy, strategy))).regrets[0]
 
 
 def cmd_backmap_symmetric(args, inputs):
@@ -393,14 +392,8 @@ def cmd_audit_classify(args, inputs):
     eps = float(args.eps) if args.eps is not None else 0.0
     inputs["eps"] = repr(eps)
     inputs["well_supported"] = args.wsne
-    graph = graph_from_bordered_game(game)
-    delta = game.row_payoff[0][0]
-    regime = ParameterRegime(
-        n=graph.n,
-        k=args.k,
-        delta=delta if 0 < delta < 1 else Fraction(1, 2),
-        epsilon=args.eps if args.eps is not None else Fraction(1, 10**9),
-    )
+    _check_user_eps(eps)
+    regime = _default_regime(graph_from_bordered_game(game), args.k, None, None)
     result = classify_symmetric_profile(
         game, args.k, regime, x_hat, eps, well_supported=args.wsne
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -211,19 +211,34 @@ class NashGapReport:
     """Exact symmetric equilibrium census of A(G), measured against the lemma.
 
     `clique_values` holds the equilibrium value of uniform play on each
-    maximum clique (None when it is not an equilibrium); `offenders` are the
-    non-clique-form equilibria worth more than `nonclique_bound`.
+    maximum clique (None when it is not an equilibrium); `clique_form` flags
+    each equilibrium that is uniform on a clique.  The rest is derived from
+    these: `offenders` are the non-clique-form equilibria worth more than
+    `nonclique_bound` = -1/(k-1), which exists for k >= 2.
     """
 
     k: int
     max_cliques: tuple[tuple[int, ...], ...]
     equilibria: tuple[SymmetricEquilibrium, ...]
-    max_value: Fraction
-    clique_form_count: int
-    best_nonclique_value: Fraction | None
-    nonclique_bound: Fraction | None
     clique_values: tuple[Fraction | None, ...]
-    offenders: tuple[SymmetricEquilibrium, ...]
+    clique_form: tuple[bool, ...]
+    max_value: Fraction = field(init=False)
+    clique_form_count: int = field(init=False)
+    best_nonclique_value: Fraction | None = field(init=False)
+    nonclique_bound: Fraction | None = field(init=False)
+    offenders: tuple[SymmetricEquilibrium, ...] = field(init=False)
+
+    def __post_init__(self):
+        others = [eq for eq, flag in zip(self.equilibria, self.clique_form, strict=True) if not flag]
+        bound = Fraction(-1, self.k - 1) if self.k >= 2 else None
+        for name, value in (
+            ("max_value", max(eq.value for eq in self.equilibria)),
+            ("clique_form_count", sum(self.clique_form)),
+            ("best_nonclique_value", max((eq.value for eq in others), default=None)),
+            ("nonclique_bound", bound),
+            ("offenders", tuple(eq for eq in others if bound is not None and eq.value > bound)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def bounds(self) -> tuple[BoundRecord, ...]:
@@ -274,9 +289,9 @@ def _is_clique_uniform(graph: Graph, probs: FVec) -> bool:
 def measure_nashgap(graph: Graph) -> NashGapReport:
     """Enumerate all symmetric equilibria of A(G) and measure the value gap.
 
-    Records the value of uniform play on every maximum clique, the best
-    symmetric equilibrium value, the best value of an equilibrium that is
-    not uniform on a clique, and (for k >= 2) every such equilibrium worth
+    Records the value of uniform play on every maximum clique and which
+    equilibria are uniform on a clique; the report derives the best value,
+    the best value of the other equilibria and (for k >= 2) those worth
     more than -1/(k-1).  Nothing is enforced; see `nashgap_audit`.
     """
     a = payoff_from_graph(graph)
@@ -288,28 +303,12 @@ def measure_nashgap(graph: Graph) -> NashGapReport:
     for clique in maxima:
         eq = by_probs.get(clique_uniform(graph, clique).exact)
         clique_values.append(None if eq is None else eq.value)
-    clique_form = 0
-    best_nonclique = None
-    bound = Fraction(-1, k - 1) if k >= 2 else None
-    offenders = []
-    for eq in eqs:
-        if _is_clique_uniform(graph, eq.probs):
-            clique_form += 1
-            continue
-        if best_nonclique is None or eq.value > best_nonclique:
-            best_nonclique = eq.value
-        if bound is not None and eq.value > bound:
-            offenders.append(eq)
     return NashGapReport(
         k=k,
         max_cliques=maxima,
         equilibria=tuple(eqs),
-        max_value=max(eq.value for eq in eqs),
-        clique_form_count=clique_form,
-        best_nonclique_value=best_nonclique,
-        nonclique_bound=bound,
         clique_values=tuple(clique_values),
-        offenders=tuple(offenders),
+        clique_form=tuple(_is_clique_uniform(graph, eq.probs) for eq in eqs),
     )
 
 
@@ -359,15 +358,45 @@ class WsneOffender:
 
 @dataclass(frozen=True)
 class WsneValueReport:
-    """The WSNE value audit's candidates and verdicts (see `measure_wsne_value`)."""
+    """The WSNE value audit's candidates, offenders and clause bounds
+    (base, factor, other) of `wsne_value_bounds`; see `measure_wsne_value`."""
 
     k: int
-    candidates: int
-    min_clique_value: Fraction | None
-    max_other_value: Fraction | None
     records: tuple[WsneCandidateRecord, ...]
     offenders: tuple[WsneOffender, ...]
-    bounds: tuple[BoundRecord, ...]
+    clause_bounds: tuple[Fraction, Fraction, Fraction]
+
+    @property
+    def candidates(self) -> int:
+        return len(self.records)
+
+    @property
+    def min_clique_value(self) -> Fraction | None:
+        return min((r.value for r in self.records if r.clique_supported), default=None)
+
+    @property
+    def max_other_value(self) -> Fraction | None:
+        return max((r.value for r in self.records if not r.clique_supported), default=None)
+
+    @property
+    def bounds(self) -> tuple[BoundRecord, ...]:
+        """The clique-value, non-clique-value and closeness verdicts: each
+        clause's bound and extreme value, or its first offender's; exact."""
+        base, _, other = self.clause_bounds
+        first = {}
+        for o in self.offenders:
+            first.setdefault(o.clause, o)
+        verdicts = []
+        for name, value, measured in (("wsne_clique_value", base, self.min_clique_value),
+                                      ("wsne_nonclique_value", other, self.max_other_value),
+                                      ("wsne_closeness", None, None)):
+            if name in first:
+                value, measured = first[name].bound, first[name].measured
+            verdicts.append(BoundRecord(
+                name, None if value is None else float(value),
+                None if measured is None else float(measured), name not in first,
+            ))
+        return tuple(verdicts)
 
     @property
     def violation(self) -> str | None:
@@ -457,8 +486,8 @@ def measure_wsne_value(
     profile on clique K is max_i |k X_ci - q_c [i in K]| / (k q_c).  Every
     clause is decided on these integers.  Nothing is enforced: the report
     lists each violation as an offender, in candidate order and, within a
-    candidate, in clause order; `bounds` records each clause with its bound
-    and measured value, or its first offender's.  See `wsne_value_audit`.
+    candidate, in clause order; its `bounds` record each clause with its
+    bound and measured value, or its first offender's.  See `wsne_value_audit`.
     """
     if regime.n != graph.n:
         raise DimensionError("regime n does not match the graph")
@@ -507,29 +536,11 @@ def measure_wsne_value(
         bound = (base - factor * r.wsne_eps, factor * r.wsne_eps, other + 2 * r.wsne_eps)
         offenders += [WsneOffender(clause, r.probs, measured[i], bound[i])
                       for i, clause in enumerate(WSNE_CLAUSES) if violated[i][c]]
-    lowest = min((r.value for r in records if r.clique_supported), default=None)
-    highest = max((r.value for r in records if not r.clique_supported), default=None)
-    first = {}  # each violated clause's first offender
-    for o in offenders:
-        first.setdefault(o.clause, o)
-    verdicts = []
-    for name, value, measured in (("wsne_clique_value", base, lowest),
-                                  ("wsne_nonclique_value", other, highest),
-                                  ("wsne_closeness", None, None)):
-        if name in first:
-            value, measured = first[name].bound, first[name].measured
-        verdicts.append(BoundRecord(
-            name, None if value is None else float(value),
-            None if measured is None else float(measured), name not in first,
-        ))
     return WsneValueReport(
         k=k,
-        candidates=len(records),
-        min_clique_value=lowest,
-        max_other_value=highest,
         records=tuple(records),
         offenders=tuple(offenders),
-        bounds=tuple(verdicts),
+        clause_bounds=bounds,
     )
 
 
@@ -630,7 +641,6 @@ class ProfileClassification:
     clique: tuple[int, ...] | None
     distance: float
     bound: float | None
-    enforced: bool
 
     def __iter__(self):
         yield self.form
@@ -736,7 +746,6 @@ def classify_symmetric_profile(
         clique=clique,
         distance=dist,
         bound=bound,
-        enforced=regime.strict,
     )
 
 

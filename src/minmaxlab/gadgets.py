@@ -198,10 +198,16 @@ class GadgetStructureReport:
 
     epsilon: float
     max_pair_gap: float       # ||x - y||_inf, bounded by 2 eps
-    pair_bound: float
     max_mirror_mass: float    # max_j z_j over the 2n mirror actions, bounded by 9 eps
-    mirror_bound: float
     certificate: Certificate
+
+    @property
+    def pair_bound(self) -> float:
+        return 2.0 * self.epsilon
+
+    @property
+    def mirror_bound(self) -> float:
+        return 9.0 * self.epsilon
 
     @property
     def bounds(self) -> tuple[BoundRecord, ...]:
@@ -240,9 +246,7 @@ def _measure_structure(
         max_pair_gap=max(
             float(np.abs(profile[x].probs - profile[y].probs).max()) for x, y in pairs
         ),
-        pair_bound=2.0 * eps,
         max_mirror_mass=max(float(profile[z].probs[:mirrors].max()) for z in adversaries),
-        mirror_bound=9.0 * eps,
         certificate=cert,
     )
 

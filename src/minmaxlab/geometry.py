@@ -79,8 +79,8 @@ class JointDomain:
         worst = max(worst, float(np.maximum(np.abs(x - y) - self.delta, 0.0).max()))
         return worst
 
-    def contains(self, x, y, tol: float = FEASIBILITY_TOL) -> bool:
-        return self.violation(x, y) <= tol
+    def contains(self, x, y) -> bool:
+        return self.violation(x, y) <= FEASIBILITY_TOL
 
 
 def _project_band(z: np.ndarray, n: int, delta: float) -> np.ndarray:
@@ -95,20 +95,15 @@ def _project_band(z: np.ndarray, n: int, delta: float) -> np.ndarray:
     return np.concatenate([x, y])
 
 
-def project_joint(
-    x,
-    y,
-    domain: JointDomain,
-    tol: float = PROJECT_JOINT_TOL,
-    max_sweeps: int = PROJECT_JOINT_MAX_SWEEPS,
-) -> tuple[MixedStrategy, MixedStrategy]:
+def project_joint(x, y, domain: JointDomain) -> tuple[MixedStrategy, MixedStrategy]:
     """Euclidean projection of a strategy pair onto a JointDomain.
 
     Dykstra alternating projections between the simplex product and the
     coordinate band; unlike plain alternating projection this converges to
     the true nearest point of the intersection.  Stops when an entire sweep
-    moves the iterate by no more than `tol` and the iterate is feasible to
-    1e-8; raises ConvergenceError (carrying the last residual) otherwise.
+    moves the iterate by no more than PROJECT_JOINT_TOL and the iterate is
+    feasible to FEASIBILITY_TOL; raises ConvergenceError (carrying the last
+    residual) after PROJECT_JOINT_MAX_SWEEPS sweeps otherwise.
     """
     n = domain.n
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -121,7 +116,7 @@ def project_joint(
     p = np.zeros(2 * n)
     q = np.zeros(2 * n)
     residual = math.inf
-    for _ in range(max_sweeps):
+    for _ in range(PROJECT_JOINT_MAX_SWEEPS):
         prev = cur
         t = prev + q
         b = _project_band(t, n, domain.delta)
@@ -130,10 +125,10 @@ def project_joint(
         cur = np.concatenate([_project_simplex_raw(t[:n]), _project_simplex_raw(t[n:])])
         p = t - cur
         residual = float(np.linalg.norm(cur - prev))
-        if residual <= tol and domain.violation(cur[:n], cur[n:]) <= FEASIBILITY_TOL:
+        if residual <= PROJECT_JOINT_TOL and domain.contains(cur[:n], cur[n:]):
             return MixedStrategy(cur[:n]), MixedStrategy(cur[n:])
     raise ConvergenceError(
-        f"projection did not settle within {max_sweeps} sweeps", residual=residual
+        f"projection did not settle within {PROJECT_JOINT_MAX_SWEEPS} sweeps", residual=residual
     )
 
 
@@ -164,7 +159,7 @@ def _grid_denominator(n: int, resolution, cap: int) -> int:
     if n < 1:
         raise DimensionError("need at least one coordinate")
     m = _resolution_denominator(resolution)
-    count = math.comb(m + n - 1, n - 1)
+    count = grid_size(n, resolution)
     if count > cap:
         raise CapExceededError(f"grid holds {count} points, cap is {cap}")
     return m

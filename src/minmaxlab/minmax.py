@@ -144,11 +144,10 @@ def f_value(problem: QuadraticMinMaxProblem, x, y) -> float:
 
 
 def gradient(problem: QuadraticMinMaxProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """(grad_x f, grad_y f) at the point."""
+    """(grad_x f, grad_y f) at the point: the players' feedbacks, the
+    maximizer's negated as 0.0 - v so that a zero component stays +0.0."""
     xv, yv = _point(problem, x, y)
-    gx = problem.mt_float @ yv - problem.qx_float @ xv
-    gy = problem.qy_float @ yv + problem.m_float @ xv
-    return gx, gy
+    return problem.minimizer_feedback(xv, yv), 0.0 - problem.maximizer_feedback(yv, xv)
 
 
 def _simplex_gda_rows(
@@ -206,7 +205,6 @@ class GapReport:
 
     gap: float
     stepsize: float
-    point: tuple[MixedStrategy, MixedStrategy]
     vi_bound: float | None
     bound_name: str | None
 
@@ -261,7 +259,6 @@ def gda_gap(
     return GapReport(
         gap=gap,
         stepsize=float(stepsize),
-        point=(MixedStrategy(xv), MixedStrategy(yv)),
         vi_bound=vi_bound,
         bound_name=bound_name,
     )
@@ -287,7 +284,10 @@ def check_fone(problem: QuadraticMinMaxProblem, x, y) -> tuple[float, float]:
 class AntisymmetryReport:
     structural: bool
     max_violation: float
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.structural and self.max_violation <= 1e-10
 
 
 def antisymmetry_check(
@@ -305,4 +305,4 @@ def antisymmetry_check(
     else:
         structural = False
         worst = math.inf
-    return AntisymmetryReport(structural, worst, structural and worst <= 1e-10)
+    return AntisymmetryReport(structural, worst)

@@ -35,7 +35,7 @@ from .games import (
     profile_probs,
     to_normal_form,
 )
-from .geometry import _compositions, _resolution_denominator
+from .geometry import _compositions, _resolution_denominator, grid_size
 from .rational import FVec, fmat, fvec, scale_to_integers, shape, solve_stacked, to_fraction
 
 logger = logging.getLogger(__name__)
@@ -287,7 +287,7 @@ def grid_ne_search(
     nf = _as_normal_form(game)
     counts = nf.action_counts
     m = _resolution_denominator(resolution)
-    sizes = [math.comb(m + c - 1, c - 1) for c in counts]
+    sizes = [grid_size(c, resolution) for c in counts]
     total = math.prod(sizes)
     if total > cap:
         raise CapExceededError(f"{total} grid profiles exceed cap {cap}")

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from minmaxlab import cli, fileio, gadgets, oracle
+from minmaxlab.cliques import unique_ne_game
 from minmaxlab.errors import BoundViolationError
-from minmaxlab.games import MINIMIZE, MixedProfile, MixedStrategy
+from minmaxlab.games import MAXIMIZE, MINIMIZE, MixedProfile, MixedStrategy
 from minmaxlab.minmax import QuadraticMinMaxProblem
 from minmaxlab.rational import fmat
 from trajectory_csv import load_trajectory_rows
@@ -539,3 +540,42 @@ def test_backmap_team3v3_reports_a_violated_structure_bound(capsys, tmp_path, mo
     assert not bounds["pair_gap"]["satisfied"]
     assert bounds["mirror_mass"]["satisfied"]
     assert bounds["team3v3_backmap"]["satisfied"]
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["equal-first", "nudged-first"])
+def test_symmetric_profile_strategies_must_agree_to_1e_12(capsys, tmp_path, swap):
+    # the two strategies differ by 4e-6: within numpy's default relative
+    # tolerance, far outside the stated absolute one
+    game = write_game(tmp_path, "id.json", [["1", "0"], ["0", "1"]], ["max", "max"])
+    rows = [[0.5, 0.5], [0.500004, 0.499996]]
+    x = write_profile(tmp_path, "x.json", rows[::-1] if swap else rows)
+    code, report, _ = run_cli(capsys, ["check", "wsne", "--game", game, "--profile", x])
+    assert code == 2
+    assert report["bounds"] == []
+    assert "must agree" in report["error"]
+
+
+def _classify_argv(tmp_path, fig1):
+    game = unique_ne_game(fig1, 4)
+    eq = oracle.symmetric_support_enumeration(game.row_payoff, orientation=MAXIMIZE)[0]
+    gpath, ppath = tmp_path / "bordered.json", tmp_path / "x.json"
+    fileio.save_game(game, str(gpath))
+    fileio.save_profile(MixedProfile((MixedStrategy.from_exact(eq.probs),)), str(ppath))
+    return ["audit", "classify", "--game", str(gpath), "--profile", str(ppath), "--k", "4"]
+
+
+def test_classify_at_eps_zero_is_the_default(capsys, tmp_path, fig1):
+    argv = _classify_argv(tmp_path, fig1)
+    default = run_cli(capsys, argv)
+    assert default[0] == 0
+    assert run_cli(capsys, argv + ["--eps", "0"]) == default
+
+
+@pytest.mark.parametrize("wsne", [[], ["--wsne"]], ids=["ne", "wsne"])
+def test_classify_rejects_a_negative_eps(capsys, tmp_path, fig1, wsne):
+    code, report, err = run_cli(capsys, _classify_argv(tmp_path, fig1) + ["--eps", "-1"] + wsne)
+    assert code == 2
+    assert err.startswith("error:")
+    assert report["exit_code"] == 2
+    assert report["bounds"] == []
+    assert "non-negative" in report["error"]

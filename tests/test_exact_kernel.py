@@ -299,6 +299,13 @@ def prior_grid_ne_search(game, resolution, eps, cap=GRID_SEARCH_CAP):
     return results
 
 
+def prior_gradient(problem, x, y):
+    xv, yv = _point(problem, x, y)
+    gx = problem.mt_float @ yv - problem.qx_float @ xv
+    gy = problem.qy_float @ yv + problem.m_float @ xv
+    return gx, gy
+
+
 def prior_check_fone(problem, x, y):
     if problem.domain is not None:
         raise UnsupportedDomainError(
@@ -430,15 +437,16 @@ def prior_wsne_value_audit(
                            as_float(max_other_value), True),
         checks.BoundRecord("wsne_closeness", None, None, True),
     )
-    return WsneValueReport(
+    report = WsneValueReport(
         k=k,
-        candidates=len(records),
-        min_clique_value=min_clique_value,
-        max_other_value=max_other_value,
         records=tuple(records),
         offenders=(),
-        bounds=bounds,
+        clause_bounds=(base, factor, other_cap_const),
     )
+    assert (report.candidates, report.min_clique_value, report.max_other_value, report.bounds) == (
+        len(records), min_clique_value, max_other_value, bounds
+    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +683,22 @@ def test_check_fone_matches_the_prior_expressions_bit_for_bit(nx, ny, seed):
     )
     x, y = rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))
     assert check_fone(problem, x, y) == prior_check_fone(problem, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_gradient_matches_the_prior_products_bit_for_bit(nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    problem = QuadraticMinMaxProblem(
+        symmetrised(_rational_matrix(rng, nx, nx)),
+        symmetrised(_rational_matrix(rng, ny, ny)),
+        _rational_matrix(rng, ny, nx),
+    )
+    # interior points, and vertices, where components vanish: zeros keep their sign
+    for x, y in ((rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))),
+                 (np.eye(nx)[seed % nx], np.eye(ny)[seed % ny])):
+        for new, old in zip(gradient(problem, x, y), prior_gradient(problem, x, y)):
+            assert new.tobytes() == old.tobytes()
 
 
 def test_check_fone_matches_on_quadratic_gadgets():

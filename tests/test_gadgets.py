@@ -377,14 +377,14 @@ def prior_measure_gadget_structure(instance, profile, epsilon):
     x, y, z = (profile[p].probs for p in range(3))
     pair_gap = float(np.abs(x - y).max())
     mirror_mass = float(z[: 2 * instance.n].max()) if instance.n else 0.0
-    return gadgets.GadgetStructureReport(
+    report = gadgets.GadgetStructureReport(
         epsilon=eps,
         max_pair_gap=pair_gap,
-        pair_bound=2.0 * eps,
         max_mirror_mass=mirror_mass,
-        mirror_bound=9.0 * eps,
         certificate=cert,
     )
+    assert (report.pair_bound, report.mirror_bound) == (2.0 * eps, 9.0 * eps)
+    return report
 
 
 def prior_measure_team3v3(instance, profile, epsilon):
@@ -414,17 +414,17 @@ def prior_measure_team3v3(instance, profile, epsilon):
     # the back-map regret, measured as the CLI measured it
     target = BimatrixGame(instance.r, transpose(instance.r), (MAXIMIZE, MAXIMIZE))
     backmap = checks.epsilon_ne_report(target, MixedProfile((profile[0], profile[0])), bound)
-    return gadgets.Team3v3Report(
+    report = gadgets.Team3v3Report(
         epsilon=eps,
         strategy=profile[0],
         bound=bound,
         backmap_regret=max(backmap.regrets),
         max_pair_gap=pair_gap,
-        pair_bound=2.0 * eps,
         max_mirror_mass=mirror_mass,
-        mirror_bound=9.0 * eps,
         certificate=cert,
     )
+    assert (report.pair_bound, report.mirror_bound) == (2.0 * eps, 9.0 * eps)
+    return report
 
 
 def prior_own_eps(measure):
@@ -541,8 +541,8 @@ def test_structure_violation_paths_match_the_prior():
     # gadget's eps leaves the mirrors no better than the anchor: an exact
     # equilibrium whose gap 0.05 is within 2 eps.  Audited at a smaller eps
     # it is refused as a precondition, since the lemma holds only at the
-    # gadget's own eps; the violation path runs on a report whose bound is
-    # tightened to 2 * 0.01.
+    # gadget's own eps; the violation path runs on a report whose eps is
+    # replaced by 0.01, which tightens its pair bound to 2 * 0.01.
     flat = fmat([[-1, -1], [-1, -1]])
     inst = gadgets.team_gadget(flat, Fraction(1, 10))
     x = MixedStrategy.pure(2, 0)
@@ -552,7 +552,8 @@ def test_structure_violation_paths_match_the_prior():
     assert mismatch == (PreconditionError, "epsilon 0.01 is not the gadget's own 1/10")
     report = gadgets.gadget_structure_audit(inst, profile, 0.1)
     assert kind(report) == "pair gap"
-    tight = dataclasses.replace(report, pair_bound=0.02)
+    tight = dataclasses.replace(report, epsilon=0.01)
+    assert tight.pair_bound == 0.02
     new = outcome(checks.enforce, tight)
     assert new[0] is BoundViolationError and "teammates differ" in new[1]
     assert new == outcome(prior_enforce_structure, tight)
@@ -571,7 +572,8 @@ def test_structure_violation_paths_match_the_prior():
         )
         kinds.append(kind(new))
     assert kinds == ["PreconditionError", "pair gap"]
-    tight3 = dataclasses.replace(new, pair_bound=0.02)
+    tight3 = dataclasses.replace(new, epsilon=0.01)
+    assert tight3.pair_bound == 0.02
     new = outcome(checks.enforce, tight3)
     assert new[0] is BoundViolationError and "teammates differ" in new[1]
     assert new == outcome(prior_enforce_structure, tight3)

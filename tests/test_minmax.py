@@ -1,5 +1,6 @@
 """Quadratic saddle problems: values, gradients, GDA maps, and gap bounds."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,14 @@ def test_antisymmetry_check_passes_on_gadget_problems():
     assert rep.structural
     assert rep.ok
     assert rep.max_violation <= 1e-12
+
+
+def test_antisymmetry_ok_is_derived_from_the_measurement():
+    rep = minmax.antisymmetry_check(random_problem(3), samples=10, seed=0)
+    assert rep.ok
+    assert dataclasses.replace(rep, max_violation=1e-10).ok
+    assert not dataclasses.replace(rep, max_violation=2e-10).ok
+    assert not dataclasses.replace(rep, structural=False).ok
 
 
 def test_antisymmetry_check_flags_a_biased_problem():

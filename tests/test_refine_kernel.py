@@ -77,12 +77,9 @@ def prior_epsilon_ne_report(game, profile, epsilon=0.0):
         regrets.append(gain)
         witnesses.append((p, action, gain))
     satisfied = all(r <= epsilon + checks.CERT_SLACK for r in regrets)
-    return checks.Certificate(
-        regrets=tuple(regrets),
-        epsilon=float(epsilon),
-        satisfied=satisfied,
-        witnesses=tuple(witnesses),
-    )
+    cert = checks.Certificate(epsilon=float(epsilon), witnesses=tuple(witnesses))
+    assert (cert.regrets, cert.satisfied) == (tuple(regrets), satisfied)
+    return cert
 
 
 def prior_local_ne_refine(game, start, target_regret, max_iters=100_000, damping=0.1):

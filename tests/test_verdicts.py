@@ -55,7 +55,9 @@ def test_nashgap_verdicts():
          "uniform play on maximum clique (0, 1) is not an equilibrium"),
         (dataclasses.replace(edge, clique_values=(Fraction(-1, 3),)),
          "clique (0, 1) equilibrium value -1/3 != -1/2"),
-        (dataclasses.replace(edge, max_value=Fraction(-1, 3)),
+        (dataclasses.replace(edge, equilibria=tuple(
+            dataclasses.replace(eq, value=Fraction(-1, 3)) if eq.value == edge.max_value else eq
+            for eq in edge.equilibria)),
          "best symmetric equilibrium value -1/3 != -1/2"),
     ):
         assert [b.name for b in report.bounds if not b.satisfied] == ["nashgap_max"]
@@ -121,3 +123,68 @@ def test_team3v3_verdicts():
         dataclasses.replace(report, backmap_regret=2 * report.bound),
         f"back-mapped strategy has regret {2 * report.bound} > {report.bound} in (R, R^T)",
     )
+
+
+
+def verdicts(report):
+    """The verdict a report gives: `satisfied`, or its `bounds` and `violation`,
+    which agree with each other."""
+    if isinstance(report, checks.Certificate):
+        return report.satisfied
+    assert all(b.satisfied for b in report.bounds) == (report.violation is None)
+    return report.bounds, report.violation
+
+
+def assert_decides_again(report, **changes):
+    """A report with measured fields replaced gives the verdict of a report
+    built from the new measurements, which differs from the original's."""
+    measured = {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.init}
+    built = type(report)(**{**measured, **changes})
+    replaced = dataclasses.replace(report, **changes)
+    assert replaced == built
+    assert verdicts(replaced) == verdicts(built) != verdicts(report)
+
+
+# an exact equilibrium of a flat gadget with pair gap 0.05, within 2 eps at its eps = 1/10
+FLAT_X, FLAT_Y, FLAT_Z = MixedStrategy.pure(2, 0), MixedStrategy([0.95, 0.05]), MixedStrategy.pure(5, 4)
+
+
+def certificate_case():
+    game = gadgets.team_gadget(A2, Fraction(1, 20)).game
+    uniform = MixedProfile(tuple(MixedStrategy.uniform(n) for n in game.action_counts))
+    cert = checks.epsilon_ne_report(game, uniform, 0.0)
+    return cert, {"epsilon": max(cert.regrets)}
+
+
+def structure_case():
+    inst = gadgets.team_gadget(fmat([[-1, -1], [-1, -1]]), Fraction(1, 10))
+    profile = MixedProfile((FLAT_X, FLAT_Y, FLAT_Z))
+    return gadgets.measure_gadget_structure(inst, profile, 0.1), {"epsilon": 0.01}
+
+
+def team3v3_case():
+    inst = gadgets.team3v3_gadget(fmat([[0, 0], [0, 0]]), Fraction(1, 10))
+    profile = MixedProfile((FLAT_X, FLAT_Y, FLAT_Z) * 2)
+    return gadgets.measure_team3v3(inst, profile, 0.1), {"epsilon": 0.01}
+
+
+def nashgap_case():
+    report = cliques.measure_nashgap(PATH3)
+    return report, {"equilibria": tuple(
+        dataclasses.replace(eq, value=Fraction(-2)) if eq in report.offenders else eq
+        for eq in report.equilibria
+    )}
+
+
+def wsne_case():
+    regime = ParameterRegime(n=3, k=2, delta=Fraction(99, 100), epsilon=Fraction(1, 10**6))
+    return cliques.measure_wsne_value(PATH3, regime), {"offenders": ()}
+
+
+@pytest.mark.parametrize(
+    "case", [certificate_case, structure_case, team3v3_case, nashgap_case, wsne_case],
+    ids=["certificate", "structure", "team3v3", "nashgap", "wsne"],
+)
+def test_a_replaced_report_decides_again(case):
+    report, changes = case()
+    assert_decides_again(report, **changes)
