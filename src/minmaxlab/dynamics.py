@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -53,10 +54,17 @@ class DynamicsConfig:
             raise PreconditionError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
+        if isinstance(self.stepsize, bool) or not isinstance(self.stepsize, Real):
+            raise PreconditionError(f"stepsize must be a real number, got {self.stepsize!r}")
         if not (0 < self.stepsize <= 1):
             raise PreconditionError("stepsize must lie in (0, 1]")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, Integral):
+            raise PreconditionError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise PreconditionError("horizon must be at least 1")
+        # an exact stepsize would turn every iterate into an object array
+        object.__setattr__(self, "stepsize", float(self.stepsize))
+        object.__setattr__(self, "horizon", int(self.horizon))
 
 
 @dataclass(frozen=True)

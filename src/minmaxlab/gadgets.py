@@ -165,9 +165,9 @@ def canonical_team_ne(instance: TeamGadgetInstance) -> MixedProfile:
     return MixedProfile((x_bar, x_bar, z))
 
 
-def _backmap_bound(instance: TeamGadgetInstance | Team3v3Instance, eps: float) -> float:
-    """(21 n + 1) |A_min| eps: the regret bound both team back-maps carry."""
-    return (21 * instance.n + 1) * float(instance.penalty_scale) * eps
+def _backmap_scale(instance: TeamGadgetInstance | Team3v3Instance) -> float:
+    """(21 n + 1) |A_min|: times eps, the regret bound both team back-maps carry."""
+    return (21 * instance.n + 1) * float(instance.penalty_scale)
 
 
 def team_backmap(
@@ -182,7 +182,7 @@ def team_backmap(
     profile = as_profile(profile)
     eps = _float_eps(instance, math.sqrt(float(eps2_certified)))
     certify(instance.game, profile, float(eps2_certified))
-    return profile[1], _backmap_bound(instance, eps)
+    return profile[1], _backmap_scale(instance) * eps
 
 
 VIOLATIONS = {  # the message of each unsatisfied record: measured, then bound
@@ -438,8 +438,13 @@ class Team3v3Report(GadgetStructureReport):
     caps `backmap_regret`, the regret of (x*, x*) in (R, R^T), both maximizing."""
 
     strategy: MixedStrategy
-    bound: float
+    backmap_scale: float  # (21 n + 1) |A_min|
     backmap_regret: float
+
+    @property
+    def bound(self) -> float:
+        """(21 n + 1) |A_min| eps."""
+        return self.backmap_scale * self.epsilon
 
     @property
     def bounds(self) -> tuple[BoundRecord, ...]:
@@ -486,6 +491,6 @@ def measure_team3v3(
     return Team3v3Report(
         **vars(report),
         strategy=profile[0],
-        bound=_backmap_bound(instance, eps),
+        backmap_scale=_backmap_scale(instance),
         backmap_regret=symmetric_regret(target, profile[0]),
     )

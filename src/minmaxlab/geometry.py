@@ -17,19 +17,52 @@ PROJECT_JOINT_TOL = 1e-10
 PROJECT_JOINT_MAX_SWEEPS = 100_000
 FEASIBILITY_TOL = 1e-8
 SIMPLEX_GRID_CAP = 10_000_000
+# the largest n at which the scalar threshold beats numpy's (measured in
+# docs/decisions.md, "Float loops")
+_SCALAR_PROJECTION_MAX_N = 40
+_NO_THRESHOLD = (
+    "simplex projection found no threshold: an entry is NaN or +inf, or too large for 1 to register"
+)
 
 
 def _project_simplex_raw(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort and threshold).
 
     theta = css[k] / (k + 1) at the last k with u[k] > css[k] / (k + 1), where
-    u is v sorted descending and css its cumulative sums less 1.
+    u is v sorted descending and css its cumulative sums less 1.  Up to
+    `_SCALAR_PROJECTION_MAX_N` entries, where numpy's fixed cost per call
+    dominates, theta is found on Python floats by the same operations in the
+    same order, so both ways give the same bits.  Raises ValueError when no
+    k passes, as with a NaN or +inf entry.
     """
-    u = np.sort(v)[::-1]
-    css = u.cumsum()
-    css -= 1.0
-    k = (u > css / np.arange(1, v.size + 1)).nonzero()[0][-1]
-    return np.maximum(v - css[k] / (k + 1), 0.0)
+    if v.size <= _SCALAR_PROJECTION_MAX_N:
+        theta = _scalar_threshold(v)
+    else:
+        u = np.sort(v)[::-1]
+        css = u.cumsum()
+        css -= 1.0
+        passing = (u > css / np.arange(1, v.size + 1)).nonzero()[0]
+        if passing.size == 0:
+            raise ValueError(_NO_THRESHOLD)
+        k = passing[-1]
+        theta = css[k] / (k + 1)
+    return np.maximum(v - theta, 0.0)
+
+
+def _scalar_threshold(v: np.ndarray) -> float:
+    """The theta of `_project_simplex_raw`, by one sequential pass over floats."""
+    s = 0.0
+    theta = None
+    for k, u in enumerate(sorted(v.tolist(), reverse=True), 1):
+        s += u
+        t = (s - 1.0) / k
+        if u > t:
+            theta = t
+    # a NaN total means a NaN entry (which Python's sort may place anywhere)
+    # or inf + -inf; numpy's order then lets no k pass
+    if theta is None or s != s:
+        raise ValueError(_NO_THRESHOLD)
+    return theta
 
 
 def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
@@ -45,7 +78,10 @@ def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
 
 def project_simplex(point) -> MixedStrategy:
     """Project an arbitrary real vector onto the simplex."""
-    v = np.asarray(point, dtype=float).reshape(-1)
+    v = np.asarray(point, dtype=float)
+    if v.ndim > 1:
+        raise DimensionError(f"expected one vector, got an array of shape {v.shape}")
+    v = v.reshape(-1)
     if v.size == 0:
         raise DimensionError("empty vector")
     if not np.all(np.isfinite(v)):

@@ -123,3 +123,22 @@ def test_custom_init_changes_the_trajectory():
 def test_horizon_must_be_positive():
     with pytest.raises(PreconditionError):
         DynamicsConfig(algorithm=GDA, stepsize=0.1, horizon=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("horizon", 2.5), ("horizon", True), ("stepsize", True), ("stepsize", "0.1")],
+    ids=["float-horizon", "bool-horizon", "bool-stepsize", "str-stepsize"],
+)
+def test_config_types_are_checked_at_construction(field, value):
+    fields = {"algorithm": GDA, "stepsize": 0.1, "horizon": 10, field: value}
+    with pytest.raises(PreconditionError, match=field):
+        DynamicsConfig(**fields)
+
+
+def test_config_stores_numpy_and_exact_numbers_as_float_and_int():
+    config = DynamicsConfig(algorithm=GDA, stepsize=Fraction(1, 10), horizon=np.int64(3))
+    assert (type(config.stepsize), type(config.horizon)) == (float, int)
+    plain = DynamicsConfig(algorithm=GDA, stepsize=0.1, horizon=3)
+    for got, want in zip(run(rps_problem(), config).points, run(rps_problem(), plain).points):
+        assert got[0].tobytes() == want[0].tobytes()

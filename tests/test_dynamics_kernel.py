@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minmaxlab import dynamics, gadgets
+from minmaxlab import dynamics, gadgets, geometry
 from minmaxlab.dynamics import (
     ALGORITHMS,
     ALTERNATING_GDA,
@@ -26,6 +26,7 @@ from minmaxlab.dynamics import (
     run,
 )
 from minmaxlab.games import MixedStrategy
+from minmaxlab.geometry import _SCALAR_PROJECTION_MAX_N as C
 from minmaxlab.geometry import _project_simplex_raw, _project_simplex_rows
 from minmaxlab.minmax import QuadraticMinMaxProblem, _f_rows
 from minmaxlab.rational import fmat
@@ -191,7 +192,9 @@ def assert_same_run(problem, config):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("n, horizon", [(2, 400), (3, 400), (8, 300), (64, 120)])
+@pytest.mark.parametrize(
+    "n, horizon", [(2, 400), (3, 400), (8, 300), (C, 150), (C + 1, 150), (64, 120)]
+)
 def test_runs_match_the_prior_loop(algorithm, n, horizon):
     problem = _gadget(n, seed=n)
     start = _start(n, seed=100 + n)
@@ -237,16 +240,20 @@ def test_feedback_matches_the_prior_products():
 # the projections: bit-identical to the prior ones
 
 
-SIZES = st.sampled_from([1, 2, 3, 4, 5, 8, 17, 64])
+# vectors of up to C entries take the scalar threshold, longer ones numpy's
+SIZES = st.sampled_from([1, 2, 3, 4, 5, 8, 17, C, C + 1, 64])
 
 
 @st.composite
 def projection_inputs(draw, n=SIZES):
-    """A vector with ties, a point already on the simplex, or a plain one; n >= 1."""
+    """A vector with ties, with signed zeros among ties, a point already on
+    the simplex, or a plain one; n >= 1."""
     n = draw(n)
-    kind = draw(st.sampled_from(["ties", "simplex", "vertex", "plain"]))
-    if kind == "ties":
+    kind = draw(st.sampled_from(["ties", "zeros", "simplex", "vertex", "plain"]))
+    if kind in ("ties", "zeros"):
         pool = draw(st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=3))
+        if kind == "zeros":
+            pool += [0.0, -0.0]
         values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
         return np.array(values)
     if kind == "simplex":
@@ -266,6 +273,23 @@ def projection_inputs(draw, n=SIZES):
 @given(projection_inputs())
 def test_vector_projection_matches_the_prior_one(v):
     assert _project_simplex_raw(v).tobytes() == prior_project_simplex_raw(v).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, C, C + 1, 64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nan_or_inf_entry_raises_the_same_error_at_every_size(n, bad):
+    """No index passes the threshold test; the prior projection died with an
+    IndexError from an empty `nonzero()`."""
+    messages = set()
+    for at in {0, n - 1}:
+        v = np.full(n, 1.0 / n)
+        v[at] = bad
+        with pytest.raises(ValueError) as caught, np.errstate(invalid="ignore"):
+            _project_simplex_raw(v)
+        messages.add(str(caught.value))
+        with pytest.raises(IndexError), np.errstate(invalid="ignore"):
+            prior_project_simplex_raw(v)
+    assert messages == {geometry._NO_THRESHOLD}
 
 
 @st.composite

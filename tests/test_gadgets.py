@@ -417,13 +417,13 @@ def prior_measure_team3v3(instance, profile, epsilon):
     report = gadgets.Team3v3Report(
         epsilon=eps,
         strategy=profile[0],
-        bound=bound,
+        backmap_scale=(21 * n + 1) * float(instance.penalty_scale),
         backmap_regret=max(backmap.regrets),
         max_pair_gap=pair_gap,
         max_mirror_mass=mirror_mass,
         certificate=cert,
     )
-    assert (report.pair_bound, report.mirror_bound) == (2.0 * eps, 9.0 * eps)
+    assert (report.pair_bound, report.mirror_bound, report.bound) == (2.0 * eps, 9.0 * eps, bound)
     return report
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minmaxlab.errors import CapExceededError
+from minmaxlab.errors import CapExceededError, DimensionError
 from minmaxlab.geometry import (
     JointDomain,
     _project_simplex_raw,
@@ -58,6 +58,12 @@ def test_projection_known_values():
     assert project_simplex(np.array([2.0, 0.0, 0.0])).probs.tolist() == [1.0, 0.0, 0.0]
     p = project_simplex(np.array([0.8, 0.8])).probs
     assert np.allclose(p, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("point", [[[0.2, 0.3], [0.1, 0.4]], [[0.5, 0.5]], np.zeros((2, 1, 2))])
+def test_projection_rejects_more_than_one_axis(point):
+    with pytest.raises(DimensionError, match="one vector"):
+        project_simplex(point)
 
 
 def test_projection_beats_a_nearby_vertex():

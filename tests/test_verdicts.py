@@ -188,3 +188,8 @@ def wsne_case():
 def test_a_replaced_report_decides_again(case):
     report, changes = case()
     assert_decides_again(report, **changes)
+    if case is team3v3_case:  # every record moves with eps, the back-map's too
+        assert report.backmap_scale == (21 * 2 + 1) * 2.0  # (21 n + 1) |A_min| for R = 0
+        values = {b.name: b.value for b in dataclasses.replace(report, **changes).bounds}
+        assert values == {"pair_gap": 2.0 * 0.01, "mirror_mass": 9.0 * 0.01,
+                          "team3v3_backmap": 86.0 * 0.01}
