@@ -465,6 +465,7 @@ def cmd_solve_refine(args, inputs):
     data = {
         "iterations": result.iterations,
         "converged": result.converged,
+        "stalled_at": result.stalled_at,
         "strategies": [fileio.strategy_obj(s) for s in result.profile.strategies],
     }
     return bounds, data, result.profile

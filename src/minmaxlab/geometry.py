@@ -66,12 +66,17 @@ def _scalar_threshold(v: np.ndarray) -> float:
 
 
 def _project_simplex_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise `_project_simplex_raw` of a 2-D array, bit-identical per row."""
+    """Row-wise `_project_simplex_raw` of a 2-D array, bit-identical per row.
+
+    Raises the same ValueError when some row has no threshold.
+    """
     u = np.sort(v, axis=1)[:, ::-1]
     css = u.cumsum(axis=1)
     css -= 1.0
     ind = np.arange(1, v.shape[1] + 1)
     rho = ((u > css / ind) * ind).max(axis=1)
+    if not rho.all():
+        raise ValueError(_NO_THRESHOLD)
     theta = css[np.arange(v.shape[0]), rho - 1] / rho
     return np.maximum(v - theta[:, None], 0.0)
 

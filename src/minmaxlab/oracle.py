@@ -45,6 +45,8 @@ MAX_CLIQUE_MAX_N = 20
 GRID_SEARCH_CAP = 100_000_000
 REFINE_MAX_ITERS = 100_000
 REFINE_DAMPING = 0.1
+_STALL_CHECKPOINT = 250  # the stall rule's checkpoints are 250 * 2^k iterations
+_STALL_FINISH_MARGIN = 4  # a start may project to finish within 4 * max_iters
 
 
 @dataclass(frozen=True)
@@ -323,11 +325,21 @@ def grid_ne_search(
 
 @dataclass(frozen=True)
 class RefineResult:
+    """What `local_ne_refine` returned, and why it stopped.
+
+    A run that did not converge either hit `max_iters` (`stalled_at` is None)
+    or was stopped by the stall rule at iteration `stalled_at`.
+    `checkpoints` holds (t, best regret over the first t iterations) at each
+    t = 250 * 2^k the run reached: the figures the stall rule compared.
+    """
+
     profile: MixedProfile
     max_regret: float
     iterations: int
     converged: bool
     certificate: Certificate | None
+    stalled_at: int | None = None
+    checkpoints: tuple[tuple[int, float], ...] = ()
 
 
 def local_ne_refine(
@@ -345,6 +357,15 @@ def local_ne_refine(
     averaging so oscillations shrink instead of limit-cycling.  Stops once
     the max regret reaches `target_regret`, returning a freshly recomputed
     certificate; otherwise returns the best profile seen with a failure flag.
+
+    A stall rule abandons starts that cannot reach the target in time.  At
+    each checkpoint t = 500, 1000, 2000, ... it compares the best regret b_t
+    with b_{t/2} and stops the start when b_t >= b_{t/2}, or when, at the
+    measured rate r = b_{t/2} / b_t per doubling, the projected finish
+    t * 2^d with d = log(b_t / target) / log(r) lies beyond 4 * max_iters
+    (`_stalled`).  A stopped start returns what a capped one does, with
+    `stalled_at` set; the best regret at every checkpoint is in
+    `checkpoints`.
 
     `damping` must lie in (0, 1], so every step is a convex combination and
     the iterates stay on the simplex; `max_iters` must be at least 1 and
@@ -366,6 +387,9 @@ def local_ne_refine(
     best = None  # raw copies of the best iterate; None while it is the start
     best_regret = math.inf
     orientation = game.orientation
+    checkpoints = []
+    next_checkpoint = _STALL_CHECKPOINT
+    stalled_at = None
     for t in range(max_iters):
         worst = 0.0
         brs = []
@@ -381,7 +405,15 @@ def local_ne_refine(
             if t:
                 profile = MixedProfile(tuple(MixedStrategy(s) for s in strategies))
             cert = epsilon_ne_report(game, profile, target_regret)
-            return RefineResult(profile, worst, t + 1, True, cert)
+            return RefineResult(profile, worst, t + 1, True, cert, None, tuple(checkpoints))
+        if t + 1 == next_checkpoint:
+            checkpoints.append((next_checkpoint, best_regret))
+            if len(checkpoints) > 1 and _stalled(
+                checkpoints[-2][1], best_regret, target_regret, next_checkpoint, max_iters
+            ):
+                stalled_at = next_checkpoint
+                break
+            next_checkpoint *= 2
         eta = damping / (1.0 + damping * t)
         keep = 1.0 - eta
         views = []
@@ -392,4 +424,23 @@ def local_ne_refine(
             views.append(s / np.add.reduce(s))
     if best is not None:
         profile = MixedProfile(tuple(MixedStrategy(s) for s in best))
-    return RefineResult(profile, best_regret, max_iters, False, None)
+    # t + 1 is max_iters after the last iteration, or the checkpoint that stalled
+    return RefineResult(profile, best_regret, t + 1, False, None, stalled_at, tuple(checkpoints))
+
+
+def _stalled(before: float, now: float, target: float, t: int, max_iters: int) -> bool:
+    """Whether a start whose best regret went from `before` to `now` over the
+    doubling up to iteration t should stop (see `local_ne_refine`).
+
+    now > target here, so d > 0.  The finish test t * 2^d > 4 * max_iters is
+    taken in logarithms, d > log2(4 * max_iters / t), so a rate close to 1
+    cannot overflow 2^d.  With target 0 no rate ever finishes, so only the
+    first test applies.
+    """
+    if now >= before:
+        return True
+    if target == 0.0:
+        return False
+    return math.log(now / target) > math.log(before / now) * math.log2(
+        _STALL_FINISH_MARGIN * max_iters / t
+    )

@@ -301,6 +301,17 @@ def test_solve_refine_cut_short_exits_1(capsys, tmp_path):
     assert code == 1
     assert report["data"]["converged"] is False
     assert report["data"]["iterations"] == 1
+    assert report["data"]["stalled_at"] is None
+    assert not report["bounds"][0]["satisfied"]
+
+
+def test_solve_refine_reports_a_stalled_start(capsys, tmp_path):
+    code, report, _ = run_cli(
+        capsys, _refine_inputs(tmp_path) + ["--target", "1e-12", "--max-iters", "700"]
+    )
+    assert code == 1
+    assert report["data"]["converged"] is False
+    assert report["data"]["stalled_at"] == report["data"]["iterations"] == 500
     assert not report["bounds"][0]["satisfied"]
 
 

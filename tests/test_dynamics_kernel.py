@@ -292,6 +292,20 @@ def test_a_nan_or_inf_entry_raises_the_same_error_at_every_size(n, bad):
     assert messages == {geometry._NO_THRESHOLD}
 
 
+@pytest.mark.parametrize("bad", [1e17, np.nan, np.inf])
+def test_a_row_without_threshold_raises_as_the_vector_projection_does(bad):
+    """The prior row projection divided by rho = 0 and returned a row of zeros."""
+    rows = np.array([[bad, 0.0], [0.3, 0.7]])
+    with pytest.raises(ValueError) as by_row, np.errstate(invalid="ignore"):
+        _project_simplex_rows(rows)
+    with pytest.raises(ValueError) as by_vector, np.errstate(invalid="ignore"):
+        _project_simplex_raw(rows[0])
+    assert str(by_row.value) == str(by_vector.value) == geometry._NO_THRESHOLD
+    if bad == 1e17:
+        with np.errstate(divide="ignore"):
+            assert prior_project_simplex_rows(rows)[0].tolist() == [0.0, 0.0]
+
+
 @st.composite
 def projection_rows(draw):
     n = draw(SIZES)

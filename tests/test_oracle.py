@@ -112,6 +112,13 @@ def test_local_refinement_reaches_small_regret():
     assert result.converged
     assert result.max_regret <= 5e-3
     assert result.certificate.satisfied
+    # the best regret falls only x0.70-0.73 per doubling, so a fixed
+    # per-doubling factor that caught the stalled team starts would stop
+    # this start; the projected-finish rule lets it converge
+    assert result.iterations == 20_230 and result.stalled_at is None
+    assert [t for t, _ in result.checkpoints] == [250 * 2**k for k in range(7)]
+    regrets = [b for _, b in result.checkpoints]
+    assert all(0.69 < now / before < 0.74 for before, now in zip(regrets, regrets[1:]))
 
 
 def test_local_refinement_reports_honestly_when_cut_short():

@@ -1,9 +1,11 @@
-"""The all-player deviation kernel and the raw-array refinement loop.
+"""The all-player deviation kernel, the raw-array refinement loop and its stall rule.
 
 Both are checked bit for bit against the implementation they replaced,
 kept below as a test-only reference: per-player `deviation_payoffs` on
 validated profiles, the certificate built from it, and a refinement loop
-that rebuilt a validated profile on every iteration.
+that rebuilt a validated profile on every iteration.  The reference has
+no stall rule, so a start the rule stops is compared with the reference
+capped at the iteration where it stopped.
 """
 
 import math
@@ -131,17 +133,26 @@ def _rand_sym_matrix(rng, n, lo, hi, den):
     return fmat(m)
 
 
-def _criterion_05_gadgets(count):
-    """The first `count` team gadgets criterion 05 draws from its seed."""
+def _criterion_05_trials(count):
+    """The first `count` trials of criterion 05: each team gadget and its seven
+    starts, built as `test_acceptance.refined_profile` builds them."""
     rng = np.random.default_rng(6180339)
     out = []
     for trial in range(count):
         n = 2 + trial % 2
         inst = gadgets.team_gadget(_rand_sym_matrix(rng, n, 100, 200, -100), Fraction(1, 20))
-        for _ in range(5):  # the criterion's Dirichlet starts, drawn before refining
-            for c in inst.game.action_counts:
-                rng.dirichlet(np.ones(c))
-        out.append(inst)
+        counts = inst.game.action_counts
+        starts = [_uniform(inst.game)]
+        for _ in range(5):
+            starts.append(MixedProfile(tuple(
+                MixedStrategy(rng.dirichlet(np.ones(c))) for c in counts
+            )))
+        canonical = gadgets.canonical_team_ne(inst)
+        starts.append(MixedProfile(tuple(
+            MixedStrategy(0.7 * canonical[p].probs + 0.3 * np.ones(c) / c)
+            for p, c in enumerate(counts)
+        )))
+        out.append((inst, starts))
     return out
 
 
@@ -160,6 +171,8 @@ def _uniform(game):
 PENNIES = BimatrixGame(
     fmat([[1, -1], [-1, 1]]), fmat([[-1, 1], [1, -1]]), (MAXIMIZE, MAXIMIZE)
 )
+PENNIES_PURE = MixedProfile((MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0)))
+PENNIES_SKEWED = MixedProfile((MixedStrategy(np.array([0.9, 0.1])), MixedStrategy.uniform(2)))
 TEAM_2 = gadgets.team_gadget(fmat([[-2, -1], [-1, -3]]), Fraction(1, 20))
 TEAM_3V3 = gadgets.team3v3_gadget(
     fmat([[Fraction(3, 10), -1], [Fraction(1, 2), Fraction(-7, 10)]]), Fraction(1, 20)
@@ -198,21 +211,30 @@ def assert_same_result(new, old):
         assert new.certificate.satisfied == old.certificate.satisfied
 
 
+def refine_matches_prior(game, start, target, max_iters, damping=0.1):
+    """Run the loop; compare it with the prior one, capped where the rule stopped it."""
+    new = oracle.local_ne_refine(game, start, target, max_iters=max_iters, damping=damping)
+    if new.stalled_at is not None:
+        assert not new.converged and new.iterations == new.stalled_at < max_iters
+        max_iters = new.stalled_at
+    old = prior_local_ne_refine(game, start, target, max_iters=max_iters, damping=damping)
+    assert_same_result(new, old)
+    return new
+
+
 # ---------------------------------------------------------------------------
 # refinement: bit-identical to the prior loop
 
 
 def test_refinement_matches_the_prior_loop_on_criterion_05_gadgets():
-    converged = []
-    for inst in _criterion_05_gadgets(6):
+    exits = []
+    for inst, _ in _criterion_05_trials(6):
         for weight in (0.0, 0.7):
-            start = _warm_start(inst, weight)
-            new = oracle.local_ne_refine(inst.game, start, 0.05**2, max_iters=6_500)
-            old = prior_local_ne_refine(inst.game, start, 0.05**2, max_iters=6_500)
-            assert_same_result(new, old)
-            converged.append(new.converged)
-    # the cap leaves some starts short, so both exits of the loop are compared
-    assert any(converged) and not all(converged)
+            new = refine_matches_prior(inst.game, _warm_start(inst, weight), 0.05**2, 6_500)
+            exits.append((new.converged, new.stalled_at))
+    # two uniform starts at n = 3 stall, at 500 and 2000; the rest converge
+    assert exits.count((True, None)) == 10
+    assert sorted(at for ok, at in exits if not ok) == [500, 2_000]
 
 
 # (1, 4, 1)/6 is not a fixed point of renormalisation, so returning the start
@@ -223,26 +245,21 @@ _OFF_FIXED_POINT = MixedStrategy(np.array([1.0, 4.0, 1.0]) / 6.0)
 @pytest.mark.parametrize(
     "game, start, target, max_iters",
     [
-        (PENNIES, MixedProfile((MixedStrategy(np.array([0.9, 0.1])), MixedStrategy.uniform(2))), 5e-3, 100_000),
-        (PENNIES, MixedProfile((MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0))), 1e-12, 1),
-        (PENNIES, MixedProfile((MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0))), 1e-12, 700),
+        (PENNIES, PENNIES_SKEWED, 5e-3, 100_000),
+        (PENNIES, PENNIES_PURE, 1e-12, 1),
+        (PENNIES, PENNIES_PURE, 1e-12, 700),  # the stall rule stops it at 500
         (SKEW_BIMATRIX, MixedProfile((_OFF_FIXED_POINT, MixedStrategy.uniform(4))), 1e-12, 1),
         (SKEW_BIMATRIX, MixedProfile((_OFF_FIXED_POINT, MixedStrategy.uniform(4))), 1e-12, 400),
         (SKEW_BIMATRIX, MixedProfile((_OFF_FIXED_POINT, MixedStrategy.uniform(4))), 1e3, 10),
     ],
 )
 def test_refinement_matches_the_prior_loop_on_bimatrix_games(game, start, target, max_iters):
-    new = oracle.local_ne_refine(game, start, target, max_iters=max_iters)
-    old = prior_local_ne_refine(game, start, target, max_iters=max_iters)
-    assert_same_result(new, old)
+    refine_matches_prior(game, start, target, max_iters)
 
 
 @pytest.mark.parametrize("target, max_iters, damping", [(1e-3, 20_000, 0.1), (1e-9, 400, 1.0)])
 def test_refinement_matches_the_prior_loop_on_the_irrational_game(target, max_iters, damping):
-    start = _uniform(IRRATIONAL)
-    new = oracle.local_ne_refine(IRRATIONAL, start, target, max_iters=max_iters, damping=damping)
-    old = prior_local_ne_refine(IRRATIONAL, start, target, max_iters=max_iters, damping=damping)
-    assert_same_result(new, old)
+    refine_matches_prior(IRRATIONAL, _uniform(IRRATIONAL), target, max_iters, damping)
 
 
 def _3v3_warm_start(inst, weight):
@@ -259,12 +276,74 @@ def _3v3_warm_start(inst, weight):
 
 @pytest.mark.parametrize("weight, target, max_iters", [(0.7, 0.05**2, 6_500), (0.0, 1e-2, 1_500)])
 def test_refinement_matches_the_prior_loop_on_a_3v3_gadget(weight, target, max_iters):
-    game = TEAM_3V3_SYM.game
     start = _3v3_warm_start(TEAM_3V3_SYM, weight)
-    new = oracle.local_ne_refine(game, start, target, max_iters=max_iters)
-    old = prior_local_ne_refine(game, start, target, max_iters=max_iters)
-    assert_same_result(new, old)
+    new = refine_matches_prior(TEAM_3V3_SYM.game, start, target, max_iters)
     assert new.converged == (weight > 0)
+    # the uniform start halves its regret per doubling: the cap ends it, not the rule
+    assert new.stalled_at is None
+
+
+# ---------------------------------------------------------------------------
+# the stall rule
+
+
+# one step of fictitious play from here raises the regret from 2e-4 to about 0.1,
+# and by iteration 500 it has not come back down: the best is still the start
+NEAR_EQUILIBRIUM = MixedProfile((MixedStrategy(np.array([0.5001, 0.4999])), MixedStrategy.uniform(2)))
+
+
+@pytest.mark.parametrize("target", [1e-6, 0.0])
+def test_a_start_whose_best_regret_stays_flat_stops_at_500(target):
+    result = oracle.local_ne_refine(PENNIES, NEAR_EQUILIBRIUM, target)
+    assert not result.converged
+    assert result.stalled_at == result.iterations == 500
+    (_, at_250), (_, at_500) = result.checkpoints
+    assert at_250 == at_500 == result.max_regret
+    assert [s.probs.tolist() for s in result.profile.strategies] == [[0.5001, 0.4999], [0.5, 0.5]]
+
+
+def test_with_target_zero_only_the_flat_check_fires():
+    # from the pure start the regret keeps falling, but too slowly to reach 1e-12
+    assert oracle.local_ne_refine(PENNIES, PENNIES_PURE, 1e-12, max_iters=4_000).stalled_at == 500
+    result = oracle.local_ne_refine(PENNIES, PENNIES_PURE, 0.0, max_iters=4_000)
+    assert result.stalled_at is None and result.iterations == 4_000
+    regrets = [b for _, b in result.checkpoints]
+    assert len(regrets) == 5 and all(a > b for a, b in zip(regrets, regrets[1:]))
+
+
+def test_projected_finish_is_compared_with_four_times_the_cap():
+    # halving per doubling from 1 at t = 1000, the target 1/8 is 3 doublings
+    # away: a finish at 8,000 iterations
+    assert not oracle._stalled(2.0, 1.0, 1 / 8, 1_000, 2_001)
+    assert oracle._stalled(2.0, 1.0, 1 / 8, 1_000, 1_999)
+    assert oracle._stalled(1.0, 1.0, 1 / 8, 1_000, 10**9)
+    assert not oracle._stalled(1.0 + 1e-15, 1.0, 0.0, 1_000, 2_000)
+
+
+# (start index, iteration) at which each trial of criterion 05 converges; the
+# loop without the stall rule converges at the same iterations, and spends
+# 980,104 iterations on the protocol, 900,000 of them on 36 starts that
+# reach 25,000 without converging
+CRITERION_05_FINISH = [
+    (0, 3823), (6, 1751), (0, 5637), (6, 1603), (0, 5580), (0, 5300), (0, 4168),
+    (0, 4621), (0, 4773), (6, 1640), (0, 4312), (0, 5485), (0, 4744), (6, 1742),
+    (0, 5090), (6, 1705), (0, 4543), (0, 6102), (0, 5752), (6, 1733),
+]
+
+
+def test_criterion_05_converges_where_it_did_and_stops_the_rest_early():
+    finish = []
+    total = 0
+    for inst, starts in _criterion_05_trials(20):
+        for k, start in enumerate(starts):
+            result = oracle.local_ne_refine(inst.game, start, 0.05**2, max_iters=25_000)
+            total += result.iterations
+            if result.converged:
+                finish.append((k, result.iterations))
+                break
+            assert result.stalled_at is not None
+    assert finish == CRITERION_05_FINISH
+    assert total == 101_104
 
 
 # ---------------------------------------------------------------------------
