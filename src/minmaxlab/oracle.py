@@ -43,6 +43,9 @@ logger = logging.getLogger(__name__)
 SUPPORT_ENUM_MAX_N = 12
 MAX_CLIQUE_MAX_N = 20
 GRID_SEARCH_CAP = 100_000_000
+# entries of player 0's regret array per chunk of its grid, by dtype kind:
+# int64, or Python ints, which take far more memory and time per entry
+_GRID_CHUNK_ENTRIES = {"i": 20_000_000, "O": 200_000}
 REFINE_MAX_ITERS = 100_000
 REFINE_DAMPING = 0.1
 _STALL_CHECKPOINT = 250  # the stall rule's checkpoints are 250 * 2^k iterations
@@ -228,28 +231,22 @@ def _integer_tensors(nf: NormalFormGame, denominators: Sequence[int]):
     return [oriented(t.astype(dtype), o) for t, o in zip(cells, nf.orientation)], d
 
 
-def _worst_regret(tensors: list[np.ndarray], grids: list[np.ndarray], denominators) -> np.ndarray:
-    """Largest regret numerator over players at every joint grid profile.
+def _regret_gaps(tensor: np.ndarray, grids: list[np.ndarray], p: int) -> np.ndarray:
+    """Player p's gaps max(dev) - dev, of shape (a_p, grid sizes of the others).
 
     `grids[q]` holds player q's points as rows of integer numerators over
-    `denominators[q]` = m_q.  Player p's deviation payoffs are integers over
-    D * prod(m_q, q != p), so m_p * max(dev) - cur is its regret over the
-    common scale D * prod(m_q).
+    m_q; `grids[p]` is not read.  dev[a, ...] is player p's deviation payoff
+    to action a against the others' points, an integer over
+    D * prod(m_q, q != p).  A point x of p's grid sums to m_p, so its regret
+    over the common scale D * prod(m_q) is m_p * max(dev) - x . dev = x . gap:
+    a sum of non-negative terms, each at most the regret itself.
     """
-    n_players = len(grids)
-    act = [chr(ord("a") + p) for p in range(n_players)]
-    gl = [chr(ord("A") + p) for p in range(n_players)]
-    worst = None
-    for p in range(n_players):
-        others = [q for q in range(n_players) if q != p]
-        sub_in = "".join(act) + "," + ",".join(gl[q] + act[q] for q in others)
-        dev = np.einsum(sub_in + "->" + act[p] + "".join(gl[q] for q in others),
-                        tensors[p], *[grids[q] for q in others])
-        cur = np.einsum(gl[p] + act[p] + "," + act[p] + "".join(gl[q] for q in others)
-                        + "->" + "".join(gl), grids[p], dev)
-        r = denominators[p] * np.expand_dims(dev.max(axis=0), axis=p) - cur
-        worst = r if worst is None else np.maximum(worst, r)
-    return worst
+    dev = tensor
+    for q, grid in enumerate(grids):
+        if q != p:  # contract q's action axis with its points, which take its place
+            dev = np.moveaxis(np.tensordot(dev, grid, axes=(q, 1)), -1, q)
+    dev = np.moveaxis(dev, p, 0)
+    return dev.max(axis=0) - dev
 
 
 def exact_max_regret(game: Game, strategies: Sequence[Iterable]) -> Fraction:
@@ -257,15 +254,26 @@ def exact_max_regret(game: Game, strategies: Sequence[Iterable]) -> Fraction:
 
     The profile is a one-point grid: player q's strategy becomes integer
     numerators over the lcm m_q of its denominators, and the regret is an
-    integer over D * prod(m_q) (see `_integer_tensors`).
+    integer over D * prod(m_q) (see `_integer_tensors` and `_regret_gaps`).
+    Raises DimensionError when the strategies do not fit the game and
+    ValueError when one is not a probability vector.
     """
     nf = _as_normal_form(game)
-    scaled = [scale_to_integers(fvec(s)) for s in strategies]
+    exact = [fvec(s) for s in strategies]
+    if len(exact) != nf.n_players:
+        raise DimensionError(f"{len(exact)} strategies for {nf.n_players} players")
+    for p, (s, c) in enumerate(zip(exact, nf.action_counts)):
+        if len(s) != c:
+            raise DimensionError(f"player {p}'s strategy has {len(s)} entries for {c} actions")
+        if min(s) < 0 or sum(s) != 1:
+            raise ValueError(f"player {p}'s strategy is not a probability vector")
+    scaled = [scale_to_integers(s) for s in exact]
     ms = [m for _, m in scaled]
     tensors, d = _integer_tensors(nf, ms)
     grids = [xs[None].astype(t.dtype) for (xs, _), t in zip(scaled, tensors)]
-    worst = int(_worst_regret(tensors, grids, ms).max())
-    return Fraction(max(worst, 0), d * math.prod(ms))
+    worst = max(int(np.dot(grids[p][0], _regret_gaps(t, grids, p).ravel()))
+                for p, t in enumerate(tensors))
+    return Fraction(worst, d * math.prod(ms))
 
 
 def grid_ne_search(
@@ -280,9 +288,11 @@ def grid_ne_search(
     `resolution` = 1/m, in the order of `geometry.simplex_grid`, as integer
     numerators over m.  With the payoffs scaled by the lcm D of their
     denominators, every regret on the joint grid is an integer over
-    m^n * D; one vectorised pass computes these integers (int64 when a
-    bound proves they fit, Python ints otherwise) and a profile is a hit iff
-    its largest one is at most floor(eps * m^n * D).  Each hit carries its
+    m^n * D (int64 when a bound proves it fits, a Python int otherwise), and
+    a profile is a hit iff every player's is at most floor(eps * m^n * D).
+    The grid is decided player by player (`_regret_gaps`): player 0's
+    regrets densely, a chunk of its grid at a time, and each later player's
+    only at the profiles every earlier player passed.  Each hit carries its
     exact max regret as a float.  Raises CapExceededError when the number of
     joint profiles exceeds `cap`.
     """
@@ -299,8 +309,8 @@ def grid_ne_search(
     threshold = math.floor(to_fraction(eps) * scale)
     grids = [np.array(list(_compositions(m, c)), dtype=tensors[0].dtype) for c in counts]
 
-    # chunk player 0's grid; Python-int entries take a smaller budget
-    budget = 2e7 if tensors[0].dtype == np.int64 else 2e5
+    gap0 = _regret_gaps(tensors[0], grids, 0).reshape(counts[0], -1)
+    budget = _GRID_CHUNK_ENTRIES[tensors[0].dtype.kind]
     chunk_rows = max(1, min(sizes[0], int(budget // max(1, total // sizes[0]))))
     cache: list[dict[int, MixedStrategy]] = [{} for _ in counts]
 
@@ -310,12 +320,31 @@ def grid_ne_search(
         return cache[p][i]
 
     results = []
+    survivors = 0
     for start in range(0, sizes[0], chunk_rows):
-        worst = _worst_regret(tensors, [grids[0][start:start + chunk_rows]] + grids[1:], ms)
-        for idx in np.argwhere(worst <= threshold):
-            point = (int(idx[0]) + start, *map(int, idx[1:]))
-            profile = MixedProfile(tuple(strategy(p, i) for p, i in enumerate(point)))
-            results.append((profile, float(Fraction(int(worst[tuple(idx)]), scale))))
+        rows = grids[0][start:start + chunk_rows]
+        worst = (rows @ gap0).ravel()
+        flat = np.flatnonzero(worst <= threshold)
+        survivors += len(flat)
+        if not len(flat):
+            continue
+        # grid indices of the survivors, player 0's within the chunk, in C order
+        point = np.unravel_index(flat, (len(rows), *sizes[1:]))
+        worst = worst[flat]
+        for p in range(1, len(counts)):
+            gap = _regret_gaps(tensors[p], [rows] + grids[1:], p)
+            at = (slice(None),) + tuple(i for q, i in enumerate(point) if q != p)
+            r = (grids[p][point[p]].T * gap[at]).sum(axis=0)
+            keep = r <= threshold
+            point = tuple(i[keep] for i in point)
+            worst = np.maximum(worst[keep], r[keep])
+        for *idx, w in zip(*(i.tolist() for i in point), worst.tolist()):
+            idx[0] += start
+            profile = MixedProfile(tuple(strategy(p, i) for p, i in enumerate(idx)))
+            # int true division rounds correctly: the bits of float(Fraction(w, scale))
+            results.append((profile, int(w) / scale))
+    logger.debug("grid search: %d profiles, %d pass player 0, %d hits",
+                 total, survivors, len(results))
     return results
 
 

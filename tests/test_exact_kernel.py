@@ -56,7 +56,7 @@ from minmaxlab.games import (
     PolymatrixGame,
     to_normal_form,
 )
-from minmaxlab.geometry import simplex_grid
+from minmaxlab.geometry import _compositions, simplex_grid
 from minmaxlab.minmax import QuadraticMinMaxProblem, _point, check_fone, gradient
 from minmaxlab.oracle import GRID_SEARCH_CAP, SUPPORT_ENUM_MAX_N, SymmetricEquilibrium
 from minmaxlab.rational import (
@@ -297,6 +297,30 @@ def prior_grid_ne_search(game, resolution, eps, cap=GRID_SEARCH_CAP):
             profile = MixedProfile(tuple(MixedStrategy.from_exact(s) for s in strategies))
             results.append((profile, float(exact_regret)))
     return results
+
+
+def prior_worst_regret(tensors, grids, denominators):
+    """Largest regret numerator over players at every joint grid profile.
+
+    `grids[q]` holds player q's points as rows of integer numerators over
+    `denominators[q]` = m_q.  Player p's deviation payoffs are integers over
+    D * prod(m_q, q != p), so m_p * max(dev) - cur is its regret over the
+    common scale D * prod(m_q).
+    """
+    n_players = len(grids)
+    act = [chr(ord("a") + p) for p in range(n_players)]
+    gl = [chr(ord("A") + p) for p in range(n_players)]
+    worst = None
+    for p in range(n_players):
+        others = [q for q in range(n_players) if q != p]
+        sub_in = "".join(act) + "," + ",".join(gl[q] + act[q] for q in others)
+        dev = np.einsum(sub_in + "->" + act[p] + "".join(gl[q] for q in others),
+                        tensors[p], *[grids[q] for q in others])
+        cur = np.einsum(gl[p] + act[p] + "," + act[p] + "".join(gl[q] for q in others)
+                        + "->" + "".join(gl), grids[p], dev)
+        r = denominators[p] * np.expand_dims(dev.max(axis=0), axis=p) - cur
+        worst = r if worst is None else np.maximum(worst, r)
+    return worst
 
 
 def prior_gradient(problem, x, y):
@@ -582,6 +606,57 @@ def test_grid_search_matches_the_prior_prefilter_on_random_games(case, resolutio
     game, _ = case
     new = oracle.grid_ne_search(game, resolution, eps)
     assert_same_hits(new, prior_grid_ne_search(game, resolution, eps))
+
+
+def one_action_game():
+    """A three-player game whose middle player has a single action."""
+    rng = np.random.default_rng(5)
+    payoffs = tuple(np.array([Fraction(int(v), 3) for v in rng.integers(-6, 7, 6)],
+                             dtype=object).reshape(3, 1, 2) for _ in range(3))
+    return NormalFormGame(payoffs, (MAXIMIZE, MINIMIZE, MAXIMIZE))
+
+
+def kernel_worst_regret(game, resolution):
+    """Every player's regrets x . gap on the joint grid, their maximum, and the prior's."""
+    nf = oracle._as_normal_form(game)
+    m = resolution.denominator
+    tensors, _ = oracle._integer_tensors(nf, [m] * nf.n_players)
+    grids = [np.array(list(_compositions(m, c)), dtype=tensors[0].dtype)
+             for c in nf.action_counts]
+    regrets = []
+    for p, tensor in enumerate(tensors):
+        gap = oracle._regret_gaps(tensor, grids, p)
+        assert gap.shape == (nf.action_counts[p],) + tuple(
+            len(g) for q, g in enumerate(grids) if q != p)
+        assert (gap >= 0).all()
+        regrets.append(np.moveaxis(np.tensordot(grids[p], gap, axes=(1, 0)), 0, p))
+    return np.maximum.reduce(regrets), prior_worst_regret(tensors, grids, [m] * nf.n_players)
+
+
+def assert_kernel_matches_the_prior(game, resolution):
+    new, old = kernel_worst_regret(game, resolution)
+    assert new.dtype == old.dtype and np.array_equal(new, old)
+    assert (new >= 0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(bimatrix_cases(), tensor_cases()), st.sampled_from([Fraction(1, 2), Fraction(1, 3)]))
+def test_regret_gaps_match_the_prior_worst_regret_on_random_games(case, resolution):
+    assert_kernel_matches_the_prior(case[0], resolution)
+
+
+def test_regret_gaps_match_the_prior_worst_regret_with_a_one_action_player():
+    game = one_action_game()
+    for resolution in (Fraction(1, 1), Fraction(1, 4)):
+        assert_kernel_matches_the_prior(game, resolution)
+    found = 0
+    for eps in (Fraction(0), Fraction(1, 3), Fraction(2)):
+        new = oracle.grid_ne_search(game, Fraction(1, 4), eps)
+        assert_same_hits(new, prior_grid_ne_search(game, Fraction(1, 4), eps))
+        found += len(new)
+    assert found > 0  # the comparison is not vacuous
+    strategies = [(Fraction(1, 3), Fraction(0), Fraction(2, 3)), (1,), (Fraction(1, 5), Fraction(4, 5))]
+    assert oracle.exact_max_regret(game, strategies) == prior_exact_max_regret(game, strategies)
 
 
 def test_grid_search_matches_the_prior_prefilter_on_the_irrational_game():

@@ -1,12 +1,14 @@
 """Brute-force reference machinery: enumeration, grids, refinement, cliques."""
 
+import itertools
+import logging
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from minmaxlab import analytic, checks, oracle
+from minmaxlab import analytic, checks, gadgets, oracle
 from minmaxlab.cliques import Graph, payoff_from_graph
 from minmaxlab.errors import CapExceededError, DimensionError
 from minmaxlab.games import (
@@ -21,7 +23,14 @@ from minmaxlab.geometry import _compositions, simplex_grid
 from minmaxlab.rational import fmat
 
 # the float prefilter with exact re-checks that the integer grid replaced
-from test_exact_kernel import assert_same_hits, prior_exact_max_regret, prior_grid_ne_search
+from test_exact_kernel import (
+    assert_kernel_matches_the_prior,
+    assert_same_hits,
+    prior_exact_deviation,
+    prior_exact_max_regret,
+    prior_grid_ne_search,
+    prior_player_tensors,
+)
 
 RPS = fmat([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
 
@@ -200,6 +209,7 @@ def test_grid_search_falls_back_to_python_ints_and_matches_the_prior_search():
         nf = oracle._as_normal_form(game)
         tensors, _ = oracle._integer_tensors(nf, [resolution.denominator] * nf.n_players)
         assert tensors[0].dtype == object  # the int64 bound fails
+        assert_kernel_matches_the_prior(game, resolution)
         found = 0
         for eps in (Fraction(0), Fraction(1, 50), Fraction(1, 5)):
             new = oracle.grid_ne_search(game, resolution, eps)
@@ -224,6 +234,74 @@ def test_grid_search_decides_the_threshold_exactly():
 
     assert corner_hit(Fraction(1, 100)) == float(Fraction(1, 100))
     assert corner_hit(Fraction(1, 100) - Fraction(1, 10**12)) is None
+
+
+@pytest.mark.parametrize("strategies,error", [
+    ([(1, 1)] * 3, ValueError),  # sums to 2
+    ([(2, -1)] * 3, ValueError),  # a negative entry
+    ([(1, 0, 0)] * 3, DimensionError),  # three entries for two actions
+    ([(1, 0)] * 2, DimensionError),  # two strategies for three players
+])
+def test_exact_max_regret_rejects_a_profile_that_does_not_fit_the_game(strategies, error):
+    with pytest.raises(error) as info:
+        oracle.exact_max_regret(analytic.irrational_game(), strategies)
+    assert (info.type is DimensionError) == (error is DimensionError)
+
+
+def test_every_hit_reports_the_float_of_its_exact_regret():
+    game = analytic.irrational_game()
+    hits = oracle.grid_ne_search(game, Fraction(1, 20), Fraction(1, 20))
+    assert hits
+    for profile, regret in hits:
+        assert regret == float(oracle.exact_max_regret(game, [s.exact for s in profile.strategies]))
+
+
+def test_one_row_of_player_0_per_chunk_gives_the_same_hits(monkeypatch):
+    game, resolution = next(_huge_denominator_games())
+    cases = [
+        (analytic.irrational_game(), Fraction(1, 12), Fraction(1, 20)),
+        (gadgets.team_gadget(fmat([[-2, -1], [-1, -3]]), Fraction(1, 20)).game,
+         Fraction(1, 4), Fraction(1, 10)),
+        (game, resolution, Fraction(1, 5)),  # Python ints
+    ]
+    expected = [oracle.grid_ne_search(*case) for case in cases]
+    calls = []
+    regret_gaps = oracle._regret_gaps
+
+    def spy(tensor, grids, p):
+        calls.append((p, len(grids[0])))
+        return regret_gaps(tensor, grids, p)
+
+    monkeypatch.setattr(oracle, "_GRID_CHUNK_ENTRIES", {"i": 1, "O": 1})
+    monkeypatch.setattr(oracle, "_regret_gaps", spy)
+    for case, old in zip(cases, expected):
+        calls.clear()
+        new = oracle.grid_ne_search(*case)
+        assert new  # the comparison is not vacuous
+        assert_same_hits(new, old)
+        later = [rows for p, rows in calls if p > 0]
+        assert set(later) == {1} and len(later) > len(new[0][0].strategies)
+
+
+def test_grid_search_logs_its_profiles_survivors_and_hits(caplog):
+    game = analytic.irrational_game()
+    eps = Fraction(1, 20)
+    with caplog.at_level(logging.DEBUG, logger="minmaxlab.oracle"):
+        hits = oracle.grid_ne_search(game, Fraction(1, 10), eps)
+    records = [r for r in caplog.records if r.name == "minmaxlab.oracle"]
+    assert [r.levelno for r in records] == [logging.DEBUG]
+    # the profiles player 0 passes, decided one by one in Fractions
+    grid = list(simplex_grid(2, Fraction(1, 10)))
+    _, tensors, orientation = prior_player_tensors(game)
+    assert orientation[0] == MINIMIZE
+    survivors = 0
+    for s1, s2 in itertools.product(grid, grid):
+        dev = prior_exact_deviation(tensors[0], [None, s1, s2], 0)
+        survivors += sum(sum(d * w for d, w in zip(dev, x)) - min(dev) <= eps for x in grid)
+    assert len(hits) < survivors < 11**3
+    assert records[0].getMessage() == (
+        f"grid search: {11**3} profiles, {survivors} pass player 0, {len(hits)} hits"
+    )
 
 
 @pytest.mark.parametrize("m,c", [(1, 1), (1, 3), (4, 1), (4, 2), (5, 3), (6, 4), (3, 5)])
