@@ -38,7 +38,6 @@ from .cliques import (
     WsneValueReport,
     classify_symmetric_profile,
     clique_uniform,
-    find_nonadjacent_cover,
     graph_from_bordered_game,
     measure_nashgap,
     measure_wsne_value,
@@ -104,14 +103,12 @@ from .games import (
     MixedStrategy,
     NormalFormGame,
     PolymatrixGame,
-    best_response_action,
     decompose_symmetric_skew,
     deviation_payoffs,
     deviation_vectors,
     evaluate_utility,
     max_team_inconsistency,
     regret,
-    signed_utility,
     to_normal_form,
 )
 from .geometry import JointDomain, grid_size, project_joint, project_simplex, simplex_grid
@@ -131,7 +128,6 @@ from .minmax import (
 from .oracle import (
     RefineResult,
     SymmetricEquilibrium,
-    all_max_cliques,
     cliques_of_size,
     exact_max_regret,
     grid_ne_search,

@@ -129,10 +129,9 @@ def _lift_matrix(matrix):
     rows = tuple(tuple(row) for row in matrix)
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise DimensionError("closed form applies to 2x2 matrices only")
-    surd = any(isinstance(e, QuadSurd) for r in rows for e in r)
-    if surd:
-        return tuple(tuple(QuadSurd.of(e) for e in r) for r in rows), True
-    return tuple(tuple(to_fraction(e) for e in r) for r in rows), False
+    if any(isinstance(e, QuadSurd) for r in rows for e in r):
+        return tuple(tuple(QuadSurd.of(e) for e in r) for r in rows)
+    return tuple(tuple(to_fraction(e) for e in r) for r in rows)
 
 
 def solve_2x2(matrix):
@@ -150,7 +149,7 @@ def solve_2x2(matrix):
     failing the precondition raise DegenerateGameError; callers wanting
     those cases should fall back to support enumeration.
     """
-    a, _ = _lift_matrix(matrix)
+    a = _lift_matrix(matrix)
     (a11, a12), (a21, a22) = a
     zero = a11 - a11
     if not ((a11 - a12) * (a22 - a21) > zero and (a11 - a21) * (a22 - a12) > zero):

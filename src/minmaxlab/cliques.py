@@ -74,9 +74,6 @@ class Graph:
             self.has_edge(i, j) for i, j in itertools.combinations(vertices, 2)
         )
 
-    def complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
-
 
 def _graph_matrix(graph: Graph, diagonal: Fraction, edge: Fraction, non_edge: Fraction) -> FMat:
     """The n x n matrix with `diagonal` on the diagonal, `edge` across edges, else `non_edge`."""
@@ -583,40 +580,6 @@ def wsne_value_audit(
     the first offender, in candidate order, raises BoundViolationError.
     """
     return enforce(measure_wsne_value(graph, regime, resolution))
-
-
-def find_nonadjacent_cover(graph: Graph, k: int) -> tuple[int, ...]:
-    """A set S of at least n - k + 1 vertices, each with a non-neighbor in S.
-
-    Greedily removes any vertex adjacent to all remaining ones.  Each
-    removed vertex is adjacent to everything removed later and to the final
-    set, so more than k - 1 removals would assemble a clique larger than k;
-    the survivor set therefore has size >= n - k + 1 and by stability every
-    survivor keeps a non-neighbor.  Complete graphs admit no such set.
-    """
-    if graph.complete():
-        raise PreconditionError("cover impossible: the graph is complete")
-    true_k, _ = max_clique(graph)
-    if k != true_k:
-        raise PreconditionError(f"k = {k} but the maximum clique has size {true_k}")
-    survivors = set(range(graph.n))
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(survivors):
-            if all(graph.has_edge(v, w) for w in survivors if w != v):
-                survivors.discard(v)
-                changed = True
-                break
-    cover = tuple(sorted(survivors))
-    if len(cover) < graph.n - k + 1:
-        raise BoundViolationError(
-            f"cover of size {len(cover)} is smaller than n - k + 1"
-        )
-    for v in cover:
-        if all(graph.has_edge(v, w) for w in cover if w != v):
-            raise BoundViolationError(f"vertex {v} has no non-neighbor in the cover")
-    return cover
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def game_to_dict(game: GameLike) -> dict:
 
 
 def save_game(game: GameLike, path: str) -> None:
-    _dump(game_to_dict(game), path)
+    write_report(game_to_dict(game), path)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def profile_to_dict(profile: MixedProfile) -> dict:
 
 
 def save_profile(profile: MixedProfile, path: str) -> None:
-    _dump(profile_to_dict(profile), path)
+    write_report(profile_to_dict(profile), path)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +450,9 @@ def make_report(
 def write_report(report: dict, path: str | None) -> None:
     """Print the report, or write it to `path`, as strict JSON.
 
-    A non-finite float raises ValueError instead of being written as the
-    non-JSON tokens Infinity or NaN.
+    Games and profiles are saved through here too.  A non-finite float
+    raises ValueError instead of being written as the non-JSON tokens
+    Infinity or NaN, which load_game and load_profile would refuse.
     """
     text = json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     if path is None:
@@ -459,12 +460,6 @@ def write_report(report: dict, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _dump(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

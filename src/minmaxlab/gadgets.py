@@ -352,7 +352,7 @@ def median_backmap(
     if gap < 0 or delta <= 0:
         raise PreconditionError("need gap >= 0 and delta > 0")
     domain = JointDomain(n, float(delta))
-    if domain.violation(x_star.probs, y_star.probs) > 1e-8:
+    if not domain.contains(x_star.probs, y_star.probs):
         raise PreconditionError("pair is not feasible for the coupled domain")
     l = g = 4.0 * n
     k = (l + 1.0) * math.sqrt(g + 4.0 * math.sqrt(2.0))

@@ -46,7 +46,9 @@ MINIMIZE = "minimize"
 # strategy hygiene thresholds
 CLAMP_TOL = 1e-12     # negative components above this magnitude are rejected
 SUM_TOL = 1e-9        # |sum - 1| must be below this before renormalizing
-SUPPORT_TOL = 1e-12   # default support threshold
+SUPPORT_TOL = 1e-12   # probabilities above this are in the support
+
+NORMAL_FORM_CAP = 10_000_000  # most pure profiles to_normal_form expands
 
 
 def _validate_orientation(orientation: Sequence[str], n_players: int) -> tuple[str, ...]:
@@ -131,8 +133,8 @@ class MixedStrategy:
     def __len__(self) -> int:
         return int(self.probs.size)
 
-    def support(self, threshold: float = SUPPORT_TOL) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.probs > threshold)[0])
+    def support(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.nonzero(self.probs > SUPPORT_TOL)[0])
 
 
 @dataclass(frozen=True)
@@ -338,25 +340,14 @@ def profile_probs(game: Game, profile) -> list[np.ndarray]:
 def evaluate_utility(game: Game, profile: MixedProfile, player: int) -> float:
     """Expected stored payoff of `player` under a mixed profile.
 
-    For polymatrix games this is the shared bilinear sum (identical for all
-    players); orientation is not applied here, only in regret.
+    The player's deviation_payoffs dotted with its own strategy, so every
+    game type has one float contraction, deviation_vectors.  For polymatrix
+    games this is the shared bilinear sum; orientation is not applied here,
+    only in regret.
     """
     profile = as_profile(profile)
-    _check_profile(game, profile)
-    _check_player(game, player)
-    if isinstance(game, BimatrixGame):
-        x, y = profile[0].probs, profile[1].probs
-        m = game.row_float if player == 0 else game.col_float
-        return float(x @ m @ y)
-    if isinstance(game, PolymatrixGame):
-        total = 0.0
-        for (i, j), m in game.pair_floats.items():
-            total += float(profile[i].probs @ m @ profile[j].probs)
-        return total
-    t = game.float_payoffs[player]
-    for s in profile.strategies:
-        t = np.tensordot(s.probs, t, axes=(0, 0))
-    return float(t)
+    dev = deviation_payoffs(game, profile, player)
+    return float(dev.dot(profile[player].probs))
 
 
 def deviation_vectors(game: Game, probs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -411,8 +402,8 @@ def deviation_payoffs(game: Game, profile: MixedProfile, player: int) -> np.ndar
     """Stored payoff of each pure action of `player` against the co-players.
 
     For polymatrix games the constant contribution of pairs not touching
-    `player` is included, so a dot with the player's own strategy recovers
-    evaluate_utility exactly.  This validates the profile and reads one entry
+    `player` is included, so a dot with the player's own strategy is
+    evaluate_utility.  This validates the profile and reads one entry
     of deviation_vectors; a caller that needs every player calls that once.
     """
     probs = profile_probs(game, profile)
@@ -458,36 +449,28 @@ def regret(game: Game, profile: MixedProfile, player: int) -> float:
     return best_deviation(dev, profile[player].probs, game.orientation[player])[1]
 
 
-def best_response_action(game: Game, profile: MixedProfile, player: int) -> int:
-    """Index of the best pure deviation; ties go to the smallest index."""
-    profile = as_profile(profile)
-    dev = deviation_payoffs(game, profile, player)
-    return best_deviation(dev, profile[player].probs, game.orientation[player])[0]
-
-
-def signed_utility(game: Game, profile: MixedProfile, player: int) -> float:
-    """Utility with the orientation folded in: maximizers get +u, minimizers -u."""
-    return oriented(evaluate_utility(game, profile, player), game.orientation[player])
-
-
 def max_team_inconsistency(game: Game, samples: int = 100, seed: int = 0) -> float:
     """Spot-check the team structure on random profiles.
 
     Returns the largest deviation from "signed utilities agree within a team
     and the two team values cancel" over `samples` random mixed profiles.
+    Each player's utility is its own deviation_vectors entry dotted with its
+    strategy, folded with `oriented`, so the check compares the kernel's
+    per-player outputs with each other.
     """
     if game.team_partition is None:
         raise ValueError("game has no team partition")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        profile = MixedProfile(
-            tuple(MixedStrategy(rng.dirichlet(np.ones(c))) for c in game.action_counts)
-        )
-        su = [signed_utility(game, profile, p) for p in range(game.n_players)]
+        probs = [MixedStrategy(rng.dirichlet(np.ones(c))).probs for c in game.action_counts]
+        signed = [
+            oriented(float(dev.dot(s)), o)
+            for dev, s, o in zip(deviation_vectors(game, probs), probs, game.orientation)
+        ]
         team_values = []
         for team in game.team_partition:
-            vals = [su[p] for p in sorted(team)]
+            vals = [signed[p] for p in sorted(team)]
             worst = max(worst, max(vals) - min(vals))
             team_values.append(vals[0])
         worst = max(worst, abs(team_values[0] + team_values[1]))
@@ -513,17 +496,17 @@ def decompose_symmetric_skew(matrix) -> tuple[FMat, FMat]:
     return halves(cells + cells.T), halves(cells - cells.T)
 
 
-def to_normal_form(game: PolymatrixGame, cap: int = 10_000_000) -> NormalFormGame:
+def to_normal_form(game: PolymatrixGame) -> NormalFormGame:
     """Expand a polymatrix game to dense tensors (exact entries).
 
     Every player receives the same shared-scalar tensor; orientations and
     the team partition carry over.  Raises CapExceededError when the number
-    of pure profiles exceeds `cap`.
+    of pure profiles exceeds NORMAL_FORM_CAP.
     """
     counts = game.action_counts
     total = math.prod(counts)
-    if total > cap:
-        raise CapExceededError(f"{total} pure profiles exceed cap {cap}")
+    if total > NORMAL_FORM_CAP:
+        raise CapExceededError(f"{total} pure profiles exceed cap {NORMAL_FORM_CAP}")
     u = np.empty(counts, dtype=object)
     for idx in np.ndindex(*counts):
         acc = Fraction(0)

@@ -104,8 +104,8 @@ class JointDomain:
     def __post_init__(self):
         if self.n < 1:
             raise DimensionError("need at least one action")
-        if not (self.delta >= 0.0):
-            raise ValueError("delta must be nonnegative")
+        if not (0.0 <= self.delta < math.inf):
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         object.__setattr__(self, "delta", float(self.delta))
 
     def violation(self, x, y) -> float:

@@ -52,6 +52,10 @@ class QuadraticMinMaxProblem:
     m_float: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("smoothness_bound", "lipschitz_bound"):
+            value = getattr(self, name)
+            if value is not None and not (0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         qx = fmat(self.qx)
         qy = fmat(self.qy)
         mm = fmat(self.m)
@@ -194,7 +198,7 @@ def gda_map(
     gx, gy = gradient(problem, x, y)
     x_new = xv - stepsize * gx
     y_new = yv + stepsize * gy
-    if problem.domain.violation(xv, yv) > 1e-8:
+    if not problem.domain.contains(xv, yv):
         raise PreconditionError("input point is not feasible for the coupled domain")
     return project_joint(x_new, y_new, problem.domain)
 

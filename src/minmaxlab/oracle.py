@@ -66,9 +66,7 @@ class SymmetricEquilibrium:
 
 
 def symmetric_support_enumeration(
-    matrix,
-    orientation: str = MAXIMIZE,
-    cap_n: int = SUPPORT_ENUM_MAX_N,
+    matrix, orientation: str = MAXIMIZE
 ) -> list[SymmetricEquilibrium]:
     """Enumerate all exact symmetric equilibria (x, x) of the game (M, M^T).
 
@@ -89,8 +87,10 @@ def symmetric_support_enumeration(
     n, n2 = shape(m)
     if n != n2:
         raise DimensionError("square matrix required")
-    if n > cap_n:
-        raise CapExceededError(f"support enumeration capped at n = {cap_n}, got {n}")
+    if n > SUPPORT_ENUM_MAX_N:
+        raise CapExceededError(
+            f"support enumeration capped at n = {SUPPORT_ENUM_MAX_N}, got {n}"
+        )
     if orientation not in (MAXIMIZE, MINIMIZE):
         raise ValueError(f"bad orientation {orientation!r}")
     # F = oriented(M) * D in integers; unknowns x on the support, then w = D * oriented(v)
@@ -197,11 +197,6 @@ def cliques_of_size(graph, k: int) -> list[tuple[int, ...]]:
 
     expand((), (1 << n) - 1)
     return out
-
-
-def all_max_cliques(graph) -> list[tuple[int, ...]]:
-    k, _ = max_clique(graph)
-    return cliques_of_size(graph, k)
 
 
 # ---------------------------------------------------------------------------

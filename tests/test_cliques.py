@@ -291,22 +291,6 @@ def test_wsne_candidates_keep_first_occurrences():
     assert probs.index(uniform) < probs.index(toward_first)
 
 
-def test_nonadjacent_cover(path3, petersen):
-    cover = cliques.find_nonadjacent_cover(path3, 2)
-    assert len(cover) >= path3.n - 2 + 1
-    for i in cover:
-        for j in cover:
-            if i != j:
-                assert (min(i, j), max(i, j)) not in path3.edges
-    big = cliques.find_nonadjacent_cover(petersen, 2)
-    assert len(big) >= petersen.n - 2 + 1
-
-
-def test_nonadjacent_cover_rejects_complete_graphs(k3):
-    with pytest.raises(PreconditionError):
-        cliques.find_nonadjacent_cover(k3, 3)
-
-
 def test_nonsym_instance_value_matches_the_bordered_matrix(fig1):
     regime = regime_for(fig1, 4)
     prob = cliques.nonsym_instance(fig1, regime)

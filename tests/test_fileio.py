@@ -1,6 +1,7 @@
 """Serialization: exact round trips, strict parsing, deterministic reports."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +235,41 @@ def test_profile_round_trip_keeps_fractions(tmp_path):
     # the on-disk form keeps the exact strategy as strings
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["strategies"][0] == ["1/3", "2/3"]
+
+
+def prior_dump(doc, path):
+    """How save_game and save_profile wrote before they shared write_report."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, ensure_ascii=False)
+        fh.write("\n")
+
+
+def test_saved_games_and_profiles_keep_the_prior_bytes(tmp_path):
+    games = [
+        BimatrixGame(fmat([["1/3", -2]]), fmat([["1/3", -2]]), (MINIMIZE, MAXIMIZE)),
+        gadgets.team3v3_gadget(fmat([[1, "-1/2"], [0, 2]]), "1/20").game,
+        gadgets.coupled_gadget(fmat([["1/2", "-1/4"], ["1/4", "1/2"]]), 0.25),
+    ]
+    profile = MixedProfile((MixedStrategy.from_exact(["1/3", "2/3"]), MixedStrategy([0.1, 0.9])))
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    for game in games:
+        save_game(game, str(new))
+        prior_dump(game_to_dict(game), str(old))
+        assert new.read_bytes() == old.read_bytes()
+    save_profile(profile, str(new))
+    prior_dump(profile_to_dict(profile), str(old))
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_save_game_refuses_a_non_finite_field(tmp_path):
+    # constructors reject such a bound; one forced past them must not be
+    # written as the token Infinity, which load_game would refuse
+    problem = gadgets.coupled_gadget(fmat([["1/2", "-1/4"], ["1/4", "1/2"]]), 0.25)
+    object.__setattr__(problem, "smoothness_bound", math.inf)
+    path = tmp_path / "g.json"
+    with pytest.raises(ValueError, match="JSON"):
+        save_game(problem, str(path))
+    assert not path.exists()
 
 
 def test_profile_rejects_non_distributions(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from minmaxlab import analytic, games, gadgets
 from minmaxlab.errors import DimensionError, PreconditionError
 from minmaxlab.games import (
     MAXIMIZE,
@@ -15,13 +16,14 @@ from minmaxlab.games import (
     MixedStrategy,
     NormalFormGame,
     PolymatrixGame,
-    best_response_action,
+    as_profile,
+    best_deviation,
     decompose_symmetric_skew,
     deviation_payoffs,
     evaluate_utility,
     max_team_inconsistency,
+    oriented,
     regret,
-    signed_utility,
     to_normal_form,
 )
 from minmaxlab.rational import fmat, transpose
@@ -57,7 +59,7 @@ def test_matching_pennies_utilities_by_hand():
     prof = MixedProfile((MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0)))
     assert evaluate_utility(game, prof, 0) == 1.0
     assert evaluate_utility(game, prof, 1) == -1.0
-    assert best_response_action(game, prof, 1) == 1
+    assert best_deviation(deviation_payoffs(game, prof, 1), prof[1].probs, MAXIMIZE)[0] == 1
     assert regret(game, prof, 1) == 2.0
     uniform = MixedProfile((MixedStrategy.uniform(2), MixedStrategy.uniform(2)))
     assert regret(game, uniform, 0) == 0.0
@@ -70,7 +72,7 @@ def test_minimize_orientation_flips_regret():
     prof = MixedProfile((MixedStrategy.pure(2, 1), MixedStrategy.pure(2, 0)))
     # row player pays 2 but could pay 0 by switching to the first row
     assert regret(game, prof, 0) == 2.0
-    assert signed_utility(game, prof, 0) == -2.0
+    assert oriented(evaluate_utility(game, prof, 0), MINIMIZE) == -2.0
 
 
 def test_deviation_payoffs_column_player_uses_transpose():
@@ -184,3 +186,69 @@ def test_normal_form_tensor_utilities():
     prof = MixedProfile((MixedStrategy.uniform(2), MixedStrategy.uniform(2)))
     assert evaluate_utility(game, prof, 0) == pytest.approx(0.25)
     assert evaluate_utility(game, prof, 1) == pytest.approx(-0.25)
+
+
+def prior_evaluate_utility(game, profile, player):
+    """The three-branch contraction evaluate_utility ran before it read the deviation kernel."""
+    profile = as_profile(profile)
+    if isinstance(game, BimatrixGame):
+        x, y = profile[0].probs, profile[1].probs
+        m = game.row_float if player == 0 else game.col_float
+        return float(x @ m @ y)
+    if isinstance(game, PolymatrixGame):
+        total = 0.0
+        for (i, j), m in game.pair_floats.items():
+            total += float(profile[i].probs @ m @ profile[j].probs)
+        return total
+    t = game.float_payoffs[player]
+    for s in profile.strategies:
+        t = np.tensordot(s.probs, t, axes=(0, 0))
+    return float(t)
+
+
+def kernel_corpus():
+    """A bimatrix game, team and 3v3 polymatrix gadgets, and the irrational team game."""
+    rng = np.random.default_rng(16)
+    corpus = [
+        BimatrixGame(
+            fmat(rng.integers(-9, 10, (3, 4)).tolist()),
+            fmat(rng.integers(-9, 10, (3, 4)).tolist()),
+            (MAXIMIZE, MINIMIZE),
+        ),
+        analytic.irrational_game(),
+    ]
+    for n in (2, 3):
+        m = fmat([[Fraction(int(v), 100) for v in row] for row in rng.integers(-100, 101, (n, n))])
+        sym = fmat([[(m[i][j] + m[j][i]) / 2 for j in range(n)] for i in range(n)])
+        corpus.append(gadgets.team_gadget(gadgets.shift_to_gadget_range(sym)[0], "1/20").game)
+        corpus.append(gadgets.team3v3_gadget(m, "1/20").game)
+    return corpus
+
+
+def test_evaluate_utility_matches_the_prior_contraction():
+    rng = np.random.default_rng(17)
+    for game in kernel_corpus():
+        for _ in range(10):
+            prof = MixedProfile(
+                tuple(MixedStrategy(rng.dirichlet(np.ones(c))) for c in game.action_counts)
+            )
+            for player in range(game.n_players):
+                old = prior_evaluate_utility(game, prof, player)
+                new = evaluate_utility(game, prof, player)
+                assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), (type(game).__name__, player)
+
+
+def test_team_consistency_reads_the_kernel_of_each_teammate(monkeypatch):
+    real = games.deviation_vectors
+
+    def shifted(game, probs):
+        vecs = real(game, probs)
+        vecs[teammate] = vecs[teammate] + 1e-6
+        return vecs
+
+    for game in kernel_corpus()[2:]:
+        assert max_team_inconsistency(game, samples=8, seed=1) <= 1e-12
+        teammate = max(max(game.team_partition, key=len))
+        monkeypatch.setattr(games, "deviation_vectors", shifted)
+        assert max_team_inconsistency(game, samples=8, seed=1) >= 1e-7
+        monkeypatch.setattr(games, "deviation_vectors", real)

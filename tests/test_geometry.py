@@ -1,5 +1,6 @@
 """Simplex projection, the probability grid, and the joint coupled domain."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +98,11 @@ def test_joint_domain_membership():
     far = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     assert not dom.contains(*far)
     assert dom.violation(*far) > 0.5
+
+
+def test_joint_domain_width_must_be_finite():
+    with pytest.raises(ValueError, match="delta must be finite"):
+        JointDomain(2, math.inf)
 
 
 def test_joint_projection_of_an_equal_pair_is_componentwise():

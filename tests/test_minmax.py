@@ -1,6 +1,7 @@
 """Quadratic saddle problems: values, gradients, GDA maps, and gap bounds."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -164,3 +165,14 @@ def test_symmetry_check_and_float_mirrors_match_the_fraction_formula(data):
     problem = QuadraticMinMaxProblem(qx=qx, qy=qy, m=m)
     for mirror, exact in ((problem.qx_float, qx), (problem.qy_float, qy), (problem.m_float, m)):
         assert mirror.tobytes() == to_float_matrix(exact).tobytes()
+
+
+@pytest.mark.parametrize("field", ["smoothness_bound", "lipschitz_bound"])
+@pytest.mark.parametrize("value", [math.inf, -1.0, math.nan], ids=["inf", "negative", "nan"])
+def test_problem_bounds_must_be_finite_and_nonnegative(field, value):
+    # such a bound used to be saved as the non-JSON token Infinity (or NaN),
+    # which load_game refuses, or to fail only inside gda_gap
+    prob = skew_problem()
+    with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+        QuadraticMinMaxProblem(qx=prob.qx, qy=prob.qy, m=prob.m, **{field: value})
+    assert QuadraticMinMaxProblem(qx=prob.qx, qy=prob.qy, m=prob.m, **{field: 0.0})
