@@ -38,10 +38,6 @@ class QuadSurd:
             return value
         return cls(to_fraction(value))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def _sign(self) -> int:
         p, q = self.p, self.q
         if q == 0:

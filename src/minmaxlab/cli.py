@@ -443,7 +443,7 @@ def cmd_solve_enumerate(args, inputs):
 
 
 def cmd_solve_grid(args, inputs):
-    hits = grid_ne_search(args.game, args.resolution, args.eps, cap=args.cap)
+    hits = grid_ne_search(args.game, args.resolution, args.eps)
     data = {
         "hits": [
             {
@@ -634,8 +634,7 @@ COMMANDS = (
             (_GAME, _PROFILE, Arg("--eps", FLOAT, required=True))),
     Command("solve enumerate", cmd_solve_enumerate, (_GAME,)),
     Command("solve grid", cmd_solve_grid,
-            (_GAME, Arg("--resolution", EXACT, required=True), _EPS_EXACT,
-             Arg("--cap", record=False, type=int, default=100_000_000))),
+            (_GAME, Arg("--resolution", EXACT, required=True), _EPS_EXACT)),
     Command("solve refine", cmd_solve_refine,
             (_GAME, _PROFILE, Arg("--target", FLOAT, required=True),
              Arg("--max-iters", record=False, type=int, default=100_000),

@@ -39,7 +39,7 @@ from .oracle import (
     max_clique,
     symmetric_support_enumeration,
 )
-from .geometry import SIMPLEX_GRID_CAP, _compositions, _grid_denominator
+from .geometry import _compositions, _grid_denominator
 from .rational import FMat, FVec, scale_to_integers, to_fraction
 
 
@@ -495,7 +495,7 @@ def measure_wsne_value(
     delta = regime.delta
     a = payoff_from_graph_delta(graph, delta)
     maxima = cliques_of_size(graph, k)
-    m = _grid_denominator(n, resolution, SIMPLEX_GRID_CAP)
+    m = _grid_denominator(n, resolution)
     in_clique = np.zeros((len(maxima), n), dtype=bool)
     for i, clique in enumerate(maxima):
         in_clique[i, list(clique)] = True

@@ -1,14 +1,17 @@
 """Learning dynamics for quadratic min-max problems on simplex products.
 
-Five update rules share one interface: the x player receives grad_x f and
-descends, the y player receives -grad_y f and descends on that, and both
-apply the *same* deterministic rule to their own feedback.  Four of the
-rules (GDA, ExtraGradient, OptimisticGDA, OMWU) update simultaneously;
-with an antisymmetric objective and a shared starting point their feedback
+Five update rules share one interface: the players' points form a list
+[x, y], `problem.feedbacks` maps it to their feedback list [grad_x f,
+-grad_y f], and every player descends on its own entry.  Each rule is
+written once and applied to every entry, so both players run the *same*
+deterministic rule, operation for operation.  Four of the rules (GDA,
+ExtraGradient, OptimisticGDA, OMWU) update simultaneously; with an
+antisymmetric objective and a shared starting point the two feedback
 vectors are bitwise identical, so the two iterates never separate — the
 recorded symmetry drift stays exactly zero.  AlternatingGDA deliberately
-breaks the pattern by updating x first and letting y react to the new x,
-which is enough to pull the iterates apart on ordinary bilinear problems.
+breaks the pattern by updating the players in turn, each reacting to the
+moves already made, which is enough to pull the iterates apart on
+ordinary bilinear problems.
 """
 
 from __future__ import annotations
@@ -137,71 +140,58 @@ def run(problem: QuadraticMinMaxProblem, config: DynamicsConfig) -> Trajectory:
         raise UnsupportedDomainError(
             "dynamics run on the simplex product; coupled domains are not supported"
         )
-    x, y = _init_point(problem, config)
+    points = list(_init_point(problem, config))
     eta = config.stepsize
     algo = config.algorithm
-    if algo == OMWU and (x.min() <= 0 or y.min() <= 0):
+    if algo == OMWU and min(p.min() for p in points) <= 0:
         raise PreconditionError("OMWU requires a strictly positive initialization")
 
-    gx_prev = np.zeros_like(x)
-    gy_prev = np.zeros_like(y)
-    block = max(1, RECORD_CELLS // max(x.size, y.size))
-    points, gaps, drifts, utilities = [], [], [], []
+    feedbacks = problem.feedbacks
+    # the module global, read per call: a tracer may have patched it
+    project = _project_simplex_raw
+    previous = [np.zeros_like(p) for p in points]
+    block = max(1, RECORD_CELLS // max(p.size for p in points))
+    visited, gaps, drifts, utilities = [], [], [], []
     for t in range(config.horizon):
-        # every update below builds fresh arrays, so the points need no copy
-        points.append((x, y))
-        if len(points) - len(gaps) == block:
-            _record_pending(problem, points, gaps, drifts, utilities)
+        # each rule replaces the entries of `points` with fresh arrays, so a
+        # recorded tuple keeps its own
+        visited.append(tuple(points))
+        if len(visited) - len(gaps) == block:
+            _record_pending(problem, visited, gaps, drifts, utilities)
         if t == config.horizon - 1:
             break
         if algo == GDA:
-            gx = problem.minimizer_feedback(x, y)
-            gy = problem.maximizer_feedback(y, x)
-            x = _project_simplex_raw(x - eta * gx)
-            y = _project_simplex_raw(y - eta * gy)
+            for i, g in enumerate(feedbacks(points)):
+                points[i] = project(points[i] - eta * g)
         elif algo == EXTRAGRADIENT:
-            gx = problem.minimizer_feedback(x, y)
-            gy = problem.maximizer_feedback(y, x)
-            x_half = _project_simplex_raw(x - eta * gx)
-            y_half = _project_simplex_raw(y - eta * gy)
-            gx2 = problem.minimizer_feedback(x_half, y_half)
-            gy2 = problem.maximizer_feedback(y_half, x_half)
-            x = _project_simplex_raw(x - eta * gx2)
-            y = _project_simplex_raw(y - eta * gy2)
+            half = points.copy()
+            for i, g in enumerate(feedbacks(points)):
+                half[i] = project(points[i] - eta * g)
+            for i, g in enumerate(feedbacks(half)):
+                points[i] = project(points[i] - eta * g)
         elif algo == OPTIMISTIC_GDA:
-            gx = problem.minimizer_feedback(x, y)
-            gy = problem.maximizer_feedback(y, x)
-            x = _project_simplex_raw(x - eta * (2.0 * gx - gx_prev))
-            y = _project_simplex_raw(y - eta * (2.0 * gy - gy_prev))
-            gx_prev, gy_prev = gx, gy
+            current = feedbacks(points)
+            for i, g in enumerate(current):
+                points[i] = project(points[i] - eta * (2.0 * g - previous[i]))
+            previous = current
         elif algo == OMWU:
-            gx = problem.minimizer_feedback(x, y)
-            gy = problem.maximizer_feedback(y, x)
+            current = feedbacks(points)
             with np.errstate(over="ignore", invalid="ignore"):
-                x_w = x * np.exp(-eta * (2.0 * gx - gx_prev))
-                y_w = y * np.exp(-eta * (2.0 * gy - gy_prev))
-            x_sum = np.add.reduce(x_w)
-            y_sum = np.add.reduce(y_w)
-            if (
-                not np.isfinite(x_w).all()
-                or not np.isfinite(y_w).all()
-                or x_sum <= 0
-                or y_sum <= 0
-            ):
-                raise OverflowError(
-                    f"multiplicative update overflowed at step {t + 1}"
-                )
-            x = x_w / x_sum
-            y = y_w / y_sum
-            gx_prev, gy_prev = gx, gy
-        else:  # AlternatingGDA: x moves first, y reacts to the fresh x
-            gx = problem.minimizer_feedback(x, y)
-            x = _project_simplex_raw(x - eta * gx)
-            gy = problem.maximizer_feedback(y, x)
-            y = _project_simplex_raw(y - eta * gy)
-    _record_pending(problem, points, gaps, drifts, utilities)
+                for i, g in enumerate(current):
+                    w = points[i] * np.exp(-eta * (2.0 * g - previous[i]))
+                    total = np.add.reduce(w)
+                    if not (np.isfinite(w).all() and total > 0):
+                        raise OverflowError(
+                            f"multiplicative update overflowed at step {t + 1}"
+                        )
+                    points[i] = w / total
+            previous = current
+        else:  # AlternatingGDA: GDA with each player's feedback read on its turn
+            for i in range(len(points)):
+                points[i] = project(points[i] - eta * feedbacks(points)[i])
+    _record_pending(problem, visited, gaps, drifts, utilities)
     return Trajectory(
-        points=tuple(points),
+        points=tuple(visited),
         gaps=tuple(gaps),
         drifts=tuple(drifts),
         utilities=tuple(utilities),

@@ -151,6 +151,15 @@ def load_game(path: str) -> GameLike:
     return game_from_dict(_load_json(path))
 
 
+def _build(constructor, **fields):
+    """constructor(**fields), with a refusal of the file's data re-raised as
+    FormatError under the constructor's own message."""
+    try:
+        return constructor(**fields)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
 def game_from_dict(doc) -> GameLike:
     if not isinstance(doc, dict):
         raise FormatError("game file must hold a JSON object")
@@ -172,7 +181,8 @@ def game_from_dict(doc) -> GameLike:
     (variant, body), = payoff.items()
     if variant == "tensor":
         tensor = _parse_tensor(body, counts)
-        return NormalFormGame(
+        return _build(
+            NormalFormGame,
             payoffs=tuple(tensor for _ in range(players)),
             orientation=orientation,
             team_partition=partition,
@@ -190,7 +200,8 @@ def game_from_dict(doc) -> GameLike:
             if (i, j) in pairs:
                 raise FormatError(f"duplicate polymatrix pair ({i}, {j})")
             pairs[(i, j)] = m
-        return PolymatrixGame(
+        return _build(
+            PolymatrixGame,
             action_counts=counts,
             pair_matrices=pairs,
             orientation=orientation,
@@ -208,12 +219,12 @@ def game_from_dict(doc) -> GameLike:
         m = _parse_matrix(body.get("m"), "m")
         domain = None
         if body.get("delta") is not None:
-            domain = JointDomain(shape(qx)[0], _finite(body["delta"], "delta"))
+            domain = _build(JointDomain, n=shape(qx)[0], delta=_finite(body["delta"], "delta"))
         kwargs = {}
         for key in ("smoothness_bound", "lipschitz_bound"):
             if body.get(key) is not None:
                 kwargs[key] = _finite(body[key], key)
-        problem = QuadraticMinMaxProblem(qx=qx, qy=qy, m=m, domain=domain, **kwargs)
+        problem = _build(QuadraticMinMaxProblem, qx=qx, qy=qy, m=m, domain=domain, **kwargs)
         if problem.n_x != counts[0] or problem.n_y != counts[1]:
             raise FormatError("action_counts disagree with the quadratic blocks")
         return problem
@@ -403,9 +414,7 @@ REPORT_ANCHORS = {
     "mass_bound": 'Lemma with quote "any action of player i", conclusion x*_i(a_k) ≤ ε²/c',
     "irrational_regret": '§3.2 equilibrium values, e.g. "x* = ((3 − √3)/6, (3 + √3)/6)"',
     "irrational_exact": '§3.2 proof: "x* = ((3 − √3)/6, (3 + √3)/6)"',
-    "symmetry_drift": 'Theorem "No symmetric learning algorithm"',
     "refine_target": 'Def. "ε-Nash equilibrium of (R, C)"',
-    "cover_size": 'Appendix Lemma, "of size at least n − k + 1"',
 }
 
 

@@ -37,7 +37,6 @@ from .rational import (
     shape,
     to_float_matrix,
     to_fraction,
-    transpose,
 )
 
 MAXIMIZE = "maximize"
@@ -210,10 +209,6 @@ class BimatrixGame:
     @cached_property
     def col_float(self) -> np.ndarray:
         return _read_only(to_float_matrix(self.col_payoff))
-
-    def symmetric(self) -> bool:
-        """True when the column player faces the transposed row matrix."""
-        return self.col_payoff == transpose(self.row_payoff)
 
     def identical_payoff(self) -> bool:
         return self.row_payoff == self.col_payoff

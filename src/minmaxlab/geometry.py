@@ -195,25 +195,26 @@ def _resolution_denominator(resolution) -> int:
     return r.denominator
 
 
-def _grid_denominator(n: int, resolution, cap: int) -> int:
-    """m for `resolution` = 1/m, once the n-simplex grid is known to hold at most `cap` points."""
+def _grid_denominator(n: int, resolution) -> int:
+    """m for `resolution` = 1/m, once the n-simplex grid is known to hold at
+    most SIMPLEX_GRID_CAP points."""
     if n < 1:
         raise DimensionError("need at least one coordinate")
     m = _resolution_denominator(resolution)
     count = grid_size(n, resolution)
-    if count > cap:
-        raise CapExceededError(f"grid holds {count} points, cap is {cap}")
+    if count > SIMPLEX_GRID_CAP:
+        raise CapExceededError(f"grid holds {count} points, cap is {SIMPLEX_GRID_CAP}")
     return m
 
 
-def simplex_grid(n: int, resolution, cap: int = SIMPLEX_GRID_CAP) -> Iterator[FVec]:
+def simplex_grid(n: int, resolution) -> Iterator[FVec]:
     """Stream all points of the n-simplex with coordinates in multiples of 1/m.
 
     Yields exact rational vectors in a fixed (first-coordinate descending)
-    order.  Raises CapExceededError when the grid would hold more than `cap`
-    points; nothing is materialized.
+    order.  Raises CapExceededError when the grid would hold more than
+    SIMPLEX_GRID_CAP points; nothing is materialized.
     """
-    m = _grid_denominator(n, resolution, cap)
+    m = _grid_denominator(n, resolution)
 
     def _stream() -> Iterator[FVec]:
         for comp in _compositions(m, n):

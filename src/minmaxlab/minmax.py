@@ -12,6 +12,7 @@ symmetric, exactly, in rational arithmetic.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -114,13 +115,21 @@ class QuadraticMinMaxProblem:
             and transpose(self.m) == tuple(tuple(-v for v in row) for row in self.m)
         )
 
-    def minimizer_feedback(self, own: np.ndarray, other: np.ndarray) -> np.ndarray:
-        """Gradient fed to the x player: grad_x f."""
-        return self.mt_float.dot(other) - self.qx_float.dot(own)
+    @cached_property
+    def feedbacks(self) -> Callable[[Sequence[np.ndarray]], list[np.ndarray]]:
+        """The players' feedbacks at points [x, y]: [grad_x f, -grad_y f].
 
-    def maximizer_feedback(self, own: np.ndarray, other: np.ndarray) -> np.ndarray:
-        """Gradient fed to the y player: -grad_y f (it descends on -f)."""
-        return self.neg_m_float.dot(other) - self.qy_float.dot(own)
+        Each player descends on its own entry, the y player on -f.  The
+        closure holds the bound products, so a step looks nothing up.
+        """
+        mt, qx = self.mt_float.dot, self.qx_float.dot
+        neg_m, qy = self.neg_m_float.dot, self.qy_float.dot
+
+        def feedbacks(points):
+            x, y = points
+            return [mt(y) - qx(x), neg_m(x) - qy(y)]
+
+        return feedbacks
 
 
 def _point(problem: QuadraticMinMaxProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +159,8 @@ def f_value(problem: QuadraticMinMaxProblem, x, y) -> float:
 def gradient(problem: QuadraticMinMaxProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
     """(grad_x f, grad_y f) at the point: the players' feedbacks, the
     maximizer's negated as 0.0 - v so that a zero component stays +0.0."""
-    xv, yv = _point(problem, x, y)
-    return problem.minimizer_feedback(xv, yv), 0.0 - problem.maximizer_feedback(yv, xv)
+    gx, neg_gy = problem.feedbacks(_point(problem, x, y))
+    return gx, 0.0 - neg_gy
 
 
 def _simplex_gda_rows(

@@ -142,7 +142,8 @@ def _adjacency_masks(graph) -> list[int]:
 
 
 def max_clique(graph) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum clique (size, witness) by branch and bound.
+    """Exact maximum clique (size, witness): the first size k, from n down,
+    with a k-clique.
 
     Deterministic: among maximum cliques the lexicographically smallest
     vertex tuple is returned.  Capped at 20 vertices.
@@ -150,28 +151,11 @@ def max_clique(graph) -> tuple[int, tuple[int, ...]]:
     n = graph.n
     if n > MAX_CLIQUE_MAX_N:
         raise CapExceededError(f"max_clique capped at n = {MAX_CLIQUE_MAX_N}, got {n}")
-    if n == 0:
-        return 0, ()
-    adj = _adjacency_masks(graph)
-    best_mask = 0
-    best_size = 0
-
-    def expand(cur_mask: int, cur_size: int, cand: int) -> None:
-        nonlocal best_mask, best_size
-        if cand == 0:
-            if cur_size > best_size:
-                best_mask, best_size = cur_mask, cur_size
-            return
-        while cand:
-            if cur_size + cand.bit_count() <= best_size:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(cur_mask | (1 << v), cur_size + 1, cand & adj[v])
-
-    expand(0, 0, (1 << n) - 1)
-    witness = tuple(i for i in range(n) if best_mask >> i & 1)
-    return best_size, witness
+    for k in range(n, 0, -1):
+        cliques = cliques_of_size(graph, k)
+        if cliques:
+            return k, cliques[0]
+    return 0, ()
 
 
 def cliques_of_size(graph, k: int) -> list[tuple[int, ...]]:
@@ -271,12 +255,7 @@ def exact_max_regret(game: Game, strategies: Sequence[Iterable]) -> Fraction:
     return Fraction(worst, d * math.prod(ms))
 
 
-def grid_ne_search(
-    game: Game,
-    resolution,
-    eps,
-    cap: int = GRID_SEARCH_CAP,
-) -> list[tuple[MixedProfile, float]]:
+def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, float]]:
     """All grid profiles whose exact max regret is at most eps, in grid order.
 
     Each player's strategy ranges over the simplex grid with spacing
@@ -289,15 +268,15 @@ def grid_ne_search(
     regrets densely, a chunk of its grid at a time, and each later player's
     only at the profiles every earlier player passed.  Each hit carries its
     exact max regret as a float.  Raises CapExceededError when the number of
-    joint profiles exceeds `cap`.
+    joint profiles exceeds GRID_SEARCH_CAP.
     """
     nf = _as_normal_form(game)
     counts = nf.action_counts
     m = _resolution_denominator(resolution)
     sizes = [grid_size(c, resolution) for c in counts]
     total = math.prod(sizes)
-    if total > cap:
-        raise CapExceededError(f"{total} grid profiles exceed cap {cap}")
+    if total > GRID_SEARCH_CAP:
+        raise CapExceededError(f"{total} grid profiles exceed cap {GRID_SEARCH_CAP}")
     ms = [m] * len(counts)
     tensors, d = _integer_tensors(nf, ms)
     scale = d * m ** len(counts)

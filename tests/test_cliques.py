@@ -18,6 +18,7 @@ from minmaxlab.cliques import (
 )
 from minmaxlab.errors import BoundViolationError, CapExceededError, PreconditionError
 from minmaxlab.games import MixedStrategy
+from minmaxlab.rational import transpose
 
 
 def regime_for(graph, k, strict=False):
@@ -98,7 +99,7 @@ def test_unique_ne_game_border_values(fig1):
     r = Fraction(-(2 * k - 1), 2 * (k - 1) * k)
     assert b[0][5] == r
     assert b[5][0] == r
-    assert game.symmetric()
+    assert game.col_payoff == transpose(game.row_payoff)
 
 
 def test_unique_ne_game_rejects_out_of_range_k(fig1):

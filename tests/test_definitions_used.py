@@ -90,3 +90,23 @@ def test_every_definition_in_src_is_used_or_kept_for_a_stated_reason():
     dead = unreferenced(package, outside)
     assert sorted(d for d in dead if d.split(".")[1] not in KEPT) == []
     assert {d.split(".")[1] for d in dead} == set(KEPT), "a kept name is in use again"
+
+
+def string_literals(tree: ast.AST) -> set[str]:
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_every_report_anchor_names_a_record_that_src_can_emit():
+    """An anchor whose key no code outside fileio.py writes documents a bound
+    that no report carries."""
+    from minmaxlab.fileio import REPORT_ANCHORS
+
+    literals = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "fileio.py":
+            literals |= string_literals(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(REPORT_ANCHORS) - literals) == []

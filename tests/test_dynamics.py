@@ -142,3 +142,20 @@ def test_config_stores_numpy_and_exact_numbers_as_float_and_int():
     plain = DynamicsConfig(algorithm=GDA, stepsize=0.1, horizon=3)
     for got, want in zip(run(rps_problem(), config).points, run(rps_problem(), plain).points):
         assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("algorithm", SYMMETRIC_ALGORITHMS)
+@pytest.mark.parametrize("n", [2, 3, 8, 41])
+def test_symmetric_rules_are_swap_equivariant_bit_for_bit(algorithm, n):
+    """On an antisymmetric problem each player runs the same rule on its own
+    feedback, so swapping the two starting points swaps every later point;
+    n = 41 takes the numpy projection, the smaller n the scalar one."""
+    rng = np.random.default_rng(n)
+    r = fmat([[Fraction(int(rng.integers(-100, 101)), 100) for _ in range(n)] for _ in range(n)])
+    prob = gadgets.quadratic_gadget(r)
+    a, b = (MixedStrategy(rng.dirichlet(np.ones(n))) for _ in range(2))
+    forward = run(prob, DynamicsConfig(algorithm, stepsize=0.2, horizon=150, init=(a, b)))
+    swapped = run(prob, DynamicsConfig(algorithm, stepsize=0.2, horizon=150, init=(b, a)))
+    for (x, y), (u, v) in zip(forward.points, swapped.points):
+        assert (x.tobytes(), y.tobytes()) == (v.tobytes(), u.tobytes())
+    assert max(forward.drifts) > 0.0

@@ -226,14 +226,9 @@ def test_feedback_matches_the_prior_products():
         for _ in range(20):
             x = rng.dirichlet(np.ones(problem.n_x))
             y = rng.dirichlet(np.ones(problem.n_y))
-            assert (
-                problem.minimizer_feedback(x, y).tobytes()
-                == prior_minimizer_feedback(problem, x, y).tobytes()
-            )
-            assert (
-                problem.maximizer_feedback(y, x).tobytes()
-                == prior_maximizer_feedback(problem, y, x).tobytes()
-            )
+            gx, gy = problem.feedbacks([x, y])
+            assert gx.tobytes() == prior_minimizer_feedback(problem, x, y).tobytes()
+            assert gy.tobytes() == prior_maximizer_feedback(problem, y, x).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ def prior_grid_ne_search(game, resolution, eps, cap=GRID_SEARCH_CAP):
     n_players = len(counts)
     eps_exact = to_fraction(eps)
     eps_f = float(eps_exact)
-    grids_exact = [list(simplex_grid(c, resolution, cap)) for c in counts]
+    grids_exact = [list(simplex_grid(c, resolution)) for c in counts]
     sizes = [len(g) for g in grids_exact]
     total = math.prod(sizes)
     if total > cap:

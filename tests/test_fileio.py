@@ -155,6 +155,8 @@ BAD_INTEGER_FIELDS = {
 def test_the_team_document_loads():
     game = game_from_dict(team_doc())
     assert game.team_partition == (frozenset({0, 1}), frozenset({2}))
+    tensor = game_from_dict(TENSOR_DOC)
+    assert tensor.team_partition == (frozenset({0}), frozenset({1}))
 
 
 @pytest.mark.parametrize("fields", BAD_INTEGER_FIELDS.values(), ids=list(BAD_INTEGER_FIELDS))
@@ -191,6 +193,54 @@ def test_the_quadratic_document_loads():
 def test_real_fields_are_finite_numbers(field):
     with pytest.raises(FormatError, match="must be"):
         game_from_dict(json.loads(quadratic_text(*field)))
+
+
+TENSOR_DOC = {
+    "players": 2,
+    "action_counts": [1, 1],
+    "orientation": ["min", "max"],
+    "payoff": {"tensor": [["1"]]},
+    "team_partition": [[0], [1]],
+}
+REFUSED_BY_A_CONSTRUCTOR = {
+    "negative smoothness": (
+        json.loads(quadratic_text("smoothness_bound", "-1")),
+        "smoothness_bound must be finite and nonnegative, got -1.0",
+    ),
+    "negative delta": (
+        json.loads(quadratic_text("delta", '"-1/4"')),
+        "delta must be finite and nonnegative, got -0.25",
+    ),
+    "non-square qx": (
+        json.loads(quadratic_text("qx", '[["1", "0"]]')),
+        "Qx and Qy must be square",
+    ),
+    "asymmetric qx": (
+        json.loads(quadratic_text("qx", '[["1", "1"], ["0", "1"]]')),
+        "Qx and Qy must be symmetric (exactly)",
+    ),
+    "polymatrix self pair": (
+        team_doc(payoff={"polymatrix": [{"i": 0, "j": 0, "matrix": [["1"]]}]}),
+        "bad player pair (0, 0)",
+    ),
+    "polymatrix block shape": (
+        team_doc(payoff={"polymatrix": [{"i": 0, "j": 2, "matrix": [["1", "2"]]}]}),
+        "pair (0, 2) matrix has shape (1, 2)",
+    ),
+    "teams pulling one way": (
+        {**TENSOR_DOC, "orientation": ["min", "min"]},
+        "the two teams must pull the shared payoff in opposite directions",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "doc, message", REFUSED_BY_A_CONSTRUCTOR.values(), ids=list(REFUSED_BY_A_CONSTRUCTOR)
+)
+def test_a_constructor_refusal_is_a_format_error_with_its_message(doc, message):
+    with pytest.raises(FormatError) as caught:
+        game_from_dict(doc)
+    assert str(caught.value) == message
 
 
 def test_graph_round_trip(tmp_path, fig1):

@@ -97,7 +97,7 @@ def test_decompose_symmetric_skew_roundtrip(rows):
 def test_bimatrix_symmetry_predicates():
     a = fmat([[1, 2], [2, 0]])
     game = BimatrixGame(a, a, (MAXIMIZE, MAXIMIZE))
-    assert game.symmetric()
+    assert game.col_payoff == transpose(game.row_payoff)
     assert game.identical_payoff()
     other = BimatrixGame(a, fmat([[0, 0], [0, 0]]), (MAXIMIZE, MAXIMIZE))
     assert not other.identical_payoff()

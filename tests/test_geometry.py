@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minmaxlab import geometry
 from minmaxlab.errors import CapExceededError, DimensionError
 from minmaxlab.geometry import (
     JointDomain,
@@ -85,9 +86,10 @@ def test_grid_counts_match_the_stars_and_bars_formula():
     assert len(set(pts)) == 66
 
 
-def test_grid_cap_is_enforced():
+def test_grid_cap_is_enforced(monkeypatch):
+    monkeypatch.setattr(geometry, "SIMPLEX_GRID_CAP", 1000)
     with pytest.raises(CapExceededError):
-        list(simplex_grid(6, Fraction(1, 100), cap=1000))
+        list(simplex_grid(6, Fraction(1, 100)))
 
 
 def test_joint_domain_membership():

@@ -82,6 +82,54 @@ def test_max_clique_trivial_cases():
     assert oracle.max_clique(k2) == (2, (0, 1))
 
 
+def prior_max_clique(graph):
+    """The branch and bound that max_clique ran before it became the first
+    non-empty `cliques_of_size` from n down (reference only)."""
+    n = graph.n
+    adj = oracle._adjacency_masks(graph)
+    best_mask = 0
+    best_size = 0
+
+    def expand(cur_mask, cur_size, cand):
+        nonlocal best_mask, best_size
+        if cand == 0:
+            if cur_size > best_size:
+                best_mask, best_size = cur_mask, cur_size
+            return
+        while cand:
+            if cur_size + cand.bit_count() <= best_size:
+                return
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            expand(cur_mask | (1 << v), cur_size + 1, cand & adj[v])
+
+    expand(0, 0, (1 << n) - 1)
+    return best_size, tuple(i for i in range(n) if best_mask >> i & 1)
+
+
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.8, 0.95])
+def test_max_clique_matches_the_prior_branch_and_bound(density):
+    rng = np.random.default_rng(int(density * 100))
+    for n in range(1, oracle.MAX_CLIQUE_MAX_N + 1):
+        for _ in range(5):
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+            g = Graph.from_edges(n, edges)
+            assert oracle.max_clique(g) == prior_max_clique(g), (n, edges)
+
+
+def test_max_clique_keeps_its_cap():
+    g = Graph.from_edges(oracle.MAX_CLIQUE_MAX_N + 1, [])
+    with pytest.raises(CapExceededError, match="max_clique capped at n = 20, got 21"):
+        oracle.max_clique(g)
+
+
+def test_grid_search_cap_is_enforced(monkeypatch):
+    game = BimatrixGame(fmat([[1, 0], [0, 1]]), fmat([[1, 0], [0, 1]]), (MAXIMIZE, MAXIMIZE))
+    monkeypatch.setattr(oracle, "GRID_SEARCH_CAP", 24)
+    with pytest.raises(CapExceededError, match="25 grid profiles exceed cap 24"):
+        oracle.grid_ne_search(game, Fraction(1, 4), 0)
+
+
 def test_grid_search_finds_matching_pennies_equilibrium():
     game = BimatrixGame(
         fmat([[1, -1], [-1, 1]]), fmat([[-1, 1], [1, -1]]), (MAXIMIZE, MAXIMIZE)
