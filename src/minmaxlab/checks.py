@@ -21,11 +21,16 @@ from .games import (
     deviation_vectors,
     oriented,
     profile_probs,
+    require_simplex,
 )
 from .rational import fmat, fvec, scale_to_integers, shape, transpose
 
-CERT_SLACK = 1e-12
-BOUND_SLACK = 1e-9
+VERDICT_SLACK = 1e-12
+
+
+def within(measured: float, bound: float) -> bool:
+    """The one float verdict rule: `measured <= bound`, up to VERDICT_SLACK."""
+    return measured <= bound + VERDICT_SLACK
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,8 @@ class BoundRecord:
 
 
 def bound_record(name: str, bound: float, measured: float) -> BoundRecord:
-    """The record of `measured <= bound`, with the 1e-9 slack of float lemma bounds."""
-    return BoundRecord(name, bound, measured, measured <= bound + BOUND_SLACK)
+    """The record of `measured <= bound`, decided by `within`."""
+    return BoundRecord(name, bound, measured, within(measured, bound))
 
 
 def enforce(report):
@@ -57,7 +62,7 @@ class Certificate:
 
     `witnesses` lists one (player, pure action, gain) per player: the best
     deviation found and how much it gains.  The gains are the `regrets`, and
-    `satisfied` is true when every regret is at most epsilon + 1e-12.
+    `satisfied` is true when every regret is `within` epsilon.
     """
 
     epsilon: float
@@ -68,7 +73,7 @@ class Certificate:
     def __post_init__(self):
         regrets = tuple(gain for _, _, gain in self.witnesses)
         object.__setattr__(self, "regrets", regrets)
-        object.__setattr__(self, "satisfied", all(r <= self.epsilon + CERT_SLACK for r in regrets))
+        object.__setattr__(self, "satisfied", all(within(r, self.epsilon) for r in regrets))
 
 
 def epsilon_ne_report(game: Game, profile: MixedProfile, epsilon: float = 0.0) -> Certificate:
@@ -116,12 +121,15 @@ def wsne_report(game: BimatrixGame, x: MixedStrategy) -> float:
     """Smallest eps for which (x, x) is an eps-well-supported equilibrium.
 
     Requires the game require_wsne_game accepts.  Support means probability
-    above 1e-12.
+    above SUPPORT_TOL.  A raw vector must pass `require_simplex` (ValueError
+    otherwise) and is read as given, not renormalized.
     """
     require_wsne_game(game)
     probs = x.probs if isinstance(x, MixedStrategy) else np.asarray(x, dtype=float)
     if probs.size != game.action_counts[0]:
         raise PreconditionError("strategy length does not match the game")
+    if not isinstance(x, MixedStrategy):
+        require_simplex(probs)
     gaps = deviation_gaps(game.row_float @ probs, game.orientation[0])
     return float(gaps[probs > SUPPORT_TOL].max())
 
@@ -133,6 +141,7 @@ def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
     matrix, folded into the player's direction with `oriented`, is scaled to
     integers; the value is the best payoff minus the worst supported one.
     The caller checks what require_wsne_game checks; this only computes.
+    Raises ValueError when x is not a probability vector.
     """
     m = fmat(matrix)
     n, n2 = shape(m)
@@ -143,8 +152,9 @@ def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
         raise PreconditionError("strategy length does not match the matrix")
     rows, d = scale_to_integers(m)
     xs, dx = scale_to_integers(xv)
-    if max(xs.tolist(), default=0) <= 0:
-        raise PreconditionError("empty support")
+    nums = xs.tolist()
+    if min(nums) < 0 or sum(nums) != dx:  # x = xs / dx exactly
+        raise ValueError("strategy is not a probability vector")
     _, _, slack = _wsne_slack(oriented(rows, orientation), xs[None])
     return Fraction(slack[0], d * dx)
 
@@ -198,14 +208,14 @@ def ne_to_wsne(game: BimatrixGame, profile: MixedProfile, epsilon: float) -> Mix
         new_strategies.append(MixedStrategy(probs))
     out = MixedProfile(tuple(new_strategies))
     measured = _wsne_eps_bimatrix(game, out)
-    if measured > epsilon + CERT_SLACK:
+    if not within(measured, epsilon):
         raise BoundViolationError(
             f"constructed profile is only a {measured}-WSNE, wanted {epsilon}"
         )
     drift = max(
         float(np.abs(out[p].probs - profile[p].probs).max()) for p in range(2)
     )
-    if drift > epsilon / 4.0 + CERT_SLACK:
+    if not within(drift, epsilon / 4.0):
         raise BoundViolationError(f"construction moved mass by {drift} > eps/4")
     return out
 
@@ -227,8 +237,8 @@ def mass_bound_audit(game: Game, profile: MixedProfile, epsilon: float) -> list[
     In any eps^2-equilibrium, an action whose payoff is c worse than the
     best response (c > 0) can carry at most eps^2 / c probability.  Requires
     the profile to actually be an eps^2-equilibrium; returns the list of
-    violating (player, action) pairs with measured masses, empty when the
-    bound holds everywhere (with 1e-9 slack).
+    violating (player, action) pairs with measured masses, empty when every
+    mass is `within` its bound.
     """
     if epsilon < 0:
         raise PreconditionError("epsilon must be non-negative")
@@ -244,6 +254,6 @@ def mass_bound_audit(game: Game, profile: MixedProfile, epsilon: float) -> list[
                 continue
             mass = float(profile[p].probs[a])
             bound = eps_sq / gap
-            if mass > bound + BOUND_SLACK:
+            if not within(mass, bound):
                 violations.append(MassBoundEntry(p, a, mass, gap, bound))
     return violations

@@ -28,13 +28,13 @@ from .analytic import (
     verify_irrational_equilibrium,
 )
 from .checks import (
-    BOUND_SLACK,
     BoundRecord,
     bound_record,
     epsilon_ne_report,
     mass_bound_audit,
     require_wsne_game,
     symmetric_regret,
+    within,
     wsne_eps_exact,
     wsne_report,
 )
@@ -148,11 +148,11 @@ def _check_user_eps(eps: float | None) -> None:
         raise PreconditionError(f"--eps must be non-negative, got {eps}")
 
 
-def _eps_bound(name: str, eps: float | None, measured: float, slack: float = BOUND_SLACK):
+def _eps_bound(name: str, eps: float | None, measured: float):
     """Bound record against an optional --eps; without one it only measures.
     The only verdict the CLI decides: the library's audits decide the rest."""
     _check_user_eps(eps)
-    return BoundRecord(name, eps, measured, eps is None or measured <= eps + slack)
+    return BoundRecord(name, eps, measured, eps is None or within(measured, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +251,12 @@ def cmd_gadget_clique(args, inputs):
 
 
 def cmd_check_ne(args, inputs):
-    cert = epsilon_ne_report(args.game, args.profile, args.eps or 0.0)
-    _check_user_eps(args.eps)
-    satisfied = args.eps is None or cert.satisfied
-    bounds = [BoundRecord("epsilon_ne", args.eps, max(cert.regrets), satisfied)]
+    cert = epsilon_ne_report(args.game, args.profile)
     data = {
         "regrets": list(cert.regrets),
         "witnesses": [list(w) for w in cert.witnesses],
     }
-    return bounds, data
+    return [_eps_bound("epsilon_ne", args.eps, max(cert.regrets))], data
 
 
 def cmd_check_wsne(args, inputs):
@@ -273,7 +270,7 @@ def cmd_check_wsne(args, inputs):
         data["measured_exact"] = str(exact)
     else:
         measured = wsne_report(game, x)
-    return [_eps_bound("wsne", args.eps, measured, 1e-12)], data
+    return [_eps_bound("wsne", args.eps, measured)], data
 
 
 def cmd_check_fone(args, inputs):

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BoundViolationError, DimensionError, PreconditionError
-from .checks import BOUND_SLACK, BoundRecord, _wsne_slack, enforce
+from .checks import BoundRecord, _wsne_slack, enforce, within
 from .games import MAXIMIZE, BimatrixGame, MixedStrategy
 from .minmax import QuadraticMinMaxProblem
 from .oracle import (
@@ -698,7 +698,7 @@ def classify_symmetric_profile(
     _, clique, form, dist = best
     n = graph.n
     bound = 2.0 * n**6 * eps if well_supported else n**6 * math.sqrt(eps)
-    if dist > bound + BOUND_SLACK:
+    if not within(dist, bound):
         if regime.strict:
             raise BoundViolationError(
                 f"profile sits {dist} from every canonical shape, above {bound}"

@@ -325,7 +325,7 @@ def load_graph(path: str) -> Graph:
         if key in edges:
             raise FormatError(f"{path}: duplicate edge {ln!r}")
         edges.add(key)
-    return Graph.from_edges(n, edges)
+    return _build(Graph.from_edges, n=n, edges=edges)
 
 
 def save_graph(graph: Graph, path: str) -> None:
@@ -369,7 +369,7 @@ def load_profile(path: str) -> MixedProfile:
                 strategies.append(MixedStrategy([float(v) for v in values]))
         except ValueError as exc:
             raise FormatError(f"invalid strategy {row!r}: {exc}") from None
-    return MixedProfile(tuple(strategies))
+    return _build(MixedProfile, strategies=tuple(strategies))
 
 
 def strategy_obj(strategy: MixedStrategy) -> list:

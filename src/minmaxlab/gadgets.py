@@ -11,7 +11,7 @@ lets approximate equilibria be mapped back to the original game.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +34,7 @@ from .oracle import symmetric_support_enumeration
 from .rational import FMat, fmat, scale_to_integers, shape, to_fraction, transpose
 
 EPS_CAP = Fraction(1, 10)
+TEAM_SYMMETRY_TOL = 1e-9  # a 3v3 profile's largest sup-norm gap to its mirror team
 
 
 def _exact_eps(epsilon) -> Fraction:
@@ -45,10 +46,10 @@ def _exact_eps(epsilon) -> Fraction:
 
 
 def _float_eps(instance: TeamGadgetInstance | Team3v3Instance, epsilon) -> float:
-    """A measured eps as a float; PreconditionError outside (0, 1/10 + 1e-12]
-    or when it is not the gadget's own eps, at which alone the lemmas hold."""
+    """A measured eps as a float; PreconditionError outside (0, 1/10] or
+    when it is not the gadget's own eps, at which alone the lemmas hold."""
     eps = float(epsilon)
-    if not (0 < eps <= float(EPS_CAP) + 1e-12):
+    if not (0 < eps <= float(EPS_CAP)):
         raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
     if eps != float(instance.epsilon):
         raise PreconditionError(f"epsilon {eps} is not the gadget's own {instance.epsilon}")
@@ -211,7 +212,7 @@ class GadgetStructureReport:
 
     @property
     def bounds(self) -> tuple[BoundRecord, ...]:
-        """The pair-gap and mirror-mass verdicts (1e-9 slack)."""
+        """The pair-gap and mirror-mass verdicts (`checks.bound_record`)."""
         return (
             bound_record("pair_gap", self.pair_bound, self.max_pair_gap),
             bound_record("mirror_mass", self.mirror_bound, self.max_mirror_mass),
@@ -325,15 +326,7 @@ def coupling_width(eps: float, n: int) -> float:
 def coupled_gadget(matrix, delta: float) -> QuadraticMinMaxProblem:
     """The quadratic gadget restricted to strategy pairs with |x_i - y_i| <= delta."""
     base = quadratic_gadget(matrix)
-    n = base.n_x
-    return QuadraticMinMaxProblem(
-        qx=base.qx,
-        qy=base.qy,
-        m=base.m,
-        domain=JointDomain(n, float(delta)),
-        smoothness_bound=base.smoothness_bound,
-        lipschitz_bound=base.lipschitz_bound,
-    )
+    return replace(base, domain=JointDomain(base.n_x, float(delta)))
 
 
 def median_backmap(
@@ -448,7 +441,7 @@ class Team3v3Report(GadgetStructureReport):
 
     @property
     def bounds(self) -> tuple[BoundRecord, ...]:
-        """Both structure verdicts, then the back-map's (1e-9 slack)."""
+        """Both structure verdicts, then the back-map's (`checks.bound_record`)."""
         return super().bounds + (bound_record("team3v3_backmap", self.bound, self.backmap_regret),)
 
 
@@ -457,11 +450,11 @@ def team3v3_audit_and_backmap(
 ) -> Team3v3Report:
     """Audit a certified, team-symmetric eps^2-equilibrium and map it back.
 
-    Requires x = x-hat, y = y-hat, z = z-hat up to 1e-9.  Checks both teams'
-    internal agreement (<= 2 eps per coordinate) and both adversaries'
-    mirror masses (<= 9 eps), then returns x* with the guarantee that
-    (x*, x*) is a (21 n + 1) |A_min| eps equilibrium of (R, R^T), which it
-    measures too.  Violations raise BoundViolationError.
+    Requires x = x-hat, y = y-hat, z = z-hat up to TEAM_SYMMETRY_TOL.
+    Checks both teams' internal agreement (<= 2 eps per coordinate) and both
+    adversaries' mirror masses (<= 9 eps), then returns x* with the
+    guarantee that (x*, x*) is a (21 n + 1) |A_min| eps equilibrium of
+    (R, R^T), which it measures too.  Violations raise BoundViolationError.
     """
     return enforce(measure_team3v3(instance, profile, epsilon))
 
@@ -482,7 +475,7 @@ def measure_team3v3(
         raise DimensionError("profile must cover all six players")
     for p in range(3):
         mismatch = float(np.abs(profile[p].probs - profile[p + 3].probs).max())
-        if mismatch > 1e-9:
+        if mismatch > TEAM_SYMMETRY_TOL:
             raise PreconditionError(
                 f"profile is not symmetric across teams (player {p}: {mismatch})"
             )

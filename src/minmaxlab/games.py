@@ -78,6 +78,20 @@ def _validate_partition(
     return t0, t1
 
 
+def require_simplex(v: np.ndarray) -> None:
+    """Raise unless the float vector v is a probability vector up to CLAMP_TOL
+    (negative entries) and SUM_TOL (total mass)."""
+    if v.size == 0:
+        raise DimensionError("empty strategy vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("strategy contains non-finite entries")
+    if v.min() < -CLAMP_TOL:
+        raise ValueError(f"negative probability {v.min()} below clamp tolerance")
+    total = v.sum()
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """A point of the probability simplex, stored as float64.
@@ -93,15 +107,7 @@ class MixedStrategy:
 
     def __post_init__(self):
         v = np.array(self.probs, dtype=float).reshape(-1)
-        if v.size == 0:
-            raise DimensionError("empty strategy vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("strategy contains non-finite entries")
-        if v.min() < -CLAMP_TOL:
-            raise ValueError(f"negative probability {v.min()} below clamp tolerance")
-        total = v.sum()
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        require_simplex(v)
         v[v < 0.0] = 0.0
         v /= v.sum()
         v.flags.writeable = False
@@ -131,9 +137,6 @@ class MixedStrategy:
 
     def __len__(self) -> int:
         return int(self.probs.size)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.probs > SUPPORT_TOL)[0])
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .checks import within
 from .errors import DimensionError, PreconditionError, UnsupportedDomainError
 from .games import MAXIMIZE, MINIMIZE, MixedStrategy, best_deviation
 from .geometry import JointDomain, _project_simplex_rows, project_joint
@@ -300,13 +301,13 @@ class AntisymmetryReport:
 
     @property
     def ok(self) -> bool:
-        return self.structural and self.max_violation <= 1e-10
+        return self.structural and within(self.max_violation, 0.0)
 
 
 def antisymmetry_check(
     problem: QuadraticMinMaxProblem, samples: int = 100, seed: int = 0
 ) -> AntisymmetryReport:
-    """Structural antisymmetry plus sampled |f(x, y) + f(y, x)| <= 1e-10."""
+    """Structural antisymmetry plus the largest sampled |f(x, y) + f(y, x)|."""
     structural = problem.antisymmetric()
     worst = 0.0
     if problem.n_x == problem.n_y:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .checks import Certificate, epsilon_ne_report
-from .errors import CapExceededError, DimensionError
+from .errors import CapExceededError, DimensionError, PreconditionError
 from .games import (
     MAXIMIZE,
     MINIMIZE,
@@ -267,9 +267,13 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     The grid is decided player by player (`_regret_gaps`): player 0's
     regrets densely, a chunk of its grid at a time, and each later player's
     only at the profiles every earlier player passed.  Each hit carries its
-    exact max regret as a float.  Raises CapExceededError when the number of
-    joint profiles exceeds GRID_SEARCH_CAP.
+    exact max regret as a float.  Raises PreconditionError when eps is
+    negative and CapExceededError when the number of joint profiles exceeds
+    GRID_SEARCH_CAP.
     """
+    eps = to_fraction(eps)
+    if eps < 0:
+        raise PreconditionError(f"eps must be non-negative, got {eps}")
     nf = _as_normal_form(game)
     counts = nf.action_counts
     m = _resolution_denominator(resolution)
@@ -280,7 +284,7 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     ms = [m] * len(counts)
     tensors, d = _integer_tensors(nf, ms)
     scale = d * m ** len(counts)
-    threshold = math.floor(to_fraction(eps) * scale)
+    threshold = math.floor(eps * scale)
     grids = [np.array(list(_compositions(m, c)), dtype=tensors[0].dtype) for c in counts]
 
     gap0 = _regret_gaps(tensors[0], grids, 0).reshape(counts[0], -1)

@@ -73,6 +73,24 @@ def test_wsne_report_needs_identical_symmetric_payoffs():
         checks.wsne_report(matching_pennies(), MixedStrategy.uniform(2))
 
 
+@pytest.mark.parametrize("x", [[2, -1], [Fraction(1, 3), Fraction(1, 3)], [0, 0]])
+def test_wsne_eps_exact_refuses_a_strategy_off_the_simplex(x):
+    with pytest.raises(ValueError, match="not a probability vector"):
+        checks.wsne_eps_exact([[1, 0], [0, 1]], x)
+
+
+@pytest.mark.parametrize("x", [[1.5, -0.5, 0.0], [0.2, 0.2, 0.2], [0.0, 0.0, 0.0]])
+def test_wsne_report_refuses_a_raw_vector_off_the_simplex(x):
+    g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    a = payoff_from_graph_delta(g, Fraction(1, 2))
+    game = BimatrixGame(a, a, (MAXIMIZE, MAXIMIZE))
+    with pytest.raises(ValueError) as exc:
+        checks.wsne_report(game, x)
+    with pytest.raises(ValueError) as same:
+        MixedStrategy(x)  # the test the strategy constructor applies
+    assert str(exc.value) == str(same.value)
+
+
 def test_wsne_eps_exact_agrees_with_float_report():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     a = payoff_from_graph_delta(g, Fraction(1, 2))

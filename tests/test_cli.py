@@ -163,6 +163,19 @@ def test_negative_eps_exits_2(capsys, tmp_path, command):
     assert "non-negative" in report["error"]
 
 
+def test_grid_search_with_a_negative_eps_exits_2(capsys, tmp_path):
+    game = str(tmp_path / "irr.json")
+    assert run_cli(capsys, ["analytic", "irrational", "-o", game])[0] == 0
+    argv = ["solve", "grid", "--game", game, "--resolution", "1/4"]
+    code, report, _ = run_cli(capsys, argv + ["--eps=1/2"])
+    assert code == 0 and report["data"]["hits"]
+    code, report, err = run_cli(capsys, argv + ["--eps=-1/2"])
+    assert code == 2
+    assert err.startswith("error:")
+    assert report["exit_code"] == 2
+    assert report["error"] == "eps must be non-negative, got -1/2"
+
+
 @pytest.mark.parametrize("profile", [["1/2", "1/2"], [0.5, 0.5]], ids=["exact", "float"])
 @pytest.mark.parametrize(
     "tensor, orientation, reason",

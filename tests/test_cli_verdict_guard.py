@@ -1,10 +1,12 @@
-"""The CLI decides no lemma verdict of its own.
+"""One verdict rule: every float verdict in `src/` is `checks.within`.
 
-Every bound record the CLI emits is decided by the library audit that
-measured it.  The one exception is `_eps_bound`, the record of the user's
-optional --eps.  So outside `_eps_bound`, `cli.py` may make no comparison
-that adds a slack to a bound: `<measured> <= <bound> + <name or float>`
-(or the same with <, >= or >).
+`checks.within(measured, bound)` is the one place a margin is added to a
+bound, so outside it no module may make an ordering comparison that adds a
+slack to a bound: `<measured> <= <bound> + <name or float>` (or the same
+with <, >= or >).  A tolerance must have a name, so no comparison may take
+a float literal of magnitude in (0, 1e-3) as an operand either.  And the
+CLI decides no lemma verdict of its own: it calls `within` only in
+`_eps_bound`, the record of the user's optional --eps.
 """
 
 import ast
@@ -12,9 +14,11 @@ from pathlib import Path
 
 import minmaxlab
 
-CLI = Path(minmaxlab.__file__).parent / "cli.py"
-ALLOWED = {"_eps_bound"}
+SRC = Path(minmaxlab.__file__).parent
+CLI = SRC / "cli.py"
+ALLOWED = {"within"}
 ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+TOLERANCE_BELOW = 1e-3
 
 
 def _is_slack(node) -> bool:
@@ -50,16 +54,87 @@ def slack_comparisons(source: str) -> list[int]:
     return sorted(lines)
 
 
-def test_the_guard_sees_a_slack_and_allows_eps_bound():
+def _float_literals(node):
+    """The float literals of an operand's arithmetic, not inside a call."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        yield node.value
+    elif isinstance(node, ast.UnaryOp):
+        yield from _float_literals(node.operand)
+    elif isinstance(node, ast.BinOp):
+        yield from _float_literals(node.left)
+        yield from _float_literals(node.right)
+
+
+def unnamed_tolerances(source: str) -> list[int]:
+    """Line numbers of every comparison with a float literal of magnitude in
+    (0, TOLERANCE_BELOW) in an operand."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(
+            0 < abs(v) < TOLERANCE_BELOW
+            for x in [node.left, *node.comparators]
+            for v in _float_literals(x)
+        )
+    )
+
+
+def _callers(source: str, name: str) -> set[str]:
+    """The top-level functions of `source` that call `name`, or "<module>"."""
+    found = set()
+
+    def visit(node, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == "<module>":
+            owner = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def _modules():
+    return sorted(SRC.glob("*.py"))
+
+
+def test_the_guard_sees_a_slack_and_allows_within():
     assert slack_comparisons("ok = measured <= bound + SLACK\n") == [1]
     assert slack_comparisons("ok = m <= report.bound + 1e-9\n") == [1]
-    assert slack_comparisons("ok = b + checks.BOUND_SLACK < m\n") == [1]
+    assert slack_comparisons("ok = b + checks.VERDICT_SLACK < m\n") == [1]
     assert slack_comparisons("def f():\n    return x <= y + slack\n") == [2]
-    assert slack_comparisons("def _eps_bound(m, eps, slack):\n    return m <= eps + slack\n") == []
+    assert slack_comparisons("def _eps_bound(m, eps, slack):\n    return m <= eps + slack\n") == [2]
+    assert slack_comparisons("def within(m, b):\n    return m <= b + VERDICT_SLACK\n") == []
     assert slack_comparisons("ok = n <= k + 1\n") == []  # an integer offset is not a slack
     assert slack_comparisons("ok = measured <= bound\n") == []
     assert slack_comparisons("total = bound + SLACK\n") == []
 
 
+def test_the_guard_sees_an_unnamed_tolerance():
+    assert unnamed_tolerances("if mismatch > 1e-9:\n    pass\n") == [1]
+    assert unnamed_tolerances("ok = structural and worst <= 1e-10\n") == [1]
+    assert unnamed_tolerances("ok = 0 < eps <= cap + 1e-12\n") == [1]
+    assert unnamed_tolerances("ok = v.min() >= -1e-12\n") == [1]
+    assert unnamed_tolerances("ok = x < 2 * 1e-9\n") == [1]
+    assert unnamed_tolerances("ok = mismatch > TOL\n") == []
+    assert unnamed_tolerances("ok = gap <= 0.0 or mass > 0.5\n") == []
+    assert unnamed_tolerances("ok = np.allclose(a, b, atol=1e-12)\n") == []  # not a comparison
+    assert unnamed_tolerances("ok = n == max(k, 1e-9)\n") == []  # inside a call
+
+
+def test_no_module_adds_a_slack_outside_within():
+    found = {p.name: slack_comparisons(p.read_text(encoding="utf-8")) for p in _modules()}
+    assert found == {p.name: [] for p in _modules()}
+
+
+def test_every_tolerance_in_a_comparison_has_a_name():
+    found = {p.name: unnamed_tolerances(p.read_text(encoding="utf-8")) for p in _modules()}
+    assert found == {p.name: [] for p in _modules()}
+
+
 def test_the_cli_decides_only_the_user_eps():
-    assert slack_comparisons(CLI.read_text(encoding="utf-8")) == []
+    source = CLI.read_text(encoding="utf-8")
+    assert slack_comparisons(source) == []
+    assert _callers(source, "within") == {"_eps_bound"}

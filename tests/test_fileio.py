@@ -270,6 +270,14 @@ def test_graph_file_errors(tmp_path):
         load_graph(str(path))
 
 
+@pytest.mark.parametrize("header", ["0 0", "-2 0"])
+def test_a_graph_without_vertices_is_a_format_error(tmp_path, header):
+    path = tmp_path / "g.txt"
+    path.write_text(header + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="^graph needs at least one vertex$"):
+        load_graph(str(path))
+
+
 def test_profile_round_trip_keeps_fractions(tmp_path):
     profile = MixedProfile(
         (
@@ -326,6 +334,13 @@ def test_profile_rejects_non_distributions(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"strategies": [["1/2", "1/3"]]}), encoding="utf-8")
     with pytest.raises(FormatError):
+        load_profile(str(path))
+
+
+def test_a_profile_without_strategies_is_a_format_error(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"strategies": []}), encoding="utf-8")
+    with pytest.raises(FormatError, match="^empty profile$"):
         load_profile(str(path))
 
 

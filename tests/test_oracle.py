@@ -10,7 +10,7 @@ import pytest
 
 from minmaxlab import analytic, checks, gadgets, oracle
 from minmaxlab.cliques import Graph, payoff_from_graph
-from minmaxlab.errors import CapExceededError, DimensionError
+from minmaxlab.errors import CapExceededError, DimensionError, PreconditionError
 from minmaxlab.games import (
     MAXIMIZE,
     MINIMIZE,
@@ -128,6 +128,12 @@ def test_grid_search_cap_is_enforced(monkeypatch):
     monkeypatch.setattr(oracle, "GRID_SEARCH_CAP", 24)
     with pytest.raises(CapExceededError, match="25 grid profiles exceed cap 24"):
         oracle.grid_ne_search(game, Fraction(1, 4), 0)
+
+
+@pytest.mark.parametrize("eps", [Fraction(-1, 2), -1e-9, "-1/1000"])
+def test_grid_search_refuses_a_negative_eps(eps):
+    with pytest.raises(PreconditionError, match="^eps must be non-negative"):
+        oracle.grid_ne_search(analytic.irrational_game(), Fraction(1, 4), eps)
 
 
 def test_grid_search_finds_matching_pennies_equilibrium():

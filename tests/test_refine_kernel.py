@@ -78,7 +78,7 @@ def prior_epsilon_ne_report(game, profile, epsilon=0.0):
             gain = float(current - dev[action])
         regrets.append(gain)
         witnesses.append((p, action, gain))
-    satisfied = all(r <= epsilon + checks.CERT_SLACK for r in regrets)
+    satisfied = all(r <= epsilon + 1e-12 for r in regrets)
     cert = checks.Certificate(epsilon=float(epsilon), witnesses=tuple(witnesses))
     assert (cert.regrets, cert.satisfied) == (tuple(regrets), satisfied)
     return cert

@@ -102,8 +102,11 @@ def test_team_gadget_structure_verdicts():
     assert_enforced(mass, f"mirror action holds 0.5 > 9 eps = {report.mirror_bound}")
     both = dataclasses.replace(gap, max_mirror_mass=0.5)
     assert_enforced(both, gap.violation)  # the pair gap comes first
-    # the records sit on the 1e-9 slack
-    assert_enforced(dataclasses.replace(report, max_pair_gap=report.pair_bound + 5e-10), None)
+    # the records are decided by checks.within, under its 1e-12 margin
+    assert_enforced(dataclasses.replace(report, max_pair_gap=report.pair_bound + 5e-13), None)
+    over = report.pair_bound + 5e-10
+    assert_enforced(dataclasses.replace(report, max_pair_gap=over),
+                    f"teammates differ by {over} > 2 eps = {report.pair_bound}")
 
 
 def test_team3v3_verdicts():
