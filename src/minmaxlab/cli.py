@@ -14,6 +14,7 @@ input recording, artifact saving and reporting for all of them.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -74,6 +75,8 @@ from .games import (
 )
 from .minmax import QuadraticMinMaxProblem, check_fone, gda_gap
 from .oracle import (
+    REFINE_DAMPING,
+    REFINE_MAX_ITERS,
     exact_max_regret,
     grid_ne_search,
     local_ne_refine,
@@ -440,6 +443,7 @@ def cmd_solve_enumerate(args, inputs):
 
 
 def cmd_solve_grid(args, inputs):
+    _check_user_eps(args.eps)
     hits = grid_ne_search(args.game, args.resolution, args.eps)
     data = {
         "hits": [
@@ -634,8 +638,8 @@ COMMANDS = (
             (_GAME, Arg("--resolution", EXACT, required=True), _EPS_EXACT)),
     Command("solve refine", cmd_solve_refine,
             (_GAME, _PROFILE, Arg("--target", FLOAT, required=True),
-             Arg("--max-iters", record=False, type=int, default=100_000),
-             Arg("--damping", record=False, type=float, default=0.1)),
+             Arg("--max-iters", record=False, type=int, default=REFINE_MAX_ITERS),
+             Arg("--damping", record=False, type=float, default=REFINE_DAMPING)),
             output=True),
     Command("solve 2x2", cmd_solve_2x2, (_GAME,)),
     Command("solve max-clique", cmd_solve_max_clique, (_GRAPH,)),
@@ -651,7 +655,9 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of COMMANDS, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="minmaxlab",
         description="gadget builders, equilibrium checkers, and lemma audits",

@@ -18,12 +18,13 @@ cancel by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -255,17 +256,25 @@ class PolymatrixGame:
         return {key: _read_only(to_float_matrix(m)) for key, m in self.pair_matrices.items()}
 
     @cached_property
-    def pair_plan(self) -> tuple[tuple[int, int, np.ndarray, np.ndarray, tuple[int, ...]], ...]:
-        """(i, j, M, M^T, players outside the pair) per pair, in pair_floats order.
+    def kernel_plan(self) -> tuple[tuple, np.ndarray, tuple[int, ...]]:
+        """The static part of deviation_kernel: (pairs, owner, idle).
 
+        `pairs` holds, per pair in pair_floats order, (i, j, M.dot, M^T.dot,
+        whether an earlier pair holds i, whether one holds j, the players
+        outside the pair).  `owner` is the player of each entry of the flat
+        vector of all players' actions, and `idle` the players in no pair.
         M^T is the transposed view, not a contiguous copy: a copy would run
         another BLAS kernel, whose sums may round differently.
         """
         players = range(self.n_players)
-        return tuple(
-            (i, j, m, m.T, tuple(q for q in players if q != i and q != j))
-            for (i, j), m in self.pair_floats.items()
-        )
+        pairs = []
+        seen = set()
+        for (i, j), m in self.pair_floats.items():
+            others = tuple(q for q in players if q != i and q != j)
+            pairs.append((i, j, m.dot, m.T.dot, i in seen, j in seen, others))
+            seen.update((i, j))
+        owner = _read_only(np.repeat(np.arange(self.n_players), self.action_counts))
+        return tuple(pairs), owner, tuple(q for q in players if q not in seen)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +348,7 @@ def evaluate_utility(game: Game, profile: MixedProfile, player: int) -> float:
     """Expected stored payoff of `player` under a mixed profile.
 
     The player's deviation_payoffs dotted with its own strategy, so every
-    game type has one float contraction, deviation_vectors.  For polymatrix
+    game type has one float contraction, deviation_kernel.  For polymatrix
     games this is the shared bilinear sum; orientation is not applied here,
     only in regret.
     """
@@ -348,52 +357,78 @@ def evaluate_utility(game: Game, profile: MixedProfile, player: int) -> float:
     return float(dev.dot(profile[player].probs))
 
 
-def deviation_vectors(game: Game, probs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Every player's deviation_payoffs vector, in one pass.
+def split_players(flat: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The consecutive views of `flat` of lengths `counts`, one per player."""
+    return tuple(flat[a:a + c] for a, c in zip(itertools.accumulate(counts, initial=0), counts))
 
-    `probs` holds one float vector per player and is not checked: callers
-    validate once (see profile_probs) and may then call this in a loop.  A
-    polymatrix pair (i, j) costs two products, M s_j for player i and M^T s_i
-    for player j; the latter also gives every other player the constant
-    s_i^T M s_j.  A player's first product is kept as is, not added to a zero
-    vector; adding the constant last maps any -0.0 to +0.0, so every entry
-    equals the sum started from zeros (docs/decisions.md, "Float loops").
+
+def deviation_kernel(game: Game) -> Callable[[Sequence[np.ndarray]], Sequence[np.ndarray]]:
+    """The game's one float contraction: a closure from one float vector per
+    player to every player's deviation_payoffs vector.
+
+    The inputs are not checked: callers validate once (see profile_probs)
+    and may then call the closure in a loop.  It is built once per call site
+    and binds its products, so a call looks up no attribute.  A polymatrix
+    pair (i, j) costs two products, M s_j for player i and M^T s_i for
+    player j; the latter also gives every other player the constant
+    s_i^T M s_j.  Each player's first product is written into its segment
+    of one flat buffer that the closure owns, later products are added in
+    pair_floats order, and every player's constant is added last, in one
+    ufunc, which maps any -0.0 to +0.0; so every entry equals the sum
+    started from zeros (docs/decisions.md, "Float loops").  A player in no
+    pair gets its constant alone.  The returned vectors are that buffer's
+    segments and change on the next call; a caller that keeps one across
+    calls copies it.
     """
-    if isinstance(game, BimatrixGame):
-        return [game.row_float.dot(probs[1]), game.col_float.T.dot(probs[0])]
     n = game.n_players
-    if isinstance(game, PolymatrixGame):
-        vecs = [None] * n
+    if isinstance(game, BimatrixGame):
+        row, col_t = game.row_float.dot, game.col_float.T.dot
+        return lambda probs: (row(probs[1]), col_t(probs[0]))
+    if isinstance(game, NormalFormGame):
+        letters = string.ascii_lowercase[:n]
+        plan = []
+        for p in range(n):
+            others = [q for q in range(n) if q != p]
+            sub = letters + "," + ",".join(letters[q] for q in others) + "->" + letters[p]
+            plan.append((sub, game.float_payoffs[p], others))
+        return lambda probs: [
+            np.einsum(sub, t, *[probs[q] for q in others]) for sub, t, others in plan
+        ]
+    pairs, owner, idle = game.kernel_plan
+    out = np.zeros(owner.size)
+    segments = split_players(out, game.action_counts)
+    idle = [segments[p] for p in idle]
+
+    def kernel(probs):
         consts = [0.0] * n
-        for i, j, m, mt, others in game.pair_plan:
-            row = m.dot(probs[j])
-            col = mt.dot(probs[i])
-            value = float(col.dot(probs[j]))
+        for i, j, m_dot, mt_dot, add_i, add_j, others in pairs:
+            s_i, s_j = probs[i], probs[j]
+            if add_i:
+                seg = segments[i]
+                seg += m_dot(s_j)
+            else:
+                m_dot(s_j, segments[i])
+            if add_j:
+                col = mt_dot(s_i)
+                seg = segments[j]
+                seg += col
+            else:
+                col = mt_dot(s_i, segments[j])
+            value = col.dot(s_j)
             for q in others:
                 consts[q] += value
-            if vecs[i] is None:
-                vecs[i] = row
-            else:
-                vecs[i] += row
-            if vecs[j] is None:
-                vecs[j] = col
-            else:
-                vecs[j] += col
-        out = []
-        for v, c, count in zip(vecs, consts, game.action_counts):
-            if v is None:
-                out.append(np.full(count, c))
-            else:
-                v += c
-                out.append(v)
-        return out
-    letters = string.ascii_lowercase[:n]
-    out = []
-    for p in range(n):
-        others = [q for q in range(n) if q != p]
-        sub = letters + "," + ",".join(letters[q] for q in others) + "->" + letters[p]
-        out.append(np.einsum(sub, game.float_payoffs[p], *[probs[q] for q in others]))
-    return out
+        for seg in idle:
+            seg.fill(0.0)
+        np.add(out, np.array(consts)[owner], out=out)
+        return segments
+
+    return kernel
+
+
+def deviation_vectors(game: Game, probs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Every player's deviation_payoffs vector, in one pass of a kernel built
+    for this call, so the vectors alias nothing (see deviation_kernel)."""
+    return list(deviation_kernel(game)(probs))
 
 
 def deviation_payoffs(game: Game, profile: MixedProfile, player: int) -> np.ndarray:

@@ -30,9 +30,10 @@ from .games import (
     PolymatrixGame,
     as_profile,
     best_deviation,
-    deviation_vectors,
+    deviation_kernel,
     oriented,
     profile_probs,
+    split_players,
     to_normal_form,
 )
 from .geometry import _compositions, _resolution_denominator, grid_size
@@ -387,11 +388,15 @@ def local_ne_refine(
     if not (math.isfinite(target_regret) and target_regret >= 0.0):
         raise ValueError(f"target_regret must be finite and non-negative, got {target_regret}")
     profile = as_profile(start)
-    views = profile_probs(game, profile)
-    # the raw iterates; the views are the renormalised vectors a MixedStrategy
-    # would hold, since its clamp never fires on a convex combination
-    strategies = [v.copy() for v in views]
-    best = None  # raw copies of the best iterate; None while it is the start
+    # the raw iterates and their renormalised views, the vectors a
+    # MixedStrategy would hold (its clamp never fires on a convex
+    # combination), as one segment per player of two flat buffers
+    raw = np.concatenate(profile_probs(game, profile))
+    view = raw.copy()
+    counts = game.action_counts
+    raws, views = split_players(raw, counts), split_players(view, counts)
+    deviations = deviation_kernel(game)
+    best = None  # a flat copy of the best iterate; None while it is the start
     best_regret = math.inf
     orientation = game.orientation
     checkpoints = []
@@ -400,17 +405,17 @@ def local_ne_refine(
     for t in range(max_iters):
         worst = 0.0
         brs = []
-        for dev, s, o in zip(deviation_vectors(game, views), strategies, orientation):
+        for dev, s, o in zip(deviations(views), raws, orientation):
             br, gain = best_deviation(dev, s, o)
             if gain > worst:
                 worst = gain
             brs.append(br)
         if worst < best_regret:
             best_regret = worst
-            best = [s.copy() for s in strategies] if t else None
+            best = raw.copy() if t else None
         if worst <= target_regret:
             if t:
-                profile = MixedProfile(tuple(MixedStrategy(s) for s in strategies))
+                profile = _profile_of(raw, counts)
             cert = epsilon_ne_report(game, profile, target_regret)
             return RefineResult(profile, worst, t + 1, True, cert, None, tuple(checkpoints))
         if t + 1 == next_checkpoint:
@@ -422,17 +427,20 @@ def local_ne_refine(
                 break
             next_checkpoint *= 2
         eta = damping / (1.0 + damping * t)
-        keep = 1.0 - eta
-        views = []
-        for s, br in zip(strategies, brs):
-            s *= keep
+        raw *= 1.0 - eta
+        for s, v, br in zip(raws, views, brs):
             s[br] += eta
             # np.add.reduce is what ndarray.sum runs, without its Python wrapper
-            views.append(s / np.add.reduce(s))
+            np.divide(s, np.add.reduce(s), out=v)
     if best is not None:
-        profile = MixedProfile(tuple(MixedStrategy(s) for s in best))
+        profile = _profile_of(best, counts)
     # t + 1 is max_iters after the last iteration, or the checkpoint that stalled
     return RefineResult(profile, best_regret, t + 1, False, None, stalled_at, tuple(checkpoints))
+
+
+def _profile_of(flat: np.ndarray, counts: Sequence[int]) -> MixedProfile:
+    """The validated profile whose strategies are copies of flat's segments."""
+    return MixedProfile(tuple(MixedStrategy(s) for s in split_players(flat, counts)))
 
 
 def _stalled(before: float, now: float, target: float, t: int, max_iters: int) -> bool:

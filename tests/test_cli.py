@@ -173,7 +173,7 @@ def test_grid_search_with_a_negative_eps_exits_2(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error:")
     assert report["exit_code"] == 2
-    assert report["error"] == "eps must be non-negative, got -1/2"
+    assert report["error"] == "--eps must be non-negative, got -1/2"
 
 
 @pytest.mark.parametrize("profile", [["1/2", "1/2"], [0.5, 0.5]], ids=["exact", "float"])

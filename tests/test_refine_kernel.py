@@ -28,6 +28,7 @@ from minmaxlab.games import (
     _check_player,
     _check_profile,
     as_profile,
+    deviation_kernel,
     deviation_payoffs,
     deviation_vectors,
 )
@@ -195,6 +196,19 @@ SKEW_BIMATRIX = BimatrixGame(
     fmat([[-1, 2, 0, 1], [2, Fraction(-1, 7), 3, 0], [1, 1, -4, 2]]),
     (MINIMIZE, MAXIMIZE),
 )
+# player 0 is in three pairs, (1, 0), (0, 2) and (2, 0); player 3 is in none,
+# so its deviation vector is the constant alone; each of the kernel's first
+# and later products runs for both ends of a pair
+FOUR_PLAYER = PolymatrixGame(
+    action_counts=(2, 3, 2, 3),
+    pair_matrices={
+        (1, 0): fmat([[1, Fraction(-1, 3)], [0, 2], [Fraction(5, 7), -1]]),
+        (0, 2): fmat([[Fraction(-3, 2), 1], [Fraction(1, 4), Fraction(-2, 3)]]),
+        (2, 0): fmat([[Fraction(2, 5), -1], [1, Fraction(1, 9)]]),
+        (1, 2): fmat([[-1, Fraction(3, 4)], [Fraction(1, 6), 0], [2, Fraction(-7, 5)]]),
+    },
+    orientation=(MAXIMIZE, MINIMIZE, MAXIMIZE, MINIMIZE),
+)
 
 
 def assert_same_result(new, old):
@@ -283,6 +297,22 @@ def test_refinement_matches_the_prior_loop_on_a_3v3_gadget(weight, target, max_i
     assert new.stalled_at is None
 
 
+@pytest.mark.parametrize(
+    "target, max_iters, damping, exit",
+    [
+        (1e-2, 3_000, 0.1, (True, None)),
+        (1e-3, 400, 0.1, (False, None)),
+        (1e-4, 3_000, 0.1, (False, 500)),
+        (1e-3, 3_000, 1.0, (False, 1_000)),
+    ],
+)
+def test_refinement_matches_the_prior_loop_with_a_player_in_no_pair(
+    target, max_iters, damping, exit
+):
+    new = refine_matches_prior(FOUR_PLAYER, _uniform(FOUR_PLAYER), target, max_iters, damping)
+    assert (new.converged, new.stalled_at) == exit
+
+
 # ---------------------------------------------------------------------------
 # the stall rule
 
@@ -352,6 +382,7 @@ def test_criterion_05_converges_where_it_did_and_stops_the_rest_early():
 
 KERNEL_GAMES = [
     PENNIES, SKEW_BIMATRIX, TEAM_2.game, TEAM_3V3.game, TEAM_3V3_SYM.game, IRRATIONAL, TENSOR_3,
+    FOUR_PLAYER,
 ]
 
 
@@ -381,6 +412,21 @@ def test_kernel_matches_per_player_deviation_payoffs(case):
         assert np.array_equal(deviation_payoffs(game, profile, p), prior)
 
 
+@pytest.mark.parametrize("game", KERNEL_GAMES)
+def test_one_kernel_called_again_matches_per_player_deviation_payoffs(game):
+    # the polymatrix kernel rewrites its buffer on every call: nothing of the
+    # last call may remain, including in the segment of a player in no pair
+    kernel = deviation_kernel(game)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        profile = MixedProfile(tuple(
+            MixedStrategy(rng.dirichlet(np.ones(c))) for c in game.action_counts
+        ))
+        vectors = kernel([s.probs for s in profile.strategies])
+        for p in range(game.n_players):
+            assert np.array_equal(vectors[p], prior_deviation_payoffs(game, profile, p))
+
+
 @settings(max_examples=200, deadline=None)
 @given(game_and_profile(), st.sampled_from([0.0, 1e-6, 0.05]))
 def test_certificates_are_unchanged(case, epsilon):
@@ -390,3 +436,49 @@ def test_certificates_are_unchanged(case, epsilon):
     assert new.regrets == old.regrets
     assert new.witnesses == old.witnesses
     assert new.satisfied == old.satisfied
+
+
+# ---------------------------------------------------------------------------
+# no result shares a buffer with a later call
+
+
+def _snapshot(result):
+    return (
+        result.iterations, result.converged, result.max_regret, result.stalled_at,
+        result.checkpoints, [s.probs.copy() for s in result.profile.strategies],
+        None if result.certificate is None else result.certificate.witnesses,
+    )
+
+
+def _same_snapshot(a, b):
+    assert a[:5] == b[:5] and a[6] == b[6]
+    assert all(np.array_equal(x, y) for x, y in zip(a[5], b[5]))
+
+
+@pytest.mark.parametrize("game", KERNEL_GAMES)
+def test_results_do_not_change_after_later_calls(game):
+    rng = np.random.default_rng(29)
+    starts = [_uniform(game)] + [
+        MixedProfile(tuple(MixedStrategy(rng.dirichlet(np.ones(c))) for c in game.action_counts))
+        for _ in range(3)
+    ]
+    probs = [[s.probs for s in start.strategies] for start in starts]
+
+    def refine(start):
+        return oracle.local_ne_refine(game, start, 1e-2, max_iters=600)
+
+    fresh_vectors = [[v.copy() for v in deviation_vectors(game, p)] for p in probs]
+    fresh_results = [_snapshot(refine(start)) for start in starts[:2]]
+    # interleaved: each output is kept, then the same calls run again on other inputs
+    vectors_a = deviation_vectors(game, probs[0])
+    result_a = refine(starts[0])
+    vectors_b = deviation_vectors(game, probs[1])
+    result_b = refine(starts[1])
+    deviation_vectors(game, probs[2])
+    refine(starts[2])
+    deviation_vectors(game, probs[3])
+    refine(starts[3])
+    for vectors, fresh in ((vectors_a, fresh_vectors[0]), (vectors_b, fresh_vectors[1])):
+        assert all(np.array_equal(v, f) for v, f in zip(vectors, fresh))
+    _same_snapshot(_snapshot(result_a), fresh_results[0])
+    _same_snapshot(_snapshot(result_b), fresh_results[1])
