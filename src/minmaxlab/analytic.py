@@ -13,9 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .checks import Certificate, epsilon_ne_report
 from .errors import BoundViolationError, DegenerateGameError, DimensionError, PreconditionError
 from .games import MAXIMIZE, MINIMIZE, MixedProfile, MixedStrategy, NormalFormGame
+from .oracle import _deviations
 from .rational import to_fraction
 
 SQRT3 = math.sqrt(3.0)
@@ -224,25 +227,8 @@ def verify_irrational_equilibrium(tolerance: float = 1e-9) -> IrrationalEquilibr
     """
     game = irrational_game()
     profile = irrational_equilibrium()
-    tensor = game.payoffs[0]
-
-    def action_values(player: int) -> tuple[QuadSurd, QuadSurd]:
-        others = [i for i in range(3) if i != player]
-        out = []
-        for action in range(2):
-            total = QuadSurd(Fraction(0))
-            for j in range(2):
-                for k in range(2):
-                    idx = [0, 0, 0]
-                    idx[player] = action
-                    idx[others[0]] = j
-                    idx[others[1]] = k
-                    weight = profile[others[0]][j] * profile[others[1]][k]
-                    total = total + weight * QuadSurd.of(tensor[tuple(idx)])
-            out.append(total)
-        return tuple(out)
-
-    values = tuple(action_values(p) for p in range(3))
+    points = [np.array([coords], dtype=object) for coords in profile]  # one surd row each
+    values = tuple(tuple(_deviations(game.payoffs[0], points, p).ravel()) for p in range(3))
     expected = (578 + 9 * QuadSurd(0, 1)) / 600
     exact = all(v[0] == v[1] for v in values) and values[2][0] == expected
     if not exact:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -99,12 +99,11 @@ class MixedStrategy:
 
     Tiny negative components (>= -1e-12) are clamped to zero and the vector
     renormalized; larger violations or a total mass off by more than 1e-9
-    raise.  When the strategy was built from rational data an exact copy is
-    kept alongside the float view.
+    raise.  Only from_exact sets `exact`: the rational point the floats round.
     """
 
     probs: np.ndarray
-    exact: FVec | None = None
+    exact: FVec | None = field(default=None, init=False)
 
     def __post_init__(self):
         v = np.array(self.probs, dtype=float).reshape(-1)
@@ -113,18 +112,15 @@ class MixedStrategy:
         v /= v.sum()
         v.flags.writeable = False
         object.__setattr__(self, "probs", v)
-        if self.exact is not None:
-            e = fvec(self.exact)
-            if len(e) != v.size:
-                raise DimensionError("exact and float views disagree on length")
-            if any(p < 0 for p in e) or sum(e) != 1:
-                raise ValueError("exact strategy must lie on the simplex")
-            object.__setattr__(self, "exact", e)
 
     @classmethod
     def from_exact(cls, values: Iterable) -> "MixedStrategy":
         e = fvec(values)
-        return cls(np.array([float(p) for p in e]), exact=e)
+        strategy = cls([float(p) for p in e])
+        if any(p < 0 for p in e) or sum(e) != 1:
+            raise ValueError("exact strategy must lie on the simplex")
+        object.__setattr__(strategy, "exact", e)
+        return strategy
 
     @classmethod
     def uniform(cls, n: int) -> "MixedStrategy":
@@ -487,19 +483,20 @@ def max_team_inconsistency(game: Game, samples: int = 100, seed: int = 0) -> flo
 
     Returns the largest deviation from "signed utilities agree within a team
     and the two team values cancel" over `samples` random mixed profiles.
-    Each player's utility is its own deviation_vectors entry dotted with its
-    strategy, folded with `oriented`, so the check compares the kernel's
-    per-player outputs with each other.
+    Each player's utility is its vector from one deviation_kernel, dotted
+    with its strategy and folded with `oriented`, so the check compares the
+    kernel's per-player outputs with each other.
     """
     if game.team_partition is None:
         raise ValueError("game has no team partition")
     rng = np.random.default_rng(seed)
+    deviations = deviation_kernel(game)
     worst = 0.0
     for _ in range(samples):
         probs = [MixedStrategy(rng.dirichlet(np.ones(c))).probs for c in game.action_counts]
         signed = [
             oriented(float(dev.dot(s)), o)
-            for dev, s, o in zip(deviation_vectors(game, probs), probs, game.orientation)
+            for dev, s, o in zip(deviations(probs), probs, game.orientation)
         ]
         team_values = []
         for team in game.team_partition:
@@ -540,12 +537,11 @@ def to_normal_form(game: PolymatrixGame) -> NormalFormGame:
     total = math.prod(counts)
     if total > NORMAL_FORM_CAP:
         raise CapExceededError(f"{total} pure profiles exceed cap {NORMAL_FORM_CAP}")
-    u = np.empty(counts, dtype=object)
-    for idx in np.ndindex(*counts):
-        acc = Fraction(0)
-        for (i, j), m in game.pair_matrices.items():
-            acc += m[idx[i]][idx[j]]
-        u[idx] = acc
+    u = np.full(counts, Fraction(0), dtype=object)
+    for (i, j), m in game.pair_matrices.items():  # pair order: the per-cell sums' order
+        block = np.array(m, dtype=object)
+        axes = [c if q in (i, j) else 1 for q, c in enumerate(counts)]
+        u += (block.T if i > j else block).reshape(axes)  # broadcast along the others
     return NormalFormGame(
         payoffs=tuple(u for _ in range(game.n_players)),
         orientation=game.orientation,

@@ -211,21 +211,30 @@ def _integer_tensors(nf: NormalFormGame, denominators: Sequence[int]):
     return [oriented(t.astype(dtype), o) for t, o in zip(cells, nf.orientation)], d
 
 
+def _deviations(tensor: np.ndarray, points: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """Player p's deviation payoffs, of shape (a_p, point counts of the others).
+
+    The one exact contraction, in whatever field the arrays hold (int64,
+    Python ints, Fractions, surds): `points[q]` holds player q's points as
+    rows, and `points[p]` is not read.
+    """
+    dev = tensor
+    for q, rows in enumerate(points):
+        if q != p:  # contract q's action axis with its points, which take its place
+            dev = np.moveaxis(np.tensordot(dev, rows, axes=(q, 1)), -1, q)
+    return np.moveaxis(dev, p, 0)
+
+
 def _regret_gaps(tensor: np.ndarray, grids: list[np.ndarray], p: int) -> np.ndarray:
     """Player p's gaps max(dev) - dev, of shape (a_p, grid sizes of the others).
 
     `grids[q]` holds player q's points as rows of integer numerators over
-    m_q; `grids[p]` is not read.  dev[a, ...] is player p's deviation payoff
-    to action a against the others' points, an integer over
-    D * prod(m_q, q != p).  A point x of p's grid sums to m_p, so its regret
-    over the common scale D * prod(m_q) is m_p * max(dev) - x . dev = x . gap:
-    a sum of non-negative terms, each at most the regret itself.
+    m_q, so dev (`_deviations`) is an integer over D * prod(m_q, q != p).
+    A point x of p's grid sums to m_p, so its regret over the common scale
+    D * prod(m_q) is m_p * max(dev) - x . dev = x . gap: a sum of
+    non-negative terms, each at most the regret itself.
     """
-    dev = tensor
-    for q, grid in enumerate(grids):
-        if q != p:  # contract q's action axis with its points, which take its place
-            dev = np.moveaxis(np.tensordot(dev, grid, axes=(q, 1)), -1, q)
-    dev = np.moveaxis(dev, p, 0)
+    dev = _deviations(tensor, grids, p)
     return dev.max(axis=0) - dev
 
 

@@ -156,6 +156,33 @@ def test_team_deviations_are_exactly_worse():
         assert va == vb == rep.game_value
 
 
+def prior_action_values(player):
+    """A player's two action values, by the loop over action profiles the
+    certificate ran before it called the oracle's contraction."""
+    tensor = irrational_game().payoffs[0]
+    profile = irrational_equilibrium()
+    others = [i for i in range(3) if i != player]
+    out = []
+    for action in range(2):
+        total = QuadSurd(Fraction(0))
+        for j in range(2):
+            for k in range(2):
+                idx = [0, 0, 0]
+                idx[player] = action
+                idx[others[0]] = j
+                idx[others[1]] = k
+                weight = profile[others[0]][j] * profile[others[1]][k]
+                total = total + weight * QuadSurd.of(tensor[tuple(idx)])
+        out.append(total)
+    return tuple(out)
+
+
+def test_action_values_match_the_prior_loop():
+    values = verify_irrational_equilibrium().action_values
+    assert values == tuple(prior_action_values(p) for p in range(3))
+    assert all(type(v) is QuadSurd for pair in values for v in pair)
+
+
 def test_game_tensor_is_rational():
     game = irrational_game()
     assert game.n_players == 3

@@ -5,7 +5,9 @@ Exact decisions in the package run on integers over a common denominator
 products `mat_vec` and `vec_dot` stay in `rational.py` only as the
 independent reference that tests and the benchmark's verifier check the
 core against; no other package module may call them, and `rational.py`
-defines no other `mat_*` helper.
+defines no other `mat_*` helper.  Exact contractions of a tensor with
+players' points run in one place, `oracle._deviations`: no other module
+calls `np.tensordot`.
 """
 
 import ast
@@ -70,3 +72,31 @@ def test_rational_defines_no_fraction_tuple_algebra():
     # mat_* function left is the Fraction reference product
     source = (PACKAGE / "rational.py").read_text(encoding="utf-8")
     assert matrix_helpers(source) == ["mat_vec"]
+
+
+def tensordot_calls(source: str) -> list[int]:
+    """Line numbers of every call to tensordot, bare or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "tensordot":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_contraction_guard_sees_bare_and_attribute_calls():
+    assert tensordot_calls("t = np.tensordot(t, x, axes=(0, 0))\n") == [1]
+    assert tensordot_calls("from numpy import tensordot\nt = tensordot(a, b)\n") == [2]
+    assert tensordot_calls("t = numpy.tensordot(\n  np.tensordot(a, b), c)\n") == [1, 2]
+    assert tensordot_calls("t = np.einsum('i,i', a, b)\nf = np.tensordot\n") == []
+
+
+def test_only_the_oracle_contracts_with_tensordot():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = tensordot_calls(path.read_text(encoding="utf-8"))
+        if lines:
+            found[path.name] = lines
+    assert set(found) == {"oracle.py"}, f"np.tensordot called outside oracle.py: {found}"
+    assert len(found["oracle.py"]) == 1, "oracle.py contracts in more than one place"

@@ -1,10 +1,12 @@
 """Game containers, utilities, regrets, and the symmetric/skew split."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from minmaxlab import analytic, games, gadgets
 from minmaxlab.errors import DimensionError, PreconditionError
@@ -27,7 +29,7 @@ from minmaxlab.games import (
     regret,
     to_normal_form,
 )
-from minmaxlab.rational import fmat, transpose
+from minmaxlab.rational import FVec, fmat, fvec, transpose
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=32)
 
@@ -240,16 +242,166 @@ def test_evaluate_utility_matches_the_prior_contraction():
 
 
 def test_team_consistency_reads_the_kernel_of_each_teammate(monkeypatch):
-    real = games.deviation_vectors
+    real = games.deviation_kernel
 
-    def shifted(game, probs):
-        vecs = real(game, probs)
-        vecs[teammate] = vecs[teammate] + 1e-6
-        return vecs
+    def shifted(game):
+        kernel = real(game)
+
+        def shifted_kernel(probs):
+            vecs = list(kernel(probs))
+            vecs[teammate] = vecs[teammate] + 1e-6
+            return vecs
+
+        return shifted_kernel
 
     for game in kernel_corpus()[2:]:
         assert max_team_inconsistency(game, samples=8, seed=1) <= 1e-12
         teammate = max(max(game.team_partition, key=len))
-        monkeypatch.setattr(games, "deviation_vectors", shifted)
+        monkeypatch.setattr(games, "deviation_kernel", shifted)
         assert max_team_inconsistency(game, samples=8, seed=1) >= 1e-7
-        monkeypatch.setattr(games, "deviation_vectors", real)
+        monkeypatch.setattr(games, "deviation_kernel", real)
+
+
+def test_the_constructor_takes_no_exact_view():
+    # two views of one strategy could name two different points
+    with pytest.raises(TypeError):
+        MixedStrategy([1.0, 0.0], exact=(0, 1))
+    assert MixedStrategy([0.25, 0.75]).exact is None
+
+
+@dataclass(frozen=True)
+class PriorMixedStrategy:
+    """MixedStrategy as it stood when its constructor took an exact view too."""
+
+    probs: np.ndarray
+    exact: FVec | None = None
+
+    def __post_init__(self):
+        v = np.array(self.probs, dtype=float).reshape(-1)
+        games.require_simplex(v)
+        v[v < 0.0] = 0.0
+        v /= v.sum()
+        v.flags.writeable = False
+        object.__setattr__(self, "probs", v)
+        if self.exact is not None:
+            e = fvec(self.exact)
+            if len(e) != v.size:
+                raise DimensionError("exact and float views disagree on length")
+            if any(p < 0 for p in e) or sum(e) != 1:
+                raise ValueError("exact strategy must lie on the simplex")
+            object.__setattr__(self, "exact", e)
+
+    @classmethod
+    def from_exact(cls, values: Iterable) -> "PriorMixedStrategy":
+        e = fvec(values)
+        return cls(np.array([float(p) for p in e]), exact=e)
+
+
+@st.composite
+def rational_vectors(draw):
+    """Vectors on the simplex, nudged off it, or free, with small or huge denominators."""
+    n = draw(st.integers(0, 5))
+    digits = draw(st.sampled_from([2, 30]))
+    kind = draw(st.sampled_from(["simplex", "nudged", "free"]))
+    if kind == "free":
+        bound = Fraction(2)
+        entries = st.fractions(min_value=-bound, max_value=bound, max_denominator=10**digits)
+        return draw(st.lists(entries, min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(0, 10**digits), min_size=n, max_size=n))
+    total = sum(weights)
+    vec = [Fraction(w, total) if total else Fraction(0) for w in weights]
+    if kind == "nudged" and n:
+        i = draw(st.integers(0, n - 1))
+        vec[i] += Fraction(draw(st.integers(-3, 3)), 10 ** draw(st.integers(1, 40)))
+    return vec
+
+
+def built(make, values):
+    try:
+        s = make(values)
+    except Exception as exc:  # noqa: BLE001 - the failure is what is compared
+        return type(exc), str(exc)
+    return s.probs.tobytes(), s.exact
+
+
+@given(rational_vectors())
+@example([])
+@example([Fraction(-1, 10**14), 1 + Fraction(1, 10**14)])
+@example([Fraction(1, 3), Fraction(1, 3)])
+@example([Fraction(10**400), 1 - Fraction(10**400)])
+@example([Fraction(1, 10**400), 1 - Fraction(1, 10**400)])
+def test_from_exact_matches_the_prior_constructor(values):
+    new, old = built(MixedStrategy.from_exact, values), built(PriorMixedStrategy.from_exact, values)
+    assert new == old
+    if not isinstance(new[0], type):
+        assert all(type(p) is Fraction for p in new[1])
+
+
+def prior_max_team_inconsistency(game, samples, seed):
+    """max_team_inconsistency as it stood with a kernel built per sample."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        probs = [MixedStrategy(rng.dirichlet(np.ones(c))).probs for c in game.action_counts]
+        signed = [
+            oriented(float(dev.dot(s)), o)
+            for dev, s, o in zip(games.deviation_vectors(game, probs), probs, game.orientation)
+        ]
+        team_values = []
+        for team in game.team_partition:
+            vals = [signed[p] for p in sorted(team)]
+            worst = max(worst, max(vals) - min(vals))
+            team_values.append(vals[0])
+        worst = max(worst, abs(team_values[0] + team_values[1]))
+    return worst
+
+
+def test_team_consistency_matches_a_kernel_per_sample():
+    for game in kernel_corpus()[1:]:
+        for seed in (0, 5):
+            assert max_team_inconsistency(game, 20, seed) == prior_max_team_inconsistency(
+                game, 20, seed
+            )
+
+
+def prior_normal_form_tensor(game):
+    """to_normal_form's tensor as the per-profile loop built it."""
+    u = np.empty(game.action_counts, dtype=object)
+    for idx in np.ndindex(*game.action_counts):
+        acc = Fraction(0)
+        for (i, j), m in game.pair_matrices.items():
+            acc += m[idx[i]][idx[j]]
+        u[idx] = acc
+    return u
+
+
+# player 3 is in no pair, and the pairs (1, 0) and (2, 0) are reversed
+IDLE_AND_REVERSED = PolymatrixGame(
+    action_counts=(2, 3, 2, 3),
+    pair_matrices={
+        (1, 0): fmat([[1, Fraction(-1, 3)], [0, 2], [Fraction(5, 7), -1]]),
+        (0, 2): fmat([[Fraction(-3, 2), 1], [Fraction(1, 4), Fraction(-2, 3)]]),
+        (2, 0): fmat([[Fraction(2, 5), -1], [1, Fraction(1, 9)]]),
+        (1, 2): fmat([[-1, Fraction(3, 4)], [Fraction(1, 6), 0], [2, Fraction(-7, 5)]]),
+    },
+    orientation=(MAXIMIZE, MINIMIZE, MAXIMIZE, MINIMIZE),
+)
+
+
+def test_to_normal_form_matches_the_per_profile_loop():
+    rng = np.random.default_rng(20)
+    corpus = [IDLE_AND_REVERSED, two_link_chain()]
+    for n in (1, 2, 3):
+        m = fmat([[Fraction(int(v), 100) for v in row] for row in rng.integers(-100, 101, (n, n))])
+        sym = fmat([[(m[i][j] + m[j][i]) / 2 for j in range(n)] for i in range(n)])
+        corpus.append(gadgets.team_gadget(gadgets.shift_to_gadget_range(sym)[0], "1/20").game)
+        corpus.append(gadgets.team3v3_gadget(m, "1/20").game)
+    for game in corpus:
+        dense = to_normal_form(game)
+        expected = prior_normal_form_tensor(game)
+        assert dense.orientation == game.orientation
+        assert dense.team_partition == game.team_partition
+        for tensor in dense.payoffs:
+            assert tensor.shape == expected.shape
+            assert tensor.tolist() == expected.tolist()
+            assert all(type(v) is Fraction for v in tensor.flat)
