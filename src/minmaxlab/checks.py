@@ -23,7 +23,7 @@ from .games import (
     profile_probs,
     require_simplex,
 )
-from .rational import fmat, fvec, scale_to_integers, shape, transpose
+from .rational import fmat, fvec, scale_to_integers
 
 VERDICT_SLACK = 1e-12
 
@@ -111,7 +111,7 @@ def require_wsne_game(game) -> None:
     """
     if not isinstance(game, BimatrixGame) or not game.identical_payoff():
         raise PreconditionError("a WSNE check needs an identical-payoff bimatrix game")
-    if game.row_payoff != transpose(game.row_payoff):
+    if game.row_payoff.tolist() != game.row_payoff.T.tolist():
         raise PreconditionError("a WSNE check needs a symmetric payoff matrix")
     if game.orientation[0] != game.orientation[1]:
         raise PreconditionError("players must share an orientation")
@@ -144,7 +144,7 @@ def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
     Raises ValueError when x is not a probability vector.
     """
     m = fmat(matrix)
-    n, n2 = shape(m)
+    n, n2 = m.shape
     if n != n2:
         raise PreconditionError("square matrix required")
     xv = fvec(x)

@@ -83,7 +83,6 @@ from .oracle import (
     max_clique,
     symmetric_support_enumeration,
 )
-from .rational import FMat, fmat, transpose
 
 ALGO_NAMES = {
     "gda": dynamics.GDA,
@@ -107,11 +106,11 @@ def _require_problem(game) -> QuadraticMinMaxProblem:
     return game
 
 
-def _tensor_matrix(game) -> FMat:
-    """Shared payoff tensor of a two-player game file, as an exact matrix."""
+def _tensor_matrix(game) -> np.ndarray:
+    """Shared payoff tensor of a two-player game file, an exact matrix."""
     if not isinstance(game, NormalFormGame) or game.n_players != 2:
         raise FormatError("this command needs a two-player tensor game file")
-    return fmat(game.payoffs[0].tolist())
+    return game.payoffs[0]
 
 
 def _as_bimatrix(game) -> BimatrixGame:
@@ -308,10 +307,10 @@ def cmd_backmap_team(args, inputs):
     return bounds, {"strategy": fileio.strategy_obj(strategy)}, MixedProfile((strategy,))
 
 
-def _max_vi_residual(matrix: FMat, strategy: MixedStrategy) -> float:
+def _max_vi_residual(matrix, strategy: MixedStrategy) -> float:
     """Largest gain of a deviation from x* when maximizing <x, M x*>: the
     regret of (x*, x*) in (M, M^T), exactly when x* is exact."""
-    target = BimatrixGame(matrix, transpose(matrix), (MAXIMIZE, MAXIMIZE))
+    target = BimatrixGame(matrix, np.transpose(matrix), (MAXIMIZE, MAXIMIZE))
     if strategy.exact is not None:
         return float(exact_max_regret(target, [strategy.exact] * 2))
     return epsilon_ne_report(target, MixedProfile((strategy, strategy))).regrets[0]
@@ -330,7 +329,7 @@ def cmd_backmap_median(args, inputs):
     matrix = _tensor_matrix(args.game)
     x_star, y_star = _pair(args.profile)
     median, bound = median_backmap(matrix, x_star, y_star, args.gap, args.delta)
-    target = BimatrixGame(matrix, transpose(matrix), (MAXIMIZE, MAXIMIZE))
+    target = BimatrixGame(matrix, matrix.T, (MAXIMIZE, MAXIMIZE))
     bounds = [bound_record("median_regret", bound, symmetric_regret(target, median))]
     return bounds, {"strategy": fileio.strategy_obj(median)}, MixedProfile((median,))
 

@@ -40,7 +40,7 @@ from .oracle import (
     symmetric_support_enumeration,
 )
 from .geometry import _compositions, _grid_denominator
-from .rational import FMat, FVec, scale_to_integers, to_fraction
+from .rational import FVec, exact_array, scale_to_integers, to_fraction
 
 
 @dataclass(frozen=True)
@@ -75,21 +75,21 @@ class Graph:
         )
 
 
-def _graph_matrix(graph: Graph, diagonal: Fraction, edge: Fraction, non_edge: Fraction) -> FMat:
+def _graph_matrix(graph: Graph, diagonal: Fraction, edge: Fraction, non_edge: Fraction) -> np.ndarray:
     """The n x n matrix with `diagonal` on the diagonal, `edge` across edges, else `non_edge`."""
-    return tuple(
-        tuple(diagonal if i == j else edge if graph.has_edge(i, j) else non_edge
-              for j in range(graph.n))
-        for i in range(graph.n)
-    )
+    m = np.full((graph.n, graph.n), non_edge, dtype=object)
+    for i, j in graph.edges:
+        m[i, j] = m[j, i] = edge
+    np.fill_diagonal(m, diagonal)
+    return exact_array(m)
 
 
-def payoff_from_graph(graph: Graph) -> FMat:
+def payoff_from_graph(graph: Graph) -> np.ndarray:
     """A(G): -1 diagonal, 0 across edges, -2 across non-edges."""
     return _graph_matrix(graph, Fraction(-1), Fraction(0), Fraction(-2))
 
 
-def payoff_from_graph_delta(graph: Graph, delta) -> FMat:
+def payoff_from_graph_delta(graph: Graph, delta) -> np.ndarray:
     """A-bar(G, delta): delta diagonal, 1 across edges, 0 across non-edges."""
     d = to_fraction(delta)
     if not (0 < d < 1):
@@ -191,11 +191,10 @@ def robust_unique_ne_game(graph: Graph, regime: ParameterRegime) -> BimatrixGame
     return _bordered_game(a, r, v)
 
 
-def _bordered_game(a: FMat, r: Fraction, v: Fraction) -> BimatrixGame:
-    n = len(a)
-    rows = [tuple(list(a[i]) + [r]) for i in range(n)]
-    rows.append(tuple([r] * n + [v]))
-    b = tuple(rows)
+def _bordered_game(a: np.ndarray, r: Fraction, v: Fraction) -> BimatrixGame:
+    b = np.full((len(a) + 1,) * 2, r, dtype=object)
+    b[:-1, :-1] = a
+    b[-1, -1] = v
     return BimatrixGame(b, b, orientation=(MAXIMIZE, MAXIMIZE))
 
 
@@ -620,7 +619,7 @@ def graph_from_bordered_game(game: BimatrixGame) -> Graph:
     """
     if not game.identical_payoff():
         raise PreconditionError("bordered games carry identical payoffs")
-    b = game.row_payoff
+    b = game.row_payoff.tolist()
     n = len(b) - 1
     if n < 1:
         raise DimensionError("bordered game needs at least two actions")
@@ -721,6 +720,4 @@ def nonsym_instance(graph: Graph, regime: ParameterRegime) -> QuadraticMinMaxPro
     """
     game = robust_unique_ne_game(graph, regime)
     b = game.row_payoff
-    two_b = tuple(tuple(2 * x for x in row) for row in b)
-    zero = tuple(tuple(Fraction(0) for _ in row) for row in b)
-    return QuadraticMinMaxProblem(qx=two_b, qy=two_b, m=zero)
+    return QuadraticMinMaxProblem(qx=2 * b, qy=2 * b, m=np.zeros(b.shape, dtype=object))

@@ -227,12 +227,8 @@ def drift_witness_instance() -> tuple[QuadraticMinMaxProblem, DynamicsConfig]:
     alternating rule lets y react to the already-moved x and the iterates
     split by far more than 1e-3 within a couple hundred steps.
     """
-    zero = tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3))
-    m = (
-        (Fraction(0), Fraction(-1), Fraction(1)),
-        (Fraction(1), Fraction(0), Fraction(-1)),
-        (Fraction(-1), Fraction(1), Fraction(0)),
-    )
+    zero = np.zeros((3, 3), dtype=object)
+    m = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
     problem = QuadraticMinMaxProblem(qx=zero, qy=zero, m=m)
     init = (
         MixedStrategy.from_exact([Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)]),

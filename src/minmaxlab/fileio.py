@@ -31,7 +31,7 @@ from .games import (
 )
 from .geometry import JointDomain
 from .minmax import QuadraticMinMaxProblem
-from .rational import FMat, fmat, shape
+from .rational import fmat
 
 GameLike = NormalFormGame | PolymatrixGame | QuadraticMinMaxProblem
 
@@ -79,17 +79,13 @@ def rational_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _parse_matrix(rows, what: str) -> FMat:
+def _parse_matrix(rows, what: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise FormatError(f"{what} must be a non-empty list of rows")
     try:
         return fmat([[parse_rational(e) for e in row] for row in rows])
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad {what}: {exc}") from None
-
-
-def _matrix_obj(m: FMat) -> list[list[str]]:
-    return [[rational_str(e) for e in row] for row in m]
 
 
 def _parse_orientation(values, players: int) -> tuple[str, ...]:
@@ -119,7 +115,7 @@ def _parse_team_partition(value, players: int):
 
 
 def _parse_tensor(node, counts):
-    """Nested lists of rationals -> nested tuples, shape-checked against counts."""
+    """Nested lists of rationals -> nested lists of Fractions, shape-checked against counts."""
     if not counts:
         return parse_rational(node)
     if not isinstance(node, list) or len(node) != counts[0]:
@@ -127,7 +123,7 @@ def _parse_tensor(node, counts):
             f"tensor level has {len(node) if isinstance(node, list) else 'no'} entries,"
             f" expected {counts[0]}"
         )
-    return tuple(_parse_tensor(child, counts[1:]) for child in node)
+    return [_parse_tensor(child, counts[1:]) for child in node]
 
 
 def _tensor_obj(node):
@@ -219,7 +215,7 @@ def game_from_dict(doc) -> GameLike:
         m = _parse_matrix(body.get("m"), "m")
         domain = None
         if body.get("delta") is not None:
-            domain = _build(JointDomain, n=shape(qx)[0], delta=_finite(body["delta"], "delta"))
+            domain = _build(JointDomain, n=qx.shape[0], delta=_finite(body["delta"], "delta"))
         kwargs = {}
         for key in ("smoothness_bound", "lipschitz_bound"):
             if body.get(key) is not None:
@@ -253,7 +249,7 @@ def game_to_dict(game: GameLike) -> dict:
             payoff = {"tensor": _tensor_obj(first)}
         else:
             payoff = {"polymatrix": [
-                {"i": i, "j": j, "matrix": _matrix_obj(m)}
+                {"i": i, "j": j, "matrix": _tensor_obj(m)}
                 for (i, j), m in sorted(game.pair_matrices.items())
             ]}
         doc = {
@@ -267,9 +263,9 @@ def game_to_dict(game: GameLike) -> dict:
         return doc
     if isinstance(game, QuadraticMinMaxProblem):
         body = {
-            "qx": _matrix_obj(game.qx),
-            "qy": _matrix_obj(game.qy),
-            "m": _matrix_obj(game.m),
+            "qx": _tensor_obj(game.qx),
+            "qy": _tensor_obj(game.qy),
+            "m": _tensor_obj(game.m),
         }
         if game.domain is not None:
             body["delta"] = game.domain.delta

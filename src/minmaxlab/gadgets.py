@@ -31,7 +31,7 @@ from .games import (
 from .geometry import JointDomain
 from .minmax import QuadraticMinMaxProblem
 from .oracle import symmetric_support_enumeration
-from .rational import FMat, fmat, scale_to_integers, shape, to_fraction, transpose
+from .rational import exact_array, fmat, scale_to_integers, to_fraction
 
 EPS_CAP = Fraction(1, 10)
 TEAM_SYMMETRY_TOL = 1e-9  # a 3v3 profile's largest sup-norm gap to its mirror team
@@ -56,15 +56,15 @@ def _float_eps(instance: TeamGadgetInstance | Team3v3Instance, epsilon) -> float
     return eps
 
 
-def _square_exact(matrix) -> FMat:
+def _square_exact(matrix) -> np.ndarray:
     m = fmat(matrix)
-    n, n2 = shape(m)
+    n, n2 = m.shape
     if n != n2 or n == 0:
         raise DimensionError("non-empty square matrix required")
     return m
 
 
-def shift_to_gadget_range(matrix) -> tuple[FMat, Fraction]:
+def shift_to_gadget_range(matrix) -> tuple[np.ndarray, Fraction]:
     """Affine shift making all entries <= -1 (identity when already there).
 
     Subtracts (max entry + 2) from every entry when needed, so the shifted
@@ -74,15 +74,14 @@ def shift_to_gadget_range(matrix) -> tuple[FMat, Fraction]:
     grows.  Returns (shifted matrix, shift used).
     """
     m = _square_exact(matrix)
-    top = max(map(max, m))
+    top = m.max()
     if top <= -1:
         return m, Fraction(0)
     shift = top + 2
-    shifted = tuple(tuple(x - shift for x in row) for row in m)
-    return shifted, shift
+    return exact_array(m - shift), shift
 
 
-def _mirror_adversary(a: FMat, eps: Fraction) -> tuple[Fraction, np.ndarray, np.ndarray]:
+def _mirror_adversary(a: np.ndarray, eps: Fraction) -> tuple[Fraction, np.ndarray, np.ndarray]:
     """|A_min| and the adversary's two (2n+1) x n blocks against the teammates.
 
     Against the first teammate, mirror action i pays |A_min| / eps on
@@ -91,7 +90,7 @@ def _mirror_adversary(a: FMat, eps: Fraction) -> tuple[Fraction, np.ndarray, np.
     pay the mirror part negated.  The blocks are object arrays of Fraction.
     """
     n = len(a)
-    penalty = -min(map(min, a))
+    penalty = -a.min()
     eye = np.identity(n, dtype=object) * (penalty / eps)
     mirror = np.vstack([eye, -eye, np.zeros((1, n), dtype=object)])
     anchored = mirror.copy()
@@ -110,7 +109,7 @@ class TeamGadgetInstance:
                      + z_{2n+1} |A_min|.
     """
 
-    a: FMat
+    a: np.ndarray
     epsilon: Fraction
     penalty_scale: Fraction
     game: PolymatrixGame
@@ -132,9 +131,9 @@ def team_gadget(matrix, epsilon) -> TeamGadgetInstance:
     shift_to_gadget_range.
     """
     a = _square_exact(matrix)
-    if a != transpose(a):
+    if a.tolist() != a.T.tolist():
         raise PreconditionError("A must be symmetric")
-    if max(map(max, a)) > -1:
+    if a.max() > -1:
         raise PreconditionError(
             "A must have entries <= -1; see shift_to_gadget_range"
         )
@@ -373,9 +372,9 @@ class Team3v3Instance:
     team's internal agreement.  Swapping the teams negates u.
     """
 
-    r: FMat
-    a: FMat
-    c: FMat
+    r: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
     shift: Fraction
     epsilon: Fraction
     penalty_scale: Fraction
@@ -394,9 +393,9 @@ def team3v3_gadget(matrix, epsilon) -> Team3v3Instance:
     """Build the three-versus-three gadget from any square rational R."""
     r = _square_exact(matrix)
     eps = _exact_eps(epsilon)
-    sym, skew = (np.array(m, dtype=object) for m in decompose_symmetric_skew(r))
+    sym, skew = decompose_symmetric_skew(r)
     a, shift = shift_to_gadget_range(-sym)
-    c = fmat(-2 * skew)  # C = R^T - R = -2 * skew(R)
+    c = exact_array(-2 * skew)  # C = R^T - R = -2 * skew(R)
     n = len(r)
     penalty, toward_x, toward_y = _mirror_adversary(a, eps)
     # players: 0 x, 1 y, 2 z (unhatted, minimize u); 3 x-hat, 4 y-hat, 5 z-hat
@@ -404,7 +403,7 @@ def team3v3_gadget(matrix, epsilon) -> Team3v3Instance:
         action_counts=(n, n, 2 * n + 1, n, n, 2 * n + 1),
         pair_matrices={
             (0, 1): a,                           # <x, A y>
-            (3, 4): -np.array(a, dtype=object),  # -<x-hat, A y-hat>
+            (3, 4): -a,                          # -<x-hat, A y-hat>
             (0, 3): c,                           # <x, C x-hat>
             (5, 0): toward_x,                    # delta(x, y, z-hat)
             (5, 1): toward_y,
@@ -480,7 +479,7 @@ def measure_team3v3(
                 f"profile is not symmetric across teams (player {p}: {mismatch})"
             )
     report = _measure_structure(instance, profile, eps, ((0, 1), (3, 4)), (2, 5))
-    target = BimatrixGame(instance.r, transpose(instance.r), (MAXIMIZE, MAXIMIZE))
+    target = BimatrixGame(instance.r, instance.r.T, (MAXIMIZE, MAXIMIZE))
     return Team3v3Report(
         **vars(report),
         strategy=profile[0],

@@ -1,6 +1,7 @@
 """Strategy and game containers: bimatrix, polymatrix, and dense tensor form.
 
-Payoffs are stored as exact rationals and mirrored to float64 once for
+Payoffs are stored in the one exact form (`rational.exact_array`: a read-only,
+C-ordered object array of Fraction) and mirrored to float64 once for
 evaluation.  Every player carries an explicit orientation (maximize or
 minimize its stored payoff), since the adversarial-team constructions mix
 both conventions inside a single game.
@@ -29,16 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DimensionError
-from .rational import (
-    FMat,
-    FVec,
-    fmat,
-    fvec,
-    scale_to_integers,
-    shape,
-    to_float_matrix,
-    to_fraction,
-)
+from .rational import FVec, exact_array, fmat, fvec, scale_to_integers
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -93,7 +85,7 @@ def require_simplex(v: np.ndarray) -> None:
         raise ValueError(f"probabilities sum to {total}, not 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """A point of the probability simplex, stored as float64.
 
@@ -136,7 +128,7 @@ class MixedStrategy:
         return int(self.probs.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedProfile:
     """One mixed strategy per player."""
 
@@ -179,16 +171,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class BimatrixGame:
     """Two-player game with dense rational payoff matrices R (row) and C (column)."""
 
-    row_payoff: FMat
-    col_payoff: FMat
+    row_payoff: np.ndarray
+    col_payoff: np.ndarray
     orientation: tuple[str, str] = (MAXIMIZE, MAXIMIZE)
 
     def __post_init__(self):
         r = fmat(self.row_payoff)
         c = fmat(self.col_payoff)
-        if shape(r) != shape(c):
+        if r.shape != c.shape:
             raise DimensionError("row and column payoff shapes differ")
-        if not r or not r[0]:
+        if not r.size:
             raise DimensionError("empty payoff matrix")
         object.__setattr__(self, "row_payoff", r)
         object.__setattr__(self, "col_payoff", c)
@@ -200,18 +192,18 @@ class BimatrixGame:
 
     @property
     def action_counts(self) -> tuple[int, int]:
-        return shape(self.row_payoff)
+        return self.row_payoff.shape
 
     @cached_property
     def row_float(self) -> np.ndarray:
-        return _read_only(to_float_matrix(self.row_payoff))
+        return _read_only(self.row_payoff.astype(float))
 
     @cached_property
     def col_float(self) -> np.ndarray:
-        return _read_only(to_float_matrix(self.col_payoff))
+        return _read_only(self.col_payoff.astype(float))
 
     def identical_payoff(self) -> bool:
-        return self.row_payoff == self.col_payoff
+        return self.row_payoff.tolist() == self.col_payoff.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +211,7 @@ class PolymatrixGame:
     """Pairwise-bilinear game with a single shared scalar payoff (see module docs)."""
 
     action_counts: tuple[int, ...]
-    pair_matrices: Mapping[tuple[int, int], FMat]
+    pair_matrices: Mapping[tuple[int, int], np.ndarray]
     orientation: tuple[str, ...]
     team_partition: tuple[frozenset[int], frozenset[int]] | None = None
 
@@ -229,13 +221,13 @@ class PolymatrixGame:
             raise DimensionError("each player needs at least one action")
         object.__setattr__(self, "action_counts", counts)
         p = len(counts)
-        pairs: dict[tuple[int, int], FMat] = {}
+        pairs: dict[tuple[int, int], np.ndarray] = {}
         for (i, j), m in dict(self.pair_matrices).items():
             if not (0 <= i < p and 0 <= j < p) or i == j:
                 raise DimensionError(f"bad player pair ({i}, {j})")
             fm = fmat(m)
-            if shape(fm) != (counts[i], counts[j]):
-                raise DimensionError(f"pair ({i}, {j}) matrix has shape {shape(fm)}")
+            if fm.shape != (counts[i], counts[j]):
+                raise DimensionError(f"pair ({i}, {j}) matrix has shape {fm.shape}")
             pairs[(i, j)] = fm
         object.__setattr__(self, "pair_matrices", pairs)
         object.__setattr__(self, "orientation", _validate_orientation(self.orientation, p))
@@ -249,7 +241,7 @@ class PolymatrixGame:
 
     @cached_property
     def pair_floats(self) -> dict[tuple[int, int], np.ndarray]:
-        return {key: _read_only(to_float_matrix(m)) for key, m in self.pair_matrices.items()}
+        return {key: _read_only(m.astype(float)) for key, m in self.pair_matrices.items()}
 
     @cached_property
     def kernel_plan(self) -> tuple[tuple, np.ndarray, tuple[int, ...]]:
@@ -282,13 +274,7 @@ class NormalFormGame:
     team_partition: tuple[frozenset[int], frozenset[int]] | None = None
 
     def __post_init__(self):
-        tensors = []
-        for t in self.payoffs:
-            arr = np.array(t, dtype=object)
-            flat = np.array([to_fraction(x) for x in arr.reshape(-1)], dtype=object)
-            arr = flat.reshape(arr.shape)
-            arr.flags.writeable = False
-            tensors.append(arr)
+        tensors = [exact_array(t) for t in self.payoffs]
         if not tensors:
             raise DimensionError("need at least one player tensor")
         shp = tensors[0].shape
@@ -507,23 +493,20 @@ def max_team_inconsistency(game: Game, samples: int = 100, seed: int = 0) -> flo
     return worst
 
 
-def decompose_symmetric_skew(matrix) -> tuple[FMat, FMat]:
+def decompose_symmetric_skew(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Split a square rational matrix exactly into symmetric + skew parts.
 
     Returns (A, C) with A = (R + R^T)/2 symmetric, C = (R - R^T)/2 skew,
     and A + C == R entrywise.
     """
     r = fmat(matrix)
-    n, m = shape(r)
+    n, m = r.shape
     if n != m:
         raise DimensionError("square matrix required")
     cells, d = scale_to_integers(r)  # R = cells / d, so (R +- R^T)/2 = (cells +- cells^T) / 2d
     twice = 2 * d
-
-    def halves(ints) -> FMat:
-        return tuple(tuple(Fraction(x, twice) for x in row) for row in ints.tolist())
-
-    return halves(cells + cells.T), halves(cells - cells.T)
+    halves = np.frompyfunc(lambda x: Fraction(x, twice), 1, 1)
+    return exact_array(halves(cells + cells.T)), exact_array(halves(cells - cells.T))
 
 
 def to_normal_form(game: PolymatrixGame) -> NormalFormGame:
@@ -539,9 +522,8 @@ def to_normal_form(game: PolymatrixGame) -> NormalFormGame:
         raise CapExceededError(f"{total} pure profiles exceed cap {NORMAL_FORM_CAP}")
     u = np.full(counts, Fraction(0), dtype=object)
     for (i, j), m in game.pair_matrices.items():  # pair order: the per-cell sums' order
-        block = np.array(m, dtype=object)
         axes = [c if q in (i, j) else 1 for q, c in enumerate(counts)]
-        u += (block.T if i > j else block).reshape(axes)  # broadcast along the others
+        u += (m.T if i > j else m).reshape(axes)  # broadcast along the others
     return NormalFormGame(
         payoffs=tuple(u for _ in range(game.n_players)),
         orientation=game.orientation,

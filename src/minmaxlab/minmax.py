@@ -22,7 +22,7 @@ from .checks import within
 from .errors import DimensionError, PreconditionError, UnsupportedDomainError
 from .games import MAXIMIZE, MINIMIZE, MixedStrategy, best_deviation
 from .geometry import JointDomain, _project_simplex_rows, project_joint
-from .rational import FMat, fmat, scale_to_integers, scaled_to_float, shape, transpose
+from .rational import fmat, scale_to_integers, scaled_to_float
 
 
 def _spectral_norm(m: np.ndarray) -> float:
@@ -43,9 +43,9 @@ class QuadraticMinMaxProblem:
     `m_float`.
     """
 
-    qx: FMat
-    qy: FMat
-    m: FMat
+    qx: np.ndarray
+    qy: np.ndarray
+    m: np.ndarray
     domain: JointDomain | None = None
     smoothness_bound: float | None = None
     lipschitz_bound: float | None = None
@@ -61,16 +61,16 @@ class QuadraticMinMaxProblem:
         qx = fmat(self.qx)
         qy = fmat(self.qy)
         mm = fmat(self.m)
-        nx, nx2 = shape(qx)
-        ny, ny2 = shape(qy)
+        nx, nx2 = qx.shape
+        ny, ny2 = qy.shape
         if nx != nx2 or ny != ny2:
             raise DimensionError("Qx and Qy must be square")
         qx_cells, qx_d = scale_to_integers(qx)
         qy_cells, qy_d = scale_to_integers(qy)
         if (qx_cells != qx_cells.T).any() or (qy_cells != qy_cells.T).any():
             raise DimensionError("Qx and Qy must be symmetric (exactly)")
-        if shape(mm) != (ny, nx):
-            raise DimensionError(f"M must have shape ({ny}, {nx}), got {shape(mm)}")
+        if mm.shape != (ny, nx):
+            raise DimensionError(f"M must have shape ({ny}, {nx}), got {mm.shape}")
         if self.domain is not None and (self.domain.n != nx or nx != ny):
             raise DimensionError("a coupled domain needs matching x and y dimensions")
         object.__setattr__(self, "qx", qx)
@@ -112,8 +112,8 @@ class QuadraticMinMaxProblem:
         """Structural test for f(x, y) = -f(y, x): Qx = Qy and M skew, exactly."""
         return (
             self.n_x == self.n_y
-            and self.qx == self.qy
-            and transpose(self.m) == tuple(tuple(-v for v in row) for row in self.m)
+            and self.qx.tolist() == self.qy.tolist()
+            and self.m.T.tolist() == (-self.m).tolist()
         )
 
     @cached_property

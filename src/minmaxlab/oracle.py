@@ -37,7 +37,7 @@ from .games import (
     to_normal_form,
 )
 from .geometry import _compositions, _resolution_denominator, grid_size
-from .rational import FVec, fmat, fvec, scale_to_integers, shape, solve_stacked, to_fraction
+from .rational import FVec, fmat, fvec, scale_to_integers, solve_stacked, to_fraction
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +85,7 @@ def symmetric_support_enumeration(
     equilibria of the identical-payoff game (M, M).
     """
     m = fmat(matrix)
-    n, n2 = shape(m)
+    n, n2 = m.shape
     if n != n2:
         raise DimensionError("square matrix required")
     if n > SUPPORT_ENUM_MAX_N:
@@ -192,8 +192,7 @@ def _as_normal_form(game: Game) -> NormalFormGame:
     if isinstance(game, PolymatrixGame):
         return to_normal_form(game)
     if isinstance(game, BimatrixGame):
-        tensors = [np.array(m, dtype=object) for m in (game.row_payoff, game.col_payoff)]
-        return NormalFormGame(tuple(tensors), game.orientation)
+        return NormalFormGame((game.row_payoff, game.col_payoff), game.orientation)
     return game
 
 

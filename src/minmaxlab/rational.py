@@ -1,8 +1,10 @@
 """Exact rational matrices, and the integer core that decides on them.
 
-Payoff data is kept as nested tuples of Fraction; exact decisions scale it to
-integers over a common denominator.  `mat_vec` and `vec_dot` are the plain
-Fraction products, kept as the reference the integer core is checked against.
+Payoff data has one exact form: a read-only, C-ordered numpy object array of
+Fraction, built by `exact_array` (any rank) or `fmat` (a matrix).  Exact
+decisions scale it to integers over a common denominator.  `mat_vec` and
+`vec_dot` are the plain Fraction products, kept as the reference the integer
+core is checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 FVec = tuple[Fraction, ...]
-FMat = tuple[FVec, ...]
 
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
@@ -38,25 +39,41 @@ def fvec(values: Iterable) -> FVec:
     return tuple(to_fraction(v) for v in values)
 
 
-def fmat(rows: Iterable[Iterable]) -> FMat:
-    out = tuple(fvec(row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise ValueError("ragged matrix")
+_fraction_cells = np.frompyfunc(to_fraction, 1, 1)
+
+
+def exact_array(cells) -> np.ndarray:
+    """Exact cells of any nesting, or an array, in the one exact form: a fresh,
+    read-only, C-ordered object array of Fraction.  The float mirrors
+    (`astype(float)`) keep the C order, which is what BLAS reads."""
+    # one ufunc pass over the cells; on a 0-d array it returns a bare Fraction
+    out = np.asarray(_fraction_cells(np.array(cells, dtype=object, order="C")), dtype=object)
+    out.flags.writeable = False
     return out
 
 
-def shape(m: FMat) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
+def fmat(rows) -> np.ndarray:
+    """exact_array of a matrix: no rows is 0 x 0, and any rank but 2 is a ValueError."""
+    a = np.asarray(rows, dtype=object)
+    if a.shape == (0,):
+        a = a.reshape(0, 0)
+    elif a.ndim == 1 and isinstance(a[0], (list, tuple, np.ndarray)):
+        raise ValueError("ragged matrix")
+    if a.ndim != 2:
+        raise ValueError(f"a matrix has 2 dimensions, got {a.ndim}")
+    return exact_array(a)
 
 
-def transpose(m: FMat) -> FMat:
-    return tuple(zip(*m)) if m else ()
+def transpose(m) -> np.ndarray:
+    """The transpose of the matrix m, in the one exact form."""
+    return fmat(np.transpose(m))
 
 
-def mat_vec(m: FMat, v: Sequence[Fraction]) -> FVec:
-    if m and len(m[0]) != len(v):
+def mat_vec(m, v: Sequence[Fraction]) -> FVec:
+    rows = np.asarray(m, dtype=object).tolist()
+    if rows and len(rows[0]) != len(v):
         raise ValueError("matrix-vector shape mismatch")
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in rows)
 
 
 def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -65,16 +82,9 @@ def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def to_float_matrix(m: FMat) -> np.ndarray:
-    """One float(Fraction) per cell.  From Fractions, scaling first gives the same bits
-    at about the same cost (bordered A(G) payoffs, 2-core x86_64 host: 19-25 vs 28-29 us
-    at 5 actions, 63-71 vs 66-71 at 9, 287-323 vs 268-293 at 20); it pays on held cells."""
-    return np.array([[float(x) for x in row] for row in m], dtype=float)
-
-
 def scale_to_integers(cells) -> tuple[np.ndarray, int]:
     """Exact cells (any nesting) times the lcm D of their denominators, as Python ints, and D."""
-    a = np.array(cells, dtype=object)
+    a = np.asarray(cells, dtype=object)
     flat = a.ravel().tolist()
     dens = list(map(_denominator, flat))
     d = math.lcm(*dens)
@@ -84,13 +94,17 @@ def scale_to_integers(cells) -> tuple[np.ndarray, int]:
 
 
 def scaled_to_float(cells: np.ndarray, d: int) -> np.ndarray:
-    """to_float_matrix of the exact matrix cells / d, from scale_to_integers' output.
+    """The read-only float mirror of the exact matrix cells / d, from
+    scale_to_integers' output.
 
     Python's int true division rounds correctly, as float(Fraction) does, so
-    the bits are the same; with the cells at hand, as QuadraticMinMaxProblem
-    holds them for its symmetry check, it is about ten times faster.
+    the bits are `astype(float)`'s; with the cells at hand, as
+    QuadraticMinMaxProblem holds them for its symmetry check, it is about
+    ten times faster.
     """
-    return (cells / d).astype(float)
+    mirror = (cells / d).astype(float)
+    mirror.flags.writeable = False
+    return mirror
 
 
 def solve_linear(a: Sequence[Sequence[int]], b: Sequence[int]):

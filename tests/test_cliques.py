@@ -32,7 +32,7 @@ def test_payoff_matrix_encodes_adjacency(path3):
     assert a[0][0] == Fraction(-1)
     assert a[0][1] == Fraction(0)  # edge
     assert a[0][2] == Fraction(-2)  # non-edge
-    assert a == tuple(tuple(row) for row in zip(*a))  # symmetric
+    assert a.tolist() == a.T.tolist()  # symmetric
 
 
 def test_robust_payoff_matrix_values(path3):
@@ -99,7 +99,7 @@ def test_unique_ne_game_border_values(fig1):
     r = Fraction(-(2 * k - 1), 2 * (k - 1) * k)
     assert b[0][5] == r
     assert b[5][0] == r
-    assert game.col_payoff == transpose(game.row_payoff)
+    assert game.col_payoff.tolist() == transpose(game.row_payoff).tolist()
 
 
 def test_unique_ne_game_rejects_out_of_range_k(fig1):

@@ -7,13 +7,24 @@ independent reference that tests and the benchmark's verifier check the
 core against; no other package module may call them, and `rational.py`
 defines no other `mat_*` helper.  Exact contractions of a tensor with
 players' points run in one place, `oracle._deviations`: no other module
-calls `np.tensordot`.
+calls `np.tensordot`.  Payoff data has one exact form, a read-only,
+C-ordered object array of Fraction: no module defines or imports the
+nested-tuple helpers it replaced, and every builder stores that form.
 """
 
 import ast
+import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import minmaxlab
+from minmaxlab import analytic, cliques, fileio, gadgets
+from minmaxlab.cliques import Graph, ParameterRegime
+from minmaxlab.games import BimatrixGame, NormalFormGame, PolymatrixGame, to_normal_form
+from minmaxlab.minmax import QuadraticMinMaxProblem
 
 PACKAGE = Path(minmaxlab.__file__).parent
 REFERENCE = {"mat_vec", "vec_dot"}
@@ -100,3 +111,108 @@ def test_only_the_oracle_contracts_with_tensordot():
             found[path.name] = lines
     assert set(found) == {"oracle.py"}, f"np.tensordot called outside oracle.py: {found}"
     assert len(found["oracle.py"]) == 1, "oracle.py contracts in more than one place"
+
+
+RETIRED_FORM = {"FMat", "shape", "to_float_matrix", "_matrix_obj"}
+
+
+def retired_form_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every retired tuple-form helper a module imports,
+    or defines at module level by a def, a class or an assignment."""
+    found = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, (a.asname or a.name).split(".")[-1]) for a in node.names]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return sorted((line, name) for line, name in found if name in RETIRED_FORM)
+
+
+def test_the_form_guard_sees_imports_and_module_level_definitions():
+    assert retired_form_names("from .rational import FMat, fmat\n") == [(1, "FMat")]
+    assert retired_form_names("def f():\n    from .rational import shape\n") == [(2, "shape")]
+    assert retired_form_names("FMat = tuple[FVec, ...]\n") == [(1, "FMat")]
+    assert retired_form_names("def _matrix_obj(m):\n    pass\n") == [(1, "_matrix_obj")]
+    assert retired_form_names("to_float_matrix: object = None\n") == [(1, "to_float_matrix")]
+    assert retired_form_names("n = a.shape[0]\nshape = 1 if n else 2\n") == [(2, "shape")]
+    assert retired_form_names("def f(a):\n    shape = a.shape\n") == []
+
+
+def test_no_module_keeps_the_nested_tuple_form():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = retired_form_names(path.read_text(encoding="utf-8"))
+        if names:
+            found[path.name] = names
+    assert found == {}, f"retired tuple-form helpers in src/: {found}"
+
+
+FIG1 = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+REGIME = ParameterRegime(n=5, k=4, delta=Fraction(1, 2), epsilon=Fraction(1, 10**9))
+R = [["1/2", "-1/4", 0], ["1/4", "1/2", "-1"], [0, "1/3", "1/2"]]
+A = [[-2, -1], [-1, -3]]
+GOLDEN_GAMES = {  # case -> the game file it writes
+    case: doc["artifact"]
+    for case, doc in json.loads(
+        (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+    )["cases"].items()
+    if isinstance(doc.get("artifact"), dict) and "payoff" in doc["artifact"]
+}
+
+
+def exact_payoffs(obj) -> list[np.ndarray]:
+    """Every exact payoff attribute of a built object."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, BimatrixGame):
+        return [obj.row_payoff, obj.col_payoff]
+    if isinstance(obj, PolymatrixGame):
+        return list(obj.pair_matrices.values())
+    if isinstance(obj, NormalFormGame):
+        return list(obj.payoffs)
+    if isinstance(obj, QuadraticMinMaxProblem):
+        return [obj.qx, obj.qy, obj.m]
+    if isinstance(obj, gadgets.TeamGadgetInstance):
+        return [obj.a] + exact_payoffs(obj.game)
+    if isinstance(obj, gadgets.Team3v3Instance):
+        return [obj.r, obj.a, obj.c] + exact_payoffs(obj.game)
+    raise TypeError(f"no exact payoffs known for {type(obj).__name__}")
+
+
+BUILDERS = {
+    "payoff_from_graph": lambda: cliques.payoff_from_graph(FIG1),
+    "payoff_from_graph_delta": lambda: cliques.payoff_from_graph_delta(FIG1, Fraction(1, 3)),
+    "unique_ne_game": lambda: cliques.unique_ne_game(FIG1, 4),
+    "robust_unique_ne_game": lambda: cliques.robust_unique_ne_game(FIG1, REGIME),
+    "team_gadget": lambda: gadgets.team_gadget(A, Fraction(1, 20)),
+    "team3v3_gadget": lambda: gadgets.team3v3_gadget(R, Fraction(1, 20)),
+    "quadratic_gadget": lambda: gadgets.quadratic_gadget(R),
+    "coupled_gadget": lambda: gadgets.coupled_gadget(R, 0.25),
+    "nonsym_instance": lambda: cliques.nonsym_instance(FIG1, REGIME),
+    "irrational_game": analytic.irrational_game,
+    "to_normal_form": lambda: to_normal_form(gadgets.team_gadget(A, Fraction(1, 20)).game),
+}
+
+
+def assert_one_exact_form(obj):
+    for a in exact_payoffs(obj):
+        assert isinstance(a, np.ndarray) and a.dtype == object
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert all(type(x) is Fraction for x in a.flat)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_every_builder_stores_the_one_exact_form(builder):
+    assert_one_exact_form(BUILDERS[builder]())
+
+
+@pytest.mark.parametrize("case", GOLDEN_GAMES)
+def test_every_golden_game_file_loads_into_the_one_exact_form(case, tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(GOLDEN_GAMES[case]), encoding="utf-8")
+    assert_one_exact_form(fileio.load_game(str(path)))

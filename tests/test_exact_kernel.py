@@ -59,16 +59,8 @@ from minmaxlab.games import (
 from minmaxlab.geometry import _compositions, simplex_grid
 from minmaxlab.minmax import QuadraticMinMaxProblem, _point, check_fone, gradient
 from minmaxlab.oracle import GRID_SEARCH_CAP, SUPPORT_ENUM_MAX_N, SymmetricEquilibrium
-from minmaxlab.rational import (
-    fmat,
-    fvec,
-    scale_to_integers,
-    shape,
-    solve_linear,
-    solve_stacked,
-    to_fraction,
-    transpose,
-)
+from minmaxlab.rational import fvec, scale_to_integers, solve_linear, solve_stacked, to_fraction
+from prior_forms import fmat, shape, transpose
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +107,7 @@ def prior_solve_linear(a, b):
 def prior_wsne_report(game, x):
     if not isinstance(game, BimatrixGame) or not game.identical_payoff():
         raise PreconditionError("wsne_report needs an identical-payoff bimatrix game")
-    if game.row_payoff != transpose(game.row_payoff):
+    if game.row_payoff.tolist() != game.row_payoff.T.tolist():
         raise PreconditionError("wsne_report needs a symmetric payoff matrix")
     if game.orientation[0] != game.orientation[1]:
         raise PreconditionError("players must share an orientation")

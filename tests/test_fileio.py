@@ -80,7 +80,9 @@ def test_team_game_round_trip(tmp_path):
     path = tmp_path / "team.json"
     save_game(game, str(path))
     back = load_game(str(path))
-    assert back.pair_matrices == game.pair_matrices
+    assert {key: m.tolist() for key, m in back.pair_matrices.items()} == {
+        key: m.tolist() for key, m in game.pair_matrices.items()
+    }
     assert back.action_counts == game.action_counts
     assert back.team_partition == game.team_partition
     assert back.orientation == game.orientation
@@ -91,7 +93,9 @@ def test_quadratic_problem_round_trip(tmp_path):
     path = tmp_path / "quad.json"
     save_game(prob, str(path))
     back = load_game(str(path))
-    assert back.qx == prob.qx and back.qy == prob.qy and back.m == prob.m
+    assert [back.qx.tolist(), back.qy.tolist(), back.m.tolist()] == [
+        prob.qx.tolist(), prob.qy.tolist(), prob.m.tolist()
+    ]
     assert back.smoothness_bound == prob.smoothness_bound
     assert back.lipschitz_bound == prob.lipschitz_bound
     if prob.domain is not None:

@@ -18,7 +18,8 @@ from minmaxlab.games import (
     as_profile,
     decompose_symmetric_skew,
 )
-from minmaxlab.rational import fmat, to_float_matrix, transpose
+from minmaxlab.rational import fmat, transpose
+from prior_forms import to_float_matrix
 
 A2 = fmat([["-3/2", -1], [-1, "-2"]])  # symmetric, entries in [-2, -1]
 
@@ -29,7 +30,7 @@ def test_shift_keeps_entries_in_the_working_range():
     assert max(max(row) for row in shifted) <= -1
     assert shift != 0
     inert, no_shift = gadgets.shift_to_gadget_range(A2)
-    assert inert == A2
+    assert inert.tolist() == A2.tolist()
     assert no_shift == 0
 
 
@@ -241,13 +242,13 @@ def square_matrices(draw):
 @given(square_matrices())
 def test_quadratic_gadget_matches_the_fraction_formula(r):
     a, c = prior_decompose_symmetric_skew(r)
-    assert decompose_symmetric_skew(r) == (a, c)
+    assert all(map(np.array_equal, decompose_symmetric_skew(r), (a, c)))
     if min(map(min, r)) < -1 or max(map(max, r)) > 1:
         with pytest.raises(PreconditionError):
             gadgets.quadratic_gadget(r)
         return
     problem = gadgets.quadratic_gadget(r)
-    assert (problem.qx, problem.qy, problem.m) == (a, a, c)
+    assert all(map(np.array_equal, (problem.qx, problem.qy, problem.m), (a, a, c)))
     for mirror, exact in ((problem.qx_float, a), (problem.qy_float, a), (problem.m_float, c)):
         assert mirror.tobytes() == to_float_matrix(exact).tobytes()
 
@@ -455,7 +456,7 @@ def assert_same_pairs(game, pairs):
     """Equal exact matrices in the same insertion order, every entry a Fraction."""
     assert list(game.pair_matrices) == list(pairs)
     for key, m in game.pair_matrices.items():
-        assert m == pairs[key]
+        assert np.array_equal(m, pairs[key])
         assert all(type(x) is Fraction for row in m for x in row)
 
 
@@ -464,13 +465,13 @@ def test_team_gadgets_match_the_prior_construction():
         for eps in DIFF_EPS:
             inst = gadgets.team_gadget(a, eps)
             prior_a, prior_eps, penalty, pairs = prior_team_pairs(a, eps)
-            assert (inst.a, inst.epsilon, inst.penalty_scale) == (prior_a, prior_eps, penalty)
+            assert np.array_equal(inst.a, prior_a)
+            assert (inst.epsilon, inst.penalty_scale) == (prior_eps, penalty)
             assert_same_pairs(inst.game, pairs)
             inst3 = gadgets.team3v3_gadget(raw, eps)
             r, a3, c, shift, eps3, penalty3, pairs3 = prior_team3v3_pairs(raw, eps)
-            assert (inst3.r, inst3.a, inst3.c, inst3.shift, inst3.epsilon, inst3.penalty_scale) == (
-                r, a3, c, shift, eps3, penalty3
-            )
+            assert all(map(np.array_equal, (inst3.r, inst3.a, inst3.c), (r, a3, c)))
+            assert (inst3.shift, inst3.epsilon, inst3.penalty_scale) == (shift, eps3, penalty3)
             assert_same_pairs(inst3.game, pairs3)
 
 

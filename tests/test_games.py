@@ -50,6 +50,15 @@ def test_mixed_strategy_constructors():
     assert s.exact == (Fraction(1, 3), Fraction(2, 3))
 
 
+def test_strategies_and_profiles_compare_by_identity_and_hash():
+    # the generated __eq__ compared probs arrays and raised on two or more actions
+    s, twin = MixedStrategy([0.5, 0.5]), MixedStrategy([0.5, 0.5])
+    profile = MixedProfile((s, s))
+    assert s == s and profile == profile
+    assert s != twin and profile != MixedProfile((s, s))
+    assert len({s, twin, profile}) == 3
+
+
 def test_mixed_strategy_rejects_non_distribution():
     with pytest.raises(ValueError):
         MixedStrategy(np.array([0.7, 0.7]))
@@ -89,18 +98,18 @@ def test_deviation_payoffs_column_player_uses_transpose():
 def test_decompose_symmetric_skew_roundtrip(rows):
     m = fmat(rows)
     sym, skew = decompose_symmetric_skew(m)
-    assert sym == transpose(sym)
-    assert skew == tuple(tuple(-x for x in row) for row in transpose(skew))
+    assert sym.tolist() == transpose(sym).tolist()
+    assert skew.tolist() == (-transpose(skew)).tolist()
     recombined = tuple(
         tuple(sym[i][j] + skew[i][j] for j in range(3)) for i in range(3)
     )
-    assert recombined == m
+    assert np.array_equal(recombined, m)
 
 
 def test_bimatrix_symmetry_predicates():
     a = fmat([[1, 2], [2, 0]])
     game = BimatrixGame(a, a, (MAXIMIZE, MAXIMIZE))
-    assert game.col_payoff == transpose(game.row_payoff)
+    assert game.col_payoff.tolist() == transpose(game.row_payoff).tolist()
     assert game.identical_payoff()
     other = BimatrixGame(a, fmat([[0, 0], [0, 0]]), (MAXIMIZE, MAXIMIZE))
     assert not other.identical_payoff()

@@ -12,7 +12,8 @@ from minmaxlab import gadgets, minmax, oracle
 from minmaxlab.errors import DimensionError
 from minmaxlab.games import MAXIMIZE, MixedStrategy
 from minmaxlab.minmax import QuadraticMinMaxProblem
-from minmaxlab.rational import fmat, to_float_matrix, transpose
+from minmaxlab.rational import fmat, transpose
+from prior_forms import to_float_matrix
 
 
 def skew_problem():
@@ -158,7 +159,7 @@ def quadratic_data(draw):
 @given(quadratic_data())
 def test_symmetry_check_and_float_mirrors_match_the_fraction_formula(data):
     qx, qy, m = data
-    if qx != transpose(qx):
+    if not np.array_equal(qx, transpose(qx)):
         with pytest.raises(DimensionError):
             QuadraticMinMaxProblem(qx=qx, qy=qy, m=m)
         return
