@@ -1,17 +1,17 @@
 """Learning dynamics for quadratic min-max problems on simplex products.
 
-Five update rules share one interface: the players' points form a list
-[x, y], `problem.feedbacks` maps it to their feedback list [grad_x f,
--grad_y f], and every player descends on its own entry.  Each rule is
-written once and applied to every entry, so both players run the *same*
-deterministic rule, operation for operation.  Four of the rules (GDA,
-ExtraGradient, OptimisticGDA, OMWU) update simultaneously; with an
-antisymmetric objective and a shared starting point the two feedback
-vectors are bitwise identical, so the two iterates never separate — the
-recorded symmetry drift stays exactly zero.  AlternatingGDA deliberately
-breaks the pattern by updating the players in turn, each reacting to the
-moves already made, which is enough to pull the iterates apart on
-ordinary bilinear problems.
+Five update rules share one interface: the players' points are the two
+segments of one flat row z = (x, y), `problem.feedbacks` maps it to the
+flat feedback (grad_x f, -grad_y f), and every player descends on its own
+segment.  Each stage of a rule is one operation over the whole row, so
+both players run the *same* deterministic rule, operation for operation.
+Four of the rules (GDA, ExtraGradient, OptimisticGDA, OMWU) update
+simultaneously; with an antisymmetric objective and a shared starting
+point the two feedback segments are bitwise identical, so the two iterates
+never separate — the recorded symmetry drift stays exactly zero.
+AlternatingGDA deliberately breaks the pattern by updating the players in
+turn, each reacting to the moves already made, which is enough to pull the
+iterates apart on ordinary bilinear problems.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, UnsupportedDomainError
 from .games import MixedStrategy
-from .geometry import _project_simplex_raw
+from .geometry import _simplex_threshold
 from .minmax import QuadraticMinMaxProblem, _f_rows, _simplex_gda_gaps
 
 GDA = "GDA"
@@ -35,7 +35,8 @@ ALTERNATING_GDA = "AlternatingGDA"
 ALGORITHMS = (GDA, EXTRAGRADIENT, OPTIMISTIC_GDA, OMWU, ALTERNATING_GDA)
 SYMMETRIC_ALGORITHMS = (GDA, EXTRAGRADIENT, OPTIMISTIC_GDA, OMWU)
 # gaps, drifts and utilities are computed in one array pass per block of steps,
-# sized so that a block holds about this many coordinates per player
+# sized so that a block holds about this many coordinates per player; the
+# blocks set the bits of the BLAS products (docs/decisions.md, "Float loops")
 RECORD_CELLS = 1024
 
 
@@ -102,27 +103,6 @@ def _init_point(
     return x, y
 
 
-def _record_pending(
-    problem: QuadraticMinMaxProblem,
-    points: list,
-    gaps: list,
-    drifts: list,
-    utilities: list,
-) -> None:
-    """Append gaps, drifts and utilities for the points not yet recorded."""
-    pending = points[len(gaps):]
-    if not pending:
-        return
-    xs = np.array([x for x, _ in pending])
-    ys = np.array([y for _, y in pending])
-    gaps.extend(_simplex_gda_gaps(problem, xs, ys, stepsize=1.0).tolist())
-    if problem.n_x == problem.n_y:
-        drifts.extend(np.abs(xs - ys).max(axis=1).tolist())
-    else:
-        drifts.extend([float("inf")] * len(pending))
-    utilities.extend(_f_rows(problem, xs, ys).tolist())
-
-
 def run(problem: QuadraticMinMaxProblem, config: DynamicsConfig) -> Trajectory:
     """Run the configured dynamics and record one entry per step.
 
@@ -132,70 +112,94 @@ def run(problem: QuadraticMinMaxProblem, config: DynamicsConfig) -> Trajectory:
     dynamics use, making traces comparable across configurations.  Only
     plain simplex products are supported, and OMWU additionally needs a
     strictly positive starting profile since zeros are absorbing under
-    multiplicative updates.  Records are computed from raw arrays in blocks
-    of about `RECORD_CELLS` coordinates, with the gap kernel of
-    `minmax.gda_gap`.
+    multiplicative updates.  Row t of one (T, n_x + n_y) buffer holds the
+    point after t updates, and the returned points are read-only views of
+    it.  After the loop, records are computed from its columns in blocks of
+    about `RECORD_CELLS` coordinates, with the gap kernel of `minmax.gda_gap`.
     """
     if problem.domain is not None:
         raise UnsupportedDomainError(
             "dynamics run on the simplex product; coupled domains are not supported"
         )
-    points = list(_init_point(problem, config))
+    nx, horizon = problem.n_x, config.horizon
+    path = np.empty((horizon, nx + problem.n_y))
+    path[0] = np.concatenate(_init_point(problem, config))
     eta = config.stepsize
     algo = config.algorithm
-    if algo == OMWU and min(p.min() for p in points) <= 0:
+    if algo == OMWU and path[0].min() <= 0:
         raise PreconditionError("OMWU requires a strictly positive initialization")
 
     feedbacks = problem.feedbacks
-    # the module global, read per call: a tracer may have patched it
-    project = _project_simplex_raw
-    previous = [np.zeros_like(p) for p in points]
-    block = max(1, RECORD_CELLS // max(p.size for p in points))
-    visited, gaps, drifts, utilities = [], [], [], []
-    for t in range(config.horizon):
-        # each rule replaces the entries of `points` with fresh arrays, so a
-        # recorded tuple keeps its own
-        visited.append(tuple(points))
-        if len(visited) - len(gaps) == block:
-            _record_pending(problem, visited, gaps, drifts, utilities)
-        if t == config.horizon - 1:
-            break
+    segments = (slice(0, nx), slice(nx, None))
+    v, half, previous = np.empty_like(path[0]), np.empty_like(path[0]), np.zeros_like(path[0])
+    v_segments = [v[s] for s in segments]
+
+    def project(out):
+        """out = the projection of each segment of v, the step's target."""
+        for w in v_segments:
+            w -= _simplex_threshold(w)
+        np.maximum(v, 0.0, out=out)
+
+    def descend(z, direction):
+        np.subtract(z, np.multiply(direction, eta, out=v), out=v)
+
+    for t in range(horizon - 1):
+        z, nxt = path[t], path[t + 1]
         if algo == GDA:
-            for i, g in enumerate(feedbacks(points)):
-                points[i] = project(points[i] - eta * g)
+            descend(z, feedbacks(z))
+            project(nxt)
         elif algo == EXTRAGRADIENT:
-            half = points.copy()
-            for i, g in enumerate(feedbacks(points)):
-                half[i] = project(points[i] - eta * g)
-            for i, g in enumerate(feedbacks(half)):
-                points[i] = project(points[i] - eta * g)
+            descend(z, feedbacks(z))
+            project(half)
+            descend(z, feedbacks(half))
+            project(nxt)
         elif algo == OPTIMISTIC_GDA:
-            current = feedbacks(points)
-            for i, g in enumerate(current):
-                points[i] = project(points[i] - eta * (2.0 * g - previous[i]))
-            previous = current
+            g = feedbacks(z)
+            descend(z, np.subtract(np.multiply(g, 2.0, out=half), previous, out=half))
+            previous[:] = g
+            project(nxt)
         elif algo == OMWU:
-            current = feedbacks(points)
+            g = feedbacks(z)
             with np.errstate(over="ignore", invalid="ignore"):
-                for i, g in enumerate(current):
-                    w = points[i] * np.exp(-eta * (2.0 * g - previous[i]))
-                    total = np.add.reduce(w)
-                    if not (np.isfinite(w).all() and total > 0):
-                        raise OverflowError(
-                            f"multiplicative update overflowed at step {t + 1}"
-                        )
-                    points[i] = w / total
-            previous = current
-        else:  # AlternatingGDA: GDA with each player's feedback read on its turn
-            for i in range(len(points)):
-                points[i] = project(points[i] - eta * feedbacks(points)[i])
-    _record_pending(problem, visited, gaps, drifts, utilities)
+                w = np.subtract(np.multiply(g, 2.0, out=v), previous, out=v)
+                np.multiply(z, np.exp(np.multiply(w, -eta, out=w), out=w), out=w)
+            previous[:] = g
+            totals = [np.add.reduce(w[s]) for s in segments]
+            if not (np.isfinite(w).all() and min(totals) > 0):
+                raise OverflowError(f"multiplicative update overflowed at step {t + 1}")
+            for s, total in zip(segments, totals):
+                np.divide(w[s], total, out=nxt[s])
+        else:  # AlternatingGDA: GDA on one segment per turn, its feedback read on the turn
+            nxt[:] = z
+            for s, w in zip(segments, v_segments):
+                descend(nxt, feedbacks(nxt))
+                w -= _simplex_threshold(w)
+                np.maximum(w, 0.0, out=nxt[s])
+    gaps, drifts, utilities = _record(problem, path)
+    path.flags.writeable = False
     return Trajectory(
-        points=tuple(visited),
-        gaps=tuple(gaps),
-        drifts=tuple(drifts),
-        utilities=tuple(utilities),
+        points=tuple((row[:nx], row[nx:]) for row in path),
+        gaps=gaps,
+        drifts=drifts,
+        utilities=utilities,
     )
+
+
+def _record(problem: QuadraticMinMaxProblem, path: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """Gaps, drifts and utilities of every row of the path, a block of rows at a time."""
+    nx, ny = problem.n_x, problem.n_y
+    block = max(1, RECORD_CELLS // max(nx, ny))
+    gaps, drifts, utilities = [], [], []
+    for start in range(0, len(path), block):
+        # column blocks of the buffer: BLAS reads them with their row stride
+        xs, ys = path[start : start + block, :nx], path[start : start + block, nx:]
+        gaps += _simplex_gda_gaps(problem, xs, ys, stepsize=1.0).tolist()
+        if nx == ny:
+            drifts += np.abs(xs - ys).max(axis=1).tolist()
+        else:
+            drifts += [float("inf")] * len(xs)
+        utilities += _f_rows(problem, xs, ys).tolist()
+    return tuple(gaps), tuple(drifts), tuple(utilities)
 
 
 def symmetry_drift(trajectory: Trajectory) -> float | None:

@@ -11,7 +11,7 @@ lets approximate equilibria be mapped back to the original game.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -289,14 +289,20 @@ def quadratic_gadget(matrix) -> QuadraticMinMaxProblem:
     f(x, y) = -f(y, x), and f is 4n-smooth with gradients bounded by 4n
     (both recorded on the problem).
     """
+    return _quadratic_problem(matrix, None)
+
+
+def _quadratic_problem(matrix, delta: float | None) -> QuadraticMinMaxProblem:
+    """The quadratic gadget of R, on the band of width delta unless it is None."""
     r = _square_exact(matrix)
     cells, d = scale_to_integers(r)
     if cells.min() < -d or cells.max() > d:
         raise PreconditionError("entries of R must lie in [-1, 1]")
     a, c = decompose_symmetric_skew(r)
     n = len(r)
+    domain = None if delta is None else JointDomain(n, float(delta))
     return QuadraticMinMaxProblem(
-        qx=a, qy=a, m=c, smoothness_bound=4.0 * n, lipschitz_bound=4.0 * n
+        a, a, c, domain, smoothness_bound=4.0 * n, lipschitz_bound=4.0 * n
     )
 
 
@@ -324,8 +330,7 @@ def coupling_width(eps: float, n: int) -> float:
 
 def coupled_gadget(matrix, delta: float) -> QuadraticMinMaxProblem:
     """The quadratic gadget restricted to strategy pairs with |x_i - y_i| <= delta."""
-    base = quadratic_gadget(matrix)
-    return replace(base, domain=JointDomain(base.n_x, float(delta)))
+    return _quadratic_problem(matrix, delta)
 
 
 def median_backmap(

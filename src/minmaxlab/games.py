@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DimensionError
-from .rational import FVec, exact_array, fmat, fvec, scale_to_integers
+from .rational import FVec, exact_array, fmat, fvec, scale_to_integers, scaled_to_exact
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -504,9 +504,7 @@ def decompose_symmetric_skew(matrix) -> tuple[np.ndarray, np.ndarray]:
     if n != m:
         raise DimensionError("square matrix required")
     cells, d = scale_to_integers(r)  # R = cells / d, so (R +- R^T)/2 = (cells +- cells^T) / 2d
-    twice = 2 * d
-    halves = np.frompyfunc(lambda x: Fraction(x, twice), 1, 1)
-    return exact_array(halves(cells + cells.T)), exact_array(halves(cells - cells.T))
+    return scaled_to_exact(cells + cells.T, 2 * d), scaled_to_exact(cells - cells.T, 2 * d)
 
 
 def to_normal_form(game: PolymatrixGame) -> NormalFormGame:
@@ -520,10 +518,14 @@ def to_normal_form(game: PolymatrixGame) -> NormalFormGame:
     total = math.prod(counts)
     if total > NORMAL_FORM_CAP:
         raise CapExceededError(f"{total} pure profiles exceed cap {NORMAL_FORM_CAP}")
-    u = np.full(counts, Fraction(0), dtype=object)
-    for (i, j), m in game.pair_matrices.items():  # pair order: the per-cell sums' order
-        axes = [c if q in (i, j) else 1 for q, c in enumerate(counts)]
-        u += (m.T if i > j else m).reshape(axes)  # broadcast along the others
+    # each block as integers over one common denominator d, summed exactly
+    scaled = {pair: scale_to_integers(m) for pair, m in game.pair_matrices.items()}
+    d = math.lcm(*(q for _, q in scaled.values()))
+    u = np.full(counts, 0, dtype=object)
+    for (i, j), (cells, q) in scaled.items():
+        axes = [c if p in (i, j) else 1 for p, c in enumerate(counts)]
+        u += (cells.T if i > j else cells).reshape(axes) * (d // q)  # broadcast along the others
+    u = scaled_to_exact(u, d)
     return NormalFormGame(
         payoffs=tuple(u for _ in range(game.n_players)),
         orientation=game.orientation,

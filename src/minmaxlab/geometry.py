@@ -25,19 +25,17 @@ _NO_THRESHOLD = (
 )
 
 
-def _project_simplex_raw(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort and threshold).
+def _simplex_threshold(v: np.ndarray) -> float:
+    """The theta of the Euclidean projection of v onto the probability simplex.
 
     theta = css[k] / (k + 1) at the last k with u[k] > css[k] / (k + 1), where
     u is v sorted descending and css its cumulative sums less 1.  Up to
     `_SCALAR_PROJECTION_MAX_N` entries, where numpy's fixed cost per call
-    dominates, theta is found on Python floats by the same operations in the
-    same order, so both ways give the same bits.  Raises ValueError when no
-    k passes, as with a NaN or +inf entry.
+    dominates, theta is found by one sequential pass over Python floats with
+    the same operations in the same order, so both ways give the same bits.
+    Raises ValueError when no k passes, as with a NaN or +inf entry.
     """
-    if v.size <= _SCALAR_PROJECTION_MAX_N:
-        theta = _scalar_threshold(v)
-    else:
+    if v.size > _SCALAR_PROJECTION_MAX_N:
         u = np.sort(v)[::-1]
         css = u.cumsum()
         css -= 1.0
@@ -45,12 +43,7 @@ def _project_simplex_raw(v: np.ndarray) -> np.ndarray:
         if passing.size == 0:
             raise ValueError(_NO_THRESHOLD)
         k = passing[-1]
-        theta = css[k] / (k + 1)
-    return np.maximum(v - theta, 0.0)
-
-
-def _scalar_threshold(v: np.ndarray) -> float:
-    """The theta of `_project_simplex_raw`, by one sequential pass over floats."""
+        return css[k] / (k + 1)
     s = 0.0
     theta = None
     for k, u in enumerate(sorted(v.tolist(), reverse=True), 1):
@@ -63,6 +56,11 @@ def _scalar_threshold(v: np.ndarray) -> float:
     if theta is None or s != s:
         raise ValueError(_NO_THRESHOLD)
     return theta
+
+
+def _project_simplex_raw(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex: max(v - theta, 0)."""
+    return np.maximum(v - _simplex_threshold(v), 0.0)
 
 
 def _project_simplex_rows(v: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ symmetric, exactly, in rational arithmetic.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,14 +59,14 @@ class QuadraticMinMaxProblem:
             if value is not None and not (0.0 <= value < math.inf):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         qx = fmat(self.qx)
-        qy = fmat(self.qy)
+        qy = qx if self.qy is self.qx else fmat(self.qy)  # a quadratic gadget's: scaled once
         mm = fmat(self.m)
         nx, nx2 = qx.shape
         ny, ny2 = qy.shape
         if nx != nx2 or ny != ny2:
             raise DimensionError("Qx and Qy must be square")
         qx_cells, qx_d = scale_to_integers(qx)
-        qy_cells, qy_d = scale_to_integers(qy)
+        qy_cells, qy_d = (qx_cells, qx_d) if qy is qx else scale_to_integers(qy)
         if (qx_cells != qx_cells.T).any() or (qy_cells != qy_cells.T).any():
             raise DimensionError("Qx and Qy must be symmetric (exactly)")
         if mm.shape != (ny, nx):
@@ -77,7 +77,8 @@ class QuadraticMinMaxProblem:
         object.__setattr__(self, "qy", qy)
         object.__setattr__(self, "m", mm)
         object.__setattr__(self, "qx_float", scaled_to_float(qx_cells, qx_d))
-        object.__setattr__(self, "qy_float", scaled_to_float(qy_cells, qy_d))
+        qy_float = self.qx_float if qy is qx else scaled_to_float(qy_cells, qy_d)
+        object.__setattr__(self, "qy_float", qy_float)
         object.__setattr__(self, "m_float", scaled_to_float(*scale_to_integers(mm)))
         if self.smoothness_bound is None:
             l_est = 2.0 * (
@@ -117,18 +118,26 @@ class QuadraticMinMaxProblem:
         )
 
     @cached_property
-    def feedbacks(self) -> Callable[[Sequence[np.ndarray]], list[np.ndarray]]:
-        """The players' feedbacks at points [x, y]: [grad_x f, -grad_y f].
+    def feedbacks(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The players' feedbacks at the flat point z = (x, y): the flat
+        (grad_x f, -grad_y f), each player descending on its own segment.
 
-        Each player descends on its own entry, the y player on -f.  The
-        closure holds the bound products, so a step looks nothing up.
+        The closure holds the bound products, writes each into a segment of
+        a buffer it owns, and returns that buffer, which the next call overwrites.
         """
+        nx = self.n_x
         mt, qx = self.mt_float.dot, self.qx_float.dot
         neg_m, qy = self.neg_m_float.dot, self.qy_float.dot
+        out, own = np.empty(nx + self.n_y), np.empty(nx + self.n_y)
+        out_x, out_y, own_x, own_y = out[:nx], out[nx:], own[:nx], own[nx:]
 
-        def feedbacks(points):
-            x, y = points
-            return [mt(y) - qx(x), neg_m(x) - qy(y)]
+        def feedbacks(z):
+            x, y = z[:nx], z[nx:]
+            mt(y, out=out_x)
+            neg_m(x, out=out_y)
+            qx(x, out=own_x)
+            qy(y, out=own_y)
+            return np.subtract(out, own, out=out)
 
         return feedbacks
 
@@ -160,8 +169,8 @@ def f_value(problem: QuadraticMinMaxProblem, x, y) -> float:
 def gradient(problem: QuadraticMinMaxProblem, x, y) -> tuple[np.ndarray, np.ndarray]:
     """(grad_x f, grad_y f) at the point: the players' feedbacks, the
     maximizer's negated as 0.0 - v so that a zero component stays +0.0."""
-    gx, neg_gy = problem.feedbacks(_point(problem, x, y))
-    return gx, 0.0 - neg_gy
+    g = problem.feedbacks(np.concatenate(_point(problem, x, y)))
+    return g[: problem.n_x].copy(), 0.0 - g[problem.n_x :]
 
 
 def _simplex_gda_rows(

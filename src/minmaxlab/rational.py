@@ -9,6 +9,7 @@ core is checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import attrgetter, index
@@ -105,6 +106,11 @@ def scaled_to_float(cells: np.ndarray, d: int) -> np.ndarray:
     mirror = (cells / d).astype(float)
     mirror.flags.writeable = False
     return mirror
+
+
+def scaled_to_exact(cells: np.ndarray, d: int) -> np.ndarray:
+    """The exact array of the integer cells / d, each distinct Fraction built once."""
+    return exact_array(np.frompyfunc(functools.cache(lambda x: Fraction(x, d)), 1, 1)(cells))
 
 
 def solve_linear(a: Sequence[Sequence[int]], b: Sequence[int]):

@@ -226,7 +226,8 @@ def test_feedback_matches_the_prior_products():
         for _ in range(20):
             x = rng.dirichlet(np.ones(problem.n_x))
             y = rng.dirichlet(np.ones(problem.n_y))
-            gx, gy = problem.feedbacks([x, y])
+            g = problem.feedbacks(np.concatenate([x, y]))
+            gx, gy = g[: problem.n_x], g[problem.n_x :]
             assert gx.tobytes() == prior_minimizer_feedback(problem, x, y).tobytes()
             assert gy.tobytes() == prior_maximizer_feedback(problem, y, x).tobytes()
 
@@ -311,3 +312,77 @@ def projection_rows(draw):
 @given(projection_rows())
 def test_row_projection_matches_the_prior_one(rows):
     assert _project_simplex_rows(rows).tobytes() == prior_project_simplex_rows(rows).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the trajectory buffer
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("n", [2, 3, 8, C, C + 1, 64])
+def test_records_keep_blocks_of_1024_cells(algorithm, n):
+    """The record stacks the points in blocks of 1024 // n rows, as the loop
+    that set its bits did.  BLAS gives a row other bits in a block of
+    another size (at n = 41 with 4,096 cells, and for any one-row block), so
+    the blocks are part of the result; 241 rows leave one row alone at
+    n = 41 and 64 and a partial block at every n."""
+    problem = _gadget(n, seed=300 + n)
+    config = DynamicsConfig(
+        algorithm, stepsize=0.2, horizon=241, init=(_start(n, 1), _start(n, 2))
+    )
+    traj = run(problem, config)
+    block = max(1, 1024 // n)
+    gaps, drifts, utilities = [], [], []
+    for start in range(0, len(traj), block):
+        prior_record_pending(problem, traj.points[: start + block], gaps, drifts, utilities)
+    assert _bytes(traj.gaps) == _bytes(gaps)
+    assert _bytes(traj.drifts) == _bytes(drifts)
+    assert _bytes(traj.utilities) == _bytes(utilities)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_trajectories_are_read_only_and_share_nothing(algorithm):
+    problem = _gadget(3, seed=5)
+    first = run(problem, DynamicsConfig(algorithm, stepsize=0.1, horizon=50))
+    before = [(x.tobytes(), y.tobytes()) for x, y in first.points]
+    for t in (0, 49):
+        for point in first.points[t]:
+            with pytest.raises(ValueError):
+                point[0] = 1.0
+    init = (_start(3, seed=6), _start(3, seed=7))
+    run(problem, DynamicsConfig(algorithm, stepsize=0.3, horizon=50, init=init))
+    assert [(x.tobytes(), y.tobytes()) for x, y in first.points] == before
+
+
+def _random_problem(nx, ny, seed):
+    """Symmetric Qx and Qy and any M, entries in [-1, 1] over 100."""
+    rng = np.random.default_rng(seed)
+
+    def cells(rows, cols):
+        return rng.integers(-100, 101, (rows, cols))
+
+    qx, qy = cells(nx, nx), cells(ny, ny)
+    return QuadraticMinMaxProblem(
+        qx=fmat([[Fraction(int(v), 200) for v in row] for row in qx + qx.T]),
+        qy=fmat([[Fraction(int(v), 200) for v in row] for row in qy + qy.T]),
+        m=fmat([[Fraction(int(v), 100) for v in row] for row in cells(ny, nx)]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (2, 3), (3, 2), (2, C + 1), (C, C + 1), (C + 1, C), (C + 5, 3)]),
+    st.sampled_from(ALGORITHMS),
+    st.sampled_from([1, 2, 7, 40]),
+    st.sampled_from([0.05, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_rectangular_runs_match_the_prior_loop_at_any_size(
+    sizes, algorithm, horizon, stepsize, seed, uniform
+):
+    nx, ny = sizes
+    problem = _random_problem(nx, ny, seed)
+    init = None if uniform else (_start(nx, seed), _start(ny, seed + 1))
+    traj = assert_same_run(problem, DynamicsConfig(algorithm, stepsize, horizon, init=init))
+    assert all(d == float("inf") for d in traj.drifts)

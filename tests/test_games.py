@@ -414,3 +414,33 @@ def test_to_normal_form_matches_the_per_profile_loop():
             assert tensor.shape == expected.shape
             assert tensor.tolist() == expected.tolist()
             assert all(type(v) is Fraction for v in tensor.flat)
+
+
+def prior_fraction_sum_tensor(game):
+    """to_normal_form's tensor as the broadcast sum of Fraction pair blocks built it."""
+    counts = game.action_counts
+    u = np.full(counts, Fraction(0), dtype=object)
+    for (i, j), m in game.pair_matrices.items():
+        axes = [c if q in (i, j) else 1 for q, c in enumerate(counts)]
+        u += (m.T if i > j else m).reshape(axes)
+    return u
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_to_normal_form_matches_the_fraction_sum_of_the_blocks(n):
+    """The integer sum over one denominator gives every cell the Fraction
+    that summing the blocks in Fraction arithmetic gave, in lowest terms."""
+    rng = np.random.default_rng(30 + n)
+    m = fmat([[Fraction(int(v), 60) for v in row] for row in rng.integers(-60, 61, (n, n))])
+    sym = fmat([[(m[i][j] + m[j][i]) / 2 for j in range(n)] for i in range(n)])
+    for game in (
+        gadgets.team_gadget(gadgets.shift_to_gadget_range(sym)[0], "1/20").game,
+        gadgets.team3v3_gadget(m, "3/70").game,
+    ):
+        expected = prior_fraction_sum_tensor(game).ravel().tolist()
+        for tensor in to_normal_form(game).payoffs:
+            got = tensor.ravel().tolist()
+            assert [(v.numerator, v.denominator) for v in got] == [
+                (v.numerator, v.denominator) for v in expected
+            ]
+            assert all(type(v) is Fraction for v in got)
