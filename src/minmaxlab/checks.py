@@ -10,10 +10,10 @@ import numpy as np
 from .errors import BoundViolationError, PreconditionError
 from .games import (
     MAXIMIZE,
-    BimatrixGame,
     Game,
     MixedProfile,
     MixedStrategy,
+    NormalFormGame,
     SUPPORT_TOL,
     as_profile,
     best_deviation,
@@ -105,19 +105,20 @@ def symmetric_regret(game: Game, strategy: MixedStrategy) -> float:
 def require_wsne_game(game) -> None:
     """Raise unless one strategy x describes the profile (x, x) of `game`.
 
-    That needs a symmetric identical-payoff bimatrix game (R = C and R
-    symmetric) whose players share an orientation, so that both players
-    face the same deviation vector Rx in the same direction.
+    That needs a two-player NormalFormGame with identical symmetric payoffs
+    (R = C and R symmetric) whose players share an orientation, so that both
+    players face the same deviation vector Rx in the same direction.
     """
-    if not isinstance(game, BimatrixGame) or not game.identical_payoff():
-        raise PreconditionError("a WSNE check needs an identical-payoff bimatrix game")
-    if game.row_payoff.tolist() != game.row_payoff.T.tolist():
+    if not isinstance(game, NormalFormGame) or game.n_players != 2 or not game.identical_payoff():
+        raise PreconditionError("a WSNE check needs an identical-payoff two-player game")
+    r = game.payoffs[0]
+    if r.tolist() != r.T.tolist():
         raise PreconditionError("a WSNE check needs a symmetric payoff matrix")
     if game.orientation[0] != game.orientation[1]:
         raise PreconditionError("players must share an orientation")
 
 
-def wsne_report(game: BimatrixGame, x: MixedStrategy) -> float:
+def wsne_report(game: NormalFormGame, x: MixedStrategy) -> float:
     """Smallest eps for which (x, x) is an eps-well-supported equilibrium.
 
     Requires the game require_wsne_game accepts.  Support means probability
@@ -130,7 +131,7 @@ def wsne_report(game: BimatrixGame, x: MixedStrategy) -> float:
         raise PreconditionError("strategy length does not match the game")
     if not isinstance(x, MixedStrategy):
         require_simplex(probs)
-    gaps = deviation_gaps(game.row_float @ probs, game.orientation[0])
+    gaps = deviation_gaps(game.float_payoffs[0] @ probs, game.orientation[0])
     return float(gaps[probs > SUPPORT_TOL].max())
 
 
@@ -176,48 +177,42 @@ def _wsne_slack(rows: np.ndarray, xs: np.ndarray):
     return support, payoffs, top - np.where(support, payoffs, top[:, None]).min(axis=1)
 
 
-def _wsne_eps_bimatrix(game: BimatrixGame, profile: MixedProfile) -> float:
-    """Largest supported-action suboptimality over both players (float)."""
-    probs = profile_probs(game, profile)
-    worst = 0.0
-    for p, dev in enumerate(deviation_vectors(game, probs)):
-        gaps = deviation_gaps(dev, game.orientation[p])
-        worst = max(worst, float(gaps[probs[p] > SUPPORT_TOL].max()))
-    return worst
-
-
-def ne_to_wsne(game: BimatrixGame, profile: MixedProfile, epsilon: float) -> MixedProfile:
-    """Turn an (eps^2/8)-Nash profile into an eps-well-supported one.
+def ne_to_wsne(game: Game, profile: MixedProfile, epsilon: float) -> MixedProfile:
+    """Turn an (eps^2/8)-Nash profile of a two-player game into an
+    eps-well-supported one (Chen, Deng & Teng, J. ACM 2009).
 
     Each player drops every action whose payoff against the co-player's
     original strategy is more than eps below the best response, then
     renormalizes.  The construction is verified a posteriori: the output
     must be an eps-WSNE and move each probability by at most eps/4 in
-    sup-norm, else BoundViolationError is raised.
+    sup-norm, else BoundViolationError is raised.  PreconditionError when
+    the game does not have two players, the lemma's setting.
     """
+    if game.n_players != 2:
+        raise PreconditionError(f"ne_to_wsne needs a two-player game, got {game.n_players}")
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
     profile = as_profile(profile)
     certify(game, profile, epsilon**2 / 8.0)
-    new_strategies = []
-    for p, dev in enumerate(deviation_vectors(game, profile_probs(game, profile))):
-        gaps = deviation_gaps(dev, game.orientation[p])
-        probs = profile[p].probs.copy()
-        probs[gaps > epsilon] = 0.0
-        probs /= probs.sum()
-        new_strategies.append(MixedStrategy(probs))
-    out = MixedProfile(tuple(new_strategies))
-    measured = _wsne_eps_bimatrix(game, out)
+    old = profile_probs(game, profile)
+    strategies = []
+    for p, dev in enumerate(deviation_vectors(game, old)):
+        probs = old[p].copy()
+        probs[deviation_gaps(dev, game.orientation[p]) > epsilon] = 0.0
+        strategies.append(MixedStrategy(probs / probs.sum()))
+    new = [s.probs for s in strategies]
+    measured = max(  # the largest supported-action suboptimality
+        float(deviation_gaps(dev, o)[probs > SUPPORT_TOL].max())
+        for dev, probs, o in zip(deviation_vectors(game, new), new, game.orientation)
+    )
     if not within(measured, epsilon):
         raise BoundViolationError(
             f"constructed profile is only a {measured}-WSNE, wanted {epsilon}"
         )
-    drift = max(
-        float(np.abs(out[p].probs - profile[p].probs).max()) for p in range(2)
-    )
+    drift = max(float(np.abs(a - b).max()) for a, b in zip(new, old))
     if not within(drift, epsilon / 4.0):
         raise BoundViolationError(f"construction moved mass by {drift} > eps/4")
-    return out
+    return MixedProfile(tuple(strategies))
 
 
 @dataclass(frozen=True)

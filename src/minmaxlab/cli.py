@@ -106,16 +106,16 @@ def _require_problem(game) -> QuadraticMinMaxProblem:
     return game
 
 
-def _tensor_matrix(game) -> np.ndarray:
-    """Shared payoff tensor of a two-player game file, an exact matrix."""
+def _tensor_game(game) -> NormalFormGame:
+    """The game of a two-player tensor game file; FormatError for any other file."""
     if not isinstance(game, NormalFormGame) or game.n_players != 2:
         raise FormatError("this command needs a two-player tensor game file")
-    return game.payoffs[0]
+    return game
 
 
-def _as_bimatrix(game) -> BimatrixGame:
-    m = _tensor_matrix(game)
-    return BimatrixGame(m, m, game.orientation)
+def _tensor_matrix(game) -> np.ndarray:
+    """Shared payoff tensor of a two-player game file, an exact matrix."""
+    return _tensor_game(game).payoffs[0]
 
 
 def _single_strategy(profile: MixedProfile) -> MixedStrategy:
@@ -262,12 +262,12 @@ def cmd_check_ne(args, inputs):
 
 
 def cmd_check_wsne(args, inputs):
-    game = _as_bimatrix(args.game)
+    game = _tensor_game(args.game)
     x = _single_strategy(args.profile)
     require_wsne_game(game)
     data: dict = {}
     if x.exact is not None:
-        exact = wsne_eps_exact(game.row_payoff, x.exact, game.orientation[0])
+        exact = wsne_eps_exact(game.payoffs[0], x.exact, game.orientation[0])
         measured = float(exact)
         data["measured_exact"] = str(exact)
     else:
@@ -300,9 +300,7 @@ def cmd_check_gap(args, inputs):
 def cmd_backmap_team(args, inputs):
     instance = team_gadget(_tensor_matrix(args.game), args.eps)
     strategy, bound = team_backmap(instance, args.profile, float(args.eps) ** 2)
-    target = NormalFormGame(
-        payoffs=(instance.a, instance.a), orientation=(MINIMIZE, MINIMIZE)
-    )
+    target = BimatrixGame(instance.a, instance.a, (MINIMIZE, MINIMIZE))
     bounds = [bound_record("team_backmap", bound, symmetric_regret(target, strategy))]
     return bounds, {"strategy": fileio.strategy_obj(strategy)}, MixedProfile((strategy,))
 
@@ -386,7 +384,7 @@ def cmd_audit_wsne_value(args, inputs):
 
 
 def cmd_audit_classify(args, inputs):
-    game = _as_bimatrix(args.game)
+    game = _tensor_game(args.game)
     x_hat = _single_strategy(args.profile)
     eps = float(args.eps) if args.eps is not None else 0.0
     inputs["eps"] = repr(eps)

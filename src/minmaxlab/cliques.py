@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BoundViolationError, DimensionError, PreconditionError
 from .checks import BoundRecord, _wsne_slack, enforce, within
-from .games import MAXIMIZE, BimatrixGame, MixedStrategy
+from .games import MAXIMIZE, BimatrixGame, MixedStrategy, NormalFormGame
 from .minmax import QuadraticMinMaxProblem
 from .oracle import (
     SymmetricEquilibrium,
@@ -609,7 +609,7 @@ class ProfileClassification:
         yield self.distance
 
 
-def graph_from_bordered_game(game: BimatrixGame) -> Graph:
+def graph_from_bordered_game(game: NormalFormGame) -> Graph:
     """Recover the graph from a bordered payoff matrix.
 
     Both bordered families are recognized by their diagonal: the exact one
@@ -619,7 +619,7 @@ def graph_from_bordered_game(game: BimatrixGame) -> Graph:
     """
     if not game.identical_payoff():
         raise PreconditionError("bordered games carry identical payoffs")
-    b = game.row_payoff.tolist()
+    b = game.payoffs[0].tolist()
     n = len(b) - 1
     if n < 1:
         raise DimensionError("bordered game needs at least two actions")
@@ -662,7 +662,7 @@ def _canonical_forms(graph: Graph, k: int) -> list[tuple[str, tuple[int, ...] | 
 
 
 def classify_symmetric_profile(
-    game: BimatrixGame,
+    game: NormalFormGame,
     k: int,
     regime: ParameterRegime,
     x_hat: MixedStrategy,
@@ -719,5 +719,5 @@ def nonsym_instance(graph: Graph, regime: ParameterRegime) -> QuadraticMinMaxPro
     symmetric approximate equilibria of (B, B) on each block.
     """
     game = robust_unique_ne_game(graph, regime)
-    b = game.row_payoff
+    b = game.payoffs[0]
     return QuadraticMinMaxProblem(qx=2 * b, qy=2 * b, m=np.zeros(b.shape, dtype=object))

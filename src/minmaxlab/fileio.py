@@ -23,7 +23,6 @@ from .errors import FormatError
 from .games import (
     MAXIMIZE,
     MINIMIZE,
-    BimatrixGame,
     MixedProfile,
     MixedStrategy,
     NormalFormGame,
@@ -229,24 +228,11 @@ def game_from_dict(doc) -> GameLike:
 
 def game_to_dict(game: GameLike) -> dict:
     """JSON-ready dict for any serializable game; inverse of game_from_dict."""
-    if isinstance(game, BimatrixGame):
-        if not game.identical_payoff():
-            raise FormatError(
-                "only shared-payoff bimatrix games fit the single-tensor format"
-            )
-        game = NormalFormGame(
-            payoffs=(game.row_payoff, game.row_payoff),
-            orientation=game.orientation,
-        )
     if isinstance(game, (NormalFormGame, PolymatrixGame)):
         if isinstance(game, NormalFormGame):
-            first = game.payoffs[0]
-            for other in game.payoffs[1:]:
-                if not np.array_equal(first, other):
-                    raise FormatError(
-                        "only shared-payoff games fit the single-tensor format"
-                    )
-            payoff = {"tensor": _tensor_obj(first)}
+            if not game.identical_payoff():
+                raise FormatError("only shared-payoff games fit the single-tensor format")
+            payoff = {"tensor": _tensor_obj(game.payoffs[0])}
         else:
             payoff = {"polymatrix": [
                 {"i": i, "j": j, "matrix": _tensor_obj(m)}

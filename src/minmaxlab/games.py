@@ -1,4 +1,5 @@
-"""Strategy and game containers: bimatrix, polymatrix, and dense tensor form.
+"""Strategy and game containers: polymatrix and dense tensor form, with
+BimatrixGame the constructor of a two-player tensor game from two matrices.
 
 Payoffs are stored in the one exact form (`rational.exact_array`: a read-only,
 C-ordered object array of Fraction) and mirrored to float64 once for
@@ -168,45 +169,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BimatrixGame:
-    """Two-player game with dense rational payoff matrices R (row) and C (column)."""
-
-    row_payoff: np.ndarray
-    col_payoff: np.ndarray
-    orientation: tuple[str, str] = (MAXIMIZE, MAXIMIZE)
-
-    def __post_init__(self):
-        r = fmat(self.row_payoff)
-        c = fmat(self.col_payoff)
-        if r.shape != c.shape:
-            raise DimensionError("row and column payoff shapes differ")
-        if not r.size:
-            raise DimensionError("empty payoff matrix")
-        object.__setattr__(self, "row_payoff", r)
-        object.__setattr__(self, "col_payoff", c)
-        object.__setattr__(self, "orientation", _validate_orientation(self.orientation, 2))
-
-    @property
-    def n_players(self) -> int:
-        return 2
-
-    @property
-    def action_counts(self) -> tuple[int, int]:
-        return self.row_payoff.shape
-
-    @cached_property
-    def row_float(self) -> np.ndarray:
-        return _read_only(self.row_payoff.astype(float))
-
-    @cached_property
-    def col_float(self) -> np.ndarray:
-        return _read_only(self.col_payoff.astype(float))
-
-    def identical_payoff(self) -> bool:
-        return self.row_payoff.tolist() == self.col_payoff.tolist()
-
-
-@dataclass(frozen=True, eq=False)
 class PolymatrixGame:
     """Pairwise-bilinear game with a single shared scalar payoff (see module docs)."""
 
@@ -265,16 +227,26 @@ class PolymatrixGame:
         return tuple(pairs), owner, tuple(q for q in players if q not in seen)
 
 
+def _once_each(fn, items: tuple) -> tuple:
+    """fn of each item, once per distinct object (`items` keeps every id live)."""
+    done = {}
+    for x in items:
+        if id(x) not in done:
+            done[id(x)] = fn(x)
+    return tuple(done[id(x)] for x in items)
+
+
 @dataclass(frozen=True, eq=False)
 class NormalFormGame:
-    """Dense tensor game: one payoff tensor per player, rational entries."""
+    """Dense tensor game: one payoff tensor per player, rational entries.
+    Players handed one tensor share its one exact array and one float mirror."""
 
     payoffs: tuple[np.ndarray, ...]
     orientation: tuple[str, ...]
     team_partition: tuple[frozenset[int], frozenset[int]] | None = None
 
     def __post_init__(self):
-        tensors = [exact_array(t) for t in self.payoffs]
+        tensors = _once_each(exact_array, tuple(self.payoffs))
         if not tensors:
             raise DimensionError("need at least one player tensor")
         shp = tensors[0].shape
@@ -282,7 +254,9 @@ class NormalFormGame:
             raise DimensionError("tensor rank must equal the number of players")
         if any(t.shape != shp for t in tensors):
             raise DimensionError("all player tensors must share one shape")
-        object.__setattr__(self, "payoffs", tuple(tensors))
+        if 0 in shp:
+            raise DimensionError("empty payoff matrix")
+        object.__setattr__(self, "payoffs", tensors)
         p = len(tensors)
         object.__setattr__(self, "orientation", _validate_orientation(self.orientation, p))
         object.__setattr__(
@@ -299,10 +273,31 @@ class NormalFormGame:
 
     @cached_property
     def float_payoffs(self) -> tuple[np.ndarray, ...]:
-        return tuple(_read_only(t.astype(float)) for t in self.payoffs)
+        return _once_each(lambda t: _read_only(t.astype(float)), self.payoffs)
+
+    def identical_payoff(self) -> bool:
+        first = self.payoffs[0].tolist()
+        return all(t.tolist() == first for t in self.payoffs[1:])
 
 
-Game = BimatrixGame | PolymatrixGame | NormalFormGame
+class BimatrixGame(NormalFormGame):
+    """The two-player NormalFormGame (R, C), built from two matrices.
+
+    It adds only this constructor and read-only views of the two players'
+    payoffs and float mirrors; no other module tests for it or reads a view.
+    """
+
+    def __init__(self, row_payoff, col_payoff, orientation=(MAXIMIZE, MAXIMIZE)):
+        r = fmat(row_payoff)
+        super().__init__((r, r if col_payoff is row_payoff else fmat(col_payoff)), orientation)
+
+    row_payoff = property(lambda self: self.payoffs[0])
+    col_payoff = property(lambda self: self.payoffs[1])
+    row_float = property(lambda self: self.float_payoffs[0])
+    col_float = property(lambda self: self.float_payoffs[1])
+
+
+Game = PolymatrixGame | NormalFormGame
 
 
 def _check_profile(game: Game, profile: MixedProfile) -> None:
@@ -363,10 +358,10 @@ def deviation_kernel(game: Game) -> Callable[[Sequence[np.ndarray]], Sequence[np
     calls copies it.
     """
     n = game.n_players
-    if isinstance(game, BimatrixGame):
-        row, col_t = game.row_float.dot, game.col_float.T.dot
-        return lambda probs: (row(probs[1]), col_t(probs[0]))
     if isinstance(game, NormalFormGame):
+        if n == 2:  # BLAS products: einsum rounds some sums differently
+            p0, p1_t = game.float_payoffs[0].dot, game.float_payoffs[1].T.dot
+            return lambda probs: (p0(probs[1]), p1_t(probs[0]))
         letters = string.ascii_lowercase[:n]
         plan = []
         for p in range(n):

@@ -22,7 +22,6 @@ from .errors import CapExceededError, DimensionError, PreconditionError
 from .games import (
     MAXIMIZE,
     MINIMIZE,
-    BimatrixGame,
     Game,
     MixedProfile,
     MixedStrategy,
@@ -189,11 +188,7 @@ def cliques_of_size(graph, k: int) -> list[tuple[int, ...]]:
 
 
 def _as_normal_form(game: Game) -> NormalFormGame:
-    if isinstance(game, PolymatrixGame):
-        return to_normal_form(game)
-    if isinstance(game, BimatrixGame):
-        return NormalFormGame((game.row_payoff, game.col_payoff), game.orientation)
-    return game
+    return to_normal_form(game) if isinstance(game, PolymatrixGame) else game
 
 
 def _integer_tensors(nf: NormalFormGame, denominators: Sequence[int]):

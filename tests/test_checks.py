@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minmaxlab import checks, oracle
+from minmaxlab import analytic, checks, oracle
 from minmaxlab.cliques import Graph, payoff_from_graph_delta
 from minmaxlab.errors import BoundViolationError, PreconditionError
 from minmaxlab.games import (
@@ -123,6 +123,16 @@ def test_ne_to_wsne_drops_the_slightly_played_bad_action():
     drift = np.abs(out[0].probs - x.probs).max()
     assert drift == pytest.approx(0.01)
     assert drift <= 0.283 / 4
+
+
+def test_ne_to_wsne_refuses_games_with_more_than_two_players():
+    # the lemma and its drift check are two-player; the 3-player team game's
+    # exact equilibrium passes the certificate, so only the player count refuses
+    game = analytic.irrational_game()
+    profile = analytic.verify_irrational_equilibrium().float_profile
+    checks.certify(game, profile, 0.5**2 / 8)
+    with pytest.raises(PreconditionError, match="two-player game, got 3"):
+        checks.ne_to_wsne(game, profile, 0.5)
 
 
 def test_ne_to_wsne_rejects_profiles_with_large_regret():

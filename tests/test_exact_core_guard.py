@@ -10,6 +10,9 @@ players' points run in one place, `oracle._deviations`: no other module
 calls `np.tensordot`.  Payoff data has one exact form, a read-only,
 C-ordered object array of Fraction: no module defines or imports the
 nested-tuple helpers it replaced, and every builder stores that form.
+There is one two-player game type, the NormalFormGame: `BimatrixGame` is its
+constructor from two matrices, so no module but games.py tests for it or
+reads its views.
 """
 
 import ast
@@ -150,6 +153,70 @@ def test_no_module_keeps_the_nested_tuple_form():
         if names:
             found[path.name] = names
     assert found == {}, f"retired tuple-form helpers in src/: {found}"
+
+
+BIMATRIX_VIEWS = {"row_payoff", "col_payoff", "row_float", "col_float"}
+
+
+def bimatrix_forks(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every use of BimatrixGame other than a call, an import
+    or an annotation (an isinstance test, a type comparison, a match
+    pattern), and of every read of one of its views, as an attribute or a
+    string."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            allowed.add(id(node.func))
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            annotations = [a.annotation for a in args] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        allowed.update(id(n) for a in annotations if a is not None for n in ast.walk(a))
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name == "BimatrixGame" and id(node) not in allowed:
+            found.append((node.lineno, name))
+        elif isinstance(node, ast.Attribute) and node.attr in BIMATRIX_VIEWS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value in BIMATRIX_VIEWS:
+            found.append((node.lineno, node.value))
+    return sorted(found)
+
+
+def test_the_bimatrix_guard_sees_tests_and_views_but_not_construction():
+    assert bimatrix_forks("if isinstance(g, BimatrixGame):\n    pass\n") == [(1, "BimatrixGame")]
+    assert bimatrix_forks("ok = isinstance(g, (games.BimatrixGame, X))\n") == [
+        (1, "BimatrixGame")
+    ]
+    assert bimatrix_forks("ok = type(g) is BimatrixGame\n") == [(1, "BimatrixGame")]
+    assert bimatrix_forks("match g:\n    case BimatrixGame():\n        pass\n") == [
+        (2, "BimatrixGame")
+    ]
+    assert bimatrix_forks("m = g.row_payoff\nf = g.col_float.dot(x)\n") == [
+        (1, "row_payoff"), (2, "col_float")
+    ]
+    assert bimatrix_forks("m = getattr(g, 'row_float')\n") == [(1, "row_float")]
+    assert bimatrix_forks(
+        "from .games import BimatrixGame\n"
+        "def f(g: BimatrixGame) -> BimatrixGame:\n"
+        "    return games.BimatrixGame(g.payoffs[0], g.payoffs[1])\n"
+        "x: BimatrixGame = BimatrixGame(a, a)\n"
+    ) == []
+
+
+def test_no_module_but_games_forks_on_bimatrix_games():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "games.py":
+            continue
+        names = bimatrix_forks(path.read_text(encoding="utf-8"))
+        if names:
+            found[path.name] = names
+    assert found == {}, f"bimatrix tests or views outside games.py: {found}"
 
 
 FIG1 = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])

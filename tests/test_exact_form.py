@@ -47,6 +47,8 @@ PAYLOADS = {
 }
 # the tuple form raised TypeError on these while iterating rows or cells
 RANK_ERRORS = {"1-D": 1, "3-D": 3, "scalar": 0, "None": 0}
+# the prior normal form accepted a player with no actions
+NEWLY_REFUSED = {("NormalFormGame", "empty row"): (DimensionError, "empty payoff matrix")}
 
 
 def prior_bimatrix(p):
@@ -144,6 +146,9 @@ def test_every_entry_point_refuses_what_the_tuple_form_refused(entry, payload):
     if payload in RANK_ERRORS and entry != "NormalFormGame":
         assert old is not None and old[0] is TypeError
         assert new == (ValueError, f"a matrix has 2 dimensions, got {RANK_ERRORS[payload]}")
+    elif (entry, payload) in NEWLY_REFUSED:
+        assert old is None
+        assert new == NEWLY_REFUSED[entry, payload]
     else:
         assert new == old
 

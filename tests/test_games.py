@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from minmaxlab import analytic, games, gadgets
+from minmaxlab import analytic, fileio, games, gadgets
 from minmaxlab.errors import DimensionError, PreconditionError
 from minmaxlab.games import (
     MAXIMIZE,
@@ -118,6 +118,35 @@ def test_bimatrix_symmetry_predicates():
 def test_bimatrix_shape_mismatch_raises():
     with pytest.raises(DimensionError):
         BimatrixGame(fmat([[1, 2]]), fmat([[1], [2]]), (MAXIMIZE, MAXIMIZE))
+
+
+def test_a_bimatrix_game_is_the_two_player_normal_form_with_views():
+    r, c = fmat([[1, 2, 0], [3, -1, 4]]), fmat([[0, 1, 1], [2, 2, -3]])
+    game = BimatrixGame(r, c, (MAXIMIZE, MINIMIZE))
+    assert isinstance(game, NormalFormGame) and game.n_players == 2
+    assert game.action_counts == (2, 3)
+    assert game.row_payoff is game.payoffs[0] and game.col_payoff is game.payoffs[1]
+    assert game.row_float is game.float_payoffs[0] and game.col_float is game.float_payoffs[1]
+    assert game.row_payoff.tolist() == r.tolist() and game.col_payoff.tolist() == c.tolist()
+    for view in ("row_payoff", "col_payoff", "row_float", "col_float"):
+        with pytest.raises(AttributeError):
+            setattr(game, view, r)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: NormalFormGame((np.zeros((2, 0), dtype=object),) * 2, (MAXIMIZE, MAXIMIZE)),
+        lambda: NormalFormGame((np.zeros((0, 3), dtype=object),) * 2, (MAXIMIZE, MINIMIZE)),
+        lambda: NormalFormGame(([],), (MAXIMIZE,)),
+        lambda: NormalFormGame((np.zeros((2, 0, 2), dtype=object),) * 3, (MAXIMIZE,) * 3),
+        lambda: BimatrixGame([[]], [[]]),
+        lambda: BimatrixGame([], []),
+    ],
+)
+def test_a_player_without_actions_is_refused(build):
+    with pytest.raises(DimensionError, match="^empty payoff matrix$"):
+        build()
 
 
 def two_link_chain():
@@ -444,3 +473,35 @@ def test_to_normal_form_matches_the_fraction_sum_of_the_blocks(n):
                 (v.numerator, v.denominator) for v in expected
             ]
             assert all(type(v) is Fraction for v in got)
+
+
+_B = fmat([[Fraction(1, 3), -1], [2, Fraction(-5, 7)]])
+_T = np.array([[[Fraction(a + 2 * b - c, 3) for c in range(2)] for b in range(3)]
+               for a in range(2)], dtype=object)
+SHARED_TENSOR_GAMES = {  # games whose players are all handed one tensor object
+    "to_normal_form": lambda: to_normal_form(
+        gadgets.team3v3_gadget(fmat([[Fraction(3, 10), -1], [Fraction(1, 2), 0]]), "1/20").game
+    ),
+    "BimatrixGame(b, b)": lambda: BimatrixGame(_B, _B),
+    "NormalFormGame((t,) * 3)": lambda: NormalFormGame((_T,) * 3, (MAXIMIZE, MINIMIZE, MAXIMIZE)),
+    "tensor file": lambda: fileio.game_from_dict(fileio.game_to_dict(BimatrixGame(_B, _B))),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_TENSOR_GAMES)
+def test_one_tensor_handed_to_every_player_is_stored_and_mirrored_once(case):
+    game = SHARED_TENSOR_GAMES[case]()
+    assert all(t is game.payoffs[0] for t in game.payoffs)
+    assert all(m is game.float_payoffs[0] for m in game.float_payoffs)
+    # the cells and mirror bytes of one coercion per player, as before
+    copies = NormalFormGame(
+        tuple(np.array(game.payoffs[0]) for _ in range(game.n_players)), game.orientation
+    )
+    assert len({id(t) for t in copies.payoffs}) == game.n_players
+    for t, m, t0, m0 in zip(game.payoffs, game.float_payoffs, copies.payoffs, copies.float_payoffs):
+        assert [(v.numerator, v.denominator) for v in t.flat] == [
+            (v.numerator, v.denominator) for v in t0.flat
+        ]
+        assert all(type(v) is Fraction for v in t.flat)
+        assert m.tobytes() == m0.tobytes() and not m.flags.writeable
+

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minmaxlab import analytic, checks, gadgets, oracle
 from minmaxlab.games import (
@@ -482,3 +482,50 @@ def test_results_do_not_change_after_later_calls(game):
         assert all(np.array_equal(v, f) for v, f in zip(vectors, fresh))
     _same_snapshot(_snapshot(result_a), fresh_results[0])
     _same_snapshot(_snapshot(result_b), fresh_results[1])
+
+
+# ---------------------------------------------------------------------------
+# a bimatrix game is the two-player normal form, bit for bit
+
+cells = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+orientations = st.sampled_from([MAXIMIZE, MINIMIZE])
+
+
+@st.composite
+def rectangular_game_and_start(draw):
+    """Two rectangular matrices R and C as in SKEW_BIMATRIX, any orientations, a mixed start."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    r, c = [
+        draw(st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        for _ in range(2)
+    ]
+    start = []
+    for n in (rows, cols):
+        w = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any)), float)
+        start.append(MixedStrategy(w / w.sum()))
+    return r, c, (draw(orientations), draw(orientations)), MixedProfile(tuple(start))
+
+
+@settings(max_examples=50, deadline=None)
+@given(rectangular_game_and_start())
+@example((
+    SKEW_BIMATRIX.row_payoff.tolist(), SKEW_BIMATRIX.col_payoff.tolist(), SKEW_BIMATRIX.orientation,
+    MixedProfile((_OFF_FIXED_POINT, MixedStrategy.uniform(4))),
+))
+def test_a_bimatrix_game_and_its_normal_form_give_the_same_bits(case):
+    r, c, orientation, start = case
+    bimatrix, normal = BimatrixGame(r, c, orientation), NormalFormGame((r, c), orientation)
+    probs = [s.probs for s in start.strategies]
+    for a, b in zip(deviation_vectors(bimatrix, probs), deviation_vectors(normal, probs)):
+        assert a.tobytes() == b.tobytes()
+    for epsilon in (0.0, 0.05):
+        assert repr(checks.epsilon_ne_report(bimatrix, start, epsilon)) == repr(
+            checks.epsilon_ne_report(normal, start, epsilon)
+        )
+    a, b = (
+        _snapshot(oracle.local_ne_refine(game, start, 1e-3, max_iters=600))
+        for game in (bimatrix, normal)
+    )
+    assert repr(a[:5] + a[6:]) == repr(b[:5] + b[6:])  # repr tells every float bit apart
+    assert [x.tobytes() for x in a[5]] == [y.tobytes() for y in b[5]]
+
