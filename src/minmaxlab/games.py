@@ -31,7 +31,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DimensionError
-from .rational import FVec, exact_array, fmat, fvec, scale_to_integers, scaled_to_exact
+from .rational import (
+    FVec,
+    exact_array,
+    fmat,
+    fvec,
+    matrix_cells,
+    scale_to_integers,
+    scaled_to_exact,
+)
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -288,8 +296,10 @@ class BimatrixGame(NormalFormGame):
     """
 
     def __init__(self, row_payoff, col_payoff, orientation=(MAXIMIZE, MAXIMIZE)):
-        r = fmat(row_payoff)
-        super().__init__((r, r if col_payoff is row_payoff else fmat(col_payoff)), orientation)
+        # rank checks here; the parent coerces each distinct matrix once
+        r = matrix_cells(row_payoff)
+        c = r if col_payoff is row_payoff else matrix_cells(col_payoff)
+        super().__init__((r, c), orientation)
 
     row_payoff = property(lambda self: self.payoffs[0])
     col_payoff = property(lambda self: self.payoffs[1])

@@ -43,9 +43,10 @@ logger = logging.getLogger(__name__)
 SUPPORT_ENUM_MAX_N = 12
 MAX_CLIQUE_MAX_N = 20
 GRID_SEARCH_CAP = 100_000_000
-# entries of player 0's regret array per chunk of its grid, by dtype kind:
-# int64, or Python ints, which take far more memory and time per entry
-_GRID_CHUNK_ENTRIES = {"i": 20_000_000, "O": 200_000}
+# entries of player 0's regret array per chunk of its grid: integers carried
+# in float64 or int64 (8 MB a chunk), or Python ints, which take far more
+# memory and time per entry
+_GRID_CHUNK_ENTRIES = {"i": 1_000_000, "O": 200_000}
 REFINE_MAX_ITERS = 100_000
 REFINE_DAMPING = 0.1
 _STALL_CHECKPOINT = 250  # the stall rule's checkpoints are 250 * 2^k iterations
@@ -191,26 +192,38 @@ def _as_normal_form(game: Game) -> NormalFormGame:
     return to_normal_form(game) if isinstance(game, PolymatrixGame) else game
 
 
+def _regret_bound(tensors, denominators: Sequence[int]) -> int:
+    """2 * max|T * D| * prod(m_q), from the integer tensors T * D in any carrier.
+
+    No regret numerator over D * prod(m_q) exceeds it, and neither does any
+    entry, product or partial sum on the way to one (docs/decisions.md,
+    "Exact integer grid").
+    """
+    return 2 * max(int(abs(t).max()) for t in tensors) * math.prod(denominators)
+
+
 def _integer_tensors(nf: NormalFormGame, denominators: Sequence[int]):
     """Payoff tensors folded into each player's direction, times D, and D.
 
     D is the lcm of the payoff denominators.  When player q plays integer
     numerators over m_q, every regret is an integer over D * prod(m_q) of
-    size at most 2 * max|T * D| * prod(m_q): the tensors are int64 when that
-    bound fits, Python-int object arrays otherwise.
+    size at most `_regret_bound`.  The tensors carry these integers in
+    float64 when the bound is below 2^53, where every integer is a float and
+    BLAS rounds none of them; in int64 below 2^63; in Python-int object
+    arrays otherwise.
     """
     cells, d = scale_to_integers(nf.payoffs)  # every player's tensor has the same shape
-    bound = 2 * max(map(abs, cells.flat), default=0) * math.prod(denominators)
-    dtype = np.int64 if bound < 2**63 else object
+    bound = _regret_bound(cells, denominators)
+    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
     return [oriented(t.astype(dtype), o) for t, o in zip(cells, nf.orientation)], d
 
 
 def _deviations(tensor: np.ndarray, points: Sequence[np.ndarray], p: int) -> np.ndarray:
     """Player p's deviation payoffs, of shape (a_p, point counts of the others).
 
-    The one exact contraction, in whatever field the arrays hold (int64,
-    Python ints, Fractions, surds): `points[q]` holds player q's points as
-    rows, and `points[p]` is not read.
+    The one exact contraction, in whatever field the arrays hold (integers
+    carried in float64, int64 or Python ints, Fractions, surds): `points[q]`
+    holds player q's points as rows, and `points[p]` is not read.
     """
     dev = tensor
     for q, rows in enumerate(points):
@@ -266,8 +279,9 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     `resolution` = 1/m, in the order of `geometry.simplex_grid`, as integer
     numerators over m.  With the payoffs scaled by the lcm D of their
     denominators, every regret on the joint grid is an integer over
-    m^n * D (int64 when a bound proves it fits, a Python int otherwise), and
-    a profile is a hit iff every player's is at most floor(eps * m^n * D).
+    m^n * D (carried in float64 or int64 when a bound proves it exact, a
+    Python int otherwise), and a profile is a hit iff every player's is at
+    most floor(eps * m^n * D).
     The grid is decided player by player (`_regret_gaps`): player 0's
     regrets densely, a chunk of its grid at a time, and each later player's
     only at the profiles every earlier player passed.  Each hit carries its
@@ -288,18 +302,22 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     ms = [m] * len(counts)
     tensors, d = _integer_tensors(nf, ms)
     scale = d * m ** len(counts)
-    threshold = math.floor(eps * scale)
-    grids = [np.array(list(_compositions(m, c)), dtype=tensors[0].dtype) for c in counts]
+    # no regret exceeds the bound, which the carrier holds exactly
+    threshold = min(math.floor(eps * scale), _regret_bound(tensors, ms))
+    dtype = tensors[0].dtype
+    grids = [np.array(list(_compositions(m, c)), dtype=dtype) for c in counts]
 
     gap0 = _regret_gaps(tensors[0], grids, 0).reshape(counts[0], -1)
-    budget = _GRID_CHUNK_ENTRIES[tensors[0].dtype.kind]
+    budget = _GRID_CHUNK_ENTRIES["O" if dtype == object else "i"]
     chunk_rows = max(1, min(sizes[0], int(budget // max(1, total // sizes[0]))))
     cache: list[dict[int, MixedStrategy]] = [{} for _ in counts]
 
-    def strategy(p: int, i: int) -> MixedStrategy:
-        if i not in cache[p]:
-            cache[p][i] = MixedStrategy.from_exact(Fraction(int(c), m) for c in grids[p][i])
-        return cache[p][i]
+    def column(p: int, idx: np.ndarray) -> list[MixedStrategy]:
+        """Player p's strategies at grid indices idx, each built once per search."""
+        idx, built = idx.tolist(), cache[p]
+        for i in set(idx).difference(built):
+            built[i] = MixedStrategy.from_exact(Fraction(int(c), m) for c in grids[p][i])
+        return list(map(built.__getitem__, idx))
 
     results = []
     survivors = 0
@@ -320,11 +338,9 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
             keep = r <= threshold
             point = tuple(i[keep] for i in point)
             worst = np.maximum(worst[keep], r[keep])
-        for *idx, w in zip(*(i.tolist() for i in point), worst.tolist()):
-            idx[0] += start
-            profile = MixedProfile(tuple(strategy(p, i) for p, i in enumerate(idx)))
-            # int true division rounds correctly: the bits of float(Fraction(w, scale))
-            results.append((profile, int(w) / scale))
+        columns = [column(p, i + start if p == 0 else i) for p, i in enumerate(point)]
+        # int true division rounds correctly: the bits of float(Fraction(w, scale))
+        results += zip(map(MixedProfile, zip(*columns)), (int(w) / scale for w in worst.tolist()))
     logger.debug("grid search: %d profiles, %d pass player 0, %d hits",
                  total, survivors, len(results))
     return results

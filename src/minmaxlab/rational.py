@@ -53,8 +53,9 @@ def exact_array(cells) -> np.ndarray:
     return out
 
 
-def fmat(rows) -> np.ndarray:
-    """exact_array of a matrix: no rows is 0 x 0, and any rank but 2 is a ValueError."""
+def matrix_cells(rows) -> np.ndarray:
+    """The cells of a matrix as an object array, not yet coerced: no rows is
+    0 x 0, and any rank but 2 is a ValueError."""
     a = np.asarray(rows, dtype=object)
     if a.shape == (0,):
         a = a.reshape(0, 0)
@@ -62,7 +63,12 @@ def fmat(rows) -> np.ndarray:
         raise ValueError("ragged matrix")
     if a.ndim != 2:
         raise ValueError(f"a matrix has 2 dimensions, got {a.ndim}")
-    return exact_array(a)
+    return a
+
+
+def fmat(rows) -> np.ndarray:
+    """exact_array of a matrix (`matrix_cells`)."""
+    return exact_array(matrix_cells(rows))
 
 
 def transpose(m) -> np.ndarray:

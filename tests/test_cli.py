@@ -176,6 +176,16 @@ def test_grid_search_with_a_negative_eps_exits_2(capsys, tmp_path):
     assert report["error"] == "--eps must be non-negative, got -1/2"
 
 
+def test_grid_search_with_a_huge_eps_returns_every_profile(capsys, tmp_path):
+    game = str(tmp_path / "irr.json")
+    assert run_cli(capsys, ["analytic", "irrational", "-o", game])[0] == 0
+    argv = ["solve", "grid", "--game", game, "--resolution", "1/4"]
+    code, report, _ = run_cli(capsys, argv + ["--eps", str(10**400)])
+    assert code == 0
+    assert len(report["data"]["hits"]) == 5**3  # five points a player
+    assert report["data"] == run_cli(capsys, argv + ["--eps", "100"])[1]["data"]
+
+
 @pytest.mark.parametrize("profile", [["1/2", "1/2"], [0.5, 0.5]], ids=["exact", "float"])
 @pytest.mark.parametrize(
     "tensor, orientation, reason",

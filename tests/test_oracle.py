@@ -4,9 +4,11 @@ import itertools
 import logging
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minmaxlab import analytic, checks, gadgets, oracle
 from minmaxlab.cliques import Graph, payoff_from_graph
@@ -24,12 +26,15 @@ from minmaxlab.rational import fmat
 
 # the float prefilter with exact re-checks that the integer grid replaced
 from test_exact_kernel import (
+    RATIONALS,
     assert_kernel_matches_the_prior,
     assert_same_hits,
+    bimatrix_cases,
     prior_exact_deviation,
     prior_exact_max_regret,
     prior_grid_ne_search,
     prior_player_tensors,
+    tensor_cases,
 )
 
 RPS = fmat([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
@@ -287,6 +292,100 @@ def test_grid_search_decides_the_threshold_exactly():
 
     assert corner_hit(Fraction(1, 100)) == float(Fraction(1, 100))
     assert corner_hit(Fraction(1, 100) - Fraction(1, 10**12)) is None
+
+
+def test_a_huge_eps_returns_every_grid_profile():
+    """No regret exceeds the carrier's bound, so an eps far beyond any float
+    compares as the bound does."""
+    game = analytic.irrational_game()
+    hits = oracle.grid_ne_search(game, Fraction(1, 4), 10**400)
+    assert len(hits) == 5**3  # five points a player
+    assert_same_hits(hits, oracle.grid_ne_search(game, Fraction(1, 4), 100))
+
+
+CARRIERS = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(object))
+
+
+def carried(dtype):
+    """`_integer_tensors`, with the tensors in `dtype` or the wider carrier the bound picks."""
+    integer_tensors = oracle._integer_tensors
+
+    def forced(nf, denominators):
+        tensors, d = integer_tensors(nf, denominators)
+        if CARRIERS.index(tensors[0].dtype) > CARRIERS.index(dtype):
+            return tensors, d
+        return [t.astype(np.int64).astype(dtype) for t in tensors], d
+
+    return forced
+
+
+def assert_the_carriers_agree(game, resolution, eps, strategies):
+    """Hits, their regret bits and exact_max_regret are the same in the carrier
+    the bound picks and every wider one, and match the prior search and the
+    prior Fraction regret."""
+    nf = oracle._as_normal_form(game)
+    natural = oracle._integer_tensors(nf, [resolution.denominator] * nf.n_players)[0][0].dtype
+    runs = []
+    for dtype in CARRIERS[CARRIERS.index(natural):]:
+        dtypes = []
+        regret_gaps = oracle._regret_gaps
+
+        def spy(tensor, grids, p):
+            dtypes.append(tensor.dtype)
+            return regret_gaps(tensor, grids, p)
+
+        with mock.patch.object(oracle, "_integer_tensors", carried(dtype)):
+            with mock.patch.object(oracle, "_regret_gaps", spy):
+                hits = oracle.grid_ne_search(game, resolution, eps)
+            runs.append((hits, oracle.exact_max_regret(game, strategies)))
+        assert set(dtypes) == {dtype}
+    hits, regret = runs[0]
+    assert_same_hits(hits, prior_grid_ne_search(game, resolution, eps))
+    assert regret == prior_exact_max_regret(game, strategies)
+    for other, other_regret in runs[1:]:
+        assert_same_hits(other, hits)
+        assert [r.hex() for _, r in other] == [r.hex() for _, r in hits]
+        assert other_regret == regret
+    return hits
+
+
+@st.composite
+def team_cases(draw):
+    a, b, c = (draw(RATIONALS.filter(lambda v: v <= -1)) for _ in range(3))
+    instance = gadgets.team_gadget(fmat([[a, b], [b, c]]),
+                                   draw(st.sampled_from([Fraction(1, 10), Fraction(1, 20)])))
+    return instance.game, [gadgets.canonical_team_ne(instance)[p].exact for p in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(bimatrix_cases(), tensor_cases(), team_cases()),
+       st.sampled_from([Fraction(1, 2), Fraction(1, 3)]),
+       st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(2)]))
+def test_float64_int64_and_python_int_carriers_give_the_same_bits(case, resolution, eps):
+    assert_the_carriers_agree(case[0], resolution, eps, case[1])
+
+
+@pytest.mark.parametrize("k,carrier", [
+    (2**50 - 1, np.float64),  # bound 8k = 2^53 - 8
+    (2**50, np.int64),  # bound 2^53: the float carrier needs it below
+    (2**50 + 1, np.int64),
+])
+def test_the_bound_picks_the_carrier_at_2_to_the_53(k, carrier):
+    """Payoffs over D = k with max|T * D| = k, at resolution 1/2: bound 2 * k * 2^2."""
+    def cell(v):
+        return Fraction(v, k)
+
+    row = fmat([[1, cell(-(k - 2))], [cell(1), cell(k // 3)]])
+    col = fmat([[cell(k // 5 - 1), cell(7)], [-1, cell(-(k // 7))]])
+    game = BimatrixGame(row, col, (MAXIMIZE, MINIMIZE))
+    tensors, d = oracle._integer_tensors(game, [2, 2])
+    assert d == k and tensors[0].dtype == carrier
+    assert oracle._regret_bound(tensors, [2, 2]) == 8 * k
+    found = 0
+    for eps in (Fraction(0), Fraction(1, 2), Fraction(3, 2)):
+        found += len(assert_the_carriers_agree(game, Fraction(1, 2), eps,
+                                               [(Fraction(1, 2),) * 2] * 2))
+    assert 0 < found < 3 * 9  # the comparison is not vacuous
 
 
 @pytest.mark.parametrize("strategies,error", [
