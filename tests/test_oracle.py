@@ -307,13 +307,13 @@ CARRIERS = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(object))
 
 
 def carried(dtype):
-    """`_integer_tensors`, with the tensors in `dtype` or the wider carrier the bound picks."""
+    """`_integer_tensors`, with the tensors in `dtype`, which must be at least
+    as wide as the carrier the bound picks."""
     integer_tensors = oracle._integer_tensors
 
     def forced(nf, denominators):
         tensors, d = integer_tensors(nf, denominators)
-        if CARRIERS.index(tensors[0].dtype) > CARRIERS.index(dtype):
-            return tensors, d
+        assert CARRIERS.index(tensors[0].dtype) <= CARRIERS.index(dtype)
         return [t.astype(np.int64).astype(dtype) for t in tensors], d
 
     return forced
