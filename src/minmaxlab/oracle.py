@@ -44,8 +44,8 @@ SUPPORT_ENUM_MAX_N = 12
 MAX_CLIQUE_MAX_N = 20
 GRID_SEARCH_CAP = 100_000_000
 # entries of player 0's regret array per chunk of its grid: integers carried
-# in float64 or int64 (8 MB a chunk), or Python ints, which take far more
-# memory and time per entry
+# in float64 (8 MB a chunk), or Python ints, which take far more memory and
+# time per entry
 _GRID_CHUNK_ENTRIES = {"i": 1_000_000, "O": 200_000}
 REFINE_MAX_ITERS = 100_000
 REFINE_DAMPING = 0.1
@@ -192,38 +192,29 @@ def _as_normal_form(game: Game) -> NormalFormGame:
     return to_normal_form(game) if isinstance(game, PolymatrixGame) else game
 
 
-def _regret_bound(tensors, denominators: Sequence[int]) -> int:
-    """2 * max|T * D| * prod(m_q), from the integer tensors T * D in any carrier.
-
-    No regret numerator over D * prod(m_q) exceeds it, and neither does any
-    entry, product or partial sum on the way to one (docs/decisions.md,
-    "Exact integer grid").
-    """
-    return 2 * max(int(abs(t).max()) for t in tensors) * math.prod(denominators)
-
-
 def _integer_tensors(nf: NormalFormGame, denominators: Sequence[int]):
-    """Payoff tensors folded into each player's direction, times D, and D.
+    """Payoff tensors folded into each player's direction, times D; D; and the bound.
 
     D is the lcm of the payoff denominators.  When player q plays integer
-    numerators over m_q, every regret is an integer over D * prod(m_q) of
-    size at most `_regret_bound`.  The tensors carry these integers in
-    float64 when the bound is below 2^53, where every integer is a float and
-    BLAS rounds none of them; in int64 below 2^63; in Python-int object
-    arrays otherwise.
+    numerators over m_q, every regret is an integer over D * prod(m_q), and
+    the bound 2 * max|T * D| * prod(m_q) exceeds none of them, nor any entry,
+    product or partial sum on the way to one (docs/decisions.md, "Exact
+    integer grid").  The tensors carry these integers in float64 when the
+    bound is below 2^53, where every integer is a float and BLAS rounds none
+    of them, and in Python-int object arrays otherwise.
     """
     cells, d = scale_to_integers(nf.payoffs)  # every player's tensor has the same shape
-    bound = _regret_bound(cells, denominators)
-    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-    return [oriented(t.astype(dtype), o) for t, o in zip(cells, nf.orientation)], d
+    bound = 2 * max(map(abs, cells.flat), default=0) * math.prod(denominators)
+    dtype = np.float64 if bound < 2**53 else object
+    return [oriented(t.astype(dtype), o) for t, o in zip(cells, nf.orientation)], d, bound
 
 
 def _deviations(tensor: np.ndarray, points: Sequence[np.ndarray], p: int) -> np.ndarray:
     """Player p's deviation payoffs, of shape (a_p, point counts of the others).
 
     The one exact contraction, in whatever field the arrays hold (integers
-    carried in float64, int64 or Python ints, Fractions, surds): `points[q]`
-    holds player q's points as rows, and `points[p]` is not read.
+    carried in float64 or Python ints, Fractions, surds): `points[q]` holds
+    player q's points as rows, and `points[p]` is not read.
     """
     dev = tensor
     for q, rows in enumerate(points):
@@ -265,7 +256,7 @@ def exact_max_regret(game: Game, strategies: Sequence[Iterable]) -> Fraction:
             raise ValueError(f"player {p}'s strategy is not a probability vector")
     scaled = [scale_to_integers(s) for s in exact]
     ms = [m for _, m in scaled]
-    tensors, d = _integer_tensors(nf, ms)
+    tensors, d, _ = _integer_tensors(nf, ms)
     grids = [xs[None].astype(t.dtype) for (xs, _), t in zip(scaled, tensors)]
     worst = max(int(np.dot(grids[p][0], _regret_gaps(t, grids, p).ravel()))
                 for p, t in enumerate(tensors))
@@ -279,9 +270,9 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     `resolution` = 1/m, in the order of `geometry.simplex_grid`, as integer
     numerators over m.  With the payoffs scaled by the lcm D of their
     denominators, every regret on the joint grid is an integer over
-    m^n * D (carried in float64 or int64 when a bound proves it exact, a
-    Python int otherwise), and a profile is a hit iff every player's is at
-    most floor(eps * m^n * D).
+    m^n * D (carried in float64 when a bound proves it exact, a Python int
+    otherwise), and a profile is a hit iff every player's is at most
+    floor(eps * m^n * D).
     The grid is decided player by player (`_regret_gaps`): player 0's
     regrets densely, a chunk of its grid at a time, and each later player's
     only at the profiles every earlier player passed.  Each hit carries its
@@ -300,10 +291,10 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     if total > GRID_SEARCH_CAP:
         raise CapExceededError(f"{total} grid profiles exceed cap {GRID_SEARCH_CAP}")
     ms = [m] * len(counts)
-    tensors, d = _integer_tensors(nf, ms)
+    tensors, d, bound = _integer_tensors(nf, ms)
     scale = d * m ** len(counts)
     # no regret exceeds the bound, which the carrier holds exactly
-    threshold = min(math.floor(eps * scale), _regret_bound(tensors, ms))
+    threshold = min(math.floor(eps * scale), bound)
     dtype = tensors[0].dtype
     grids = [np.array(list(_compositions(m, c)), dtype=dtype) for c in counts]
 

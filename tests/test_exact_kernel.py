@@ -612,7 +612,7 @@ def kernel_worst_regret(game, resolution):
     """Every player's regrets x . gap on the joint grid, their maximum, and the prior's."""
     nf = oracle._as_normal_form(game)
     m = resolution.denominator
-    tensors, _ = oracle._integer_tensors(nf, [m] * nf.n_players)
+    tensors, _, _ = oracle._integer_tensors(nf, [m] * nf.n_players)
     grids = [np.array(list(_compositions(m, c)), dtype=tensors[0].dtype)
              for c in nf.action_counts]
     regrets = []

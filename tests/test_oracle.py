@@ -248,7 +248,7 @@ HUGE_DENOMINATORS = (2**40 + 1, 2**40 + 3, 2**40 + 7)
 
 
 def _huge_denominator_games():
-    """Games whose payoffs a + b/q, q near 2^40, overflow the int64 bound."""
+    """Games whose payoffs a + b/q, q near 2^40, overflow the float64 bound."""
     rng = np.random.default_rng(11)
 
     def entries(shape):
@@ -265,8 +265,8 @@ def _huge_denominator_games():
 def test_grid_search_falls_back_to_python_ints_and_matches_the_prior_search():
     for game, resolution in _huge_denominator_games():
         nf = oracle._as_normal_form(game)
-        tensors, _ = oracle._integer_tensors(nf, [resolution.denominator] * nf.n_players)
-        assert tensors[0].dtype == object  # the int64 bound fails
+        tensors, _, _ = oracle._integer_tensors(nf, [resolution.denominator] * nf.n_players)
+        assert tensors[0].dtype == object  # the float64 bound fails
         assert_kernel_matches_the_prior(game, resolution)
         found = 0
         for eps in (Fraction(0), Fraction(1, 50), Fraction(1, 5)):
@@ -303,7 +303,7 @@ def test_a_huge_eps_returns_every_grid_profile():
     assert_same_hits(hits, oracle.grid_ne_search(game, Fraction(1, 4), 100))
 
 
-CARRIERS = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(object))
+CARRIERS = (np.dtype(np.float64), np.dtype(object))
 
 
 def carried(dtype):
@@ -312,9 +312,11 @@ def carried(dtype):
     integer_tensors = oracle._integer_tensors
 
     def forced(nf, denominators):
-        tensors, d = integer_tensors(nf, denominators)
+        tensors, d, bound = integer_tensors(nf, denominators)
         assert CARRIERS.index(tensors[0].dtype) <= CARRIERS.index(dtype)
-        return [t.astype(np.int64).astype(dtype) for t in tensors], d
+        if tensors[0].dtype != dtype:  # float64 integers, as Python ints
+            tensors = [t.astype(np.int64).astype(dtype) for t in tensors]
+        return tensors, d, bound
 
     return forced
 
@@ -361,14 +363,14 @@ def team_cases(draw):
 @given(st.one_of(bimatrix_cases(), tensor_cases(), team_cases()),
        st.sampled_from([Fraction(1, 2), Fraction(1, 3)]),
        st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(2)]))
-def test_float64_int64_and_python_int_carriers_give_the_same_bits(case, resolution, eps):
+def test_float64_and_python_int_carriers_give_the_same_bits(case, resolution, eps):
     assert_the_carriers_agree(case[0], resolution, eps, case[1])
 
 
 @pytest.mark.parametrize("k,carrier", [
     (2**50 - 1, np.float64),  # bound 8k = 2^53 - 8
-    (2**50, np.int64),  # bound 2^53: the float carrier needs it below
-    (2**50 + 1, np.int64),
+    (2**50, object),  # bound 2^53: the float carrier needs it below
+    (2**50 + 1, object),
 ])
 def test_the_bound_picks_the_carrier_at_2_to_the_53(k, carrier):
     """Payoffs over D = k with max|T * D| = k, at resolution 1/2: bound 2 * k * 2^2."""
@@ -378,9 +380,8 @@ def test_the_bound_picks_the_carrier_at_2_to_the_53(k, carrier):
     row = fmat([[1, cell(-(k - 2))], [cell(1), cell(k // 3)]])
     col = fmat([[cell(k // 5 - 1), cell(7)], [-1, cell(-(k // 7))]])
     game = BimatrixGame(row, col, (MAXIMIZE, MINIMIZE))
-    tensors, d = oracle._integer_tensors(game, [2, 2])
-    assert d == k and tensors[0].dtype == carrier
-    assert oracle._regret_bound(tensors, [2, 2]) == 8 * k
+    tensors, d, bound = oracle._integer_tensors(game, [2, 2])
+    assert d == k and bound == 8 * k and tensors[0].dtype == carrier
     found = 0
     for eps in (Fraction(0), Fraction(1, 2), Fraction(3, 2)):
         found += len(assert_the_carriers_agree(game, Fraction(1, 2), eps,
