@@ -457,6 +457,18 @@ class _FractionCache(dict):
         return value
 
 
+class _FractionTable(dict):
+    """Fraction(p, q) for each key p over one denominator q, built on first use."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, p):
+        value = self[p] = Fraction(p, self.q)
+        return value
+
+
 def measure_wsne_value(
     graph: Graph,
     regime: ParameterRegime,
@@ -521,11 +533,15 @@ def measure_wsne_value(
     base, factor, other = bounds
     violated = _violated_clauses(bounds, d, k, q, e, v, near, np.array(clique_supported))
 
-    made = _FractionCache()  # coordinates repeat: build each Fraction once
+    # coordinates, slacks and values repeat: build each Fraction once
+    made, tables = _FractionCache(), {}
     records, offenders = [], []
     for row, dx, ec, vc, cs in zip(xs.tolist(), dens.tolist(), slack, value, clique_supported):
-        probs = tuple(made[p, dx] for p in row)
-        records.append(WsneCandidateRecord(probs, Fraction(ec, d * dx), Fraction(vc, d * dx * dx), cs))
+        table = tables.get(dx)
+        if table is None:
+            table = tables[dx] = _FractionTable(dx)
+        records.append(WsneCandidateRecord(tuple(map(table.__getitem__, row)), made[ec, d * dx],
+                                           made[vc, d * dx * dx], cs))
     for c in np.flatnonzero(violated[0] | violated[1] | violated[2]).tolist():
         r = records[c]
         measured = (r.value, Fraction(dist[c], k * q[c]), r.value)

@@ -39,8 +39,15 @@ from .geometry import _compositions, _resolution_denominator, grid_size
 from .rational import FVec, fmat, fvec, scale_to_integers, solve_stacked, to_fraction
 
 logger = logging.getLogger(__name__)
+# one counter line per support enumeration, apart from its per-support lines
+_summary_logger = logging.getLogger(f"{__name__}.enum")
 
 SUPPORT_ENUM_MAX_N = 12
+# element work (`_elimination_work`) that padding may add to a stack of
+# support systems before the next size gets a stack of its own; at about
+# this much, one more call of `solve_stacked` costs as much as the padding
+# (docs/decisions.md, "Exact integer core")
+_STACK_PAD_WORK = 20_000
 MAX_CLIQUE_MAX_N = 20
 GRID_SEARCH_CAP = 100_000_000
 # entries of player 0's regret array per chunk of its grid: integers carried
@@ -99,34 +106,94 @@ def symmetric_support_enumeration(
     f = oriented(cells, orientation)
     if max(map(abs, f.flat), default=0) < 2**63:
         f = f.astype(np.int64)
+    # supports, singular, stacks, systems wholly in int64, systems with Python-int steps
+    tally = np.zeros(5, int) if _summary_logger.isEnabledFor(logging.DEBUG) else None
     results: list[SymmetricEquilibrium] = []
-    for size in range(1, n + 1):
-        # every support of this size at once, in combinations order
-        supports = np.array(list(itertools.combinations(range(n), size)))
-        systems = np.zeros((len(supports), size + 1, size + 2), f.dtype)
-        systems[:, :size, :size] = f[supports[:, :, None], supports[:, None, :]]
-        systems[:, :size, size] = -1
-        systems[:, size, :size] = 1
-        systems[:, size, size + 1] = 1
+    for sizes in _stack_sizes(n):
+        supports, member, systems = _padded_stack(f, sizes)
         num, det = solve_stacked(systems)
         if logger.isEnabledFor(logging.DEBUG):
-            for support in supports[det == 0].tolist():
-                logger.debug("singular support system skipped: %s", tuple(support))
-        # det > 0 on solved systems, so numerators over det compare as the values do
-        keep = (det > 0) & (num[:, :size] > 0).all(axis=1)
-        supports, x, w, det = supports[keep], num[keep, :size], num[keep, size], det[keep]
-        # (F x)_i = w on the support, so testing every row tests the off-support ones.
-        # In int64 this cannot overflow: x_j = 1 at size 1, and at size >= 2 each
-        # F_ij sits in some system of this size, so |F_ij x_j| <= H^2 (`_bareiss_dtype`)
-        keep = ((f[:, supports] * x).sum(axis=2) <= w).all(axis=0)
-        for support, xs, wv, dv in zip(supports[keep].tolist(), x[keep].tolist(),
-                                       w[keep].tolist(), det[keep].tolist()):
-            probs = dict(zip(support, xs))
-            x_exact = tuple(Fraction(probs.get(i, 0), dv) for i in range(n))
+            for i in np.flatnonzero(det == 0).tolist():
+                logger.debug("singular support system skipped: %s", supports[i])
+        if tally is not None:
+            wide = det.dtype == object
+            tally += (len(det), np.count_nonzero(det == 0), 1,
+                      0 if wide else len(det), len(det) if wide else 0)
+        size = member.sum(axis=1)
+        # the numerators of x, with 0 in each padded column; w sits at column size
+        x = num[:, :-1]
+        unknown = np.arange(x.shape[1]) < size[:, None]
+        # det > 0 on solved systems, so numerators over det compare as the values do;
+        # a singular system has num = 0 and fails
+        keep = np.flatnonzero(((x > 0) | ~unknown).all(axis=1))
+        xs = np.zeros((len(keep), n), num.dtype)
+        xs[member[keep]] = x[keep][unknown[keep]]
+        w, det = num[keep, size[keep]], det[keep]
+        # (F x)_i = w on the support, so testing every row tests the off-support ones
+        # (in int64 this cannot overflow: docs/decisions.md, "Exact integer core")
+        ok = np.flatnonzero(((xs @ f.T) <= w[:, None]).all(axis=1)).tolist()
+        for i, xv, wv, dv in zip(ok, xs[ok].tolist(), w[ok].tolist(), det[ok].tolist()):
+            x_exact = tuple(Fraction(p, dv) for p in xv)
             value = Fraction(oriented(wv, orientation), dv * d)
-            results.append(SymmetricEquilibrium(x_exact, value, tuple(support)))
+            results.append(SymmetricEquilibrium(x_exact, value, supports[keep[i]]))
+    if tally is not None:
+        _summary_logger.debug("support enumeration: %d supports, %d singular, %d stacks, "
+                              "%d systems wholly in int64, %d with Python-int steps, "
+                              "%d equilibria", *tally.tolist(), len(results))
     results.sort(key=lambda eq: (eq.value, eq.probs))
     return results
+
+
+def _elimination_work(unknowns: int) -> int:
+    """Entries times steps of one system's Bareiss elimination."""
+    return unknowns * unknowns * (unknowns + 1)
+
+
+def _stack_sizes(n: int) -> list[range]:
+    """The support sizes 1..n, as runs of consecutive sizes solved in one stack.
+
+    A size joins the stack of the sizes before it while padding every system
+    of the run to its unknowns adds at most `_STACK_PAD_WORK` element work.
+    """
+    runs: list[range] = []
+    lo = 1
+    for size in range(2, n + 1):
+        pad = sum(math.comb(n, s) * (_elimination_work(size + 1) - _elimination_work(s + 1))
+                  for s in range(lo, size))
+        if pad > _STACK_PAD_WORK:
+            runs.append(range(lo, size))
+            lo = size
+    return runs + [range(lo, n + 1)] if n else runs
+
+
+def _padded_stack(f: np.ndarray, sizes: range):
+    """The support systems of the given sizes, padded to one stack.
+
+    Returns the supports in size-then-combinations order, their membership
+    masks over the n actions, and the (batch, N + 1, N + 2) stack, N the
+    largest size.  A support S of size s holds its system [F_S, -1; 1^T, 0]
+    top left, the identity on the unknowns s + 1..N and its right-hand side
+    e_s in the last column, so its pivots, det and numerators are those of
+    its own system and its padded numerators are 0 (docs/decisions.md,
+    "Exact integer core").
+    """
+    n, top = len(f), sizes[-1]
+    supports = [c for s in sizes for c in itertools.combinations(range(n), s)]
+    member = np.zeros((len(supports), n), bool)
+    systems = np.zeros((len(supports), top + 1, top + 2), f.dtype)
+    start = 0
+    for s in sizes:
+        block = slice(start, start + math.comb(n, s))
+        sup = np.array(supports[block])
+        member[np.arange(len(sup))[:, None] + start, sup] = True
+        systems[block, :s, :s] = f[sup[:, :, None], sup[:, None, :]]
+        systems[block, :s, s] = -1
+        systems[block, s, :s] = 1
+        systems[block, s, top + 1] = 1
+        pad = np.arange(s + 1, top + 1)
+        systems[block, pad, pad] = 1
+        start = block.stop
+    return supports, member, systems
 
 
 # ---------------------------------------------------------------------------

@@ -137,23 +137,38 @@ def solve_linear(a: Sequence[Sequence[int]], b: Sequence[int]):
     return tuple(num[0].tolist()), int(det[0])
 
 
-def _bareiss_dtype(systems: np.ndarray):
-    """int64 when Hadamard's bound proves every Bareiss intermediate fits, else object.
+def _carrier(systems: np.ndarray) -> tuple[int, bool]:
+    """How many leading Bareiss steps int64 provably holds, and whether back
+    substitution fits too; see docs/decisions.md, "Exact integer core".
 
-    Every entry the elimination produces, and every numerator and det, is a
-    minor of some system's augmented matrix [A | b], so at most H, the product
-    over rows of max(1, |row|) taken with each position's largest magnitude in
-    the stack.  Products of two minors and sums of n of them stay below
-    (n + 1) H^2.
+    Every entry is bounded with each position's largest magnitude in the
+    stack, so row i's squared norm is at most R_i = max(1, sum of its squared
+    peaks).  Before step k every entry is a minor of order k + 1 of some
+    system's augmented matrix [A | b], so by Hadamard's inequality at most
+    M_{k+1}, the product of the k + 1 largest row norms; step k runs in int64
+    while 2 M_{k+1}^2 < 2^63.  Back substitution sums n + 1 products of two
+    minors of order up to n, so it needs (n + 1) H^2 < 2^63, H = M_n.  The
+    test runs on exact integers: squared norms, with no square root.
     """
     n = systems.shape[1]
     if systems.size == 0:
-        return np.int64
-    hi, lo = systems.max(axis=0).ravel().tolist(), systems.min(axis=0).ravel().tolist()
-    peak = [max(x, -y) for x, y in zip(hi, lo)]
-    h2 = math.prod(max(1, sum(v * v for v in peak[i:i + n + 1]))
-                   for i in range(0, len(peak), n + 1))
-    return np.int64 if (n + 1) * h2 < 2**63 else object
+        return n, True
+    hi, lo = systems.max(axis=0).tolist(), systems.min(axis=0).tolist()
+    norms = sorted((max(1, sum(max(x, -y) ** 2 for x, y in zip(h, m))) for h, m in zip(hi, lo)),
+                   reverse=True)
+    steps, m2 = 0, 1
+    for r in norms:
+        m2 *= r
+        if 2 * m2 >= 2**63:
+            break
+        steps += 1
+    return steps, (n + 1) * m2 < 2**63 and steps == n
+
+
+def _bareiss_dtype(systems: np.ndarray):
+    """int64 when every Bareiss step and the back substitution provably fit
+    int64 (`_carrier`), else object: the carrier of `solve_stacked`'s output."""
+    return np.int64 if _carrier(systems)[1] else object
 
 
 def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,16 +179,19 @@ def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is its first nonzero entry from row k down, and a column without one
     makes the system singular.  Returns (num, det), of shapes (batch, n) and
     (batch,): for a nonsingular system det = |det A| > 0 and A num = b det;
-    a singular one has det = 0 and num = 0.  The arrays are int64 when
-    `_bareiss_dtype` proves that int64 holds every intermediate, else
-    Python ints.
+    a singular one has det = 0 and num = 0.  Each elimination step runs in
+    int64 while `_carrier` proves that it fits, and the stack moves to Python
+    ints at the first step it does not; the arrays are int64 only when every
+    step and the back substitution ran in int64 (`_bareiss_dtype`).
     """
-    dtype = _bareiss_dtype(systems)
-    a = systems.astype(dtype)
+    steps, back = _carrier(systems)
+    a = systems.astype(np.int64 if steps else object)
     batch, n = a.shape[:2]
     live = np.arange(batch)  # the systems still being eliminated
-    prev = np.ones(batch, dtype)
+    prev = np.ones(batch, a.dtype)
     for k in range(n):
+        if k == steps and a.dtype != object:
+            a, prev = a.astype(object), prev.astype(object)
         nonzero = a[:, k:, k] != 0
         found = nonzero.any(axis=1)
         if not found.all():
@@ -189,13 +207,15 @@ def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         below -= a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
         below //= prev[:, None, None]
         prev = p
-    num = np.zeros((len(a), n), dtype)  # det x, back-substituted; prev is det A up to sign
+    if not back and a.dtype != object:
+        a, prev = a.astype(object), prev.astype(object)
+    num = np.zeros((len(a), n), a.dtype)  # det x, back-substituted; prev is det A up to sign
     for i in range(n - 1, -1, -1):
         rest = (a[:, i, i + 1:n] * num[:, i + 1:]).sum(axis=1)
         num[:, i] = (prev * a[:, i, n] - rest) // a[:, i, i]
     sign = np.where(prev > 0, 1, -1)
-    out_num = np.zeros((batch, n), dtype)
-    out_det = np.zeros(batch, dtype)
+    out_num = np.zeros((batch, n), a.dtype)
+    out_det = np.zeros(batch, a.dtype)
     out_num[live] = num * sign[:, None]
     out_det[live] = prev * sign
     return out_num, out_det

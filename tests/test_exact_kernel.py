@@ -54,6 +54,7 @@ from minmaxlab.games import (
     MixedStrategy,
     NormalFormGame,
     PolymatrixGame,
+    oriented,
     to_normal_form,
 )
 from minmaxlab.geometry import _compositions, simplex_grid
@@ -177,6 +178,47 @@ def prior_symmetric_support_enumeration(matrix, orientation=MAXIMIZE, cap_n=SUPP
                 ok = all(payoffs[i] >= v for i in range(n) if i not in support)
             if ok:
                 results.append(SymmetricEquilibrium(tuple(x), v, support))
+    results.sort(key=lambda eq: (eq.value, eq.probs))
+    return results
+
+
+def per_size_symmetric_support_enumeration(matrix, orientation=MAXIMIZE):
+    """The integer enumeration with one stack per support size."""
+    m = rational.fmat(matrix)
+    n, n2 = m.shape
+    if n != n2:
+        raise DimensionError("square matrix required")
+    if n > SUPPORT_ENUM_MAX_N:
+        raise CapExceededError(
+            f"support enumeration capped at n = {SUPPORT_ENUM_MAX_N}, got {n}"
+        )
+    if orientation not in (MAXIMIZE, MINIMIZE):
+        raise ValueError(f"bad orientation {orientation!r}")
+    cells, d = scale_to_integers(m)
+    f = oriented(cells, orientation)
+    if max(map(abs, f.flat), default=0) < 2**63:
+        f = f.astype(np.int64)
+    results = []
+    for size in range(1, n + 1):
+        supports = np.array(list(itertools.combinations(range(n), size)))
+        systems = np.zeros((len(supports), size + 1, size + 2), f.dtype)
+        systems[:, :size, :size] = f[supports[:, :, None], supports[:, None, :]]
+        systems[:, :size, size] = -1
+        systems[:, size, :size] = 1
+        systems[:, size, size + 1] = 1
+        num, det = solve_stacked(systems)
+        if logger.isEnabledFor(logging.DEBUG):
+            for support in supports[det == 0].tolist():
+                logger.debug("singular support system skipped: %s", tuple(support))
+        keep = (det > 0) & (num[:, :size] > 0).all(axis=1)
+        supports, x, w, det = supports[keep], num[keep, :size], num[keep, size], det[keep]
+        keep = ((f[:, supports] * x).sum(axis=2) <= w).all(axis=0)
+        for support, xs, wv, dv in zip(supports[keep].tolist(), x[keep].tolist(),
+                                       w[keep].tolist(), det[keep].tolist()):
+            probs = dict(zip(support, xs))
+            x_exact = tuple(Fraction(probs.get(i, 0), dv) for i in range(n))
+            value = Fraction(oriented(wv, orientation), dv * d)
+            results.append(SymmetricEquilibrium(x_exact, value, tuple(support)))
     results.sort(key=lambda eq: (eq.value, eq.probs))
     return results
 
@@ -845,6 +887,35 @@ def test_stacked_solve_swaps_to_the_first_nonzero_pivot():
     assert_stack_matches_the_prior(systems, object)
 
 
+def stack_with_int64_steps(n, j, rng):
+    """Four n x (n + 1) systems whose entries admit exactly j int64 Bareiss steps.
+
+    A diagonal c with off-diagonal entries and right-hand sides in -3..3:
+    the pivot and the diagonal entries before step k are about c^(k + 1),
+    so step j multiplies two numbers near c^(2j + 2) >= 2^63.5 and wraps in
+    int64, while 2 M_j^2, about 2 c^(2j), stays below 2^63.
+    """
+    c = math.ceil(2 ** (63.5 / (2 * (j + 1))))
+    systems = rng.integers(-1, 2, (4, n, n + 1))
+    systems[:, :, n] = rng.integers(-3, 4, (4, n))
+    systems[:, range(n), range(n)] = c * rng.choice([-1, 1], (4, n))
+    return systems.tolist()
+
+
+def test_stacked_solve_runs_each_step_in_int64_only_as_far_as_the_minor_bound_holds():
+    rng = np.random.default_rng(25)
+    for n in range(1, 7):
+        for j in range(n + 1):
+            systems = stack_with_int64_steps(n, j, rng)
+            steps, back = rational._carrier(np.array(systems, dtype=object))
+            assert steps == j
+            assert back == (j == n)
+            for dtype in (np.int64, object):
+                assert_stack_matches_the_prior(systems, dtype)
+            assert solve_stacked(np.array(systems, dtype=object))[1].dtype == (
+                np.int64 if back else object)
+
+
 # ---------------------------------------------------------------------------
 # batched enumeration on the bordered games
 
@@ -885,6 +956,92 @@ def test_enumeration_matches_with_one_huge_payoff():
                 oracle.symmetric_support_enumeration(matrix, orientation),
                 prior_symmetric_support_enumeration(matrix, orientation),
             )
+
+
+@st.composite
+def planted_matrices(draw):
+    """Integer matrices of size 1-7; a copied action makes every support
+    that holds both copies singular."""
+    n = draw(st.integers(1, 7))
+    entry = st.integers(-9, 9) | st.integers(-2**40, 2**40)
+    m = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=n, max_size=n)), dtype=np.int64)
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[j], m[:, j] = m[i], m[:, i]
+    lo = draw(st.integers(1, n))
+    return m, range(lo, draw(st.integers(lo, n)) + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_matrices())
+def test_padded_stack_gives_each_system_its_own_stacks_solution(case):
+    f, sizes = case
+    supports, member, systems = oracle._padded_stack(f, sizes)
+    num, det = solve_stacked(systems)
+    start = 0
+    for s in sizes:
+        own_supports, _, own = oracle._padded_stack(f, range(s, s + 1))
+        assert own.shape[1:] == (s + 1, s + 2)  # one size: no padding
+        own_num, own_det = solve_stacked(own)
+        block = slice(start, start + len(own))
+        assert supports[block] == own_supports
+        assert [tuple(np.flatnonzero(r)) for r in member[block]] == own_supports
+        assert det[block].tolist() == own_det.tolist()
+        assert num[block, :s + 1].tolist() == own_num.tolist()
+        assert not num[block, s + 1:].any()
+        start = block.stop
+    assert start == len(supports)
+
+
+def test_enumeration_of_the_empty_and_the_one_action_matrix():
+    assert oracle.symmetric_support_enumeration(rational.fmat([])) == []
+    for orientation in (MAXIMIZE, MINIMIZE):
+        (eq,) = oracle.symmetric_support_enumeration([[Fraction(-3, 2)]], orientation)
+        assert (eq.probs, eq.value, eq.support) == ((1,), Fraction(-3, 2), (0,))
+
+
+def test_enumeration_at_the_cap_keeps_every_stack_within_the_memory_budget(monkeypatch):
+    """At n = 12 no padded stack holds more entries than the largest stack of
+    one support size, and the equilibria are the per-size enumeration's."""
+    n = SUPPORT_ENUM_MAX_N
+    budget = max(math.comb(n, s) * (s + 1) * (s + 2) for s in range(1, n + 1))
+    sizes = []
+
+    def recording(systems):
+        sizes.append(systems.size)
+        return solve_stacked(systems)
+
+    monkeypatch.setattr(oracle, "solve_stacked", recording)
+    g = gnp_graph(n - 1, 1)
+    k, _ = max_clique(g)
+    for matrix in (payoff_from_graph(gnp_graph(n, 1)), unique_ne_game(g, max(k, 2)).row_payoff):
+        new = oracle.symmetric_support_enumeration(matrix)
+        assert new
+        assert_same_equilibria(new, per_size_symmetric_support_enumeration(matrix))
+    assert len(sizes) == 2 * len(oracle._stack_sizes(n)) < 2 * n
+    assert max(sizes) <= budget
+
+
+def test_enumeration_logs_one_summary_line_at_debug(caplog):
+    for n, matrix, wide in ((6, payoff_from_graph(gnp_graph(6, 3)), False),
+                            (10, unique_ne_game(gnp_graph(9, 2), 3).row_payoff, True)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG):
+            found = oracle.symmetric_support_enumeration(matrix)
+        singular = [r for r in caplog.records if r.name == "minmaxlab.oracle"]
+        (line,) = [r for r in caplog.records if r.name == "minmaxlab.oracle.enum"]
+        assert caplog.records[-1] is line  # after the per-support lines
+        tried, skipped, stacks, narrow, python_int, equilibria = line.args
+        assert tried == 2**n - 1 and narrow + python_int == tried
+        assert skipped == len(singular) > 0
+        assert stacks == len(oracle._stack_sizes(n))
+        assert (python_int > 0) == wide
+        assert equilibria == len(found)
+    caplog.clear()
+    with caplog.at_level(logging.INFO):
+        oracle.symmetric_support_enumeration(matrix)
+    assert not caplog.records
 
 
 def test_enumeration_logs_each_singular_support_in_order(caplog):

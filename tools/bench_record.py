@@ -24,7 +24,9 @@ and IQR of each end-to-end metric that BENCHMARK.json names, every run's
 value, how many runs were correct and how many tasks failed, the call
 time of each `test_criterion_*` test with the gate's exit status, and the
 line count of the checkout's `src/minmaxlab/*.py` (as `wc -l` counts it).
-With two checkouts it also counts, per metric, the pairs the second one won.
+With two checkouts it also counts, per metric, the pairs the second one won,
+and gives each (workload, metric) the change of the median, as a fraction
+of the first checkout's, and a verdict (`verdict`).
 """
 
 from __future__ import annotations
@@ -134,6 +136,38 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
+def wins(base: list[float], new: list[float], better: str) -> int:
+    """The pairs in which the new run reads better; a tie counts for neither side."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (b - n) > 0 for b, n in zip(base, new))
+
+
+def verdict(base: dict, new: dict, metric: dict) -> dict:
+    """The median change and the verdict on one metric, from two `summary`s.
+
+    `gain` when the new runs win at least nine tenths of the pairs and the
+    medians differ, in the better direction, by more than the base runs'
+    IQR; `worse` when the new median is worse by more than the metric's
+    `bound`, a fraction of the base median; `unresolved` when the base IQR
+    is wider than that bound, unless every new run reads better than every
+    base run; `within_bound` otherwise.
+    """
+    lower = metric["better"] == "lower"
+    b, n = base["values"], new["values"]
+    better_by = (base["median"] - new["median"]) * (1 if lower else -1)
+    bound = metric["bound"] * abs(base["median"])
+    if 10 * wins(b, n, metric["better"]) >= 9 * len(b) and better_by > base["iqr"]:
+        outcome = "gain"
+    elif -better_by > bound:
+        outcome = "worse"
+    elif base["iqr"] > bound and not (max(n) < min(b) if lower else min(n) > max(b)):
+        outcome = "unresolved"
+    else:
+        outcome = "within_bound"
+    change = (new["median"] - base["median"]) / base["median"] if base["median"] else None
+    return {"median_change": change, "verdict": outcome}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     runs = {label: {w: [] for w in args.workloads} for label, _ in args.checkout}
@@ -190,11 +224,15 @@ def main(argv=None) -> int:
         (base, _), (new, _) = args.checkout
         doc["pairs"] = {"base": base, "new": new, "wins_of_new": {
             workload: {
-                m["name"]: sum(
-                    (b["metrics"][m["name"]]["value"] > n["metrics"][m["name"]]["value"])
-                    if m["better"] == "lower" else
-                    (b["metrics"][m["name"]]["value"] < n["metrics"][m["name"]]["value"])
-                    for b, n in zip(runs[base][workload], runs[new][workload]))
+                m["name"]: wins(*(e["workloads"][workload]["metrics"][m["name"]]["values"]
+                                  for e in entries), m["better"])
+                for m in args.metrics
+            }
+            for workload in args.workloads
+        }, "verdicts": {
+            workload: {
+                m["name"]: verdict(*(e["workloads"][workload]["metrics"][m["name"]]
+                                     for e in entries), m)
                 for m in args.metrics
             }
             for workload in args.workloads
