@@ -43,10 +43,10 @@ logger = logging.getLogger(__name__)
 _summary_logger = logging.getLogger(f"{__name__}.enum")
 
 SUPPORT_ENUM_MAX_N = 12
-# element work (`_elimination_work`) that padding may add to a stack of
-# support systems before the next size gets a stack of its own; at about
-# this much, one more call of `solve_stacked` costs as much as the padding
-# (docs/decisions.md, "Exact integer core")
+# element work (entries times steps, `_stack_sizes`) that padding may add to
+# a stack of support systems before the next size gets a stack of its own;
+# near this much, one more call of `solve_stacked` costs what the padding
+# does (docs/decisions.md, "Exact integer core")
 _STACK_PAD_WORK = 20_000
 MAX_CLIQUE_MAX_N = 20
 GRID_SEARCH_CAP = 100_000_000
@@ -144,22 +144,21 @@ def symmetric_support_enumeration(
     return results
 
 
-def _elimination_work(unknowns: int) -> int:
-    """Entries times steps of one system's Bareiss elimination."""
-    return unknowns * unknowns * (unknowns + 1)
-
-
 def _stack_sizes(n: int) -> list[range]:
     """The support sizes 1..n, as runs of consecutive sizes solved in one stack.
 
     A size joins the stack of the sizes before it while padding every system
-    of the run to its unknowns adds at most `_STACK_PAD_WORK` element work.
+    of the run to its unknowns adds at most `_STACK_PAD_WORK` element work:
+    a system of size s has s + 1 unknowns, and its elimination works on
+    (s + 1)(s + 2) entries over s + 1 steps.
     """
+    def work(s: int) -> int:
+        return (s + 1) ** 2 * (s + 2)
+
     runs: list[range] = []
     lo = 1
     for size in range(2, n + 1):
-        pad = sum(math.comb(n, s) * (_elimination_work(size + 1) - _elimination_work(s + 1))
-                  for s in range(lo, size))
+        pad = sum(math.comb(n, s) * (work(size) - work(s)) for s in range(lo, size))
         if pad > _STACK_PAD_WORK:
             runs.append(range(lo, size))
             lo = size
