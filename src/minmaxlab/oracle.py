@@ -80,9 +80,10 @@ def symmetric_support_enumeration(
 
     Both players share the deviation vector Mx, so (x, x) is an equilibrium
     iff (Mx)_i = v on the support and every off-support payoff is no better
-    than v in the given orientation.  The linear systems of all supports of
-    one size are solved together, exactly, in integers
-    (`rational.solve_stacked`); singular systems (which can hide equilibrium
+    than v in the given orientation.  The linear systems of the supports of
+    a run of consecutive sizes are padded to one stack and solved together,
+    exactly, in integers (`_stack_sizes`, `_padded_stack`,
+    `rational.solve_stacked`); singular systems (which can hide equilibrium
     continua) are skipped and logged.
     Solutions must be strictly positive on their support, so each
     equilibrium is reported once, under its true support.

@@ -958,6 +958,22 @@ def test_enumeration_matches_with_one_huge_payoff():
             )
 
 
+def test_enumeration_matches_with_a_payoff_beyond_int64():
+    # a payoff near 2^70: F is a Python-int array, so the stacks that hold it
+    # and the off-support product run on Python ints
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        n = int(rng.integers(1, 6))
+        cells = rng.integers(-3, 4, (n, n)).tolist()
+        i, j = rng.integers(0, n, 2)
+        cells[i][j] = int(rng.choice([-1, 1])) * (2**70 + int(rng.integers(0, 99)))
+        for orientation in (MAXIMIZE, MINIMIZE):
+            assert_same_equilibria(
+                oracle.symmetric_support_enumeration(fmat(cells), orientation),
+                prior_symmetric_support_enumeration(fmat(cells), orientation),
+            )
+
+
 @st.composite
 def planted_matrices(draw):
     """Integer matrices of size 1-7; a copied action makes every support
