@@ -15,7 +15,6 @@ from .games import (
     MixedStrategy,
     NormalFormGame,
     SUPPORT_TOL,
-    as_profile,
     best_deviation,
     deviation_gaps,
     deviation_vectors,
@@ -192,7 +191,6 @@ def ne_to_wsne(game: Game, profile: MixedProfile, epsilon: float) -> MixedProfil
         raise PreconditionError(f"ne_to_wsne needs a two-player game, got {game.n_players}")
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
-    profile = as_profile(profile)
     certify(game, profile, epsilon**2 / 8.0)
     old = profile_probs(game, profile)
     strategies = []
@@ -237,7 +235,6 @@ def mass_bound_audit(game: Game, profile: MixedProfile, epsilon: float) -> list[
     """
     if epsilon < 0:
         raise PreconditionError("epsilon must be non-negative")
-    profile = as_profile(profile)
     eps_sq = float(epsilon) ** 2
     certify(game, profile, eps_sq)
     violations = []

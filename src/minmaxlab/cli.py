@@ -93,13 +93,6 @@ ALGO_NAMES = {
 }
 
 
-def _frac(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"expected a rational like 3/4 or 0.05, got {text!r}") from None
-
-
 def _require_problem(game) -> QuadraticMinMaxProblem:
     if not isinstance(game, QuadraticMinMaxProblem):
         raise FormatError("this command needs a quadratic problem file")
@@ -544,8 +537,8 @@ KINDS = {
     GAME: (lambda text: fileio.load_game(text), fileio.game_to_dict),
     PROFILE: (lambda text: fileio.load_profile(text), fileio.profile_to_dict),
     GRAPH: (lambda text: fileio.load_graph(text), fileio.graph_to_dict),
-    EXACT: (_frac, str),
-    FLOAT: (lambda text: float(_frac(text)), repr),
+    EXACT: (fileio.parse_rational, str),
+    FLOAT: (lambda text: float(fileio.parse_rational(text)), repr),
 }
 
 

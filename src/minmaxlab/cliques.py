@@ -421,11 +421,10 @@ def _wsne_candidates(n: int, m: int, eqs) -> tuple[np.ndarray, np.ndarray]:
     each equilibrium and its perturbations with weight w in PERTURB_WEIGHTS,
     (1 - w) x + w u toward the uniform profile u and then toward each vertex,
     in lowest terms.  Such a point is on the grid iff its denominator divides
-    m; it is kept only when it is off the grid and new.
+    m; it is kept only when it is off the grid and new.  `eqs` is never empty:
+    every census of A-bar(G, delta) holds uniform play on a maximum clique.
     """
     grid = np.array(list(_compositions(m, n)), dtype=object)
-    if not eqs:
-        return grid, np.full(len(grid), m, dtype=object)
     scaled = [scale_to_integers(eq.probs) for eq in eqs]
     e = np.array([row for row, _ in scaled], dtype=object)
     den = np.array([dx for _, dx in scaled], dtype=object)

@@ -25,7 +25,6 @@ from .games import (
     MixedProfile,
     MixedStrategy,
     PolymatrixGame,
-    as_profile,
     decompose_symmetric_skew,
 )
 from .geometry import JointDomain
@@ -179,7 +178,6 @@ def team_backmap(
     (both players minimizing) has regret at most (21 n + 1) |A_min| eps.
     eps^2 must be the square of the gadget's own eps.
     """
-    profile = as_profile(profile)
     eps = _float_eps(instance, math.sqrt(float(eps2_certified)))
     certify(instance.game, profile, float(eps2_certified))
     return profile[1], _backmap_scale(instance) * eps
@@ -272,7 +270,6 @@ def measure_gadget_structure(
     gadget's own, or the profile is not a certified eps^2-equilibrium; the
     two lemma bounds are measured, not enforced (see gadget_structure_audit).
     """
-    profile = as_profile(profile)
     eps = _float_eps(instance, epsilon)
     return _measure_structure(instance, profile, eps, ((0, 1),), (2,))
 
@@ -389,10 +386,6 @@ class Team3v3Instance:
     def n(self) -> int:
         return len(self.a)
 
-    @property
-    def anchor_action(self) -> int:
-        return 2 * self.n
-
 
 def team3v3_gadget(matrix, epsilon) -> Team3v3Instance:
     """Build the three-versus-three gadget from any square rational R."""
@@ -473,7 +466,6 @@ def measure_team3v3(
     gadget's own, or the profile is not team-symmetric or not a certified
     eps^2-equilibrium.
     """
-    profile = as_profile(profile)
     eps = _float_eps(instance, epsilon)
     if len(profile) != 6:
         raise DimensionError("profile must cover all six players")

@@ -158,18 +158,6 @@ class MixedProfile:
         return self.strategies[player]
 
 
-def as_strategy(values) -> MixedStrategy:
-    if isinstance(values, MixedStrategy):
-        return values
-    return MixedStrategy(np.asarray(values, dtype=float))
-
-
-def as_profile(strategies) -> MixedProfile:
-    if isinstance(strategies, MixedProfile):
-        return strategies
-    return MixedProfile(tuple(as_strategy(s) for s in strategies))
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     """`a`, locked: the float mirrors of a game's payoffs are shared, never written."""
     a.flags.writeable = False
@@ -324,9 +312,13 @@ def _check_player(game: Game, player: int) -> None:
         raise DimensionError(f"no player {player}")
 
 
-def profile_probs(game: Game, profile) -> list[np.ndarray]:
-    """Validate a profile against the game; return its per-player float vectors."""
-    profile = as_profile(profile)
+def profile_probs(game: Game, profile: MixedProfile) -> list[np.ndarray]:
+    """Validate a profile against the game; return its per-player float vectors.
+
+    A MixedProfile is the one profile form: anything else is a TypeError.
+    """
+    if not isinstance(profile, MixedProfile):
+        raise TypeError(f"expected a MixedProfile, got {type(profile).__name__}")
     _check_profile(game, profile)
     return [s.probs for s in profile.strategies]
 
@@ -339,7 +331,6 @@ def evaluate_utility(game: Game, profile: MixedProfile, player: int) -> float:
     games this is the shared bilinear sum; orientation is not applied here,
     only in regret.
     """
-    profile = as_profile(profile)
     dev = deviation_payoffs(game, profile, player)
     return float(dev.dot(profile[player].probs))
 
@@ -464,7 +455,6 @@ def oriented(values, orientation: str):
 
 def regret(game: Game, profile: MixedProfile, player: int) -> float:
     """Best pure-deviation payoff minus current payoff, in the player's direction."""
-    profile = as_profile(profile)
     dev = deviation_payoffs(game, profile, player)
     return best_deviation(dev, profile[player].probs, game.orientation[player])[1]
 

@@ -27,7 +27,6 @@ from .games import (
     MixedStrategy,
     NormalFormGame,
     PolymatrixGame,
-    as_profile,
     best_deviation,
     deviation_kernel,
     oriented,
@@ -214,7 +213,8 @@ def max_clique(graph) -> tuple[int, tuple[int, ...]]:
     with a k-clique.
 
     Deterministic: among maximum cliques the lexicographically smallest
-    vertex tuple is returned.  Capped at 20 vertices.
+    vertex tuple is returned.  Capped at 20 vertices.  A Graph has a
+    vertex, so k = 1 always returns.
     """
     n = graph.n
     if n > MAX_CLIQUE_MAX_N:
@@ -223,7 +223,6 @@ def max_clique(graph) -> tuple[int, tuple[int, ...]]:
         cliques = cliques_of_size(graph, k)
         if cliques:
             return k, cliques[0]
-    return 0, ()
 
 
 def cliques_of_size(graph, k: int) -> list[tuple[int, ...]]:
@@ -464,11 +463,10 @@ def local_ne_refine(
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     if not (math.isfinite(target_regret) and target_regret >= 0.0):
         raise ValueError(f"target_regret must be finite and non-negative, got {target_regret}")
-    profile = as_profile(start)
     # the raw iterates and their renormalised views, the vectors a
     # MixedStrategy would hold (its clamp never fires on a convex
     # combination), as one segment per player of two flat buffers
-    raw = np.concatenate(profile_probs(game, profile))
+    raw = np.concatenate(profile_probs(game, start))
     view = raw.copy()
     counts = game.action_counts
     raws, views = split_players(raw, counts), split_players(view, counts)
@@ -491,8 +489,7 @@ def local_ne_refine(
             best_regret = worst
             best = raw.copy() if t else None
         if worst <= target_regret:
-            if t:
-                profile = _profile_of(raw, counts)
+            profile = _profile_of(raw, counts) if t else start
             cert = epsilon_ne_report(game, profile, target_regret)
             return RefineResult(profile, worst, t + 1, True, cert, None, tuple(checkpoints))
         if t + 1 == next_checkpoint:
@@ -509,8 +506,7 @@ def local_ne_refine(
             s[br] += eta
             # np.add.reduce is what ndarray.sum runs, without its Python wrapper
             np.divide(s, np.add.reduce(s), out=v)
-    if best is not None:
-        profile = _profile_of(best, counts)
+    profile = start if best is None else _profile_of(best, counts)
     # t + 1 is max_iters after the last iteration, or the checkpoint that stalled
     return RefineResult(profile, best_regret, t + 1, False, None, stalled_at, tuple(checkpoints))
 

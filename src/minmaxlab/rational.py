@@ -165,12 +165,6 @@ def _carrier(systems: np.ndarray) -> tuple[int, bool]:
     return steps, (n + 1) * m2 < 2**63 and steps == n
 
 
-def _bareiss_dtype(systems: np.ndarray):
-    """int64 when every Bareiss step and the back substitution provably fit
-    int64 (`_carrier`), else object: the carrier of `solve_stacked`'s output."""
-    return np.int64 if _carrier(systems)[1] else object
-
-
 def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bareiss elimination of a stack of augmented integer systems [A | b].
 
@@ -182,7 +176,7 @@ def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a singular one has det = 0 and num = 0.  Each elimination step runs in
     int64 while `_carrier` proves that it fits, and the stack moves to Python
     ints at the first step it does not; the arrays are int64 only when every
-    step and the back substitution ran in int64 (`_bareiss_dtype`).
+    step and the back substitution ran in int64 (`_carrier`).
     """
     steps, back = _carrier(systems)
     a = systems.astype(np.int64 if steps else object)

@@ -162,6 +162,39 @@ def test_ne_to_wsne_detects_knife_edge_failure():
         checks.ne_to_wsne(game, prof, eps)
 
 
+def margin_profile(mass, gap):
+    """A 2x2 game whose row player puts `mass` on an action `gap` worse than
+    its best response, so its regret is mass * gap; the column player is
+    indifferent.  Both players maximize."""
+    game = BimatrixGame(fmat([[0, 0], [-gap, -gap]]), fmat([[0, 0], [0, 0]]),
+                        (MAXIMIZE, MAXIMIZE))
+    x = MixedStrategy([1 - float(mass), float(mass)])
+    return game, MixedProfile((x, MixedStrategy.uniform(2)))
+
+
+def test_ne_to_wsne_moves_too_much_mass_only_inside_the_certify_margin():
+    # dropping actions more than eps below the best response moves at most
+    # regret / eps <= eps / 8 of mass, so the eps/4 check fails only at a
+    # regret in the margin (eps^2/8, eps^2/8 + VERDICT_SLACK]: here 1e-12
+    game, prof = margin_profile(Fraction(5, 10**7), Fraction(2, 10**6))
+    eps = 1e-6
+    regret = max(checks.epsilon_ne_report(game, prof).regrets)
+    assert eps * eps / 8 < regret <= eps * eps / 8 + checks.VERDICT_SLACK
+    with pytest.raises(BoundViolationError, match=r"construction moved mass by 5e-07 > eps/4"):
+        checks.ne_to_wsne(game, prof, eps)
+
+
+def test_mass_bound_audit_finds_an_entry_only_inside_the_certify_margin():
+    # mass * gap <= regret, so mass <= eps^2 / gap fails only at a regret in
+    # the margin (eps^2, eps^2 + VERDICT_SLACK]: at eps = 0 any regret in it
+    game, prof = margin_profile(Fraction(1, 10**9), Fraction(1, 2000))
+    regret = max(checks.epsilon_ne_report(game, prof).regrets)
+    assert 0 < regret <= checks.VERDICT_SLACK
+    [entry] = checks.mass_bound_audit(game, prof, 0.0)
+    assert (entry.player, entry.action, entry.bound) == (0, 1, 0.0)
+    assert (entry.mass, entry.gap) == (prof[0].probs[1], 1 / 2000)
+
+
 def test_mass_bound_audit_empty_on_equilibrium():
     entries = checks.mass_bound_audit(matching_pennies(), uniform_profile((2, 2)), 0.1)
     assert entries == []

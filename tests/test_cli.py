@@ -410,6 +410,20 @@ def test_backmap_symmetric_bound_holds_at_equilibrium(capsys, tmp_path):
     assert bound["value"] == pytest.approx(2 ** 0.5 * 0.01 * 5)
 
 
+@pytest.mark.parametrize("rows", [[[1 / 3, 2 / 3], ["1/3", "2/3"]], [["1/3", "2/3"], [1 / 3, 2 / 3]]],
+                         ids=["float-first", "exact-first"])
+def test_backmap_symmetric_reads_a_pair_of_identical_strategies_as_one(capsys, tmp_path, rows):
+    # (1/3, 2/3) is a symmetric equilibrium of diag(2, 1); of the two
+    # strategies of a symmetric pair, the exact one is used
+    game = write_game(tmp_path, "diag.json", [["2", "0"], ["0", "1"]], ["max", "max"])
+    argv = ["backmap", "symmetric", "--game", game, "--gap", "1/100", "--profile"]
+    one = run_cli(capsys, argv + [write_profile(tmp_path, "one.json", [["1/3", "2/3"]])])[1]
+    pair = run_cli(capsys, argv + [write_profile(tmp_path, "pair.json", rows)])[1]
+    assert pair["exit_code"] == 0
+    assert pair["data"]["strategy"] == ["1/3", "2/3"]
+    assert {**pair, "inputs_hash": None} == {**one, "inputs_hash": None}
+
+
 def test_dynamics_run_writes_a_trajectory(capsys, tmp_path):
     game = write_game(
         tmp_path, "r.json", [["0", "-1"], ["1", "0"]], ["min", "max"]

@@ -1,5 +1,6 @@
 """Clique-counting games: payoff builders, audits, and the three-form census."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from minmaxlab.cliques import (
     payoff_from_graph_delta,
 )
 from minmaxlab.errors import BoundViolationError, CapExceededError, PreconditionError
-from minmaxlab.games import MixedStrategy
-from minmaxlab.rational import transpose
+from minmaxlab.games import MAXIMIZE, MixedStrategy
+from minmaxlab.rational import solve_linear, transpose
 
 
 def regime_for(graph, k, strict=False):
@@ -290,6 +291,42 @@ def test_wsne_candidates_keep_first_occurrences():
     uniform = (Fraction(1, 5),) * 5
     toward_first = (Fraction(26, 125),) + (Fraction(99, 500),) * 4  # weight 1/100 toward vertex 0
     assert probs.index(uniform) < probs.index(toward_first)
+
+
+def test_every_delta_census_holds_uniform_play_on_each_maximum_clique():
+    # why the WSNE audit's census is never empty: on a maximum clique K,
+    # A-bar_KK = J - (1 - delta) I and its bordered support system are
+    # nonsingular, and every payoff off K is strictly below the value
+    # 1 - (1 - delta) / k, so uniform play on K is a symmetric equilibrium
+    rng = np.random.default_rng(26)
+    cases = 0
+    for n in range(1, 8):
+        for _ in range(40):
+            density = rng.uniform(0.2, 0.9)
+            graph = Graph.from_edges(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+            k, _ = oracle.max_clique(graph)
+            for delta in (Fraction(1, 100), Fraction(1, 3), Fraction(1, 2), Fraction(99, 100)):
+                a = payoff_from_graph_delta(graph, delta)
+                census = {eq.probs for eq in
+                          oracle.symmetric_support_enumeration(a, orientation=MAXIMIZE)}
+                value = 1 - (1 - delta) / k
+                q = delta.denominator
+                for clique in oracle.cliques_of_size(graph, k):
+                    inside = list(clique)
+                    block = a[np.ix_(inside, inside)]
+                    assert block.tolist() == [[1 - (1 - delta) * (i == j) for j in range(k)]
+                                              for i in range(k)]
+                    bordered = [[int(q * c) for c in row] + [-q] for row in block.tolist()]
+                    bordered.append([1] * k + [0])
+                    assert solve_linear(bordered, [0] * k + [1]) is not None
+                    uniform = cliques.clique_uniform(graph, clique).exact
+                    payoffs = a.dot(np.array(uniform, dtype=object))
+                    assert all(payoffs[i] == value for i in inside)
+                    assert all(payoffs[i] < value for i in range(n) if i not in clique)
+                    assert uniform in census
+                cases += 1
+    assert cases == 7 * 40 * 4
 
 
 def test_nonsym_instance_value_matches_the_bordered_matrix(fig1):

@@ -22,7 +22,6 @@ KEPT = {
     "nonsym_instance": "the FNP builder; ROADMAP item 10 gives it its CLI caller",
     "team_value_curve": "executable section 3.2 argument that the equilibrium is irrational",
     "induced_matrix": "executable section 3.2 argument; ROADMAP item 15 retires both",
-    "_bareiss_dtype": "solve_stacked's all-steps int64 verdict, the dtype its tests expect",
 }
 
 

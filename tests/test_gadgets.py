@@ -15,7 +15,6 @@ from minmaxlab.games import (
     BimatrixGame,
     MixedProfile,
     MixedStrategy,
-    as_profile,
     decompose_symmetric_skew,
 )
 from minmaxlab.rational import fmat, transpose
@@ -370,7 +369,6 @@ def prior_enforce_structure(report):
 
 
 def prior_measure_gadget_structure(instance, profile, epsilon):
-    profile = as_profile(profile)
     eps = float(epsilon)
     if not (0 < eps <= float(gadgets.EPS_CAP) + 1e-12):
         raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")
@@ -389,7 +387,6 @@ def prior_measure_gadget_structure(instance, profile, epsilon):
 
 
 def prior_measure_team3v3(instance, profile, epsilon):
-    profile = as_profile(profile)
     eps = float(epsilon)
     if not (0 < eps <= float(gadgets.EPS_CAP) + 1e-12):
         raise PreconditionError(f"epsilon must lie in (0, 1/10], got {eps}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from minmaxlab import analytic, fileio, games, gadgets
+from minmaxlab import analytic, checks, fileio, games, gadgets, oracle
 from minmaxlab.errors import DimensionError, PreconditionError
 from minmaxlab.games import (
     MAXIMIZE,
@@ -19,7 +19,6 @@ from minmaxlab.games import (
     NormalFormGame,
     PolymatrixGame,
     SUPPORT_TOL,
-    as_profile,
     best_deviation,
     decompose_symmetric_skew,
     deviation_payoffs,
@@ -231,7 +230,6 @@ def test_normal_form_tensor_utilities():
 
 def prior_evaluate_utility(game, profile, player):
     """The three-branch contraction evaluate_utility ran before it read the deviation kernel."""
-    profile = as_profile(profile)
     if isinstance(game, BimatrixGame):
         x, y = profile[0].probs, profile[1].probs
         m = game.row_float if player == 0 else game.col_float
@@ -305,6 +303,42 @@ def test_the_constructor_takes_no_exact_view():
     with pytest.raises(TypeError):
         MixedStrategy([1.0, 0.0], exact=(0, 1))
     assert MixedStrategy([0.25, 0.75]).exact is None
+
+
+def profile_readers():
+    """Every public reader of a profile, by name: the strategies of a profile
+    it accepts, and a call `read(profile)` that reads them."""
+    game = BimatrixGame(MP, -MP, (MAXIMIZE, MAXIMIZE))
+    uniform = (MixedStrategy.uniform(2),) * 2
+    team = gadgets.team_gadget(fmat([["-3/2", -1], [-1, "-2"]]), Fraction(1, 20))
+    team_ne = gadgets.canonical_team_ne(team).strategies
+    team3 = gadgets.team3v3_gadget(fmat([[0, 0], [0, 0]]), Fraction(1, 10))
+    flat = (MixedStrategy.pure(2, 0), MixedStrategy([0.95, 0.05]), MixedStrategy.pure(5, 4)) * 2
+    return {
+        "epsilon_ne_report": (uniform, lambda p: checks.epsilon_ne_report(game, p)),
+        "local_ne_refine": (uniform, lambda p: oracle.local_ne_refine(game, p, 0.0, max_iters=1)),
+        "ne_to_wsne": (uniform, lambda p: checks.ne_to_wsne(game, p, 0.1)),
+        "mass_bound_audit": (uniform, lambda p: checks.mass_bound_audit(game, p, 0.1)),
+        "team_backmap": (team_ne, lambda p: gadgets.team_backmap(team, p, 0.05**2)),
+        "measure_gadget_structure": (
+            team_ne, lambda p: gadgets.measure_gadget_structure(team, p, 0.05)),
+        "measure_team3v3": (flat, lambda p: gadgets.measure_team3v3(team3, p, 0.1)),
+        "evaluate_utility": (uniform, lambda p: evaluate_utility(game, p, 0)),
+        "regret": (uniform, lambda p: regret(game, p, 0)),
+        "deviation_payoffs": (uniform, lambda p: deviation_payoffs(game, p, 0)),
+    }
+
+
+PROFILE_READERS = profile_readers()
+
+
+@pytest.mark.parametrize("name", PROFILE_READERS)
+def test_every_profile_reader_refuses_a_tuple_of_strategies(name):
+    # a MixedProfile is the one profile form: no reader coerces another
+    strategies, read = PROFILE_READERS[name]
+    read(MixedProfile(strategies))
+    with pytest.raises(TypeError, match="expected a MixedProfile, got tuple"):
+        read(tuple(strategies))
 
 
 @dataclass(frozen=True)

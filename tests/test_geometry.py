@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minmaxlab import geometry
-from minmaxlab.errors import CapExceededError, DimensionError
+from minmaxlab.errors import CapExceededError, ConvergenceError, DimensionError
 from minmaxlab.geometry import (
     JointDomain,
     _project_simplex_raw,
@@ -114,6 +114,20 @@ def test_joint_projection_of_an_equal_pair_is_componentwise():
     single = project_simplex(v).probs
     assert np.abs(x.probs - single).max() <= 1e-9
     assert np.abs(y.probs - single).max() <= 1e-9
+
+
+def test_joint_projection_out_of_sweeps_raises_with_its_residual(monkeypatch):
+    # one sweep moves (e_0, e_1) onto ((0.55, 0.45), (0.45, 0.55)), a move of
+    # norm 0.9, which the sweep cannot yet confirm as settled
+    dom = JointDomain(2, 0.1)
+    far = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    monkeypatch.setattr(geometry, "PROJECT_JOINT_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="within 1 sweeps") as exc:
+        project_joint(*far, dom)
+    assert exc.value.residual == pytest.approx(0.9)
+    monkeypatch.undo()
+    x, y = project_joint(*far, dom)
+    assert np.allclose(x.probs, [0.55, 0.45]) and np.allclose(y.probs, [0.45, 0.55])
 
 
 def test_joint_projection_residuals_small_on_random_inputs():

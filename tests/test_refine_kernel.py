@@ -27,7 +27,6 @@ from minmaxlab.games import (
     PolymatrixGame,
     _check_player,
     _check_profile,
-    as_profile,
     deviation_kernel,
     deviation_payoffs,
     deviation_vectors,
@@ -39,7 +38,6 @@ from minmaxlab.rational import fmat
 
 
 def prior_deviation_payoffs(game, profile, player):
-    profile = as_profile(profile)
     _check_profile(game, profile)
     _check_player(game, player)
     if isinstance(game, BimatrixGame):
@@ -64,7 +62,6 @@ def prior_deviation_payoffs(game, profile, player):
 
 
 def prior_epsilon_ne_report(game, profile, epsilon=0.0):
-    profile = as_profile(profile)
     n_players = 2 if isinstance(game, BimatrixGame) else game.n_players
     regrets = []
     witnesses = []
@@ -86,7 +83,7 @@ def prior_epsilon_ne_report(game, profile, epsilon=0.0):
 
 
 def prior_local_ne_refine(game, start, target_regret, max_iters=100_000, damping=0.1):
-    profile = as_profile(start)
+    profile = start
     n_players = len(profile)
     strategies = [profile[p].probs.copy() for p in range(n_players)]
     best_profile = profile

@@ -91,6 +91,25 @@ def test_wsne_value_verdicts(delta):
     ]
 
 
+@pytest.mark.parametrize("clause, measured, bound, message", [
+    ("wsne_clique_value", Fraction(1, 3), Fraction(1, 2), "has value 1/3 < 1/2"),
+    ("wsne_closeness", Fraction(1, 2), Fraction(1, 3),
+     "strays 1/2 > 1/3 from the uniform clique profile"),
+])
+def test_wsne_value_report_names_a_first_clique_offender(clause, measured, bound, message):
+    regime = ParameterRegime(n=3, k=2, delta=Fraction(1, 2), epsilon=Fraction(1, 10**6))
+    clean = cliques.measure_wsne_value(PATH3, regime)
+    probs = next(r.probs for r in clean.records if r.clique_supported)
+    offender = cliques.WsneOffender(clause, probs, measured, bound)
+    report = cliques.WsneValueReport(
+        k=clean.k, records=clean.records, offenders=(offender,), clause_bounds=clean.clause_bounds
+    )
+    assert_enforced(report, f"clique-supported candidate {probs} {message}")
+    expected = {b.name: b for b in clean.bounds}
+    expected[clause] = checks.BoundRecord(clause, float(bound), float(measured), False)
+    assert report.bounds == tuple(expected.values())
+
+
 def test_team_gadget_structure_verdicts():
     inst = gadgets.team_gadget(A2, Fraction(1, 20))
     report = gadgets.measure_gadget_structure(inst, gadgets.canonical_team_ne(inst), 0.05)
