@@ -6,7 +6,8 @@ reaches without a coverage package.  Run from the repository root:
     PYTHONPATH=src:tools python -m pytest -p src_reach -q -p no:cacheprovider
 
 Append test paths or `-k` to trace part of the suite.  The run is slower
-than an untraced one (about 3x for the whole suite).  After the tests it
+than an untraced one: the whole suite took 175 s against 73 s untraced on a
+2-core host.  After the tests it
 prints one line per statement never executed, as `path:line: source`, and
 a count.  A statement counts as executed when a line event fell on its
 header: for a compound statement (def, class, if, for, with, try, ...) the
