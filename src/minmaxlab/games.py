@@ -460,32 +460,23 @@ def regret(game: Game, profile: MixedProfile, player: int) -> float:
 
 
 def max_team_inconsistency(game: Game, samples: int = 100, seed: int = 0) -> float:
-    """Spot-check the team structure on random profiles.
-
-    Returns the largest deviation from "signed utilities agree within a team
-    and the two team values cancel" over `samples` random mixed profiles.
-    Each player's utility is its vector from one deviation_kernel, dotted
-    with its strategy and folded with `oriented`, so the check compares the
-    kernel's per-player outputs with each other.
+    """The largest gap from "signed utilities agree within a team and the two
+    team values cancel" over all mixed profiles, read exactly (`samples` and
+    `seed` are ignored).  A polymatrix game's players share one scalar, and
+    `_validate_partition` makes teammates share an orientation and the teams
+    oppose: 0.0.  In a tensor game each gap, between teammates or the teams'
+    first players, is +-(u_p - u_q), multilinear in the profile: its supremum
+    is the largest entry of |T_p - T_q|, and a tensor shared by p and q has none.
     """
     if game.team_partition is None:
         raise ValueError("game has no team partition")
-    rng = np.random.default_rng(seed)
-    deviations = deviation_kernel(game)
-    worst = 0.0
-    for _ in range(samples):
-        probs = [MixedStrategy(rng.dirichlet(np.ones(c))).probs for c in game.action_counts]
-        signed = [
-            oriented(float(dev.dot(s)), o)
-            for dev, s, o in zip(deviations(probs), probs, game.orientation)
-        ]
-        team_values = []
-        for team in game.team_partition:
-            vals = [signed[p] for p in sorted(team)]
-            worst = max(worst, max(vals) - min(vals))
-            team_values.append(vals[0])
-        worst = max(worst, abs(team_values[0] + team_values[1]))
-    return worst
+    if isinstance(game, PolymatrixGame):
+        return 0.0
+    t0, t1 = (sorted(team) for team in game.team_partition)
+    pairs = [*itertools.combinations(t0, 2), *itertools.combinations(t1, 2), (t0[0], t1[0])]
+    t = game.payoffs
+    gaps = [float(np.abs(t[p] - t[q]).max()) for p, q in pairs if t[p] is not t[q]]
+    return max(gaps, default=0.0)
 
 
 def decompose_symmetric_skew(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -316,16 +316,19 @@ class AntisymmetryReport:
 def antisymmetry_check(
     problem: QuadraticMinMaxProblem, samples: int = 100, seed: int = 0
 ) -> AntisymmetryReport:
-    """Structural antisymmetry plus the largest sampled |f(x, y) + f(y, x)|."""
-    structural = problem.antisymmetric()
-    worst = 0.0
-    if problem.n_x == problem.n_y:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            xv = rng.dirichlet(np.ones(problem.n_x))
-            yv = rng.dirichlet(np.ones(problem.n_y))
-            worst = max(worst, abs(f_value(problem, xv, yv) + f_value(problem, yv, xv)))
-    else:
-        structural = False
-        worst = math.inf
-    return AntisymmetryReport(structural, worst)
+    """Structural antisymmetry plus the largest |f(x, y) + f(y, x)| at the
+    witness points, read exactly; `samples` and `seed` are ignored.
+
+    With D = Qy - Qx and N = M + M^T, f(x, y) + f(y, x) = x^T D x / 2 +
+    y^T D y / 2 + y^T N x.  It vanishes on every strategy pair iff it does at
+    the witnesses, the vertex pairs (e_i, e_j) and the midpoints x = y =
+    (e_i + e_j)/2 (docs/decisions.md, "Antisymmetry witnesses"): 0 is exact.
+    """
+    if problem.n_x != problem.n_y:
+        return AntisymmetryReport(False, math.inf)
+    if problem.antisymmetric():
+        return AntisymmetryReport(True, 0.0)
+    d, n = problem.qy - problem.qx, problem.m + problem.m.T
+    vertex = (d.diagonal()[:, None] + d.diagonal()) / 2 + n  # its diagonal is D + N's
+    midpoint = (vertex.diagonal()[:, None] + vertex.diagonal()) / 4 + (d + n) / 2
+    return AntisymmetryReport(False, float(np.abs(np.stack([vertex, midpoint])).max()))

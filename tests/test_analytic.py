@@ -67,6 +67,21 @@ def test_surd_basics():
     assert Fraction(1, 3) + s - s == QuadSurd(Fraction(1, 3))
 
 
+def test_surd_division_order_hash_and_repr_with_plain_operands():
+    s = SQRT3
+    assert 2 / s == QuadSurd(0, Fraction(2, 3))
+    assert s <= s and s >= s and QuadSurd(2) <= 2 and QuadSurd(2) >= Fraction(2)
+    assert s >= 1 and s <= Fraction(7, 4) and not s <= 1 and not s >= Fraction(7, 4)
+    # a rational surd hashes as the rational, so the two are one set element
+    assert hash(QuadSurd(3)) == hash(3) and len({QuadSurd(3), Fraction(3)}) == 1
+    # a float is not an exact operand: __eq__ leaves it to Python, which says False
+    assert QuadSurd(1).__eq__(1.0) is NotImplemented and not QuadSurd(1) == 1.0
+    assert repr(QuadSurd(Fraction(1, 2))) == "QuadSurd(1/2)"
+    assert repr(QuadSurd(1, -2)) == "QuadSurd(1 + -2*sqrt3)"
+    with pytest.raises(ZeroDivisionError, match="sqrt"):
+        QuadSurd(0)._inverse()
+
+
 # ---------------------------------------------------------------------------
 # 2x2 closed form
 

@@ -12,7 +12,8 @@ C-ordered object array of Fraction: no module defines or imports the
 nested-tuple helpers it replaced, and every builder stores that form.
 There is one two-player game type, the NormalFormGame: `BimatrixGame` is its
 constructor from two matrices, so no module but games.py tests for it or
-reads its views.
+reads its views.  No verdict rests on sampling: no module reads `np.random`
+or imports `random`.
 """
 
 import ast
@@ -114,6 +115,41 @@ def test_only_the_oracle_contracts_with_tensordot():
             found[path.name] = lines
     assert set(found) == {"oracle.py"}, f"np.tensordot called outside oracle.py: {found}"
     assert len(found["oracle.py"]) == 1, "oracle.py contracts in more than one place"
+
+
+def random_reads(source: str) -> list[int]:
+    """Line numbers that import `random` or `numpy.random` (or a name of
+    either), or read the attribute `np.random` or `numpy.random`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "random":
+            names = ["numpy.random"] if getattr(node.value, "id", None) in ("np", "numpy") else []
+        else:
+            continue
+        if any(n.split(".")[0] == "random" or n.startswith("numpy.random") for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_random_guard_sees_imports_and_attribute_reads():
+    assert random_reads("rng = np.random.default_rng(0)\n") == [1]
+    assert random_reads("import random\nx = numpy.random.rand()\n") == [1, 2]
+    assert random_reads("from numpy import random\nfrom numpy.random import default_rng\n") == [1, 2]
+    assert random_reads("from random import choice\nimport numpy.random as npr\n") == [1, 2]
+    assert random_reads("import numpy as np\nx = game.random\nfrom . import games\n") == []
+
+
+def test_no_module_reads_a_random_generator():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = random_reads(path.read_text(encoding="utf-8"))
+        if lines:
+            found[path.name] = lines
+    assert found == {}, f"a module reads np.random or imports random: {found}"
 
 
 RETIRED_FORM = {"FMat", "shape", "to_float_matrix", "_matrix_obj"}

@@ -175,6 +175,9 @@ def test_polymatrix_matches_its_normal_form():
             )
 
 
+LOPSIDED = NormalFormGame((np.ones((2, 2)), np.zeros((2, 2))), (MAXIMIZE, MINIMIZE), ({0}, {1}))
+
+
 def test_team_inconsistency_flags_unequal_teammates():
     a = fmat([[1, 0], [0, 1]])
     game = PolymatrixGame(
@@ -183,15 +186,9 @@ def test_team_inconsistency_flags_unequal_teammates():
         orientation=(MAXIMIZE, MINIMIZE),
         team_partition=({0}, {1}),
     )
-    assert max_team_inconsistency(game, samples=32, seed=3) <= 1e-12
+    assert max_team_inconsistency(game) == 0.0
     # dense payoff tensors that do not cancel across the two teams
-    ones = np.ones((2, 2))
-    lopsided = NormalFormGame(
-        (ones, np.zeros((2, 2))),
-        (MAXIMIZE, MINIMIZE),
-        team_partition=({0}, {1}),
-    )
-    assert max_team_inconsistency(lopsided, samples=32, seed=3) > 0.01
+    assert max_team_inconsistency(LOPSIDED) == 1.0
 
 
 def test_partition_with_aligned_orientations_is_rejected():
@@ -277,25 +274,26 @@ def test_evaluate_utility_matches_the_prior_contraction():
                 assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), (type(game).__name__, player)
 
 
-def test_team_consistency_reads_the_kernel_of_each_teammate(monkeypatch):
-    real = games.deviation_kernel
+def team_gaps(game, vectors, probs):
+    """The largest gap between teammates' signed utilities, and |sum| of the
+    two teams' first players', from one call's deviation vectors."""
+    signed = [oriented(float(v.dot(s)), o) for v, s, o in zip(vectors, probs, game.orientation)]
+    teams = [[signed[p] for p in sorted(team)] for team in game.team_partition]
+    return max(max(t) - min(t) for t in teams), abs(teams[0][0] + teams[1][0])
 
-    def shifted(game):
-        kernel = real(game)
 
-        def shifted_kernel(probs):
-            vecs = list(kernel(probs))
-            vecs[teammate] = vecs[teammate] + 1e-6
-            return vecs
-
-        return shifted_kernel
-
-    for game in kernel_corpus()[2:]:
-        assert max_team_inconsistency(game, samples=8, seed=1) <= 1e-12
+def test_one_kernel_call_gives_teammates_one_utility_and_the_teams_opposite_ones():
+    rng = np.random.default_rng(19)
+    for game in kernel_corpus()[1:]:
+        kernel = games.deviation_kernel(game)
         teammate = max(max(game.team_partition, key=len))
-        monkeypatch.setattr(games, "deviation_kernel", shifted)
-        assert max_team_inconsistency(game, samples=8, seed=1) >= 1e-7
-        monkeypatch.setattr(games, "deviation_kernel", real)
+        for _ in range(8):
+            probs = [MixedStrategy(rng.dirichlet(np.ones(c))).probs for c in game.action_counts]
+            vectors = list(kernel(probs))
+            within_team, across = team_gaps(game, vectors, probs)
+            assert within_team <= 1e-12 and across <= 1e-12
+            vectors[teammate] = vectors[teammate] + 1e-6
+            assert max(team_gaps(game, vectors, probs)) >= 1e-7
 
 
 def test_the_constructor_takes_no_exact_view():
@@ -409,15 +407,16 @@ def test_from_exact_matches_the_prior_constructor(values):
         assert all(type(p) is Fraction for p in new[1])
 
 
-def prior_max_team_inconsistency(game, samples, seed):
-    """max_team_inconsistency as it stood with a kernel built per sample."""
+def prior_max_team_inconsistency(game, samples=100, seed=0):
+    """max_team_inconsistency as it stood when it sampled random profiles."""
     rng = np.random.default_rng(seed)
+    deviations = games.deviation_kernel(game)
     worst = 0.0
     for _ in range(samples):
         probs = [MixedStrategy(rng.dirichlet(np.ones(c))).probs for c in game.action_counts]
         signed = [
             oriented(float(dev.dot(s)), o)
-            for dev, s, o in zip(games.deviation_vectors(game, probs), probs, game.orientation)
+            for dev, s, o in zip(deviations(probs), probs, game.orientation)
         ]
         team_values = []
         for team in game.team_partition:
@@ -428,12 +427,49 @@ def prior_max_team_inconsistency(game, samples, seed):
     return worst
 
 
-def test_team_consistency_matches_a_kernel_per_sample():
-    for game in kernel_corpus()[1:]:
+def criterion_10_gadgets():
+    """The 3v3 team gadgets of criterion 10, drawn as it draws them."""
+    rng = np.random.default_rng(6180339)
+    out = []
+    for trial in range(10):
+        n = int(rng.integers(2, 4))
+        m = [[Fraction(int(rng.integers(-100, 101)), 100) for _ in range(n)] for _ in range(n)]
+        if trial % 2 == 0:
+            for i in range(n):
+                for j in range(i, n):
+                    m[j][i] = m[i][j]
+        out.append(gadgets.team3v3_gadget(fmat(m), 0.05).game)
+    return out
+
+
+def unequal_teammates():
+    """Tensor team games that read more than 0: the irrational game with one
+    teammate's tensor shifted, and the lopsided 2x2 game; with their readings."""
+    tensor = analytic.irrational_game().payoffs[0]
+    shift = fmat([[Fraction(1, 7), 0], [0, Fraction(-3, 10)]]).reshape(2, 2, 1)
+    shifted = NormalFormGame(
+        (tensor, tensor + shift, tensor), (MINIMIZE, MINIMIZE, MAXIMIZE), ({0, 1}, {2})
+    )
+    return [(shifted, 0.3), (LOPSIDED, 1.0)]
+
+
+def test_team_consistency_is_exact_and_no_sampled_reading_exceeds_it():
+    """Every team gadget reads exactly 0.0, a tensor team game the largest
+    entry of |T_p - T_q|, and the sampling loop never reads more."""
+    shared = analytic.irrational_game()
+    own_tensors = NormalFormGame(  # one tensor per player: the reading subtracts
+        tuple(np.array(t) for t in shared.payoffs), shared.orientation, shared.team_partition
+    )
+    cases = [(g, 0.0) for g in (*kernel_corpus()[1:], *criterion_10_gadgets(), own_tensors)]
+    for game, exact in cases + unequal_teammates():
+        assert max_team_inconsistency(game) == exact
         for seed in (0, 5):
-            assert max_team_inconsistency(game, 20, seed) == prior_max_team_inconsistency(
-                game, 20, seed
-            )
+            assert prior_max_team_inconsistency(game, 20, seed) <= exact + 1e-12
+
+
+def test_team_consistency_ignores_samples_and_seed():
+    for game, _ in unequal_teammates():
+        assert max_team_inconsistency(game, 1, 0) == max_team_inconsistency(game, 500, 9)
 
 
 def prior_normal_form_tensor(game):

@@ -12,7 +12,7 @@ from minmaxlab import gadgets, minmax, oracle
 from minmaxlab.errors import DimensionError
 from minmaxlab.games import MAXIMIZE, MixedStrategy
 from minmaxlab.minmax import QuadraticMinMaxProblem
-from minmaxlab.rational import fmat, transpose
+from minmaxlab.rational import fmat, mat_vec, transpose, vec_dot
 from prior_forms import to_float_matrix
 
 
@@ -88,6 +88,126 @@ def test_antisymmetry_check_flags_a_biased_problem():
     )
     rep = minmax.antisymmetry_check(biased, samples=40, seed=0)
     assert not rep.ok
+
+
+def prior_antisymmetry_check(problem, samples=100, seed=0):
+    """antisymmetry_check as it stood when it sampled random strategy pairs."""
+    structural = problem.antisymmetric()
+    worst = 0.0
+    if problem.n_x == problem.n_y:
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            xv = rng.dirichlet(np.ones(problem.n_x))
+            yv = rng.dirichlet(np.ones(problem.n_y))
+            swap_sum = minmax.f_value(problem, xv, yv) + minmax.f_value(problem, yv, xv)
+            worst = max(worst, abs(swap_sum))
+    else:
+        structural = False
+        worst = math.inf
+    return minmax.AntisymmetryReport(structural, worst)
+
+
+def criterion_09_gadgets():
+    """The quadratic gadgets of criterion 09, drawn as it draws them."""
+    rng = np.random.default_rng(6180339)
+    return [
+        gadgets.quadratic_gadget(fmat(
+            [[Fraction(int(rng.integers(-100, 101)), 100) for _ in range(n)] for _ in range(n)]
+        ))
+        for n in (2 + trial % 2 for trial in range(10))
+    ]
+
+
+def test_antisymmetry_is_exact_on_gadgets_and_no_sampled_reading_exceeds_it():
+    rng = np.random.default_rng(37)
+    dynamics_sizes = [  # the benchmark's dynamics dimensions
+        gadgets.quadratic_gadget(fmat(rng.integers(-100, 101, (n, n))) / 100)
+        for n in (2, 3, 8, 16, 32, 64)
+    ]
+    for problem in criterion_09_gadgets() + dynamics_sizes:
+        assert minmax.antisymmetry_check(problem) == minmax.AntisymmetryReport(True, 0.0)
+        for seed in (0, 5):
+            assert prior_antisymmetry_check(problem, 20, seed).max_violation <= 1e-12
+
+
+def exact_swap_sum(problem, x, y):
+    """f(x, y) + f(y, x) in Fractions, from the problem's exact data."""
+    def f(x, y):
+        quad = vec_dot(y, mat_vec(problem.qy, y)) - vec_dot(x, mat_vec(problem.qx, x))
+        return quad / 2 + vec_dot(y, mat_vec(problem.m, x))
+
+    return f(x, y) + f(y, x)
+
+
+def witness_points(n):
+    """The vertex pairs (e_i, e_j) and the midpoints x = y = (e_i + e_j)/2."""
+    e = [tuple(Fraction(int(i == k)) for k in range(n)) for i in range(n)]
+    mids = [tuple((a + b) / 2 for a, b in zip(e[i], e[j])) for i in range(n) for j in range(n)]
+    return [(e[i], e[j]) for i in range(n) for j in range(n)] + [(m, m) for m in mids]
+
+
+def random_rational_point(rng, n):
+    w = [int(v) for v in rng.integers(0, 10, n)]
+    w[0] += 1
+    return tuple(Fraction(v, sum(w)) for v in w)
+
+
+def test_a_problem_can_cancel_everywhere_without_being_structurally_antisymmetric():
+    """Qy = Qx + C and M = S - C/2, with C = c1^T + 1c^T and S skew: f(x, y) +
+    f(y, x) = c^T x + c^T y - (c^T x + c^T y) = 0 on every strategy pair."""
+    rng = np.random.default_rng(41)
+    for trial in range(100):
+        n = 1 + trial % 5
+        a, skew = rng.integers(-9, 10, (2, n, n))
+        c = rng.integers(-9, 10, n)
+        c[0] = c[0] or 1
+        cc = c[:, None] + c[None, :]
+        qx = fmat(a + a.T) / 4
+        m = fmat(skew - skew.T) - fmat(cc) / 2
+        problem = QuadraticMinMaxProblem(qx=qx, qy=qx + fmat(cc), m=m)
+        rep = minmax.antisymmetry_check(problem)
+        assert rep.max_violation == 0.0 and not rep.structural and not rep.ok
+        for _ in range(3):
+            x, y = random_rational_point(rng, n), random_rational_point(rng, n)
+            assert exact_swap_sum(problem, x, y) == 0
+
+
+def generic_problem(seed, n):
+    rng = np.random.default_rng(seed)
+    a, b, m = rng.integers(-9, 10, (3, n, n))
+    return QuadraticMinMaxProblem(qx=fmat(a + a.T) / 3, qy=fmat(b + b.T) / 5, m=fmat(m) / 7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_reading_is_the_largest_swap_sum_at_the_witness_points(n):
+    problem = generic_problem(43 + n, n)
+    rep = minmax.antisymmetry_check(problem)
+    expected = max(abs(exact_swap_sum(problem, x, y)) for x, y in witness_points(n))
+    assert rep.max_violation == float(expected) > 0.0
+    assert not rep.structural and not rep.ok
+
+
+def test_a_problem_that_cancels_at_every_vertex_pair_reads_its_midpoint():
+    # D = Qy - Qx has D_11 + D_22 - 2 D_12 = -2 and N = M + M^T = 0
+    zero = fmat([[0, 0], [0, 0]])
+    problem = QuadraticMinMaxProblem(qx=zero, qy=fmat([[0, 1], [1, 0]]), m=zero)
+    half = (Fraction(1, 2),) * 2
+    assert [exact_swap_sum(problem, x, y) for x, y in witness_points(2)[:4]] == [0] * 4
+    assert exact_swap_sum(problem, half, half) == Fraction(1, 2)
+    assert minmax.antisymmetry_check(problem).max_violation == 0.5
+
+
+def test_antisymmetry_check_ignores_samples_and_seed():
+    problem = generic_problem(47, 3)
+    assert minmax.antisymmetry_check(problem, 1, 0) == minmax.antisymmetry_check(problem, 500, 9)
+
+
+def test_antisymmetry_check_refuses_unequal_dimensions():
+    problem = QuadraticMinMaxProblem(
+        qx=fmat([[1, 0], [0, 1]]), qy=fmat([[0, 0, 0]] * 3), m=fmat([[1, 0], [0, 1], [1, 1]])
+    )
+    rep = minmax.antisymmetry_check(problem)
+    assert rep == minmax.AntisymmetryReport(False, math.inf) and not rep.ok
 
 
 def test_gda_gap_vanishes_at_the_enumerated_equilibrium():

@@ -78,6 +78,8 @@ def test_max_clique_on_the_pinned_graph():
     assert members == (0, 1, 2, 3)
     # four triangles inside the 4-clique plus the (2, 3, 4) ear
     assert len(oracle.cliques_of_size(g, 3)) == 5
+    # no clique has no vertex or more vertices than the graph
+    assert oracle.cliques_of_size(g, 0) == [] and oracle.cliques_of_size(g, g.n + 1) == []
 
 
 def test_max_clique_trivial_cases():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -13,6 +14,7 @@ from minmaxlab.rational import (
     scale_to_integers,
     scaled_to_float,
     solve_linear,
+    solve_stacked,
     to_fraction,
     transpose,
     vec_dot,
@@ -75,6 +77,13 @@ def test_solve_linear_exact_solution():
 
 def test_solve_linear_singular_returns_none():
     assert solve_linear([[1, 2], [2, 4]], [1, 1]) is None
+
+
+def test_solve_linear_of_the_empty_system_and_an_empty_stack():
+    # the empty product is the determinant of the 0 x 0 system
+    assert solve_linear([], []) == ((), 1)
+    num, det = solve_stacked(np.zeros((0, 3, 4), dtype=np.int64))  # a stack of no systems
+    assert num.shape == (0, 3) and det.shape == (0,)
 
 
 def test_solve_linear_refuses_fractions():
