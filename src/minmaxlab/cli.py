@@ -423,6 +423,10 @@ def cmd_solve_enumerate(args, inputs):
         raise FormatError(
             "symmetric enumeration needs both players oriented the same way"
         )
+    # the file's game is (M, M); the enumeration's equilibria are those of
+    # (M, M^T), which is the same game only when M = M^T
+    if matrix.tolist() != matrix.T.tolist():
+        raise FormatError("symmetric enumeration needs a symmetric payoff matrix")
     equilibria = symmetric_support_enumeration(matrix, game.orientation[0])
     data = {
         "equilibria": [

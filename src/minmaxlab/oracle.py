@@ -87,6 +87,15 @@ def symmetric_support_enumeration(
     Solutions must be strictly positive on their support, so each
     equilibrium is reported once, under its true support.
 
+    Each payoff class is enumerated once.  While the last action's row and
+    column are constant off the corner, that action is a border, and the
+    equilibria of the bordered matrix are lifted from those of the matrix
+    inside it (`_lift_border`).  The core left inside is a positive multiple
+    of an integer matrix C plus a constant, and the last census of a C is
+    kept for the next call (`_core_census`).  The result is the equilibrium
+    list that the stacks give for the whole matrix (docs/decisions.md,
+    "Bordering lemma and one census per class").
+
     M need not be symmetric: for a matrix R this enumerates the symmetric
     equilibria of (R, R^T).  When M is symmetric these are also the symmetric
     equilibria of the identical-payoff game (M, M).
@@ -101,14 +110,69 @@ def symmetric_support_enumeration(
         )
     if orientation not in (MAXIMIZE, MINIMIZE):
         raise ValueError(f"bad orientation {orientation!r}")
-    # F = oriented(M) * D in integers; unknowns x on the support, then w = D * oriented(v)
+    # F = oriented(M) * D in integers; a value w of F is oriented(w) / D of M
     cells, d = scale_to_integers(m)
     f = oriented(cells, orientation)
-    if max(map(abs, f.flat), default=0) < 2**63:
+    k = n
+    while k >= 2 and len({*f[k - 1, :k - 1].tolist()}) == len({*f[:k - 1, k - 1].tolist()}) == 1:
+        k -= 1
+    found = _core_census(f[:k, :k])
+    for b in range(k, n):  # border b: c across its row, r down its column, v at the corner
+        found = _lift_border(found, b, f[b, 0], f[0, b], f[b, b])
+    if k < n:
+        _summary_logger.debug("support enumeration: lifted %d constant border(s) onto a "
+                              "%d-action core, %d equilibria", n - k, k, len(found))
+    results = [SymmetricEquilibrium(x, Fraction(oriented(w, orientation), d), support)
+               for x, w, support in found]
+    # the core census is in (value, probs) order; a lift or a negating fold changes it
+    if k < n or oriented(1, orientation) < 0:
+        results.sort(key=lambda eq: (eq.value, eq.probs))
+    return results
+
+
+_Census = list[tuple[FVec, Fraction, tuple[int, ...]]]  # (x, value, support) per equilibrium
+
+# (canonical matrix, its census) of the last core enumerated, rebound whole;
+# each graph's clique games arrive back to back, so one is enough
+_last_census: tuple[list, _Census] | None = None
+
+
+def _core_census(f: np.ndarray) -> _Census:
+    """The equilibria of the square integer matrix f, with values in f's units.
+
+    f = step * C + low * J, where low is f's smallest entry and step the gcd
+    of f - low (1 when f is constant), so C is f's canonical integer form.
+    (x, x) is an equilibrium of f iff it is one of C, with value
+    step * w + low for C's w, and every support system of f is singular iff
+    C's is.  So C's census answers every matrix of its class, and the last
+    one is reused.  Both are in (value, probs) order, as step > 0 keeps it.
+    """
+    global _last_census
+    low = min(f.flat, default=0)
+    shifted = f - low
+    step = math.gcd(*shifted.flat) or 1
+    canonical = shifted // step
+    key = canonical.tolist()
+    last = _last_census
+    if last is not None and last[0] == key:
+        census = last[1]
+        _summary_logger.debug("support enumeration: reused the last census of a "
+                              "%d-action core, %d equilibria", len(f), len(census))
+    else:
+        census = sorted(_stacked_census(canonical), key=lambda eq: (eq[1], eq[0]))
+        _last_census = (key, census)
+    return [(x, w * step + low, support) for x, w, support in census]
+
+
+def _stacked_census(f: np.ndarray) -> _Census:
+    """The equilibria of the square non-negative integer matrix f, maximized,
+    in stacks of padded support systems."""
+    n = len(f)
+    if max(f.flat, default=0) < 2**63:
         f = f.astype(np.int64)
     # supports, singular, stacks, systems wholly in int64, systems with Python-int steps
     tally = np.zeros(5, int) if _summary_logger.isEnabledFor(logging.DEBUG) else None
-    results: list[SymmetricEquilibrium] = []
+    found: _Census = []
     for sizes in _stack_sizes(n):
         supports, member, systems = _padded_stack(f, sizes)
         num, det = solve_stacked(systems)
@@ -133,15 +197,39 @@ def symmetric_support_enumeration(
         # (in int64 this cannot overflow: docs/decisions.md, "Exact integer core")
         ok = np.flatnonzero(((xs @ f.T) <= w[:, None]).all(axis=1)).tolist()
         for i, xv, wv, dv in zip(ok, xs[ok].tolist(), w[ok].tolist(), det[ok].tolist()):
-            x_exact = tuple(Fraction(p, dv) for p in xv)
-            value = Fraction(oriented(wv, orientation), dv * d)
-            results.append(SymmetricEquilibrium(x_exact, value, supports[keep[i]]))
-    if tally is not None:
+            found.append((tuple(Fraction(p, dv) for p in xv), Fraction(wv, dv),
+                          supports[keep[i]]))
+    if tally is not None and tally[2]:
         _summary_logger.debug("support enumeration: %d supports, %d singular, %d stacks, "
                               "%d systems wholly in int64, %d with Python-int steps, "
-                              "%d equilibria", *tally.tolist(), len(results))
-    results.sort(key=lambda eq: (eq.value, eq.probs))
-    return results
+                              "%d equilibria", *tally.tolist(), len(found))
+    return found
+
+
+def _lift_border(found: _Census, b: int, c, r, v) -> _Census:
+    """The equilibria of a b-action matrix bordered by action b, from its own.
+
+    In the folded direction the border pays c against every inner action, r
+    to each of them and v against itself.  Each inner equilibrium y of
+    value u gives (y, 0) when c <= u, and ((1 - t)y, t) with
+    t = (u - c) / ((u - c) + (v - r)) when (u - c)(v - r) > 0; the pure
+    border is one when r <= v.  There are no others (docs/decisions.md,
+    "Bordering lemma and one census per class").
+    """
+    zero = Fraction(0)
+    lifted: _Census = []
+    for y, u, support in found:
+        gain = u - c
+        if gain >= 0:
+            lifted.append((y + (zero,), u, support))
+        if gain * (v - r) > 0:
+            t = gain / (gain + v - r)
+            rest = 1 - t
+            lifted.append((tuple(rest * p if p else p for p in y) + (t,), rest * u + t * r,
+                           support + (b,)))
+    if r <= v:
+        lifted.append(((zero,) * b + (Fraction(1),), Fraction(v), (b,)))
+    return lifted
 
 
 def _stack_sizes(n: int) -> list[range]:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from minmaxlab import oracle
 from minmaxlab.cliques import Graph
 
 FIG1_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
@@ -23,6 +24,13 @@ CRITERIA = {
 }
 
 _results = {}
+
+
+@pytest.fixture(autouse=True)
+def no_kept_census():
+    """Every test starts with no census kept from an earlier one, so none
+    depends on the order the tests run in."""
+    oracle._last_census = None
 
 
 @pytest.fixture

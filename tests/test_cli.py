@@ -297,6 +297,16 @@ def test_solve_enumerate_lists_all_symmetric_equilibria(capsys, tmp_path):
     assert values == ["1", "2", "2/3"]
 
 
+def test_solve_enumerate_refuses_a_shared_tensor_that_is_not_symmetric(capsys, tmp_path):
+    # the file holds (M, M): at (1/2, 1/2) the row player's payoffs Mx tie at
+    # 3/2, but the column player's, M^T x, are 1/2 and 5/2, a regret of 1
+    game = write_game(tmp_path, "lopsided.json", [["0", "3"], ["1", "2"]], ["max", "max"])
+    code, report, err = run_cli(capsys, ["solve", "enumerate", "--game", game])
+    assert code == 2
+    assert "symmetric payoff matrix" in err
+    assert report["exit_code"] == 2 and "symmetric payoff matrix" in report["error"]
+
+
 def _refine_inputs(tmp_path):
     game = write_game(
         tmp_path, "mp.json", [["1", "-1"], ["-1", "1"]], ["min", "max"]

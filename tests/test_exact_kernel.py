@@ -19,6 +19,7 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -920,6 +921,20 @@ def test_stacked_solve_runs_each_step_in_int64_only_as_far_as_the_minor_bound_ho
 # batched enumeration on the bordered games
 
 
+def unliftable(matrix):
+    """The matrix with its last row's first cell set to the corner's value.
+
+    A bordered game's last action then has a row that is not constant, so
+    the enumeration lifts no border and the stacks solve every support of
+    the whole matrix, with the border's denominators in every system that
+    holds it.
+    """
+    cells = np.array(matrix, dtype=object)
+    assert cells[-1, 0] != cells[-1, -1]
+    cells[-1, 0] = cells[-1, -1]
+    return rational.fmat(cells)
+
+
 def test_enumeration_matches_on_bordered_games(monkeypatch):
     dtypes = set()
 
@@ -936,9 +951,10 @@ def test_enumeration_matches_on_bordered_games(monkeypatch):
         regime = ParameterRegime(n=n, k=k, delta=Fraction(1, 2), epsilon=Fraction(1, 10**9))
         games.append(robust_unique_ne_game(g, regime))
         for game in games:
-            new = oracle.symmetric_support_enumeration(game.row_payoff, MAXIMIZE)
+            matrix = unliftable(game.row_payoff)
+            new = oracle.symmetric_support_enumeration(matrix, MAXIMIZE)
             assert new
-            assert_same_equilibria(new, prior_symmetric_support_enumeration(game.row_payoff))
+            assert_same_equilibria(new, prior_symmetric_support_enumeration(matrix))
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}  # both paths ran
 
 
@@ -1031,7 +1047,8 @@ def test_enumeration_at_the_cap_keeps_every_stack_within_the_memory_budget(monke
     monkeypatch.setattr(oracle, "solve_stacked", recording)
     g = gnp_graph(n - 1, 1)
     k, _ = max_clique(g)
-    for matrix in (payoff_from_graph(gnp_graph(n, 1)), unique_ne_game(g, max(k, 2)).row_payoff):
+    bordered = unliftable(unique_ne_game(g, max(k, 2)).row_payoff)
+    for matrix in (payoff_from_graph(gnp_graph(n, 1)), bordered):
         new = oracle.symmetric_support_enumeration(matrix)
         assert new
         assert_same_equilibria(new, per_size_symmetric_support_enumeration(matrix))
@@ -1040,8 +1057,8 @@ def test_enumeration_at_the_cap_keeps_every_stack_within_the_memory_budget(monke
 
 
 def test_enumeration_logs_one_summary_line_at_debug(caplog):
-    for n, matrix, wide in ((6, payoff_from_graph(gnp_graph(6, 3)), False),
-                            (10, unique_ne_game(gnp_graph(9, 2), 3).row_payoff, True)):
+    bordered = unliftable(unique_ne_game(gnp_graph(9, 2), 3).row_payoff)
+    for n, matrix, wide in ((6, payoff_from_graph(gnp_graph(6, 3)), False), (10, bordered, True)):
         caplog.clear()
         with caplog.at_level(logging.DEBUG):
             found = oracle.symmetric_support_enumeration(matrix)
@@ -1071,6 +1088,135 @@ def test_enumeration_logs_each_singular_support_in_order(caplog):
         prior_symmetric_support_enumeration(matrix)
     old = [r.getMessage() for r in caplog.records if r.name == __name__]
     assert new and new == old
+
+
+# ---------------------------------------------------------------------------
+# one census per payoff class: lifted borders and the kept census
+
+
+def census_spy():
+    """Wraps the stacked census, so its call count is the number of censuses run."""
+    return mock.patch.object(oracle, "_stacked_census", wraps=oracle._stacked_census)
+
+
+def summary(records) -> list[logging.LogRecord]:
+    return [r for r in records if r.name == "minmaxlab.oracle.enum"]
+
+
+def test_the_clique_games_of_a_graph_match_the_prior_from_one_census():
+    for g in GRAPHS + [gnp_graph(8, 1)]:
+        k, _ = max_clique(g)
+        regime = ParameterRegime(n=g.n, k=k, delta=Fraction(1, 2), epsilon=Fraction(1, 10**9))
+        matrices = [payoff_from_graph(g)]
+        matrices += [unique_ne_game(g, kk).row_payoff for kk in (k, k + 1) if 2 <= kk <= g.n]
+        matrices += [robust_unique_ne_game(g, regime).row_payoff,
+                     payoff_from_graph_delta(g, Fraction(1, 2))]
+        with census_spy() as spy:
+            for matrix in matrices:
+                new = oracle.symmetric_support_enumeration(matrix)
+                assert new
+                assert_same_equilibria(new, prior_symmetric_support_enumeration(matrix))
+        assert spy.call_count == 1
+
+
+@st.composite
+def bordered_matrices(draw):
+    """Rational matrices of 2-7 actions whose last one or two actions are
+    constant borders, and an orientation.  The entries take few values, and
+    a border's r is often its corner v or its c the first core entry, so
+    ties (degenerate borders) are common."""
+    n = draw(st.integers(2, 7))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    m = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)),
+                 dtype=object)
+    for b in range(n - draw(st.integers(1, min(2, n - 1))), n):
+        m[b, :b] = draw(st.sampled_from([m[0, 0]]) | entry)
+        m[:b, b] = draw(st.sampled_from([m[b, b]]) | entry)
+    return rational.fmat(m), draw(ORIENTATIONS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bordered_matrices())
+def test_lifted_borders_match_the_prior(case):
+    matrix, orientation = case
+    oracle._last_census = None
+    old = prior_symmetric_support_enumeration(matrix, orientation)
+    with census_spy() as spy:
+        for _ in range(2):  # the second call lifts the kept census
+            assert_same_equilibria(oracle.symmetric_support_enumeration(matrix, orientation), old)
+    assert spy.call_count == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(RATIONALS, min_size=n, max_size=n),
+                                                    min_size=n, max_size=n)),
+       ORIENTATIONS, st.builds(Fraction, st.integers(1, 9), st.integers(1, 5)), RATIONALS)
+def test_an_affine_image_and_the_negated_game_reuse_the_census(rows, orientation, alpha, beta):
+    """alpha M + beta J, and -M in the other orientation, right after M."""
+    oracle._last_census = None
+    other = MINIMIZE if orientation == MAXIMIZE else MAXIMIZE
+    cases = [(rows, orientation), ([[alpha * a + beta for a in row] for row in rows], orientation),
+             ([[-a for a in row] for row in rows], other)]
+    with census_spy() as spy:
+        for cells, o in cases:
+            matrix = rational.fmat(cells)
+            assert_same_equilibria(oracle.symmetric_support_enumeration(matrix, o),
+                                   prior_symmetric_support_enumeration(matrix, o))
+    assert spy.call_count == 1
+
+
+def test_interleaved_classes_each_get_their_own_census():
+    a = payoff_from_graph(gnp_graph(7, 1))
+    b = unique_ne_game(gnp_graph(6, 2), 2).row_payoff
+    with census_spy() as spy:
+        for matrix in (a, b, a):
+            assert_same_equilibria(oracle.symmetric_support_enumeration(matrix),
+                                   prior_symmetric_support_enumeration(matrix))
+    assert spy.call_count == 3
+
+
+def test_a_caller_changing_the_returned_list_changes_no_later_result():
+    g = gnp_graph(6, 3)
+    for matrix in (payoff_from_graph(g), unique_ne_game(g, 3).row_payoff):
+        first = oracle.symmetric_support_enumeration(matrix)
+        expected = [(e.probs, e.value, e.support) for e in first]
+        first.reverse()
+        first[0] = None
+        first.append(first[-1])
+        again = oracle.symmetric_support_enumeration(matrix)
+        assert [(e.probs, e.value, e.support) for e in again] == expected
+
+
+def test_a_lift_and_a_kept_census_each_log_one_line(caplog):
+    g = gnp_graph(7, 1)
+    k, _ = max_clique(g)
+    with caplog.at_level(logging.DEBUG):
+        census = oracle.symmetric_support_enumeration(payoff_from_graph(g))
+        (line,) = summary(caplog.records)
+        assert line.args[0] == 2**7 - 1  # A(G) has no border: every support was tried
+        caplog.clear()
+        found = oracle.symmetric_support_enumeration(unique_ne_game(g, k).row_payoff)
+    kept, lift = summary(caplog.records)
+    assert kept.getMessage() == (
+        f"support enumeration: reused the last census of a 7-action core, {len(census)} equilibria")
+    assert lift.getMessage() == (
+        f"support enumeration: lifted 1 constant border(s) onto a 7-action core, "
+        f"{len(found)} equilibria")
+    assert caplog.records == [kept, lift]  # no census ran, so no support line either
+
+
+def test_only_a_census_that_solved_stacks_logs_a_summary(caplog):
+    g = gnp_graph(7, 1)
+    k, _ = max_clique(g)
+    with caplog.at_level(logging.DEBUG):
+        oracle.symmetric_support_enumeration(rational.fmat([]))
+        assert not caplog.records
+        found = oracle.symmetric_support_enumeration(unique_ne_game(g, k).row_payoff)
+    line, lift = summary(caplog.records)
+    tried, skipped, stacks, narrow, python_int, equilibria = line.args
+    assert tried == 2**7 - 1 and stacks == len(oracle._stack_sizes(7))  # the core's supports
+    assert lift.args == (1, 7, len(found))
+    assert caplog.records[-2:] == [line, lift]
 
 
 # ---------------------------------------------------------------------------
