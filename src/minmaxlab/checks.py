@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import numpy as np
 from .errors import BoundViolationError, PreconditionError
 from .games import (
     MAXIMIZE,
+    MINIMIZE,
     Game,
     MixedProfile,
     MixedStrategy,
@@ -53,6 +55,12 @@ def enforce(report):
     if report.violation is not None:
         raise BoundViolationError(report.violation)
     return report
+
+
+def require_finite_nonnegative(name: str, value: float) -> None:
+    """Refuse a parameter that is negative, infinite or NaN, naming it."""
+    if not (math.isfinite(value) and value >= 0):
+        raise PreconditionError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +149,11 @@ def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
     matrix, folded into the player's direction with `oriented`, is scaled to
     integers; the value is the best payoff minus the worst supported one.
     The caller checks what require_wsne_game checks; this only computes.
-    Raises ValueError when x is not a probability vector.
+    Raises ValueError when x is not a probability vector or the orientation
+    is neither MAXIMIZE nor MINIMIZE.
     """
+    if orientation not in (MAXIMIZE, MINIMIZE):
+        raise ValueError(f"bad orientation {orientation!r}")
     m = fmat(matrix)
     n, n2 = m.shape
     if n != n2:

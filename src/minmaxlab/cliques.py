@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BoundViolationError, DimensionError, PreconditionError
-from .checks import BoundRecord, _wsne_slack, enforce, within
+from .checks import BoundRecord, _wsne_slack, enforce, require_finite_nonnegative, within
 from .games import MAXIMIZE, BimatrixGame, MixedStrategy, NormalFormGame
 from .minmax import QuadraticMinMaxProblem
 from .oracle import (
@@ -697,8 +697,9 @@ def classify_symmetric_profile(
     equilibrium.  Under the strict regime that situation raises instead;
     at desk scale it is merely recorded, and with eps = 0 exact equilibria
     away from all three shapes (which many graphs do have) come out as
-    Other.
+    Other.  A negative or non-finite eps is refused.
     """
+    require_finite_nonnegative("eps", eps)
     graph = graph_from_bordered_game(game)
     probs = x_hat.probs
     if probs.size != graph.n + 1:

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import BoundRecord, Certificate, bound_record, certify, enforce, symmetric_regret
+from .checks import (BoundRecord, Certificate, bound_record, certify, enforce,
+                     require_finite_nonnegative, symmetric_regret)
 from .errors import DimensionError, PreconditionError
 from .games import (
     MAXIMIZE,
@@ -311,8 +312,7 @@ def symmetric_backmap(matrix, x_star: MixedStrategy, gap: float) -> float:
     sqrt(2) * eps * (2n + 1).
     """
     r = _square_exact(matrix)
-    if gap < 0:
-        raise PreconditionError("gap must be nonnegative")
+    require_finite_nonnegative("gap", gap)
     n = len(r)
     if len(x_star) != n:
         raise DimensionError("strategy length does not match R")
@@ -321,8 +321,8 @@ def symmetric_backmap(matrix, x_star: MixedStrategy, gap: float) -> float:
 
 def coupling_width(eps: float, n: int) -> float:
     """Default band width for the coupled domain: delta = eps^(1/4) n^(-1/4)."""
-    if eps <= 0 or n < 1:
-        raise PreconditionError("need eps > 0 and n >= 1")
+    if not (math.isfinite(eps) and eps > 0) or n < 1:
+        raise PreconditionError(f"need a finite eps > 0 and n >= 1, got eps = {eps}, n = {n}")
     return float(eps) ** 0.25 * float(n) ** -0.25
 
 def coupled_gadget(matrix, delta: float) -> QuadraticMinMaxProblem:
@@ -343,8 +343,9 @@ def median_backmap(
     n = len(r)
     if len(x_star) != n or len(y_star) != n:
         raise DimensionError("strategy length does not match R")
-    if gap < 0 or delta <= 0:
-        raise PreconditionError("need gap >= 0 and delta > 0")
+    require_finite_nonnegative("gap", gap)
+    if delta <= 0:
+        raise PreconditionError("need delta > 0")
     domain = JointDomain(n, float(delta))
     if not domain.contains(x_star.probs, y_star.probs):
         raise PreconditionError("pair is not feasible for the coupled domain")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .checks import Certificate, epsilon_ne_report
+from .checks import Certificate, epsilon_ne_report, require_finite_nonnegative
 from .errors import CapExceededError, DimensionError, PreconditionError
 from .games import (
     MAXIMIZE,
@@ -170,7 +170,7 @@ def _stacked_census(f: np.ndarray) -> _Census:
     n = len(f)
     if max(f.flat, default=0) < 2**63:
         f = f.astype(np.int64)
-    # supports, singular, stacks, systems wholly in int64, systems with Python-int steps
+    # supports, singular, stacks, systems wholly in int64, systems on Python ints
     tally = np.zeros(5, int) if _summary_logger.isEnabledFor(logging.DEBUG) else None
     found: _Census = []
     for sizes in _stack_sizes(n):
@@ -549,8 +549,7 @@ def local_ne_refine(
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    if not (math.isfinite(target_regret) and target_regret >= 0.0):
-        raise ValueError(f"target_regret must be finite and non-negative, got {target_regret}")
+    require_finite_nonnegative("target_regret", target_regret)
     # the raw iterates and their renormalised views, the vectors a
     # MixedStrategy would hold (its clamp never fires on a convex
     # combination), as one segment per player of two flat buffers

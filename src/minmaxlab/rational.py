@@ -137,34 +137,6 @@ def solve_linear(a: Sequence[Sequence[int]], b: Sequence[int]):
     return tuple(num[0].tolist()), int(det[0])
 
 
-def _carrier(systems: np.ndarray) -> tuple[int, bool]:
-    """How many leading Bareiss steps int64 provably holds, and whether back
-    substitution fits too; see docs/decisions.md, "Exact integer core".
-
-    Every entry is bounded with each position's largest magnitude in the
-    stack, so row i's squared norm is at most R_i = max(1, sum of its squared
-    peaks).  Before step k every entry is a minor of order k + 1 of some
-    system's augmented matrix [A | b], so by Hadamard's inequality at most
-    M_{k+1}, the product of the k + 1 largest row norms; step k runs in int64
-    while 2 M_{k+1}^2 < 2^63.  Back substitution sums n + 1 products of two
-    minors of order up to n, so it needs (n + 1) H^2 < 2^63, H = M_n.  The
-    test runs on exact integers: squared norms, with no square root.
-    """
-    n = systems.shape[1]
-    if systems.size == 0:
-        return n, True
-    hi, lo = systems.max(axis=0).tolist(), systems.min(axis=0).tolist()
-    norms = sorted((max(1, sum(max(x, -y) ** 2 for x, y in zip(h, m))) for h, m in zip(hi, lo)),
-                   reverse=True)
-    steps, m2 = 0, 1
-    for r in norms:
-        m2 *= r
-        if 2 * m2 >= 2**63:
-            break
-        steps += 1
-    return steps, (n + 1) * m2 < 2**63 and steps == n
-
-
 def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bareiss elimination of a stack of augmented integer systems [A | b].
 
@@ -173,19 +145,24 @@ def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is its first nonzero entry from row k down, and a column without one
     makes the system singular.  Returns (num, det), of shapes (batch, n) and
     (batch,): for a nonsingular system det = |det A| > 0 and A num = b det;
-    a singular one has det = 0 and num = 0.  Each elimination step runs in
-    int64 while `_carrier` proves that it fits, and the stack moves to Python
-    ints at the first step it does not; the arrays are int64 only when every
-    step and the back substitution ran in int64 (`_carrier`).
+    a singular one has det = 0 and num = 0.
+
+    The stack runs every step in int64 when (n + 1) H^2 < 2^63, and on
+    Python ints otherwise.  H^2 is the product of the rows' squared norms,
+    each taken with every position's largest magnitude in the stack and at
+    least 1, so by Hadamard's inequality H bounds every minor of [A | b];
+    see docs/decisions.md, "One carrier per stack".  The test runs on exact
+    integers, with no square root.
     """
-    steps, back = _carrier(systems)
-    a = systems.astype(np.int64 if steps else object)
+    h2 = 1
+    if systems.size:
+        hi, lo = systems.max(axis=0).tolist(), systems.min(axis=0).tolist()
+        h2 = math.prod(max(1, sum(max(x, -y) ** 2 for x, y in zip(h, m))) for h, m in zip(hi, lo))
+    a = systems.astype(np.int64 if (systems.shape[1] + 1) * h2 < 2**63 else object)
     batch, n = a.shape[:2]
     live = np.arange(batch)  # the systems still being eliminated
     prev = np.ones(batch, a.dtype)
     for k in range(n):
-        if k == steps and a.dtype != object:
-            a, prev = a.astype(object), prev.astype(object)
         nonzero = a[:, k:, k] != 0
         found = nonzero.any(axis=1)
         if not found.all():
@@ -201,8 +178,6 @@ def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         below -= a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
         below //= prev[:, None, None]
         prev = p
-    if not back and a.dtype != object:
-        a, prev = a.astype(object), prev.astype(object)
     num = np.zeros((len(a), n), a.dtype)  # det x, back-substituted; prev is det A up to sign
     for i in range(n - 1, -1, -1):
         rest = (a[:, i, i + 1:n] * num[:, i + 1:]).sum(axis=1)

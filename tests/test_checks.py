@@ -91,6 +91,17 @@ def test_wsne_report_refuses_a_raw_vector_off_the_simplex(x):
     assert str(exc.value) == str(same.value)
 
 
+@pytest.mark.parametrize("orientation", ["max", "sideways"])
+def test_wsne_eps_exact_refuses_an_orientation_other_than_the_two_constants(orientation):
+    # "max" is a wire alias that fileio maps to MAXIMIZE; read as a minimizer it gave 1
+    assert checks.wsne_eps_exact([[1, 0], [0, 0]], [1, 0], MAXIMIZE) == 0
+    with pytest.raises(ValueError) as exc:
+        checks.wsne_eps_exact([[1, 0], [0, 0]], [1, 0], orientation)
+    with pytest.raises(ValueError) as same:
+        oracle.symmetric_support_enumeration([[1, 0], [0, 0]], orientation)
+    assert str(exc.value) == str(same.value) == f"bad orientation {orientation!r}"
+
+
 def test_wsne_eps_exact_agrees_with_float_report():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     a = payoff_from_graph_delta(g, Fraction(1, 2))

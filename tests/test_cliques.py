@@ -1,6 +1,7 @@
 """Clique-counting games: payoff builders, audits, and the three-form census."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -168,6 +169,15 @@ def test_strict_regime_raises_on_unclassifiable_profiles(petersen):
     with pytest.raises(BoundViolationError):
         cliques.classify_symmetric_profile(
             game, k, regime, stray, 1e-9, well_supported=True
+        )
+
+
+@pytest.mark.parametrize("value", [-0.1, -math.inf, math.inf, math.nan])
+def test_classification_refuses_a_negative_or_non_finite_eps(fig1, value):
+    game = cliques.unique_ne_game(fig1, 4)
+    with pytest.raises(PreconditionError, match="eps"):
+        cliques.classify_symmetric_profile(
+            game, 4, regime_for(fig1, 4), MixedStrategy.pure(6, 5), value
         )
 
 

@@ -873,9 +873,20 @@ def test_stacked_solve_picks_int64_only_under_the_hadamard_bound():
     assert solve_stacked(small)[1].dtype == np.int64
     assert solve_stacked(large)[1].dtype == object
     assert solve_stacked(np.concatenate([small, large]))[1].dtype == object
+    # at n = 1 the bound is 2 H^2 < 2^63: a peak of 2^31 - 1 is int64, and 2^31,
+    # where 2 H^2 is 2^63 exactly, is not
+    for peak, dtype in ((2**31 - 1, np.int64), (2**31, object)):
+        edge = [[[peak, 0]], [[-1, 0]], [[3, 0]]]
+        assert_stack_matches_the_prior(edge, np.int64)
+        assert solve_stacked(np.array(edge))[1].dtype == dtype
+    # at n = 2 the factor is 3, so the same peak is past the bound; a zero row
+    # counts as norm 1, so it hides no other row's peak
+    for edge in ([[[2**31 - 1, 0, 0], [0, 1, 0]]], [[[2**40, 1, 1], [0, 0, 0]]]):
+        assert_stack_matches_the_prior(edge, np.int64)
+        assert solve_stacked(np.array(edge))[1].dtype == object
     # a single entry of -2^63 has magnitude 2^63: not int64
     edge = np.array([[[-2**63, 1]], [[1, 1]]], dtype=np.int64)
-    assert not rational._carrier(edge)[1]
+    assert solve_stacked(edge)[1].dtype == object
     assert solve_stacked(edge)[0].tolist() == [[-1], [1]]
 
 
@@ -889,12 +900,13 @@ def test_stacked_solve_swaps_to_the_first_nonzero_pivot():
 
 
 def stack_with_int64_steps(n, j, rng):
-    """Four n x (n + 1) systems whose entries admit exactly j int64 Bareiss steps.
+    """Four n x (n + 1) systems whose Bareiss step j would wrap in int64.
 
     A diagonal c with off-diagonal entries and right-hand sides in -3..3:
     the pivot and the diagonal entries before step k are about c^(k + 1),
-    so step j multiplies two numbers near c^(2j + 2) >= 2^63.5 and wraps in
-    int64, while 2 M_j^2, about 2 c^(2j), stays below 2^63.
+    so step j multiplies two numbers near c^(2j + 2) >= 2^63.5, while
+    2 M_j^2, about 2 c^(2j), stays below 2^63 (M_j the product of j row
+    norms).  At j = n there is no step j, and (n + 1) H^2 < 2^63.
     """
     c = math.ceil(2 ** (63.5 / (2 * (j + 1))))
     systems = rng.integers(-1, 2, (4, n, n + 1))
@@ -903,18 +915,15 @@ def stack_with_int64_steps(n, j, rng):
     return systems.tolist()
 
 
-def test_stacked_solve_runs_each_step_in_int64_only_as_far_as_the_minor_bound_holds():
+def test_a_stack_runs_wholly_in_int64_only_when_no_step_would_wrap():
     rng = np.random.default_rng(25)
     for n in range(1, 7):
         for j in range(n + 1):
             systems = stack_with_int64_steps(n, j, rng)
-            steps, back = rational._carrier(np.array(systems, dtype=object))
-            assert steps == j
-            assert back == (j == n)
             for dtype in (np.int64, object):
                 assert_stack_matches_the_prior(systems, dtype)
-            assert solve_stacked(np.array(systems, dtype=object))[1].dtype == (
-                np.int64 if back else object)
+                assert solve_stacked(np.array(systems, dtype=dtype))[1].dtype == (
+                    np.int64 if j == n else object)
 
 
 # ---------------------------------------------------------------------------

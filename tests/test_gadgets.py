@@ -1,6 +1,7 @@
 """Reduction gadgets: team game, quadratic saddle, coupled domain, 3v3."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,25 @@ def test_median_backmap_worked_example_bound():
     median, bound = gadgets.median_backmap(r, s, s, 1e-4, delta)
     assert np.allclose(median.probs, s.probs)
     assert bound == pytest.approx(23.04706, abs=1e-4)
+
+
+@pytest.mark.parametrize("value", [-0.1, -math.inf, math.inf, math.nan])
+def test_symmetric_backmap_refuses_a_negative_or_non_finite_gap(value):
+    with pytest.raises(PreconditionError, match="gap"):
+        gadgets.symmetric_backmap(fmat([[0, -1], [1, 0]]), MixedStrategy.uniform(2), value)
+
+
+@pytest.mark.parametrize("value", [-0.1, -math.inf, math.inf, math.nan])
+def test_median_backmap_refuses_a_negative_or_non_finite_gap(value):
+    s = MixedStrategy.uniform(2)
+    with pytest.raises(PreconditionError, match="gap"):
+        gadgets.median_backmap(fmat([[0, -1], [1, 0]]), s, s, value, 0.05)
+
+
+@pytest.mark.parametrize("value", [-0.1, -math.inf, math.inf, math.nan])
+def test_coupling_width_refuses_a_negative_or_non_finite_eps(value):
+    with pytest.raises(PreconditionError, match="eps"):
+        gadgets.coupling_width(value, 2)
 
 
 def test_median_backmap_rejects_points_outside_the_coupled_domain():
