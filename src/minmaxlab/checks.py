@@ -104,11 +104,6 @@ def certify(game: Game, profile: MixedProfile, epsilon: float) -> Certificate:
     return cert
 
 
-def symmetric_regret(game: Game, strategy: MixedStrategy) -> float:
-    """The largest regret of the profile (s, s) in a two-player `game`."""
-    return max(epsilon_ne_report(game, MixedProfile((strategy, strategy))).regrets)
-
-
 def require_wsne_game(game) -> None:
     """Raise unless one strategy x describes the profile (x, x) of `game`.
 
@@ -200,8 +195,8 @@ def ne_to_wsne(game: Game, profile: MixedProfile, epsilon: float) -> MixedProfil
     """
     if game.n_players != 2:
         raise PreconditionError(f"ne_to_wsne needs a two-player game, got {game.n_players}")
-    if epsilon <= 0:
-        raise PreconditionError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise PreconditionError(f"epsilon must be finite and positive, got {epsilon}")
     certify(game, profile, epsilon**2 / 8.0)
     old = profile_probs(game, profile)
     strategies = []
@@ -244,8 +239,7 @@ def mass_bound_audit(game: Game, profile: MixedProfile, epsilon: float) -> list[
     violating (player, action) pairs with measured masses, empty when every
     mass is `within` its bound.
     """
-    if epsilon < 0:
-        raise PreconditionError("epsilon must be non-negative")
+    require_finite_nonnegative("epsilon", epsilon)
     eps_sq = float(epsilon) ** 2
     certify(game, profile, eps_sq)
     violations = []

@@ -34,7 +34,6 @@ from .checks import (
     epsilon_ne_report,
     mass_bound_audit,
     require_wsne_game,
-    symmetric_regret,
     within,
     wsne_eps_exact,
     wsne_report,
@@ -61,6 +60,7 @@ from .gadgets import (
     median_backmap,
     quadratic_gadget,
     symmetric_backmap,
+    symmetric_regret,
     team3v3_gadget,
     team_backmap,
     team_gadget,
@@ -77,7 +77,6 @@ from .minmax import QuadraticMinMaxProblem, check_fone, gda_gap
 from .oracle import (
     REFINE_DAMPING,
     REFINE_MAX_ITERS,
-    exact_max_regret,
     grid_ne_search,
     local_ne_refine,
     max_clique,
@@ -293,26 +292,16 @@ def cmd_check_gap(args, inputs):
 def cmd_backmap_team(args, inputs):
     instance = team_gadget(_tensor_matrix(args.game), args.eps)
     strategy, bound = team_backmap(instance, args.profile, float(args.eps) ** 2)
-    target = BimatrixGame(instance.a, instance.a, (MINIMIZE, MINIMIZE))
-    bounds = [bound_record("team_backmap", bound, symmetric_regret(target, strategy))]
+    measured = symmetric_regret(instance.a, strategy, MINIMIZE)
+    bounds = [bound_record("team_backmap", bound, measured)]
     return bounds, {"strategy": fileio.strategy_obj(strategy)}, MixedProfile((strategy,))
-
-
-def _max_vi_residual(matrix, strategy: MixedStrategy) -> float:
-    """Largest gain of a deviation from x* when maximizing <x, M x*>: the
-    regret of (x*, x*) in (M, M^T), exactly when x* is exact."""
-    target = BimatrixGame(matrix, np.transpose(matrix), (MAXIMIZE, MAXIMIZE))
-    if strategy.exact is not None:
-        return float(exact_max_regret(target, [strategy.exact] * 2))
-    return epsilon_ne_report(target, MixedProfile((strategy, strategy))).regrets[0]
 
 
 def cmd_backmap_symmetric(args, inputs):
     matrix = _tensor_matrix(args.game)
     x_star = _single_strategy(args.profile)
     bound = symmetric_backmap(matrix, x_star, args.gap)
-    measured = _max_vi_residual(matrix, x_star)
-    bounds = [bound_record("symmetric_vi", bound, measured)]
+    bounds = [bound_record("symmetric_vi", bound, symmetric_regret(matrix, x_star))]
     return bounds, {"strategy": fileio.strategy_obj(x_star)}, MixedProfile((x_star,))
 
 
@@ -320,8 +309,7 @@ def cmd_backmap_median(args, inputs):
     matrix = _tensor_matrix(args.game)
     x_star, y_star = _pair(args.profile)
     median, bound = median_backmap(matrix, x_star, y_star, args.gap, args.delta)
-    target = BimatrixGame(matrix, matrix.T, (MAXIMIZE, MAXIMIZE))
-    bounds = [bound_record("median_regret", bound, symmetric_regret(target, median))]
+    bounds = [bound_record("median_regret", bound, symmetric_regret(matrix, median))]
     return bounds, {"strategy": fileio.strategy_obj(median)}, MixedProfile((median,))
 
 

@@ -122,8 +122,9 @@ class ParameterRegime:
     The bounds from the source analysis hold under the strict regime
     n >= k >= 10, delta = 1/2, eps < delta (1 - delta) / (6 n^7); desk-scale
     experiments run far below it, so `strict` is an explicit flag: when set,
-    the conditions are enforced at construction, and audits treat the
-    closeness bounds as hard assertions rather than recorded measurements.
+    the conditions are enforced at construction, and only
+    `classify_symmetric_profile` reads it, raising where it would record
+    Other.  The WSNE audit reads n, k and delta only.
     """
 
     n: int
@@ -495,6 +496,7 @@ def measure_wsne_value(
     lists each violation as an offender, in candidate order and, within a
     candidate, in clause order; its `bounds` record each clause with its
     bound and measured value, or its first offender's.  See `wsne_value_audit`.
+    It reads the regime's n, k and delta, never its epsilon or `strict`.
     """
     if regime.n != graph.n:
         raise DimensionError("regime n does not match the graph")

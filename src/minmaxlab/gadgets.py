@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .checks import (BoundRecord, Certificate, bound_record, certify, enforce,
-                     require_finite_nonnegative, symmetric_regret)
+                     epsilon_ne_report, require_finite_nonnegative)
 from .errors import DimensionError, PreconditionError
 from .games import (
     MAXIMIZE,
@@ -30,7 +30,7 @@ from .games import (
 )
 from .geometry import JointDomain
 from .minmax import QuadraticMinMaxProblem
-from .oracle import symmetric_support_enumeration
+from .oracle import exact_max_regret, symmetric_support_enumeration
 from .rational import exact_array, fmat, scale_to_integers, to_fraction
 
 EPS_CAP = Fraction(1, 10)
@@ -168,6 +168,16 @@ def canonical_team_ne(instance: TeamGadgetInstance) -> MixedProfile:
 def _backmap_scale(instance: TeamGadgetInstance | Team3v3Instance) -> float:
     """(21 n + 1) |A_min|: times eps, the regret bound both team back-maps carry."""
     return (21 * instance.n + 1) * float(instance.penalty_scale)
+
+
+def symmetric_regret(matrix, strategy: MixedStrategy, orientation: str = MAXIMIZE) -> float:
+    """Every back-map's measured value: the regret of (s, s) in (M, M^T), both
+    players in `orientation`, exact and rounded once when s is exact.  Both
+    players' regrets are equal; in floats it is the first player's reading."""
+    game = BimatrixGame(matrix, np.transpose(matrix), (orientation, orientation))
+    if strategy.exact is not None:
+        return float(exact_max_regret(game, [strategy.exact] * 2))
+    return epsilon_ne_report(game, MixedProfile((strategy, strategy))).regrets[0]
 
 
 def team_backmap(
@@ -344,8 +354,8 @@ def median_backmap(
     if len(x_star) != n or len(y_star) != n:
         raise DimensionError("strategy length does not match R")
     require_finite_nonnegative("gap", gap)
-    if delta <= 0:
-        raise PreconditionError("need delta > 0")
+    if not (math.isfinite(delta) and delta > 0):
+        raise PreconditionError(f"delta must be finite and positive, got {delta}")
     domain = JointDomain(n, float(delta))
     if not domain.contains(x_star.probs, y_star.probs):
         raise PreconditionError("pair is not feasible for the coupled domain")
@@ -477,10 +487,9 @@ def measure_team3v3(
                 f"profile is not symmetric across teams (player {p}: {mismatch})"
             )
     report = _measure_structure(instance, profile, eps, ((0, 1), (3, 4)), (2, 5))
-    target = BimatrixGame(instance.r, instance.r.T, (MAXIMIZE, MAXIMIZE))
     return Team3v3Report(
         **vars(report),
         strategy=profile[0],
         backmap_scale=_backmap_scale(instance),
-        backmap_regret=symmetric_regret(target, profile[0]),
+        backmap_regret=symmetric_regret(instance.r, profile[0]),
     )

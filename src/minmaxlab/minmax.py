@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import within
+from .checks import require_finite_nonnegative, within
 from .errors import DimensionError, PreconditionError, UnsupportedDomainError
 from .games import MAXIMIZE, MINIMIZE, MixedStrategy, best_deviation
 from .geometry import JointDomain, _project_simplex_rows, project_joint
@@ -208,8 +208,8 @@ def gda_map(
     On a plain simplex product each block projects independently; on a
     coupled domain the stacked update is projected jointly (safe variant).
     """
-    if stepsize <= 0:
-        raise PreconditionError("stepsize must be positive")
+    if not (math.isfinite(stepsize) and stepsize > 0):
+        raise PreconditionError(f"stepsize must be finite and positive, got {stepsize}")
     xv, yv = _point(problem, x, y)
     if problem.domain is None:
         xs, ys = _simplex_gda_rows(problem, xv[None], yv[None], stepsize)
@@ -234,8 +234,8 @@ class GapReport:
 
 def gap_to_vi_bound(gap: float, smoothness: float) -> float:
     """First-order suboptimality implied by a unit-stepsize gap: gap * (L + 1)."""
-    if gap < 0 or smoothness < 0:
-        raise PreconditionError("gap and smoothness must be nonnegative")
+    require_finite_nonnegative("gap", gap)
+    require_finite_nonnegative("smoothness", smoothness)
     return gap * (smoothness + 1.0)
 
 
@@ -244,8 +244,8 @@ def safe_gap_to_vi_bound(gap: float, smoothness: float, lipschitz: float) -> flo
 
     K = (L + 1) * sqrt(G + 4 sqrt(2)); loose but valid at any scale.
     """
-    if gap < 0 or smoothness < 0 or lipschitz < 0:
-        raise PreconditionError("gap, smoothness, and lipschitz must be nonnegative")
+    for name, value in (("gap", gap), ("smoothness", smoothness), ("lipschitz", lipschitz)):
+        require_finite_nonnegative(name, value)
     k = (smoothness + 1.0) * math.sqrt(lipschitz + 4.0 * math.sqrt(2.0))
     return math.sqrt(gap) * k
 
@@ -258,8 +258,8 @@ def gda_gap(
     The VI translation is only certified at stepsize 1 (the lemmas are
     stated there); other stepsizes report the raw gap with no bound.
     """
-    if stepsize <= 0:
-        raise PreconditionError("stepsize must be positive")
+    if not (math.isfinite(stepsize) and stepsize > 0):
+        raise PreconditionError(f"stepsize must be finite and positive, got {stepsize}")
     xv, yv = _point(problem, x, y)
     if problem.domain is None:
         gap = float(_simplex_gda_gaps(problem, xv[None], yv[None], stepsize)[0])

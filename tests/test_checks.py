@@ -1,5 +1,6 @@
 """Equilibrium certificates, well-supported reports, and the WSNE construction."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,18 @@ def test_wsne_eps_exact_agrees_with_float_report():
     )
     exact = checks.wsne_eps_exact(a, x.exact, orientation=MAXIMIZE)
     assert float(exact) == pytest.approx(checks.wsne_report(game, x), abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_ne_to_wsne_refuses_a_non_positive_or_non_finite_epsilon(value):
+    with pytest.raises(PreconditionError, match="epsilon"):
+        checks.ne_to_wsne(matching_pennies(), uniform_profile((2, 2)), value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+def test_mass_bound_audit_refuses_a_negative_or_non_finite_epsilon(value):
+    with pytest.raises(PreconditionError, match="epsilon"):
+        checks.mass_bound_audit(matching_pennies(), uniform_profile((2, 2)), value)
 
 
 def test_ne_to_wsne_keeps_exact_equilibrium():

@@ -6,7 +6,10 @@ slack to a bound: `<measured> <= <bound> + <name or float>` (or the same
 with <, >= or >).  A tolerance must have a name, so no comparison may take
 a float literal of magnitude in (0, 1e-3) as an operand either.  And the
 CLI decides no lemma verdict of its own: it calls `within` only in
-`_eps_bound`, the record of the user's optional --eps.
+`_eps_bound`, the record of the user's optional --eps.  Nor does it measure
+a back-map of its own: every `cmd_backmap_*` handler reads its source regret
+from `gadgets.symmetric_regret`, so none builds a game, the CLI never names
+`exact_max_regret`, and only `cmd_check_ne` calls `epsilon_ne_report`.
 """
 
 import ast
@@ -19,6 +22,7 @@ CLI = SRC / "cli.py"
 ALLOWED = {"within"}
 ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 TOLERANCE_BELOW = 1e-3
+GAME_CONSTRUCTORS = ("BimatrixGame", "NormalFormGame", "PolymatrixGame")
 
 
 def _is_slack(node) -> bool:
@@ -87,13 +91,36 @@ def _callers(source: str, name: str) -> set[str]:
     def visit(node, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == "<module>":
             owner = node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def _references(source: str, name: str) -> list[int]:
+    """Line numbers where `source` imports, reads or calls `name`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if getattr(node, "id", None) == name
+        or getattr(node, "attr", None) == name
+        or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+    )
+
+
+def _backmap_game_builders(source: str) -> set[str]:
+    """The `cmd_backmap_*` functions of `source` that call a game constructor."""
+    return {
+        owner
+        for name in GAME_CONSTRUCTORS
+        for owner in _callers(source, name)
+        if owner.startswith("cmd_backmap_")
+    }
 
 
 def _modules():
@@ -138,3 +165,28 @@ def test_the_cli_decides_only_the_user_eps():
     source = CLI.read_text(encoding="utf-8")
     assert slack_comparisons(source) == []
     assert _callers(source, "within") == {"_eps_bound"}
+
+
+def test_the_guard_sees_a_back_map_measured_in_the_cli():
+    parent = (
+        "from .oracle import exact_max_regret\n"
+        "def cmd_backmap_team(args, inputs):\n"
+        "    target = games.BimatrixGame(a, a, (MINIMIZE, MINIMIZE))\n"
+        "def _residual(m, s):\n"
+        "    return checks.epsilon_ne_report(target, profile).regrets[0]\n"
+    )
+    assert _backmap_game_builders(parent) == {"cmd_backmap_team"}
+    assert _references(parent, "exact_max_regret") == [1]
+    assert _callers(parent, "epsilon_ne_report") == {"_residual"}
+    other = "def cmd_gadget_clique(args, inputs):\n    game = BimatrixGame(m, m)\n"
+    assert _backmap_game_builders(other) == set()
+
+
+def test_every_back_map_reads_the_one_source_regret():
+    source = CLI.read_text(encoding="utf-8")
+    assert _backmap_game_builders(source) == set()
+    assert _references(source, "exact_max_regret") == []
+    assert _callers(source, "epsilon_ne_report") == {"cmd_check_ne"}
+    assert {"cmd_backmap_team", "cmd_backmap_symmetric", "cmd_backmap_median"} <= _callers(
+        source, "symmetric_regret"
+    )

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minmaxlab import analytic, checks, cli, cliques, gadgets, oracle, rational
+from minmaxlab import analytic, checks, cliques, gadgets, oracle, rational
 from minmaxlab.cliques import (
     Graph,
     ParameterRegime,
@@ -730,7 +730,7 @@ def test_wsne_values_and_enumeration_match_the_prior_branches(case):
         prior_symmetric_support_enumeration(matrix, orientation),
     )
     for x in (MixedStrategy(float_x), MixedStrategy.from_exact(exact_x)):
-        assert cli._max_vi_residual(matrix, x) == prior_max_vi_residual(matrix, x)
+        assert gadgets.symmetric_regret(matrix, x) == prior_max_vi_residual(matrix, x)
 
 
 GRAPHS = [

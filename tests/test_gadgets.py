@@ -164,10 +164,59 @@ def test_median_backmap_refuses_a_negative_or_non_finite_gap(value):
         gadgets.median_backmap(fmat([[0, -1], [1, 0]]), s, s, value, 0.05)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_median_backmap_refuses_a_non_positive_or_non_finite_delta(value):
+    s = MixedStrategy.uniform(2)
+    with pytest.raises(PreconditionError, match="delta"):
+        gadgets.median_backmap(fmat([[0, -1], [1, 0]]), s, s, 0.01, value)
+
+
 @pytest.mark.parametrize("value", [-0.1, -math.inf, math.inf, math.nan])
 def test_coupling_width_refuses_a_negative_or_non_finite_eps(value):
     with pytest.raises(PreconditionError, match="eps"):
         gadgets.coupling_width(value, 2)
+
+
+SOURCE = fmat([["1/3", "-1/2"], ["3/2", 3]])
+
+
+def test_symmetric_regret_is_exact_then_rounded_once_for_an_exact_strategy():
+    s = MixedStrategy.from_exact((Fraction(3, 7), Fraction(4, 7)))
+    # R s = (-1/7, 33/14) and s^T R s = 9/7
+    assert gadgets.symmetric_regret(SOURCE, s) == float(Fraction(15, 14)) == 1.0714285714285714
+    minimizing = gadgets.symmetric_regret(SOURCE, s, MINIMIZE)
+    assert minimizing == float(Fraction(10, 7)) == 1.4285714285714286
+
+
+def test_symmetric_regret_of_a_float_strategy_is_the_certificate_value():
+    s = MixedStrategy(MixedStrategy.from_exact((Fraction(3, 7), Fraction(4, 7))).probs)
+    assert s.exact is None
+    got = []
+    for orientation in (MAXIMIZE, MINIMIZE):
+        game = BimatrixGame(SOURCE, transpose(SOURCE), (orientation, orientation))
+        cert = checks.epsilon_ne_report(game, MixedProfile((s, s)))
+        got.append(gadgets.symmetric_regret(SOURCE, s, orientation))
+        assert got[-1] == cert.regrets[0]
+    assert got == [1.0714285714285716, 1.4285714285714284]
+
+
+def test_team3v3_backmap_regret_is_the_source_regret():
+    rng = np.random.default_rng(6180339)  # the gadgets of criterion 10, same draws
+    checked = 0
+    for trial in range(10):
+        n = int(rng.integers(2, 4))
+        m = [[Fraction(int(rng.integers(-100, 101)), 100) for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            continue
+        r = fmat([[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+        inst = gadgets.team3v3_gadget(r, 0.05)
+        eqs = oracle.symmetric_support_enumeration(inst.a, orientation=MINIMIZE)
+        s = MixedStrategy.from_exact(eqs[0].probs)
+        anchor = MixedStrategy.pure(2 * n + 1, 2 * n)
+        report = gadgets.measure_team3v3(inst, MixedProfile((s, s, anchor) * 2), 0.05)
+        assert report.backmap_regret == gadgets.symmetric_regret(inst.r, report.strategy)
+        checked += 1
+    assert checked == 5
 
 
 def test_median_backmap_rejects_points_outside_the_coupled_domain():

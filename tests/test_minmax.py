@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minmaxlab import gadgets, minmax, oracle
-from minmaxlab.errors import DimensionError
+from minmaxlab.errors import DimensionError, PreconditionError
 from minmaxlab.games import MAXIMIZE, MixedStrategy
 from minmaxlab.minmax import QuadraticMinMaxProblem
 from minmaxlab.rational import fmat, mat_vec, transpose, vec_dot
@@ -254,6 +254,33 @@ def test_vi_bound_formulas():
         k * np.sqrt(0.25)
     )
     assert minmax.gap_to_vi_bound(0.0, 7.0) == 0.0
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE + [-0.1])
+@pytest.mark.parametrize("name", ["gap", "smoothness"])
+def test_gap_to_vi_bound_refuses_a_negative_or_non_finite_value(name, value):
+    args = {"gap": 1e-4, "smoothness": 1.0, name: value}
+    with pytest.raises(PreconditionError, match=name):
+        minmax.gap_to_vi_bound(**args)
+
+
+@pytest.mark.parametrize("value", NON_FINITE + [-0.1])
+@pytest.mark.parametrize("name", ["gap", "smoothness", "lipschitz"])
+def test_safe_gap_to_vi_bound_refuses_a_negative_or_non_finite_value(name, value):
+    args = {"gap": 1e-4, "smoothness": 1.0, "lipschitz": 1.0, name: value}
+    with pytest.raises(PreconditionError, match=name):
+        minmax.safe_gap_to_vi_bound(**args)
+
+
+@pytest.mark.parametrize("value", NON_FINITE + [0.0, -0.5])
+@pytest.mark.parametrize("step", [minmax.gda_map, minmax.gda_gap])
+def test_gda_steps_refuse_a_non_positive_or_non_finite_stepsize(step, value):
+    s = np.array([0.5, 0.5])
+    with pytest.raises(PreconditionError, match="stepsize"):
+        step(skew_problem(), s, s, stepsize=value)
 
 
 @st.composite
