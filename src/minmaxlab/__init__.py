@@ -108,7 +108,6 @@ from .games import (
     deviation_vectors,
     evaluate_utility,
     max_team_inconsistency,
-    regret,
     to_normal_form,
 )
 from .geometry import JointDomain, grid_size, project_joint, project_simplex, simplex_grid

@@ -30,7 +30,6 @@ from .analytic import (
 )
 from .checks import (
     BoundRecord,
-    bound_record,
     epsilon_ne_report,
     mass_bound_audit,
     require_wsne_game,
@@ -60,7 +59,6 @@ from .gadgets import (
     median_backmap,
     quadratic_gadget,
     symmetric_backmap,
-    symmetric_regret,
     team3v3_gadget,
     team_backmap,
     team_gadget,
@@ -289,35 +287,29 @@ def cmd_check_gap(args, inputs):
 # backmap
 
 
+def _backmap_output(report):
+    strategy = report.strategy
+    return report.bounds, {"strategy": fileio.strategy_obj(strategy)}, MixedProfile((strategy,))
+
+
 def cmd_backmap_team(args, inputs):
     instance = team_gadget(_tensor_matrix(args.game), args.eps)
-    strategy, bound = team_backmap(instance, args.profile, float(args.eps) ** 2)
-    measured = symmetric_regret(instance.a, strategy, MINIMIZE)
-    bounds = [bound_record("team_backmap", bound, measured)]
-    return bounds, {"strategy": fileio.strategy_obj(strategy)}, MixedProfile((strategy,))
+    return _backmap_output(team_backmap(instance, args.profile, float(args.eps) ** 2))
 
 
 def cmd_backmap_symmetric(args, inputs):
     matrix = _tensor_matrix(args.game)
-    x_star = _single_strategy(args.profile)
-    bound = symmetric_backmap(matrix, x_star, args.gap)
-    bounds = [bound_record("symmetric_vi", bound, symmetric_regret(matrix, x_star))]
-    return bounds, {"strategy": fileio.strategy_obj(x_star)}, MixedProfile((x_star,))
+    return _backmap_output(symmetric_backmap(matrix, _single_strategy(args.profile), args.gap))
 
 
 def cmd_backmap_median(args, inputs):
     matrix = _tensor_matrix(args.game)
-    x_star, y_star = _pair(args.profile)
-    median, bound = median_backmap(matrix, x_star, y_star, args.gap, args.delta)
-    bounds = [bound_record("median_regret", bound, symmetric_regret(matrix, median))]
-    return bounds, {"strategy": fileio.strategy_obj(median)}, MixedProfile((median,))
+    return _backmap_output(median_backmap(matrix, *_pair(args.profile), args.gap, args.delta))
 
 
 def cmd_backmap_team3v3(args, inputs):
     instance = team3v3_gadget(_tensor_matrix(args.game), args.eps)
-    report = measure_team3v3(instance, args.profile, float(args.eps))
-    data = {"strategy": fileio.strategy_obj(report.strategy)}
-    return report.bounds, data, MixedProfile((report.strategy,))
+    return _backmap_output(measure_team3v3(instance, args.profile, float(args.eps)))
 
 
 # ---------------------------------------------------------------------------

@@ -180,18 +180,38 @@ def symmetric_regret(matrix, strategy: MixedStrategy, orientation: str = MAXIMIZ
     return epsilon_ne_report(game, MixedProfile((strategy, strategy))).regrets[0]
 
 
+@dataclass(frozen=True)
+class BackmapReport:
+    """A back-map's source `strategy` s, the stated `bound` on the regret of (s, s)
+    in its source game, and that `regret` as measured by `symmetric_regret`."""
+
+    name: str
+    strategy: MixedStrategy
+    bound: float
+    regret: float
+
+    @property
+    def bounds(self) -> tuple[BoundRecord, ...]:
+        return (bound_record(self.name, self.bound, self.regret),)
+
+    def __iter__(self):
+        return iter((self.strategy, self.bound))
+
+
 def team_backmap(
     instance: TeamGadgetInstance, profile: MixedProfile, eps2_certified: float
-) -> tuple[MixedStrategy, float]:
+) -> BackmapReport:
     """Map an eps^2-equilibrium of the gadget back to the symmetric game on A.
 
-    Returns (y*, bound): playing (y*, y*) in the identical-payoff game on A
-    (both players minimizing) has regret at most (21 n + 1) |A_min| eps.
+    The report's strategy y*: playing (y*, y*) in the identical-payoff game
+    on A (both players minimizing) has regret at most (21 n + 1) |A_min| eps.
     eps^2 must be the square of the gadget's own eps.
     """
+    require_finite_nonnegative("eps2_certified", eps2_certified)
     eps = _float_eps(instance, math.sqrt(float(eps2_certified)))
     certify(instance.game, profile, float(eps2_certified))
-    return profile[1], _backmap_scale(instance) * eps
+    regret = symmetric_regret(instance.a, profile[1], MINIMIZE)
+    return BackmapReport("team_backmap", profile[1], _backmap_scale(instance) * eps, regret)
 
 
 VIOLATIONS = {  # the message of each unsatisfied record: measured, then bound
@@ -314,19 +334,17 @@ def _quadratic_problem(matrix, delta: float | None) -> QuadraticMinMaxProblem:
     )
 
 
-def symmetric_backmap(matrix, x_star: MixedStrategy, gap: float) -> float:
+def symmetric_backmap(matrix, x_star: MixedStrategy, gap: float) -> BackmapReport:
     """Regret bound for (x*, x*) in (R, R^T) from a symmetric GDA gap.
 
     A unit-stepsize GDA gap of eps at the symmetric point (x*, x*) of the
     quadratic gadget bounds every unilateral deviation by
-    sqrt(2) * eps * (2n + 1).
+    sqrt(2) * eps * (2n + 1).  R must be one `quadratic_gadget` accepts.
     """
-    r = _square_exact(matrix)
+    n = quadratic_gadget(matrix).n_x
     require_finite_nonnegative("gap", gap)
-    n = len(r)
-    if len(x_star) != n:
-        raise DimensionError("strategy length does not match R")
-    return math.sqrt(2.0) * float(gap) * (2.0 * n + 1.0)
+    bound = math.sqrt(2.0) * float(gap) * (2.0 * n + 1.0)
+    return BackmapReport("symmetric_vi", x_star, bound, symmetric_regret(matrix, x_star))
 
 
 def coupling_width(eps: float, n: int) -> float:
@@ -336,34 +354,31 @@ def coupling_width(eps: float, n: int) -> float:
     return float(eps) ** 0.25 * float(n) ** -0.25
 
 def coupled_gadget(matrix, delta: float) -> QuadraticMinMaxProblem:
-    """The quadratic gadget restricted to strategy pairs with |x_i - y_i| <= delta."""
+    """The quadratic gadget on pairs with |x_i - y_i| <= delta, for a finite delta > 0."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise PreconditionError(f"delta must be finite and positive, got {delta}")
     return _quadratic_problem(matrix, delta)
 
 
 def median_backmap(
     matrix, x_star: MixedStrategy, y_star: MixedStrategy, gap: float, delta: float
-) -> tuple[MixedStrategy, float]:
+) -> BackmapReport:
     """Map a safe-GDA stationary pair on the coupled domain back to (R, R^T).
 
-    Returns the coordinatewise median (x* + y*) / 2 and the regret bound
-    2 n^2 delta + 2 K n^(3/2) sqrt(gap) / delta with K = (L+1) sqrt(G + 4 sqrt 2)
-    and L = G = 4n.  The pair must be feasible for the width-delta domain.
+    The report's median (x* + y*) / 2 has the regret bound 2 n^2 delta
+    + 2 K n^(3/2) sqrt(gap) / delta, K = (L+1) sqrt(G + 4 sqrt 2), L = G = 4n.
+    The pair must be feasible for `coupled_gadget(R, delta)`, which checks R and delta.
     """
-    r = _square_exact(matrix)
-    n = len(r)
-    if len(x_star) != n or len(y_star) != n:
-        raise DimensionError("strategy length does not match R")
+    problem = coupled_gadget(matrix, delta)
     require_finite_nonnegative("gap", gap)
-    if not (math.isfinite(delta) and delta > 0):
-        raise PreconditionError(f"delta must be finite and positive, got {delta}")
-    domain = JointDomain(n, float(delta))
-    if not domain.contains(x_star.probs, y_star.probs):
+    if not problem.domain.contains(x_star.probs, y_star.probs):
         raise PreconditionError("pair is not feasible for the coupled domain")
-    l = g = 4.0 * n
+    n = problem.n_x
+    l, g = problem.smoothness_bound, problem.lipschitz_bound
     k = (l + 1.0) * math.sqrt(g + 4.0 * math.sqrt(2.0))
     bound = 2.0 * n * n * float(delta) + 2.0 * k * n**1.5 * math.sqrt(float(gap)) / float(delta)
     median = MixedStrategy((x_star.probs + y_star.probs) / 2.0)
-    return median, bound
+    return BackmapReport("median_regret", median, bound, symmetric_regret(matrix, median))
 
 
 # ---------------------------------------------------------------------------

@@ -453,12 +453,6 @@ def oriented(values, orientation: str):
     return values if orientation == MAXIMIZE else -values
 
 
-def regret(game: Game, profile: MixedProfile, player: int) -> float:
-    """Best pure-deviation payoff minus current payoff, in the player's direction."""
-    dev = deviation_payoffs(game, profile, player)
-    return best_deviation(dev, profile[player].probs, game.orientation[player])[1]
-
-
 def max_team_inconsistency(game: Game, samples: int = 100, seed: int = 0) -> float:
     """The largest gap from "signed utilities agree within a team and the two
     team values cancel" over all mixed profiles, read exactly (`samples` and

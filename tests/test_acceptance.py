@@ -476,7 +476,7 @@ def test_criterion_06_quadratic_certificate():
             points.append(project_simplex(base + noise))
         for s in points[:100]:
             gap = minmax.gda_gap(prob, s, s).gap
-            bound = gadgets.symmetric_backmap(r, s, gap)
+            bound = gadgets.symmetric_backmap(r, s, gap).bound
             cert = checks.epsilon_ne_report(target, MixedProfile((s, s)))
             assert max(cert.regrets) <= bound + 1e-9, (trial, max(cert.regrets), bound)
 

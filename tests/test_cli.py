@@ -423,15 +423,35 @@ def test_backmap_symmetric_bound_holds_at_equilibrium(capsys, tmp_path):
 @pytest.mark.parametrize("rows", [[[1 / 3, 2 / 3], ["1/3", "2/3"]], [["1/3", "2/3"], [1 / 3, 2 / 3]]],
                          ids=["float-first", "exact-first"])
 def test_backmap_symmetric_reads_a_pair_of_identical_strategies_as_one(capsys, tmp_path, rows):
-    # (1/3, 2/3) is a symmetric equilibrium of diag(2, 1); of the two
+    # (1/3, 2/3) is a symmetric equilibrium of diag(1, 1/2); of the two
     # strategies of a symmetric pair, the exact one is used
-    game = write_game(tmp_path, "diag.json", [["2", "0"], ["0", "1"]], ["max", "max"])
+    game = write_game(tmp_path, "diag.json", [["1", "0"], ["0", "1/2"]], ["max", "max"])
     argv = ["backmap", "symmetric", "--game", game, "--gap", "1/100", "--profile"]
     one = run_cli(capsys, argv + [write_profile(tmp_path, "one.json", [["1/3", "2/3"]])])[1]
     pair = run_cli(capsys, argv + [write_profile(tmp_path, "pair.json", rows)])[1]
     assert pair["exit_code"] == 0
     assert pair["data"]["strategy"] == ["1/3", "2/3"]
     assert {**pair, "inputs_hash": None} == {**one, "inputs_hash": None}
+
+
+def test_the_quadratic_back_maps_refuse_a_matrix_their_gadget_refuses(capsys, tmp_path):
+    # an entry outside [-1, 1]: no quadratic gadget exists, so no bound is stated
+    game = write_game(tmp_path, "big.json", [["5", "0"], ["0", "0"]], ["max", "max"])
+    one = write_profile(tmp_path, "one.json", [["1/2", "1/2"]])
+    pair = write_profile(tmp_path, "pair.json", [["1/2", "1/2"]] * 2)
+    for argv in (
+        ["gadget", "quadratic", "--game", game],
+        ["backmap", "symmetric", "--game", game, "--profile", one, "--gap", "0"],
+        ["backmap", "median", "--game", game, "--profile", pair, "--gap", "0", "--delta", "1/10"],
+    ):
+        code, report, _ = run_cli(capsys, argv)
+        assert (code, report["error"]) == (2, "entries of R must lie in [-1, 1]")
+
+
+def test_gadget_coupled_refuses_a_zero_delta(capsys, tmp_path):
+    game = write_game(tmp_path, "r.json", [["0", "-1"], ["1", "0"]], ["max", "max"])
+    code, report, _ = run_cli(capsys, ["gadget", "coupled", "--game", game, "--delta", "0"])
+    assert (code, report["error"]) == (2, "delta must be finite and positive, got 0.0")
 
 
 def test_dynamics_run_writes_a_trajectory(capsys, tmp_path):

@@ -7,15 +7,19 @@ with <, >= or >).  A tolerance must have a name, so no comparison may take
 a float literal of magnitude in (0, 1e-3) as an operand either.  And the
 CLI decides no lemma verdict of its own: it calls `within` only in
 `_eps_bound`, the record of the user's optional --eps.  Nor does it measure
-a back-map of its own: every `cmd_backmap_*` handler reads its source regret
-from `gadgets.symmetric_regret`, so none builds a game, the CLI never names
-`exact_max_regret`, and only `cmd_check_ne` calls `epsilon_ne_report`.
+or decide a back-map of its own: every back-map in `gadgets.py` measures its
+source regret with `symmetric_regret` and returns its own records, and every
+`cmd_backmap_*` handler passes that report to `_backmap_output`.  So no
+handler builds a game or a `BoundRecord`, the CLI never names
+`exact_max_regret`, `symmetric_regret` or `bound_record`, and only
+`cmd_check_ne` calls `epsilon_ne_report`.
 """
 
 import ast
 from pathlib import Path
 
 import minmaxlab
+from minmaxlab import cli
 
 SRC = Path(minmaxlab.__file__).parent
 CLI = SRC / "cli.py"
@@ -23,6 +27,8 @@ ALLOWED = {"within"}
 ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 TOLERANCE_BELOW = 1e-3
 GAME_CONSTRUCTORS = ("BimatrixGame", "NormalFormGame", "PolymatrixGame")
+VERDICT_BUILDERS = GAME_CONSTRUCTORS + ("BoundRecord", "bound_record")
+BACKMAPS = ("team_backmap", "symmetric_backmap", "median_backmap", "measure_team3v3")
 
 
 def _is_slack(node) -> bool:
@@ -113,11 +119,12 @@ def _references(source: str, name: str) -> list[int]:
     )
 
 
-def _backmap_game_builders(source: str) -> set[str]:
-    """The `cmd_backmap_*` functions of `source` that call a game constructor."""
+def _backmap_verdict_builders(source: str) -> set[str]:
+    """The `cmd_backmap_*` functions of `source` that call a game constructor
+    or build a verdict record."""
     return {
         owner
-        for name in GAME_CONSTRUCTORS
+        for name in VERDICT_BUILDERS
         for owner in _callers(source, name)
         if owner.startswith("cmd_backmap_")
     }
@@ -174,19 +181,31 @@ def test_the_guard_sees_a_back_map_measured_in_the_cli():
         "    target = games.BimatrixGame(a, a, (MINIMIZE, MINIMIZE))\n"
         "def _residual(m, s):\n"
         "    return checks.epsilon_ne_report(target, profile).regrets[0]\n"
+        "def cmd_backmap_median(args, inputs):\n"
+        "    median, bound = median_backmap(matrix, x, y, args.gap, args.delta)\n"
+        "    bounds = [bound_record('median_regret', bound, symmetric_regret(matrix, median))]\n"
+        "def cmd_backmap_symmetric(args, inputs):\n"
+        "    return [BoundRecord('symmetric_vi', b, m, True)], {}\n"
     )
-    assert _backmap_game_builders(parent) == {"cmd_backmap_team"}
+    assert _backmap_verdict_builders(parent) == {
+        "cmd_backmap_team", "cmd_backmap_median", "cmd_backmap_symmetric"}
     assert _references(parent, "exact_max_regret") == [1]
+    assert _references(parent, "symmetric_regret") == [8]
+    assert _references(parent, "bound_record") == [8]
     assert _callers(parent, "epsilon_ne_report") == {"_residual"}
     other = "def cmd_gadget_clique(args, inputs):\n    game = BimatrixGame(m, m)\n"
-    assert _backmap_game_builders(other) == set()
+    assert _backmap_verdict_builders(other) == set()
 
 
 def test_every_back_map_reads_the_one_source_regret():
     source = CLI.read_text(encoding="utf-8")
-    assert _backmap_game_builders(source) == set()
-    assert _references(source, "exact_max_regret") == []
+    assert _backmap_verdict_builders(source) == set()
+    for name in ("exact_max_regret", "symmetric_regret", "bound_record"):
+        assert _references(source, name) == [], name
     assert _callers(source, "epsilon_ne_report") == {"cmd_check_ne"}
-    assert {"cmd_backmap_team", "cmd_backmap_symmetric", "cmd_backmap_median"} <= _callers(
-        source, "symmetric_regret"
-    )
+    handlers = {c.handler.__name__ for c in cli.COMMANDS if c.name.startswith("backmap ")}
+    assert handlers == _callers(source, "_backmap_output")
+    assert len(handlers) == len(BACKMAPS)
+    library = (SRC / "gadgets.py").read_text(encoding="utf-8")
+    for backmap in BACKMAPS:
+        assert {backmap} <= _callers(library, "symmetric_regret"), backmap

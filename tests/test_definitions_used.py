@@ -4,7 +4,9 @@ Every top-level definition in `src/minmaxlab/` (a def, a class or an
 assigned name) must be referenced somewhere in the package outside its own
 definition, or from `perfbench/`, or from `tests/test_acceptance.py`.  A
 reference is a name or an attribute; an import into `__init__.py` is an
-export, not a use.  `perfbench/`'s tracer patches functions by their string
+export, not a use, and a name a function binds (a parameter, or an
+assignment, loop, `with` or comprehension target not declared `global`) is
+that function's own local, not a use.  `perfbench/`'s tracer patches functions by their string
 names, so a string there that is an identifier counts too.  The few
 definitions kept for another reason are listed in KEPT with that reason.
 """
@@ -37,22 +39,53 @@ def definitions(tree: ast.Module) -> dict[str, ast.AST]:
     return out
 
 
-def references(tree: ast.AST, skip: ast.AST | None = None, strings: bool = False) -> set[str]:
-    """Names and attributes read (not assigned) in `tree` outside the node `skip`."""
-    found = set()
-    stack = [tree]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def bound_names(function: ast.AST) -> set[str]:
+    """Names `function` binds: its parameters and every name it stores
+    (assignment, loop, `with` and comprehension targets), outside nested
+    functions and classes, less the names it declares `global`."""
+    args = function.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    names = {a.arg for a in params if a is not None}
+    declared = set()
+    stack = list(function.body) if isinstance(function.body, list) else [function.body]
     while stack:
         node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def references(tree: ast.AST, skip: ast.AST | None = None, strings: bool = False) -> set[str]:
+    """Names and attributes read (not assigned) in `tree` outside the node `skip`;
+    a name a function binds is its own local in its body, not a reference."""
+    found = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, local = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
+            if node.id not in local:
+                found.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.add(node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 found.add(node.value)
-        stack.extend(ast.iter_child_nodes(node))
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, FUNCTIONS):  # defaults, decorators and annotations stay outside
+            inner = local | bound_names(node)
+            body = {id(b) for b in (node.body if isinstance(node.body, list) else [node.body])}
+            stack.extend((c, inner if id(c) in body else local) for c in children)
+        else:
+            stack.extend((c, local) for c in children)
     return found
 
 
@@ -78,6 +111,17 @@ def test_the_guard_sees_an_unused_definition():
     }
     assert unreferenced(package, set()) == ["a.dead", "b.Y"]
     assert unreferenced(package, {"Y"}) == ["a.dead"]
+    # a local that shadows a top-level name is not a use of it; a global is
+    shadowed = {
+        "a": "def dead():\n    return 1\n\ndef kept():\n    return 2\n",
+        "b": "def f(hits, kept):\n    for p, dead in hits:\n        g(dead, kept)\n",
+        "c": "X = 0\n\ndef set_x():\n    global X\n    X = 1\n    return X\n",
+    }
+    assert unreferenced(shadowed, {"f", "set_x"}) == ["a.dead", "a.kept"]
+    assert unreferenced({**shadowed, "d": "import a\nY = [a.kept for _ in ()]\n"},
+                        {"f", "set_x", "Y"}) == ["a.dead"]
+    # a default and an annotation are read outside the function's own names
+    assert references(ast.parse("def f(x=dead, *, y: Kept):\n    dead = y\n")) == {"dead", "Kept"}
     assert references(ast.parse("f = 'dead'"), strings=True) == {"dead"}
     assert references(ast.parse("f = 'not a name'\ng(f)"), strings=True) == {"f", "g"}
 

@@ -1,14 +1,17 @@
 """Reduction gadgets: team game, quadratic saddle, coupled domain, 3v3."""
 
 import dataclasses
+import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minmaxlab import checks, gadgets, oracle
+from minmaxlab import checks, gadgets, minmax, oracle
 from minmaxlab.errors import BoundViolationError, DimensionError, PreconditionError
 from minmaxlab.games import (
     MAXIMIZE,
@@ -93,7 +96,7 @@ def test_structure_lemmas_are_measured_only_at_the_gadget_eps():
     prof = gadgets.canonical_team_ne(inst)
     # a float eps equal to the gadget's passes, and so does its square's root
     assert gadgets.gadget_structure_audit(inst, prof, 0.05).epsilon == 0.05
-    assert gadgets.team_backmap(inst, prof, 0.05**2)[1] == pytest.approx(43 * 2 * 0.05)
+    assert gadgets.team_backmap(inst, prof, 0.05**2).bound == pytest.approx(43 * 2 * 0.05)
     for measure, eps in (
         (gadgets.measure_gadget_structure, 0.01),
         (gadgets.gadget_structure_audit, 0.1),
@@ -118,7 +121,7 @@ def test_symmetric_backmap_zero_gap_zero_bound():
     r = fmat([[0, -1], [1, 0]])
     eqs = oracle.symmetric_support_enumeration(r, orientation=MAXIMIZE)
     s = MixedStrategy.from_exact(eqs[0].probs)
-    bound = gadgets.symmetric_backmap(r, s, 0.0)
+    bound = gadgets.symmetric_backmap(r, s, 0.0).bound
     assert bound == 0.0
     game = BimatrixGame(r, transpose(r), (MAXIMIZE, MAXIMIZE))
     cert = checks.epsilon_ne_report(game, MixedProfile((s, s)))
@@ -128,8 +131,8 @@ def test_symmetric_backmap_zero_gap_zero_bound():
 def test_symmetric_backmap_scales_linearly_with_gap():
     r = fmat([[0, -1], [1, 0]])
     s = MixedStrategy.uniform(2)
-    b1 = gadgets.symmetric_backmap(r, s, 0.01)
-    b2 = gadgets.symmetric_backmap(r, s, 0.04)
+    b1 = gadgets.symmetric_backmap(r, s, 0.01).bound
+    b2 = gadgets.symmetric_backmap(r, s, 0.04).bound
     assert b2 == pytest.approx(4 * b1)
     assert b1 == pytest.approx(np.sqrt(2) * 0.01 * 5)
 
@@ -217,6 +220,87 @@ def test_team3v3_backmap_regret_is_the_source_regret():
         assert report.backmap_regret == gadgets.symmetric_regret(inst.r, report.strategy)
         checked += 1
     assert checked == 5
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_coupled_gadget_refuses_a_non_positive_or_non_finite_delta(value):
+    # the median back-map's bound divides by delta, so its builder refuses what it refuses
+    with pytest.raises(PreconditionError, match="delta must be finite and positive"):
+        gadgets.coupled_gadget(fmat([[0, -1], [1, 0]]), value)
+
+
+def test_the_quadratic_back_maps_refuse_a_matrix_their_gadget_refuses():
+    r, s = fmat([[5, 0], [0, 0]]), MixedStrategy.uniform(2)
+    message = re.escape("entries of R must lie in [-1, 1]")
+    for build in (
+        lambda: gadgets.quadratic_gadget(r),
+        lambda: gadgets.symmetric_backmap(r, s, 0.0),
+        lambda: gadgets.median_backmap(r, s, s, 0.0, 0.1),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            build()
+
+
+@pytest.mark.parametrize("value", [-0.0025, -math.inf, math.inf, math.nan])
+def test_team_backmap_refuses_a_negative_or_non_finite_eps2(value):
+    inst = gadgets.team_gadget(A2, Fraction(1, 20))
+    with pytest.raises(PreconditionError, match="eps2_certified"):
+        gadgets.team_backmap(inst, gadgets.canonical_team_ne(inst), value)
+
+
+@pytest.mark.parametrize(
+    "s", [MixedStrategy.uniform(3), MixedStrategy.from_exact((Fraction(1, 3),) * 3)],
+    ids=["float", "exact"],
+)
+def test_the_quadratic_back_maps_refuse_a_strategy_of_the_wrong_length(s):
+    r = fmat([[0, -1], [1, 0]])
+    with pytest.raises(DimensionError):
+        gadgets.symmetric_backmap(r, s, 0.0)
+    with pytest.raises(DimensionError):
+        gadgets.median_backmap(r, s, s, 0.0, 0.1)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text("utf-8"))
+
+
+def test_every_back_map_returns_its_verdict_on_one_corpus():
+    # each row's records are those `backmap <row>` emits, each satisfied, and
+    # each report's measured regret is within its stated bound
+    names = {row: [b["name"] for b in GOLDEN["cases"][f"backmap-{row}"]["report"]["bounds"]]
+             for row in ("team", "symmetric", "median", "team3v3")}
+    rng = np.random.default_rng(20261019)
+    rows = []
+    for trial in range(6):
+        n = 2 + trial % 3
+        r = fmat([[Fraction(int(rng.integers(-100, 101)), 100) for _ in range(n)]
+                  for _ in range(n)])
+        sym = decompose_symmetric_skew(r)[0]
+        team = gadgets.team_gadget(gadgets.shift_to_gadget_range(sym)[0], Fraction(1, 20))
+        rows.append(("team", gadgets.team_backmap(team, gadgets.canonical_team_ne(team), 0.05**2)))
+        team3 = gadgets.team3v3_gadget(sym, Fraction(1, 20))  # criterion 10's profile
+        s = MixedStrategy.from_exact(
+            oracle.symmetric_support_enumeration(team3.a, orientation=MINIMIZE)[0].probs)
+        anchor = MixedStrategy.pure(2 * n + 1, 2 * n)
+        rows.append(("team3v3", gadgets.measure_team3v3(
+            team3, MixedProfile((s, s, anchor) * 2), 0.05)))
+        quadratic = gadgets.quadratic_gadget(r)
+        delta = gadgets.coupling_width(1e-4, n)
+        coupled = gadgets.coupled_gadget(r, delta)
+        for eq in oracle.symmetric_support_enumeration(r, orientation=MAXIMIZE):
+            x = MixedStrategy.from_exact(eq.probs)
+            gap = minmax.gda_gap(quadratic, x, x).gap
+            rows.append(("symmetric", gadgets.symmetric_backmap(r, x, gap)))
+            gap = minmax.gda_gap(coupled, x, x).gap
+            rows.append(("median", gadgets.median_backmap(r, x, x, gap, delta)))
+    assert {row for row, _ in rows} == set(names)
+    for row, report in rows:
+        assert [b.name for b in report.bounds] == names[row]
+        assert all(b.satisfied for b in report.bounds), (row, report.bounds)
+        if row == "team3v3":
+            assert checks.within(report.backmap_regret, report.bound)
+        else:
+            assert checks.within(report.regret, report.bound)
+            assert tuple(report) == (report.strategy, report.bound)
 
 
 def test_median_backmap_rejects_points_outside_the_coupled_domain():

@@ -25,7 +25,6 @@ from minmaxlab.games import (
     evaluate_utility,
     max_team_inconsistency,
     oriented,
-    regret,
     to_normal_form,
 )
 from minmaxlab.rational import FVec, fmat, fvec, transpose
@@ -71,10 +70,10 @@ def test_matching_pennies_utilities_by_hand():
     assert evaluate_utility(game, prof, 0) == 1.0
     assert evaluate_utility(game, prof, 1) == -1.0
     assert best_deviation(deviation_payoffs(game, prof, 1), prof[1].probs, MAXIMIZE)[0] == 1
-    assert regret(game, prof, 1) == 2.0
+    assert checks.epsilon_ne_report(game, prof).regrets[1] == 2.0
     uniform = MixedProfile((MixedStrategy.uniform(2), MixedStrategy.uniform(2)))
-    assert regret(game, uniform, 0) == 0.0
-    assert regret(game, uniform, 1) == 0.0
+    assert checks.epsilon_ne_report(game, uniform).regrets[0] == 0.0
+    assert checks.epsilon_ne_report(game, uniform).regrets[1] == 0.0
 
 
 def test_minimize_orientation_flips_regret():
@@ -82,7 +81,7 @@ def test_minimize_orientation_flips_regret():
     game = BimatrixGame(m, m, (MINIMIZE, MINIMIZE))
     prof = MixedProfile((MixedStrategy.pure(2, 1), MixedStrategy.pure(2, 0)))
     # row player pays 2 but could pay 0 by switching to the first row
-    assert regret(game, prof, 0) == 2.0
+    assert checks.epsilon_ne_report(game, prof).regrets[0] == 2.0
     assert oriented(evaluate_utility(game, prof, 0), MINIMIZE) == -2.0
 
 
@@ -322,7 +321,6 @@ def profile_readers():
             team_ne, lambda p: gadgets.measure_gadget_structure(team, p, 0.05)),
         "measure_team3v3": (flat, lambda p: gadgets.measure_team3v3(team3, p, 0.1)),
         "evaluate_utility": (uniform, lambda p: evaluate_utility(game, p, 0)),
-        "regret": (uniform, lambda p: regret(game, p, 0)),
         "deviation_payoffs": (uniform, lambda p: deviation_payoffs(game, p, 0)),
     }
 
