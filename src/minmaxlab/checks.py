@@ -104,18 +104,18 @@ def certify(game: Game, profile: MixedProfile, epsilon: float) -> Certificate:
     return cert
 
 
-def require_wsne_game(game) -> None:
-    """Raise unless one strategy x describes the profile (x, x) of `game`.
+def require_symmetric_game(game) -> None:
+    """Raise unless `game` is (M, M), M symmetric, its players in one orientation.
 
-    That needs a two-player NormalFormGame with identical symmetric payoffs
-    (R = C and R symmetric) whose players share an orientation, so that both
-    players face the same deviation vector Rx in the same direction.
+    Then one strategy x describes the profile (x, x), both players facing Mx
+    in one direction, and the game is the (M, M^T) of the symmetric support
+    enumeration.
     """
     if not isinstance(game, NormalFormGame) or game.n_players != 2 or not game.identical_payoff():
-        raise PreconditionError("a WSNE check needs an identical-payoff two-player game")
-    r = game.payoffs[0]
-    if r.tolist() != r.T.tolist():
-        raise PreconditionError("a WSNE check needs a symmetric payoff matrix")
+        raise PreconditionError("expected an identical-payoff two-player game")
+    m = game.payoffs[0]
+    if m.tolist() != m.T.tolist():
+        raise PreconditionError("expected a symmetric payoff matrix")
     if game.orientation[0] != game.orientation[1]:
         raise PreconditionError("players must share an orientation")
 
@@ -123,11 +123,11 @@ def require_wsne_game(game) -> None:
 def wsne_report(game: NormalFormGame, x: MixedStrategy) -> float:
     """Smallest eps for which (x, x) is an eps-well-supported equilibrium.
 
-    Requires the game require_wsne_game accepts.  Support means probability
-    above SUPPORT_TOL.  A raw vector must pass `require_simplex` (ValueError
-    otherwise) and is read as given, not renormalized.
+    Requires the game require_symmetric_game accepts.  Support means
+    probability above SUPPORT_TOL.  A raw vector must pass `require_simplex`
+    (ValueError otherwise) and is read as given, not renormalized.
     """
-    require_wsne_game(game)
+    require_symmetric_game(game)
     probs = x.probs if isinstance(x, MixedStrategy) else np.asarray(x, dtype=float)
     if probs.size != game.action_counts[0]:
         raise PreconditionError("strategy length does not match the game")
@@ -143,7 +143,7 @@ def wsne_eps_exact(matrix, x, orientation: str = MAXIMIZE) -> Fraction:
     Support is exact here: every action with positive probability.  The
     matrix, folded into the player's direction with `oriented`, is scaled to
     integers; the value is the best payoff minus the worst supported one.
-    The caller checks what require_wsne_game checks; this only computes.
+    The caller checks what require_symmetric_game checks; this only computes.
     Raises ValueError when x is not a probability vector or the orientation
     is neither MAXIMIZE nor MINIMIZE.
     """

@@ -32,7 +32,7 @@ from .checks import (
     BoundRecord,
     epsilon_ne_report,
     mass_bound_audit,
-    require_wsne_game,
+    require_symmetric_game,
     within,
     wsne_eps_exact,
     wsne_report,
@@ -67,6 +67,7 @@ from .games import (
     MAXIMIZE,
     MINIMIZE,
     BimatrixGame,
+    Game,
     MixedProfile,
     MixedStrategy,
     NormalFormGame,
@@ -96,16 +97,21 @@ def _require_problem(game) -> QuadraticMinMaxProblem:
     return game
 
 
-def _tensor_game(game) -> NormalFormGame:
-    """The game of a two-player tensor game file; FormatError for any other file."""
-    if not isinstance(game, NormalFormGame) or game.n_players != 2:
-        raise FormatError("this command needs a two-player tensor game file")
+def _require_game(game) -> Game:
+    if not isinstance(game, Game):
+        raise FormatError("this command needs a tensor or polymatrix game file")
     return game
 
 
-def _tensor_matrix(game) -> np.ndarray:
-    """Shared payoff tensor of a two-player game file, an exact matrix."""
-    return _tensor_game(game).payoffs[0]
+def _source_matrix(game, orientation: tuple[str, str]) -> np.ndarray:
+    """The shared matrix of a tensor game file whose players have the orientation
+    pair of the command's source game; FormatError for any other file."""
+    if not isinstance(game, NormalFormGame) or game.orientation != orientation:
+        raise FormatError(
+            f"this command needs a two-player tensor game file with orientation "
+            f"[{', '.join(orientation)}]"
+        )
+    return game.payoffs[0]
 
 
 def _single_strategy(profile: MixedProfile) -> MixedStrategy:
@@ -152,7 +158,7 @@ def _eps_bound(name: str, eps: float | None, measured: float):
 
 
 def cmd_gadget_team(args, inputs):
-    instance = team_gadget(_tensor_matrix(args.game), args.eps)
+    instance = team_gadget(_source_matrix(args.game, (MINIMIZE, MINIMIZE)), args.eps)
     data = {
         "n": instance.n,
         "players": 3,
@@ -163,7 +169,7 @@ def cmd_gadget_team(args, inputs):
 
 
 def cmd_gadget_quadratic(args, inputs):
-    problem = quadratic_gadget(_tensor_matrix(args.game))
+    problem = quadratic_gadget(_source_matrix(args.game, (MAXIMIZE, MAXIMIZE)))
     data = {
         "n": problem.n_x,
         "smoothness_bound": problem.smoothness_bound,
@@ -173,7 +179,7 @@ def cmd_gadget_quadratic(args, inputs):
 
 
 def cmd_gadget_coupled(args, inputs):
-    matrix = _tensor_matrix(args.game)
+    matrix = _source_matrix(args.game, (MAXIMIZE, MAXIMIZE))
     n = len(matrix)
     if args.delta is not None:
         delta = args.delta
@@ -186,7 +192,7 @@ def cmd_gadget_coupled(args, inputs):
 
 
 def cmd_gadget_team3v3(args, inputs):
-    instance = team3v3_gadget(_tensor_matrix(args.game), args.eps)
+    instance = team3v3_gadget(_source_matrix(args.game, (MAXIMIZE, MAXIMIZE)), args.eps)
     data = {
         "n": instance.n,
         "players": 6,
@@ -243,7 +249,7 @@ def cmd_gadget_clique(args, inputs):
 
 
 def cmd_check_ne(args, inputs):
-    cert = epsilon_ne_report(args.game, args.profile)
+    cert = epsilon_ne_report(_require_game(args.game), args.profile)
     data = {
         "regrets": list(cert.regrets),
         "witnesses": [list(w) for w in cert.witnesses],
@@ -252,9 +258,9 @@ def cmd_check_ne(args, inputs):
 
 
 def cmd_check_wsne(args, inputs):
-    game = _tensor_game(args.game)
+    game = args.game
+    require_symmetric_game(game)
     x = _single_strategy(args.profile)
-    require_wsne_game(game)
     data: dict = {}
     if x.exact is not None:
         exact = wsne_eps_exact(game.payoffs[0], x.exact, game.orientation[0])
@@ -293,22 +299,22 @@ def _backmap_output(report):
 
 
 def cmd_backmap_team(args, inputs):
-    instance = team_gadget(_tensor_matrix(args.game), args.eps)
+    instance = team_gadget(_source_matrix(args.game, (MINIMIZE, MINIMIZE)), args.eps)
     return _backmap_output(team_backmap(instance, args.profile, float(args.eps) ** 2))
 
 
 def cmd_backmap_symmetric(args, inputs):
-    matrix = _tensor_matrix(args.game)
+    matrix = _source_matrix(args.game, (MAXIMIZE, MAXIMIZE))
     return _backmap_output(symmetric_backmap(matrix, _single_strategy(args.profile), args.gap))
 
 
 def cmd_backmap_median(args, inputs):
-    matrix = _tensor_matrix(args.game)
+    matrix = _source_matrix(args.game, (MAXIMIZE, MAXIMIZE))
     return _backmap_output(median_backmap(matrix, *_pair(args.profile), args.gap, args.delta))
 
 
 def cmd_backmap_team3v3(args, inputs):
-    instance = team3v3_gadget(_tensor_matrix(args.game), args.eps)
+    instance = team3v3_gadget(_source_matrix(args.game, (MAXIMIZE, MAXIMIZE)), args.eps)
     return _backmap_output(measure_team3v3(instance, args.profile, float(args.eps)))
 
 
@@ -317,7 +323,7 @@ def cmd_backmap_team3v3(args, inputs):
 
 
 def cmd_audit_gadget_structure(args, inputs):
-    instance = team_gadget(_tensor_matrix(args.game), args.eps)
+    instance = team_gadget(_source_matrix(args.game, (MINIMIZE, MINIMIZE)), args.eps)
     report = measure_gadget_structure(instance, args.profile, float(args.eps))
     return report.bounds, None
 
@@ -357,7 +363,8 @@ def cmd_audit_wsne_value(args, inputs):
 
 
 def cmd_audit_classify(args, inputs):
-    game = _tensor_game(args.game)
+    game = args.game
+    _source_matrix(game, (MAXIMIZE, MAXIMIZE))  # bordered games are written maximizing
     x_hat = _single_strategy(args.profile)
     eps = float(args.eps) if args.eps is not None else 0.0
     inputs["eps"] = repr(eps)
@@ -379,7 +386,7 @@ def cmd_audit_classify(args, inputs):
 
 
 def cmd_audit_mass_bound(args, inputs):
-    violations = mass_bound_audit(args.game, args.profile, args.eps)
+    violations = mass_bound_audit(_require_game(args.game), args.profile, args.eps)
     worst = max((v.mass - v.bound for v in violations), default=0.0)
     bounds = [BoundRecord("mass_bound", 0.0, worst, not violations)]
     data = {
@@ -398,16 +405,10 @@ def cmd_audit_mass_bound(args, inputs):
 
 def cmd_solve_enumerate(args, inputs):
     game = args.game
-    matrix = _tensor_matrix(game)
-    if game.orientation[0] != game.orientation[1]:
-        raise FormatError(
-            "symmetric enumeration needs both players oriented the same way"
-        )
     # the file's game is (M, M); the enumeration's equilibria are those of
     # (M, M^T), which is the same game only when M = M^T
-    if matrix.tolist() != matrix.T.tolist():
-        raise FormatError("symmetric enumeration needs a symmetric payoff matrix")
-    equilibria = symmetric_support_enumeration(matrix, game.orientation[0])
+    require_symmetric_game(game)
+    equilibria = symmetric_support_enumeration(game.payoffs[0], game.orientation[0])
     data = {
         "equilibria": [
             {**_equilibrium_obj(eq), "value_float": float(eq.value)} for eq in equilibria
@@ -418,7 +419,7 @@ def cmd_solve_enumerate(args, inputs):
 
 def cmd_solve_grid(args, inputs):
     _check_user_eps(args.eps)
-    hits = grid_ne_search(args.game, args.resolution, args.eps)
+    hits = grid_ne_search(_require_game(args.game), args.resolution, args.eps)
     data = {
         "hits": [
             {
@@ -433,7 +434,7 @@ def cmd_solve_grid(args, inputs):
 
 def cmd_solve_refine(args, inputs):
     result = local_ne_refine(
-        args.game, args.profile, args.target,
+        _require_game(args.game), args.profile, args.target,
         max_iters=args.max_iters, damping=args.damping,
     )
     bounds = [BoundRecord("refine_target", args.target, result.max_regret, result.converged)]
@@ -447,10 +448,7 @@ def cmd_solve_refine(args, inputs):
 
 
 def cmd_solve_2x2(args, inputs):
-    matrix = _tensor_matrix(args.game)
-    if args.game.orientation != (MINIMIZE, MAXIMIZE):
-        raise FormatError("the closed form fixes orientation [minimize, maximize]")
-    value, x, z = solve_2x2(matrix)
+    value, x, z = solve_2x2(_source_matrix(args.game, (MINIMIZE, MAXIMIZE)))
     data = {
         "value": str(value),
         "value_float": float(value),

@@ -10,9 +10,16 @@ import pytest
 from minmaxlab import cli, fileio, gadgets, oracle
 from minmaxlab.cliques import unique_ne_game
 from minmaxlab.errors import BoundViolationError
-from minmaxlab.games import MAXIMIZE, MINIMIZE, MixedProfile, MixedStrategy
+from minmaxlab.games import (
+    MAXIMIZE,
+    MINIMIZE,
+    MixedProfile,
+    MixedStrategy,
+    NormalFormGame,
+    PolymatrixGame,
+)
 from minmaxlab.minmax import QuadraticMinMaxProblem
-from minmaxlab.rational import fmat
+from minmaxlab.rational import exact_array, fmat
 from trajectory_csv import load_trajectory_rows
 
 
@@ -385,7 +392,7 @@ def test_solve_max_clique_reports_one_indexed(capsys, tmp_path, fig1):
 
 def test_gadget_quadratic_roundtrip(capsys, tmp_path):
     game = write_game(
-        tmp_path, "r.json", [["1/2", "-1/4"], ["1/4", "1/2"]], ["min", "max"]
+        tmp_path, "r.json", [["1/2", "-1/4"], ["1/4", "1/2"]], ["max", "max"]
     )
     out = tmp_path / "quad.json"
     code, report, _ = run_cli(
@@ -454,9 +461,66 @@ def test_gadget_coupled_refuses_a_zero_delta(capsys, tmp_path):
     assert (code, report["error"]) == (2, "delta must be finite and positive, got 0.0")
 
 
+def test_backmap_symmetric_refuses_a_file_oriented_for_minimizing(capsys, tmp_path):
+    # (1, 0) is a symmetric equilibrium of diag(1, 1/2) for maximizers, but
+    # both minimizers regret it by 1: the file is not the (R, R^T) the
+    # back-map's bound is about, so it is refused, not judged as maximizing
+    game = write_game(tmp_path, "diag.json", [["1", "0"], ["0", "1/2"]], ["min", "min"])
+    x = write_profile(tmp_path, "x.json", [["1", "0"]])
+    code, report, _ = run_cli(capsys, ["check", "ne", "--game", game, "--profile",
+                                       write_profile(tmp_path, "xx.json", [["1", "0"]] * 2)])
+    assert (code, report["data"]["regrets"]) == (0, [1.0, 1.0])
+    code, report, _ = run_cli(
+        capsys, ["backmap", "symmetric", "--game", game, "--profile", x, "--gap", "0"])
+    assert code == 2
+    assert report["bounds"] == []
+    assert report["error"] == (
+        "this command needs a two-player tensor game file with orientation [maximize, maximize]"
+    )
+
+
+def _check_ne_max_regret(capsys, tmp_path, game, strategy: MixedStrategy) -> float:
+    profile = tmp_path / "pair.json"
+    fileio.save_profile(MixedProfile((strategy, strategy)), str(profile))
+    code, report, _ = run_cli(capsys, ["check", "ne", "--game", game, "--profile", str(profile)])
+    assert code == 0
+    return max(report["data"]["regrets"])
+
+
+def test_backmap_symmetric_measures_what_check_ne_measures_at_x_x(capsys, tmp_path):
+    # R x = (1/4, 3/8) at x = (1/4, 3/4), so (x, x) has regret 3/8 - 11/32 = 1/32
+    game = write_game(tmp_path, "diag.json", [["1", "0"], ["0", "1/2"]], ["max", "max"])
+    x = write_profile(tmp_path, "x.json", [["1/4", "3/4"]])
+    code, report, _ = run_cli(
+        capsys, ["backmap", "symmetric", "--game", game, "--profile", x, "--gap", "1/100"])
+    assert code == 0
+    measured = report["bounds"][0]["measured"]
+    assert measured == 1 / 32
+    assert measured == _check_ne_max_regret(capsys, tmp_path, game, fileio.load_profile(x)[0])
+
+
+def test_backmap_team_measures_what_check_ne_measures_at_y_y(capsys, tmp_path):
+    # A = [[-4, -2], [-2, -3]], both players minimizing; y* = (1 - t, t) with
+    # t = 1/1024 keeps the gadget profile certified and has regret t (2 - 3t)
+    a = gadgets.shift_to_gadget_range(fmat([[3, 5], [5, 4]]))[0]
+    game = write_game(tmp_path, "a.json", [[str(e) for e in row] for row in a], ["min", "min"])
+    instance = gadgets.team_gadget(a, Fraction(1, 20))
+    x, _, anchor = gadgets.canonical_team_ne(instance)
+    t = Fraction(1, 1024)
+    y = MixedStrategy.from_exact((1 - t, t))
+    profile = tmp_path / "team.json"
+    fileio.save_profile(MixedProfile((x, y, anchor)), str(profile))
+    code, report, _ = run_cli(capsys, ["backmap", "team", "--game", game, "--eps", "1/20",
+                                       "--profile", str(profile)])
+    assert code == 0
+    measured = report["bounds"][0]["measured"]
+    assert measured == float(t * (2 - 3 * t))
+    assert measured == _check_ne_max_regret(capsys, tmp_path, game, y)
+
+
 def test_dynamics_run_writes_a_trajectory(capsys, tmp_path):
     game = write_game(
-        tmp_path, "r.json", [["0", "-1"], ["1", "0"]], ["min", "max"]
+        tmp_path, "r.json", [["0", "-1"], ["1", "0"]], ["max", "max"]
     )
     out_quad = tmp_path / "quad.json"
     run_cli(capsys, ["gadget", "quadratic", "--game", game, "-o", str(out_quad)])
@@ -532,21 +596,27 @@ GOLDEN = json.loads(
 )
 
 
-def _malformed_argv(command, tmp_path):
-    """Required options of a command, every file holding malformed JSON."""
-    bad = tmp_path / "bad.json"
-    bad.write_text("{oops", encoding="utf-8")
+def _required_argv(command, files: dict):
+    """Required options of a command, each file option naming files[its kind]."""
     argv = command.name.split()
     for arg in command.args:
         if not arg.options.get("required"):
             continue
-        if arg.kind in FILE_KINDS:
-            value = str(bad)
+        if arg.kind in files:
+            value = files[arg.kind]
         elif "choices" in arg.options:
             value = arg.options["choices"][0]
         else:
             value = "3" if arg.options.get("type") is int else "1/20"
         argv += [arg.flag, value]
+    return argv
+
+
+def _malformed_argv(command, tmp_path):
+    """Required options of a command, every file holding malformed JSON."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops", encoding="utf-8")
+    argv = _required_argv(command, dict.fromkeys(FILE_KINDS, str(bad)))
     if not any(arg.kind in FILE_KINDS for arg in command.args):
         argv += ["-o", str(tmp_path)]  # a directory: the artifact cannot be written
     return argv
@@ -561,6 +631,111 @@ def test_malformed_input_reports_exit_2(capsys, tmp_path, command):
     assert report["exit_code"] == 2
     assert report["bounds"] == []
     assert report["error"]
+
+
+SYMMETRIC = [["1/2", "0"], ["0", "1/4"]]  # symmetric, entries in [-1, 1]
+ORIENTED = {"max-max": ["max", "max"], "min-min": ["min", "min"], "min-max": ["min", "max"]}
+GAME_FILE_KINDS = (*ORIENTED, "three-player", "polymatrix", "quadratic")
+
+
+def _source(orientation: str):
+    """A source-matrix command: the one oriented kind it reads, and its refusal."""
+    words = ", ".join("minimize" if w == "min" else "maximize" for w in ORIENTED[orientation])
+    return {orientation}, {
+        f"this command needs a two-player tensor game file with orientation [{words}]"}
+
+
+ANY_GAME = set(GAME_FILE_KINDS) - {"quadratic"}, {
+    "this command needs a tensor or polymatrix game file"}
+PROBLEM = {"quadratic"}, {"this command needs a quadratic problem file"}
+SYMMETRIC_GAME = {"max-max", "min-min"}, {
+    "expected an identical-payoff two-player game", "players must share an orientation"}
+# command -> (the game file kinds it reads, the errors it refuses the others with)
+READS = {
+    "gadget team": _source("min-min"),
+    "gadget quadratic": _source("max-max"),
+    "gadget coupled": _source("max-max"),
+    "gadget team3v3": _source("max-max"),
+    "check ne": ANY_GAME,
+    "check wsne": SYMMETRIC_GAME,
+    "check fone": PROBLEM,
+    "check gap": PROBLEM,
+    "backmap team": _source("min-min"),
+    "backmap symmetric": _source("max-max"),
+    "backmap median": _source("max-max"),
+    "backmap team3v3": _source("max-max"),
+    "audit gadget-structure": _source("min-min"),
+    "audit classify": _source("max-max"),
+    "audit mass-bound": ANY_GAME,
+    "solve enumerate": SYMMETRIC_GAME,
+    "solve grid": ANY_GAME,
+    "solve refine": ANY_GAME,
+    "solve 2x2": _source("min-max"),
+    "dynamics run": PROBLEM,
+}
+GAME_FILE_COMMANDS = [c for c in cli.COMMANDS if any(a.kind == cli.GAME for a in c.args)]
+
+
+def _game_file(tmp_path, kind: str) -> str:
+    """A file of one kind a --game or --problem option may name, two actions a player."""
+    if kind in ORIENTED:
+        return write_game(tmp_path, f"{kind}.json", SYMMETRIC, ORIENTED[kind])
+    if kind == "three-player":
+        game = NormalFormGame((exact_array([SYMMETRIC] * 2),) * 3, (MINIMIZE, MINIMIZE, MAXIMIZE))
+    elif kind == "polymatrix":
+        pairs = {(0, 1): fmat(SYMMETRIC), (1, 2): fmat(SYMMETRIC)}
+        game = PolymatrixGame((2, 2, 2), pairs, (MINIMIZE, MINIMIZE, MAXIMIZE))
+    else:
+        game = gadgets.quadratic_gadget(fmat(SYMMETRIC))
+    path = tmp_path / f"{kind}.json"
+    fileio.save_game(game, str(path))
+    return str(path)
+
+
+def _file_kind_argv(command, tmp_path, kind: str):
+    """Required options of a command, its game file of `kind`, its profile a
+    uniform pair of strategies."""
+    return _required_argv(command, {
+        cli.GAME: _game_file(tmp_path, kind),
+        cli.PROFILE: write_profile(tmp_path, "uniform.json", [["1/2", "1/2"]] * 2),
+    })
+
+
+def test_every_command_that_reads_a_game_file_says_which_kinds():
+    assert {c.name for c in GAME_FILE_COMMANDS} == set(READS)
+
+
+@pytest.mark.parametrize("kind", GAME_FILE_KINDS)
+@pytest.mark.parametrize("command", GAME_FILE_COMMANDS, ids=lambda c: c.name)
+def test_every_game_file_kind_gets_a_report_and_only_its_kinds_are_read(
+    capsys, tmp_path, command, kind
+):
+    code, report, _ = run_cli(capsys, _file_kind_argv(command, tmp_path, kind))
+    assert code in (0, 1, 2)
+    assert report["command"] == command.name and report["exit_code"] == code
+    accepted, refusals = READS[command.name]
+    if kind in accepted:
+        assert report.get("error") not in refusals
+    else:
+        assert (code, report["bounds"]) == (2, [])
+        assert report["error"] in refusals
+
+
+def test_a_profile_of_the_wrong_size_or_a_coupled_gadget_without_a_width_exits_2(
+    capsys, tmp_path
+):
+    game, problem = _game_file(tmp_path, "max-max"), _game_file(tmp_path, "quadratic")
+    three = write_profile(tmp_path, "three.json", [["1/2", "1/2"]] * 3)
+    one = write_profile(tmp_path, "one.json", [["1/2", "1/2"]])
+    for argv, error in (
+        (["check", "wsne", "--game", game, "--profile", three],
+         "expected a profile with one strategy (or two identical ones)"),
+        (["check", "fone", "--game", problem, "--profile", one],
+         "expected a two-strategy profile"),
+        (["gadget", "coupled", "--game", game], "gadget coupled needs --delta or --eps"),
+    ):
+        code, report, _ = run_cli(capsys, argv)
+        assert (code, report["bounds"], report["error"]) == (2, [], error)
 
 
 def test_every_command_has_a_golden_case_and_a_malformed_case():
@@ -597,7 +772,7 @@ def test_escaped_violation_reports_exit_1(capsys, tmp_path, fig1, monkeypatch):
 
 def test_backmap_team3v3_reports_a_violated_structure_bound(capsys, tmp_path, monkeypatch):
     r = [["1/2", "0"], ["0", "1/2"]]
-    game = write_game(tmp_path, "r.json", r, ["min", "min"])
+    game = write_game(tmp_path, "r.json", r, ["max", "max"])
     inst = gadgets.team3v3_gadget(fmat(r), Fraction(1, 20))
     eq = oracle.symmetric_support_enumeration(inst.a, orientation=MINIMIZE)[0]
     s, anchor = MixedStrategy.from_exact(eq.probs), MixedStrategy.pure(5, 4)

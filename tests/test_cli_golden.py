@@ -85,8 +85,8 @@ INPUTS = {
     "diag.json": ("json", lambda: _tensor([[2, 0], [0, 1]], ["max", "max"])),
     "sym.json": ("json", lambda: _tensor([[0, 1], [1, 0]], ["max", "max"])),
     "mp.json": ("json", lambda: _tensor([[1, -1], [-1, 1]], ["min", "max"])),
-    "r.json": ("json", lambda: _tensor([["1/2", "-1/4"], ["1/4", "1/2"]], ["min", "max"])),
-    "r3v3.json": ("json", lambda: _tensor([["1/2", 0], [0, "1/2"]], ["min", "min"])),
+    "r.json": ("json", lambda: _tensor([["1/2", "-1/4"], ["1/4", "1/2"]], ["max", "max"])),
+    "r3v3.json": ("json", lambda: _tensor([["1/2", 0], [0, "1/2"]], ["max", "max"])),
     "team_matrix.json": ("json", lambda: _tensor(_team_matrix(), ["min", "min"])),
     "pure.json": ("json", lambda: _profile([["1", "0"], ["1", "0"]])),
     "uniform2.json": ("json", lambda: _profile([["1/2", "1/2"], ["1/2", "1/2"]])),
