@@ -24,7 +24,7 @@ from .games import (
     profile_probs,
     require_simplex,
 )
-from .rational import fmat, fvec, scale_to_integers
+from .rational import fmat, fvec, scale_to_integers, to_fraction
 
 VERDICT_SLACK = 1e-12
 
@@ -230,17 +230,19 @@ class MassBoundEntry:
     bound: float
 
 
-def mass_bound_audit(game: Game, profile: MixedProfile, epsilon: float) -> list[MassBoundEntry]:
+def mass_bound_audit(
+    game: Game, profile: MixedProfile, epsilon: float | Fraction
+) -> list[MassBoundEntry]:
     """Check that suboptimal actions carry little mass in an eps^2-equilibrium.
 
     In any eps^2-equilibrium, an action whose payoff is c worse than the
     best response (c > 0) can carry at most eps^2 / c probability.  Requires
     the profile to actually be an eps^2-equilibrium; returns the list of
     violating (player, action) pairs with measured masses, empty when every
-    mass is `within` its bound.
+    mass is `within` its bound.  eps is squared exactly, then rounded once.
     """
     require_finite_nonnegative("epsilon", epsilon)
-    eps_sq = float(epsilon) ** 2
+    eps_sq = float(to_fraction(epsilon) ** 2)
     certify(game, profile, eps_sq)
     violations = []
     for p, dev in enumerate(deviation_vectors(game, profile_probs(game, profile))):

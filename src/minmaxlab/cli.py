@@ -442,6 +442,7 @@ def cmd_solve_refine(args, inputs):
         "iterations": result.iterations,
         "converged": result.converged,
         "stalled_at": result.stalled_at,
+        "checkpoints": result.checkpoints,
         "strategies": [fileio.strategy_obj(s) for s in result.profile.strategies],
     }
     return bounds, data, result.profile
@@ -604,7 +605,7 @@ COMMANDS = (
              Arg("--eps", EXACT, record=False, default=None),
              Arg("--wsne", record=False, action="store_true", help="input is well-supported"))),
     Command("audit mass-bound", cmd_audit_mass_bound,
-            (_GAME, _PROFILE, Arg("--eps", FLOAT, required=True))),
+            (_GAME, _PROFILE, _EPS_EXACT)),
     Command("solve enumerate", cmd_solve_enumerate, (_GAME,)),
     Command("solve grid", cmd_solve_grid,
             (_GAME, Arg("--resolution", EXACT, required=True), _EPS_EXACT)),

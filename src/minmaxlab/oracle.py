@@ -57,6 +57,7 @@ REFINE_MAX_ITERS = 100_000
 REFINE_DAMPING = 0.1
 _STALL_CHECKPOINT = 250  # the stall rule's checkpoints are 250 * 2^k iterations
 _STALL_FINISH_MARGIN = 4  # a start may project to finish within 4 * max_iters
+_PAIRWISE_BLOCK = 8  # np.add.reduce sums fewer entries left to right from 0.0
 
 
 @dataclass(frozen=True)
@@ -558,6 +559,11 @@ def local_ne_refine(
     counts = game.action_counts
     raws, views = split_players(raw, counts), split_players(view, counts)
     deviations = deviation_kernel(game)
+    # a segment below numpy's pairwise block is totalled in a Python loop, with
+    # np.add.reduce's bits and less overhead; not by the builtin sum, which
+    # compensates from Python 3.12 on (docs/decisions.md, "Float loops")
+    looped = [c < _PAIRWISE_BLOCK for c in counts]
+    add_reduce, divide = np.add.reduce, np.divide
     best = None  # a flat copy of the best iterate; None while it is the start
     best_regret = math.inf
     orientation = game.orientation
@@ -589,10 +595,15 @@ def local_ne_refine(
             next_checkpoint *= 2
         eta = damping / (1.0 + damping * t)
         raw *= 1.0 - eta
-        for s, v, br in zip(raws, views, brs):
+        for s, v, br, loop in zip(raws, views, brs, looped):
             s[br] += eta
-            # np.add.reduce is what ndarray.sum runs, without its Python wrapper
-            np.divide(s, np.add.reduce(s), out=v)
+            if loop:
+                total = 0.0
+                for x in s.tolist():
+                    total += x
+            else:  # what ndarray.sum runs, without its Python wrapper
+                total = add_reduce(s)
+            divide(s, total, out=v)
     profile = start if best is None else _profile_of(best, counts)
     # t + 1 is max_iters after the last iteration, or the checkpoint that stalled
     return RefineResult(profile, best_regret, t + 1, False, None, stalled_at, tuple(checkpoints))

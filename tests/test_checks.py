@@ -236,6 +236,15 @@ def test_mass_bound_audit_rejects_bad_precondition():
         checks.mass_bound_audit(game, uniform, -0.1)
 
 
+@pytest.mark.parametrize(
+    "epsilon, threshold", [(Fraction(1, 20), "0.0025"), (0.05, repr(0.05 * 0.05))]
+)
+def test_mass_bound_audit_squares_an_exact_epsilon_exactly(epsilon, threshold):
+    game, prof = matching_pennies(), MixedProfile((MixedStrategy.pure(2, 0),) * 2)
+    with pytest.raises(PreconditionError, match=rf"certified {threshold}-equilibrium:"):
+        checks.mass_bound_audit(game, prof, epsilon)
+
+
 def test_mass_bound_entries_respect_the_ratio():
     # slightly perturbed equilibrium: every suboptimal action obeys mass <= eps^2/gap
     m = fmat([[1, 1], [0, 0]])

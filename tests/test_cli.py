@@ -353,6 +353,21 @@ def test_solve_refine_reports_a_stalled_start(capsys, tmp_path):
     assert report["data"]["converged"] is False
     assert report["data"]["stalled_at"] == report["data"]["iterations"] == 500
     assert not report["bounds"][0]["satisfied"]
+    # the rule compared the best regrets at 250 and 500: falling at that rate,
+    # the regret would reach 1e-12 far beyond 4 * 700 iterations
+    (t0, b0), (t1, b1) = report["data"]["checkpoints"]
+    assert (t0, t1) == (250, 500) and b0 > b1 == report["bounds"][0]["measured"]
+
+
+def test_audit_mass_bound_squares_the_exact_eps(capsys, tmp_path):
+    game = write_game(tmp_path, "diag.json", [["2", "0"], ["0", "1"]], ["max", "max"])
+    uniform = write_profile(tmp_path, "uniform.json", [["1/2", "1/2"], ["1/2", "1/2"]])
+    code, report, _ = run_cli(
+        capsys,
+        ["audit", "mass-bound", "--game", game, "--profile", uniform, "--eps", "1/20"],
+    )
+    assert code == 2
+    assert report["error"].startswith("profile is not a certified 0.0025-equilibrium:")
 
 
 def test_solve_refine_rejects_damping_above_one(capsys, tmp_path):

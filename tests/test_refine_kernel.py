@@ -310,6 +310,91 @@ def test_refinement_matches_the_prior_loop_with_a_player_in_no_pair(
     assert (new.converged, new.stalled_at) == exit
 
 
+def _dense_pair(rows, cols, seed):
+    return fmat([
+        [Fraction((seed * (3 * a + 1) + 5 * b * b + 7 * a * b) % 23 - 11, 6) for b in range(cols)]
+        for a in range(rows)
+    ])
+
+
+# one player below numpy's 8-entry pairwise block and two at or above it, so
+# the loop totals one segment in Python and two with np.add.reduce; player 1
+# minimises what players 0 and 2 maximise, and the regret falls for thousands
+# of iterations, long enough for a last-bit change in a total to show
+MIXED_TOTALS = PolymatrixGame(
+    action_counts=(7, 8, 9),
+    pair_matrices={(0, 1): _dense_pair(7, 8, 2), (2, 1): _dense_pair(9, 8, 5)},
+    orientation=(MAXIMIZE, MINIMIZE, MAXIMIZE),
+)
+
+
+@pytest.mark.parametrize(
+    "seed, target, damping, exit",
+    [
+        (None, 0.03, 1.0, (True, None, 1_972)),
+        (3, 0.03, 1.0, (True, None, 1_998)),
+        (6, 0.022, 0.1, (True, None, 2_756)),
+        (3, 0.022, 0.1, (False, None, 3_000)),
+        (3, 0.01, 1.0, (False, 1_000, 1_000)),
+    ],
+)
+def test_refinement_matches_the_prior_loop_on_segments_on_both_sides_of_the_block(
+    seed, target, damping, exit
+):
+    rng = np.random.default_rng(seed)
+    start = _uniform(MIXED_TOTALS) if seed is None else MixedProfile(tuple(
+        MixedStrategy(rng.dirichlet(np.ones(c))) for c in MIXED_TOTALS.action_counts
+    ))
+    new = refine_matches_prior(MIXED_TOTALS, start, target, 3_000, damping)
+    assert (new.converged, new.stalled_at, new.iterations) == exit
+
+
+# ---------------------------------------------------------------------------
+# segment totals: a Python loop below the pairwise block, np.add.reduce above
+
+
+def _loop_total(s):
+    """The refinement loop's total of a short segment."""
+    total = 0.0
+    for x in s.tolist():
+        total += x
+    return total
+
+
+@st.composite
+def short_segments(draw):
+    """1 to 7 non-negative entries: ties, zeros, subnormals, one large entry
+    with tiny ones, or a Dirichlet point near the simplex."""
+    n = draw(st.integers(1, oracle._PAIRWISE_BLOCK - 1))
+    kind = draw(st.sampled_from(["ties", "zeros", "subnormal", "tiny tail", "simplex"]))
+    if kind == "ties":
+        return np.full(n, draw(st.floats(0.0, 1.0)))
+    if kind == "zeros":
+        zeros = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+        return np.array(draw(st.lists(zeros, min_size=n, max_size=n)))
+    if kind == "subnormal":
+        return np.array(draw(st.lists(
+            st.floats(0.0, 1e-307, allow_subnormal=True), min_size=n, max_size=n
+        )))
+    if kind == "tiny tail":
+        return np.array([1.0] + [2.0**-53] * (n - 1))
+    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(n))
+    return w * draw(st.sampled_from([1.0, 1.0 - 2.0**-52, 1.0 + 2.0**-52]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(short_segments())
+def test_a_short_segment_is_totalled_with_np_add_reduce_bits(s):
+    assert np.float64(_loop_total(s)).tobytes() == np.add.reduce(s).tobytes()
+
+
+def test_at_the_pairwise_block_np_add_reduce_sums_otherwise():
+    # left to right each 2^-53 rounds away against 1.0; pairwise, they first
+    # meet each other
+    s = np.array([1.0] + [2.0**-53] * (oracle._PAIRWISE_BLOCK - 1))
+    assert _loop_total(s) == 1.0 < np.add.reduce(s)
+
+
 # ---------------------------------------------------------------------------
 # the stall rule
 
