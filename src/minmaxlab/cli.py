@@ -479,7 +479,7 @@ def cmd_dynamics_run(args, inputs):
     data = {
         "algorithm": config.algorithm,
         "final_gap": trajectory.gaps[-1],
-        "min_gap": min(trajectory.gaps),
+        "min_gap": dynamics.min_gap(trajectory),
         "max_drift": dynamics.symmetry_drift(trajectory),
         "final_utility": trajectory.utilities[-1],
     }

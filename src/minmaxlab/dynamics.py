@@ -8,7 +8,11 @@ both players run the *same* deterministic rule, operation for operation.
 Four of the rules (GDA, ExtraGradient, OptimisticGDA, OMWU) update
 simultaneously; with an antisymmetric objective and a shared starting
 point the two feedback segments are bitwise identical, so the two iterates
-never separate — the recorded symmetry drift stays exactly zero.
+never separate — the recorded symmetry drift stays exactly zero.  While the
+segments hold the same bytes, a projection's threshold and OMWU's total are
+computed once and applied to the whole row; a deterministic function of the
+same bytes gives the same bits, so this changes no result, and the drift is
+still measured from the path.
 AlternatingGDA deliberately breaks the pattern by updating the players in
 turn, each reacting to the moves already made, which is enough to pull the
 iterates apart on ordinary bilinear problems.
@@ -66,6 +70,12 @@ class DynamicsConfig:
             raise PreconditionError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise PreconditionError("horizon must be at least 1")
+        if self.init is not None and not (
+            isinstance(self.init, tuple)
+            and len(self.init) == 2
+            and all(isinstance(s, MixedStrategy) for s in self.init)
+        ):
+            raise PreconditionError(f"init must be a pair of MixedStrategy, got {self.init!r}")
         # an exact stepsize would turn every iterate into an object array
         object.__setattr__(self, "stepsize", float(self.stepsize))
         object.__setattr__(self, "horizon", int(self.horizon))
@@ -132,12 +142,17 @@ def run(problem: QuadraticMinMaxProblem, config: DynamicsConfig) -> Trajectory:
     feedbacks = problem.feedbacks
     segments = (slice(0, nx), slice(nx, None))
     v, half, previous = np.empty_like(path[0]), np.empty_like(path[0]), np.zeros_like(path[0])
-    v_segments = [v[s] for s in segments]
+    v_segments = v_x, v_y = [v[s] for s in segments]
 
     def project(out):
-        """out = the projection of each segment of v, the step's target."""
-        for w in v_segments:
-            w -= _simplex_threshold(w)
+        """out = the projection of each segment of v, the step's target; segments
+        with the same bytes share one threshold and one subtraction."""
+        theta = _simplex_threshold(v_x)
+        if v_x.tobytes() == v_y.tobytes():
+            np.subtract(v, theta, out=v)
+        else:
+            np.subtract(v_x, theta, out=v_x)
+            np.subtract(v_y, _simplex_threshold(v_y), out=v_y)
         np.maximum(v, 0.0, out=out)
 
     def descend(z, direction):
@@ -164,11 +179,16 @@ def run(problem: QuadraticMinMaxProblem, config: DynamicsConfig) -> Trajectory:
                 w = np.subtract(np.multiply(g, 2.0, out=v), previous, out=v)
                 np.multiply(z, np.exp(np.multiply(w, -eta, out=w), out=w), out=w)
             previous[:] = g
-            totals = [np.add.reduce(w[s]) for s in segments]
+            # w is v: segments with the same bytes share one total and one divide
+            shared = v_x.tobytes() == v_y.tobytes()
+            totals = [np.add.reduce(w[s]) for s in (segments[:1] if shared else segments)]
             if not (np.isfinite(w).all() and min(totals) > 0):
                 raise OverflowError(f"multiplicative update overflowed at step {t + 1}")
-            for s, total in zip(segments, totals):
-                np.divide(w[s], total, out=nxt[s])
+            if shared:
+                np.divide(w, totals[0], out=nxt)
+            else:
+                for s, total in zip(segments, totals):
+                    np.divide(w[s], total, out=nxt[s])
         else:  # AlternatingGDA: GDA on one segment per turn, its feedback read on the turn
             nxt[:] = z
             for s, w in zip(segments, v_segments):

@@ -176,13 +176,15 @@ def gradient(problem: QuadraticMinMaxProblem, x, y) -> tuple[np.ndarray, np.ndar
 def _simplex_gda_rows(
     problem: QuadraticMinMaxProblem, xs: np.ndarray, ys: np.ndarray, stepsize: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """GDA image of each row pair of stacked points on the plain simplex product."""
+    """GDA image of each row pair of stacked points on the plain simplex product;
+    targets with the same bytes are projected once, for both players."""
     gx = ys @ problem.m_float - xs @ problem.qx_float
     gy = ys @ problem.qy_float + xs @ problem.mt_float
-    return (
-        _project_simplex_rows(xs - stepsize * gx),
-        _project_simplex_rows(ys + stepsize * gy),
-    )
+    vx, vy = xs - stepsize * gx, ys + stepsize * gy
+    x2 = _project_simplex_rows(vx)
+    if vx.shape == vy.shape and vx.tobytes() == vy.tobytes():
+        return x2, x2
+    return x2, _project_simplex_rows(vy)
 
 
 def _simplex_gda_gaps(

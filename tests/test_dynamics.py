@@ -19,7 +19,7 @@ from minmaxlab.dynamics import (
     run,
     symmetry_drift,
 )
-from minmaxlab.errors import PreconditionError
+from minmaxlab.errors import DimensionError, PreconditionError
 from minmaxlab.games import MixedStrategy
 from minmaxlab.rational import fmat
 
@@ -134,6 +134,39 @@ def test_config_types_are_checked_at_construction(field, value):
     fields = {"algorithm": GDA, "stepsize": 0.1, "horizon": 10, field: value}
     with pytest.raises(PreconditionError, match=field):
         DynamicsConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "init",
+    [
+        ([0.5, 0.5], [0.5, 0.5]),
+        (np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+        (MixedStrategy.uniform(2),) * 3,
+        [MixedStrategy.uniform(2)] * 2,
+    ],
+    ids=["lists", "arrays", "three-strategies", "list-of-strategies"],
+)
+def test_config_init_must_be_a_pair_of_strategies(init):
+    with pytest.raises(PreconditionError, match="init"):
+        DynamicsConfig(algorithm=GDA, stepsize=0.1, horizon=10, init=init)
+
+
+def test_init_of_the_wrong_size_is_refused_by_the_run():
+    config = DynamicsConfig(GDA, 0.1, 10, init=(MixedStrategy.uniform(2),) * 2)
+    with pytest.raises(DimensionError, match="initial point"):
+        run(rps_problem(), config)
+
+
+@pytest.mark.parametrize("apart", [False, True], ids=["equal-starts", "different-starts"])
+def test_omwu_refuses_an_overflowing_update_with_equal_or_different_segments(apart):
+    """The maximizer's feedback at x = (0.6, 0.4) is (400, -600): exp(1200)
+    overflows at the first step, in the shared branch and in the separate one."""
+    zero = np.zeros((2, 2), dtype=object)
+    prob = minmax.QuadraticMinMaxProblem(qx=zero, qy=zero, m=fmat([[0, -1000], [1000, 0]]))
+    x = MixedStrategy([0.6, 0.4])
+    init = (MixedStrategy([0.3, 0.7]) if apart else x, x)
+    with pytest.raises(OverflowError, match="step 1"):
+        run(prob, DynamicsConfig(OMWU, stepsize=1.0, horizon=5, init=init))
 
 
 def test_config_stores_numpy_and_exact_numbers_as_float_and_int():

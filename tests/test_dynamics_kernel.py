@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minmaxlab import dynamics, gadgets, geometry
+from minmaxlab import dynamics, gadgets, geometry, minmax
 from minmaxlab.dynamics import (
     ALGORITHMS,
     ALTERNATING_GDA,
@@ -22,6 +22,7 @@ from minmaxlab.dynamics import (
     GDA,
     OMWU,
     OPTIMISTIC_GDA,
+    SYMMETRIC_ALGORITHMS,
     DynamicsConfig,
     run,
 )
@@ -386,3 +387,117 @@ def test_rectangular_runs_match_the_prior_loop_at_any_size(
     init = None if uniform else (_start(nx, seed), _start(ny, seed + 1))
     traj = assert_same_run(problem, DynamicsConfig(algorithm, stepsize, horizon, init=init))
     assert all(d == float("inf") for d in traj.drifts)
+
+
+# ---------------------------------------------------------------------------
+# segments with equal bytes: one threshold, one total, one row projection
+
+
+@pytest.mark.parametrize("algorithm", SYMMETRIC_ALGORITHMS)
+@pytest.mark.parametrize("n", [2, 3, C, C + 1])
+def test_equal_starts_that_separate_match_the_prior_loop(algorithm, n):
+    """A square problem that is not antisymmetric: the segments start equal
+    and part at the first step, so the loop leaves the shared branch."""
+    problem = _random_problem(n, n, seed=400 + n)
+    start = _start(n, seed=500 + n)
+    traj = assert_same_run(problem, DynamicsConfig(algorithm, 0.2, 60, init=(start, start)))
+    assert traj.drifts[0] == 0.0 < max(traj.drifts)
+
+
+def _dominant_first_action():
+    """A = M^T antisymmetric with A[0, 1] = A[0, 2] = -2: the first action
+    beats both others, so the symmetric profile (e_0, e_0) attracts every start."""
+    zero = np.zeros((3, 3), dtype=object)
+    return QuadraticMinMaxProblem(qx=zero, qy=zero, m=[[0, 2, 2], [-2, 0, 0], [-2, 0, 0]])
+
+
+@pytest.mark.parametrize("algorithm", SYMMETRIC_ALGORITHMS)
+def test_different_starts_that_merge_match_the_prior_loop(algorithm):
+    """From two different starts the iterates land on one point, and from
+    there on the loop takes the shared branch: at once from two vertices at
+    stepsize 1, and once the dominated weights of OMWU underflow to zero."""
+    if algorithm == OMWU:
+        init, horizon = (MixedStrategy([0.2, 0.7, 0.1]), MixedStrategy([0.3, 0.1, 0.6])), 420
+    else:
+        init, horizon = (MixedStrategy.pure(3, 1), MixedStrategy.pure(3, 2)), 6
+    config = DynamicsConfig(algorithm, 1.0, horizon, init=init)
+    traj = assert_same_run(_dominant_first_action(), config)
+    merged = traj.drifts.index(0.0)
+    assert merged > 0 and set(traj.drifts[merged:]) == {0.0}
+    assert traj.points[-1][0].tolist() == [1.0, 0.0, 0.0]
+
+
+def test_first_entries_alone_do_not_share_the_threshold():
+    """The first action is decoupled, so the targets agree in their first entry
+    and differ in the rest: each segment still takes its own threshold."""
+    m = [[0, 0, 0], [0, "1/2", -1], [0, "3/4", "1/3"]]
+    zero = np.zeros((3, 3), dtype=object)
+    problem = QuadraticMinMaxProblem(qx=zero, qy=zero, m=fmat(m))
+    init = (MixedStrategy([0.4, 0.5, 0.1]), MixedStrategy([0.4, 0.1, 0.5]))
+    for algorithm in ALGORITHMS:
+        assert_same_run(problem, DynamicsConfig(algorithm, 0.5, 20, init=init))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, C, C + 1]),
+    st.sampled_from(ALGORITHMS),
+    st.sampled_from([1, 2, 7, 40]),
+    st.sampled_from([0.05, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_square_runs_match_the_prior_loop_at_any_size(
+    n, algorithm, horizon, stepsize, seed, equal
+):
+    problem = _random_problem(n, n, seed)
+    x = _start(n, seed)
+    init = (x, x if equal else _start(n, seed + 1))
+    assert_same_run(problem, DynamicsConfig(algorithm, stepsize, horizon, init=init))
+
+
+@pytest.mark.parametrize("algorithm, per_step", [(GDA, 1), (EXTRAGRADIENT, 2), (OPTIMISTIC_GDA, 1)])
+def test_equal_segments_take_one_threshold_per_projection(monkeypatch, algorithm, per_step):
+    calls = []
+
+    def spy(v):
+        calls.append(v.size)
+        return geometry._simplex_threshold(v)
+
+    monkeypatch.setattr(dynamics, "_simplex_threshold", spy)
+    n, horizon = 8, 50
+    problem, start = _gadget(n, seed=8), _start(n, seed=9)
+    run(problem, DynamicsConfig(algorithm, 0.1, horizon, init=(start, start)))
+    assert len(calls) == per_step * (horizon - 1)
+    calls.clear()
+    traj = run(problem, DynamicsConfig(algorithm, 0.1, horizon, init=(start, _start(n, 10))))
+    assert len(calls) == 2 * per_step * (horizon - 1)
+    assert min(traj.drifts) > 0.0
+
+
+def _gda_gap_blocks(n, rows, seed):
+    """A gadget and a block of symmetric row pairs, then the same block with
+    the last entry of its last y row moved to the first entry."""
+    rng = np.random.default_rng(seed)
+    xs = rng.dirichlet(np.ones(n), size=rows)
+    ys = xs.copy()
+    ys[-1, 0] += ys[-1, -1]
+    ys[-1, -1] = 0.0
+    return _gadget(n, seed), xs, ys
+
+
+@pytest.mark.parametrize("n, rows", [(2, 40), (3, 5), (C, 30), (C + 1, 30), (64, 16)])
+def test_gda_gaps_match_the_prior_ones_on_equal_and_unequal_halves(monkeypatch, n, rows):
+    calls = []
+
+    def spy(v):
+        calls.append(v.shape)
+        return _project_simplex_rows(v)
+
+    monkeypatch.setattr(minmax, "_project_simplex_rows", spy)
+    problem, xs, ys = _gda_gap_blocks(n, rows, seed=600 + n)
+    for x_half, y_half, projections in ((xs, xs, 1), (xs, ys, 2)):
+        calls.clear()
+        gaps = minmax._simplex_gda_gaps(problem, x_half, y_half)
+        assert gaps.tobytes() == prior_simplex_gda_gaps(problem, x_half, y_half).tobytes()
+        assert len(calls) == projections

@@ -324,3 +324,12 @@ def test_problem_bounds_must_be_finite_and_nonnegative(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
         QuadraticMinMaxProblem(qx=prob.qx, qy=prob.qy, m=prob.m, **{field: value})
     assert QuadraticMinMaxProblem(qx=prob.qx, qy=prob.qy, m=prob.m, **{field: 0.0})
+
+
+def test_gda_map_at_a_symmetric_point_returns_strategies_that_share_no_memory():
+    """Both players' targets hold the same bytes and are projected once."""
+    prob = gadgets.quadratic_gadget(fmat([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]))
+    s = MixedStrategy([0.5, 0.3, 0.2])
+    x, y = minmax.gda_map(prob, s, s)
+    assert x.probs.tobytes() == y.probs.tobytes()
+    assert not np.shares_memory(x.probs, y.probs)
