@@ -133,7 +133,7 @@ def wsne_report(game: NormalFormGame, x: MixedStrategy) -> float:
         raise PreconditionError("strategy length does not match the game")
     if not isinstance(x, MixedStrategy):
         require_simplex(probs)
-    gaps = deviation_gaps(game.float_payoffs[0] @ probs, game.orientation[0])
+    gaps = deviation_gaps(deviation_vectors(game, [probs, probs])[0], game.orientation[0])
     return float(gaps[probs > SUPPORT_TOL].max())
 
 

@@ -527,8 +527,8 @@ KINDS = {
 
 class Arg:
     """One declared option: its kind (None when argparse alone converts it,
-    as for ints, flags and choices), whether main records it in the inputs,
-    and its argparse settings."""
+    as for ints, flags and choices), whether main records it in the inputs
+    (not when its handler records a derived form), and argparse settings."""
 
     def __init__(self, flag: str, kind: str | None = None, record: bool = True, **options):
         self.flag, self.kind, self.record, self.options = flag, kind, record, options
@@ -538,12 +538,13 @@ class Arg:
 class Command(NamedTuple):
     """One subcommand.  Its handler takes the parsed options (files loaded,
     rationals parsed) and the inputs record, to which it adds only derived
-    inputs, and returns (bounds, data), plus the artifact when it has -o."""
+    inputs, and returns (bounds, data), plus the artifact when it has -o:
+    ``output`` is the fileio writer of that artifact."""
 
     name: str  # "group kind"
     handler: Callable
     args: tuple[Arg, ...]
-    output: bool = False
+    output: Callable | None = None
     help: str | None = None
 
 
@@ -569,33 +570,35 @@ _REGIME = (  # derived into a ParameterRegime and recorded by the handler
 )
 
 COMMANDS = (
-    Command("gadget team", cmd_gadget_team, (_GAME, _EPS_EXACT), output=True,
+    Command("gadget team", cmd_gadget_team, (_GAME, _EPS_EXACT), output=fileio.save_game,
             help="two team players vs one adversary"),
-    Command("gadget quadratic", cmd_gadget_quadratic, (_GAME,), output=True,
+    Command("gadget quadratic", cmd_gadget_quadratic, (_GAME,), output=fileio.save_game,
             help="antisymmetric quadratic min-max"),
     Command("gadget coupled", cmd_gadget_coupled,
             (_GAME, Arg("--delta", FLOAT, record=False, default=None),
              Arg("--eps", FLOAT, record=False, default=None)),
-            output=True, help="quadratic gadget on the coupled domain"),
-    Command("gadget team3v3", cmd_gadget_team3v3, (_GAME, _EPS_EXACT), output=True,
+            output=fileio.save_game, help="quadratic gadget on the coupled domain"),
+    Command("gadget team3v3", cmd_gadget_team3v3, (_GAME, _EPS_EXACT), output=fileio.save_game,
             help="three-vs-three polymatrix gadget"),
     Command("gadget clique", cmd_gadget_clique,
             (_GRAPH, Arg("--variant", required=True, choices=["base", "delta", "unique", "robust"]),
              *_REGIME),
-            output=True, help="clique-detection payoff families"),
+            output=fileio.save_game, help="clique-detection payoff families"),
     Command("check ne", cmd_check_ne, (_GAME, _PROFILE, _EPS_FLOAT)),
     Command("check wsne", cmd_check_wsne, (_GAME, _PROFILE, _EPS_FLOAT)),
     Command("check fone", cmd_check_fone, (_GAME, _PROFILE, _EPS_FLOAT)),
     Command("check gap", cmd_check_gap,
             (_GAME, _PROFILE, _EPS_FLOAT, Arg("--stepsize", FLOAT, default="1"))),
-    Command("backmap team", cmd_backmap_team, (_GAME, _EPS_EXACT, _PROFILE), output=True),
+    Command("backmap team", cmd_backmap_team, (_GAME, _EPS_EXACT, _PROFILE),
+            output=fileio.save_profile),
     Command("backmap symmetric", cmd_backmap_symmetric,
-            (_GAME, _PROFILE, Arg("--gap", FLOAT, required=True)), output=True),
+            (_GAME, _PROFILE, Arg("--gap", FLOAT, required=True)), output=fileio.save_profile),
     Command("backmap median", cmd_backmap_median,
             (_GAME, _PROFILE, Arg("--gap", FLOAT, required=True),
              Arg("--delta", FLOAT, required=True)),
-            output=True),
-    Command("backmap team3v3", cmd_backmap_team3v3, (_GAME, _EPS_EXACT, _PROFILE), output=True),
+            output=fileio.save_profile),
+    Command("backmap team3v3", cmd_backmap_team3v3, (_GAME, _EPS_EXACT, _PROFILE),
+            output=fileio.save_profile),
     Command("audit gadget-structure", cmd_audit_gadget_structure, (_GAME, _EPS_EXACT, _PROFILE)),
     Command("audit nashgap", cmd_audit_nashgap, (_GRAPH,)),
     Command("audit wsne-value", cmd_audit_wsne_value,
@@ -611,9 +614,9 @@ COMMANDS = (
             (_GAME, Arg("--resolution", EXACT, required=True), _EPS_EXACT)),
     Command("solve refine", cmd_solve_refine,
             (_GAME, _PROFILE, Arg("--target", FLOAT, required=True),
-             Arg("--max-iters", record=False, type=int, default=REFINE_MAX_ITERS),
-             Arg("--damping", record=False, type=float, default=REFINE_DAMPING)),
-            output=True),
+             Arg("--max-iters", type=int, default=REFINE_MAX_ITERS),
+             Arg("--damping", type=float, default=REFINE_DAMPING)),
+            output=fileio.save_profile),
     Command("solve 2x2", cmd_solve_2x2, (_GAME,)),
     Command("solve max-clique", cmd_solve_max_clique, (_GRAPH,)),
     Command("dynamics run", cmd_dynamics_run,
@@ -622,9 +625,9 @@ COMMANDS = (
              Arg("--steps", type=int, default=100),
              Arg("--stepsize", FLOAT, default="0.1"),
              Arg("--init", PROFILE, default=None)),
-            output=True),
+            output=fileio.save_trajectory),
     Command("analytic irrational", cmd_analytic_irrational,
-            (Arg("--verify", action="store_true"),), output=True),
+            (Arg("--verify", action="store_true"),), output=fileio.save_game),
 )
 
 
@@ -656,15 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
 # the dispatcher
 
 
-def _save(artifact, path: str) -> None:
-    if isinstance(artifact, MixedProfile):
-        fileio.save_profile(artifact, path)
-    elif isinstance(artifact, dynamics.Trajectory):
-        fileio.save_trajectory(artifact, path)
-    else:
-        fileio.save_game(artifact, path)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
@@ -682,7 +676,7 @@ def main(argv=None) -> int:
         bounds, data, *artifact = command.handler(args, inputs)
         if command.output:
             if args.output:
-                _save(artifact[0], args.output)
+                command.output(artifact[0], args.output)
             data["output"] = args.output
         code = 0 if all(b.satisfied for b in bounds) else 1
         write_report(make_report(command.name, inputs, bounds, code, data), args.report)

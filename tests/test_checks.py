@@ -114,6 +114,16 @@ def test_wsne_eps_exact_agrees_with_float_report():
     assert float(exact) == pytest.approx(checks.wsne_report(game, x), abs=1e-12)
 
 
+def test_wsne_report_refuses_a_strategy_of_the_wrong_length():
+    game = BimatrixGame(fmat([[1, 0], [0, 1]]), fmat([[1, 0], [0, 1]]), (MAXIMIZE, MAXIMIZE))
+    for x in ([1 / 3] * 3, MixedStrategy.uniform(3)):
+        with pytest.raises(PreconditionError, match="^strategy length does not match the game$"):
+            checks.wsne_report(game, x)
+    # the exact path says "matrix": it is handed a matrix, not a game
+    with pytest.raises(PreconditionError, match="^strategy length does not match the matrix$"):
+        checks.wsne_eps_exact([[1, 0], [0, 1]], [Fraction(1, 3)] * 3)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.1])
 def test_ne_to_wsne_refuses_a_non_positive_or_non_finite_epsilon(value):
     with pytest.raises(PreconditionError, match="epsilon"):

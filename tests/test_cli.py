@@ -278,6 +278,86 @@ def test_bool_or_non_finite_real_fields_exit_2(capsys, tmp_path, field):
     assert key in report["error"]
 
 
+def _game_doc(**fields):
+    """A valid two-player tensor game document with `fields` replaced."""
+    return {"players": 2, "action_counts": [2, 2], "orientation": ["max", "max"],
+            "payoff": {"tensor": [["1", "0"], ["0", "1"]]}, **fields}
+
+
+def _polymatrix(*blocks):
+    return _game_doc(payoff={"polymatrix": list(blocks)})
+
+
+QUADRATIC = fileio.game_to_dict(gadgets.quadratic_gadget(fmat([["1/2", "0"], ["0", "1/4"]])))
+# (file kind, contents: a JSON document or the text of a graph file, the
+# loader's message, with {path} for the file's path)
+FILE_REFUSALS = {
+    "rational-entry": (cli.GAME, _game_doc(payoff={"tensor": [[0.5, "0"], ["0", "1"]]}),
+                       "expected a rational string or integer, got 0.5"),
+    "empty-matrix": (cli.GAME, _polymatrix({"i": 0, "j": 1, "matrix": []}),
+                     "pair (0, 1) matrix must be a non-empty list of rows"),
+    "matrix-row": (cli.GAME, _polymatrix({"i": 0, "j": 1, "matrix": [1, 2]}),
+                   "bad pair (0, 1) matrix: 'int' object is not iterable"),
+    "orientation-count": (cli.GAME, _game_doc(orientation=["max"]),
+                          "orientation must list one entry per player"),
+    "orientation-word": (cli.GAME, _game_doc(orientation=["max", "up"]),
+                         "unknown orientation 'up'"),
+    "partition-shape": (cli.GAME, _game_doc(team_partition=[[0]]),
+                        "team_partition must be two lists of player indices"),
+    "partition-player": (cli.GAME, _game_doc(team_partition=[[0], [5]]),
+                         "team_partition names an unknown player"),
+    "tensor-level": (cli.GAME, _game_doc(payoff={"tensor": [["1", "0"]]}),
+                     "tensor level has 1 entries, expected 2"),
+    "not-an-object": (cli.GAME, [], "game file must hold a JSON object"),
+    "zero-actions": (cli.GAME, _game_doc(action_counts=[0, 2]),
+                     "action_counts must list a positive count per player"),
+    "no-variant": (cli.GAME, _game_doc(payoff={}), "payoff must hold exactly one variant"),
+    "polymatrix-body": (cli.GAME, _game_doc(payoff={"polymatrix": {}}),
+                        "polymatrix payoff must be a list of pair blocks"),
+    "polymatrix-block": (cli.GAME, _polymatrix({"i": 0, "j": 1}),
+                         "bad polymatrix block: 'matrix'"),
+    "polymatrix-pair": (cli.GAME, _polymatrix(*[{"i": 0, "j": 1, "matrix": [["1", "0"]] * 2}] * 2),
+                        "duplicate polymatrix pair (0, 1)"),
+    "quadratic-players": (cli.GAME, {**QUADRATIC, "players": 3, "action_counts": [2, 2, 2],
+                                     "orientation": ["min", "max", "max"]},
+                          "quadratic payoffs describe two-player problems"),
+    "quadratic-orientation": (cli.GAME, {**QUADRATIC, "orientation": ["max", "max"]},
+                              "quadratic problems fix orientation [minimize, maximize]"),
+    "quadratic-body": (cli.GAME, {**QUADRATIC, "payoff": {"quadratic": []}},
+                       "quadratic payoff must be an object"),
+    "quadratic-counts": (cli.GAME, {**QUADRATIC, "action_counts": [3, 3]},
+                         "action_counts disagree with the quadratic blocks"),
+    "unknown-variant": (cli.GAME, _game_doc(payoff={"cubic": []}),
+                        "unknown payoff variant 'cubic'"),
+    "graph-header": (cli.GRAPH, "a b\n", "{path}: non-integer header 'a b'"),
+    "graph-edge-line": (cli.GRAPH, "3 1\n1 2 3\n", "{path}: bad edge line '1 2 3'"),
+    "graph-edge-int": (cli.GRAPH, "3 1\n1 x\n", "{path}: non-integer edge '1 x'"),
+    "graph-duplicate": (cli.GRAPH, "3 2\n1 2\n2 1\n", "{path}: duplicate edge '2 1'"),
+    "profile-list": (cli.PROFILE, {"strategy": []},
+                     "{path}: profile file needs a 'strategies' list"),
+    "profile-empty": (cli.PROFILE, {"strategies": [[]]}, "each strategy must be a non-empty list"),
+    "profile-entry": (cli.PROFILE, {"strategies": [[None, 1]]}, "bad probability entry None"),
+}
+
+
+@pytest.mark.parametrize("kind, contents, message", FILE_REFUSALS.values(), ids=list(FILE_REFUSALS))
+def test_a_malformed_file_exits_2_with_its_loaders_message(
+    capsys, tmp_path, kind, contents, message
+):
+    path = tmp_path / "input"
+    path.write_text(contents if kind == cli.GRAPH else json.dumps(contents), encoding="utf-8")
+    if kind == cli.GRAPH:
+        argv = ["solve", "max-clique", "--graph", str(path)]
+    elif kind == cli.PROFILE:
+        game = write_game(tmp_path, "g.json", SYMMETRIC, ["max", "max"])
+        argv = ["check", "ne", "--game", game, "--profile", str(path)]
+    else:
+        argv = ["check", "ne", "--game", str(path), "--profile", str(path)]
+    code, report, _ = run_cli(capsys, argv)
+    assert (code, report["exit_code"], report["bounds"]) == (2, 2, [])
+    assert report["error"] == message.format(path=path)
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     profile = write_profile(tmp_path, "p.json", [["1", "0"]])
     code, report, err = run_cli(
@@ -753,6 +833,18 @@ def test_a_profile_of_the_wrong_size_or_a_coupled_gadget_without_a_width_exits_2
         assert (code, report["bounds"], report["error"]) == (2, [], error)
 
 
+@pytest.mark.parametrize("row, error", [
+    (["1/3", "1/3", "1/3"], "strategy length does not match the matrix"),
+    ([0.5, 0.25, 0.25], "strategy length does not match the game"),
+], ids=["exact", "float"])
+def test_check_wsne_refuses_a_strategy_of_the_wrong_length(capsys, tmp_path, row, error):
+    game = _game_file(tmp_path, "max-max")
+    x = write_profile(tmp_path, "x.json", [row])
+    code, report, err = run_cli(capsys, ["check", "wsne", "--game", game, "--profile", x])
+    assert (code, report["bounds"], report["error"]) == (2, [], error)
+    assert err == f"error: {error}\n"
+
+
 def test_every_command_has_a_golden_case_and_a_malformed_case():
     table = {c.name for c in cli.COMMANDS}
     golden = {case["report"]["command"] for case in GOLDEN["cases"].values()}
@@ -847,3 +939,50 @@ def test_classify_rejects_a_negative_eps(capsys, tmp_path, fig1, wsne):
     assert report["exit_code"] == 2
     assert report["bounds"] == []
     assert "non-negative" in report["error"]
+
+
+def _hash_pair(tmp_path, fig1, path3, case):
+    """Two argv of one command that differ in one option main does not record."""
+    if case.startswith("refine"):
+        game = write_game(tmp_path, "mp.json", [["1", "-1"], ["-1", "1"]], ["min", "max"])
+        start = write_profile(tmp_path, "start.json", [["9/10", "1/10"], ["1/5", "4/5"]])
+        base = ["solve", "refine", "--game", game, "--profile", start, "--target", "1e-12"]
+        if case == "refine-iters":
+            return base + ["--max-iters", "1"], base + ["--max-iters", "50"]
+        return base + ["--damping", "0.1"], base + ["--damping", "0.5"]
+    if case == "classify-eps":
+        argv = _classify_argv(tmp_path, fig1)
+        return argv, argv + ["--eps", "0"]
+    if case == "coupled-width":
+        game = write_game(tmp_path, "r.json", SYMMETRIC, ["max", "max"])
+        base = ["gadget", "coupled", "--game", game]
+        return base + ["--eps", "1/20"], base + ["--delta", repr(gadgets.coupling_width(0.05, 2))]
+    if case == "wsne-value-k":
+        argv = ["audit", "wsne-value", "--graph", write_graph(tmp_path, "path3.txt", path3)]
+        return argv, argv + ["--k", str(oracle.max_clique(path3)[0])]
+    base = ["gadget", "clique", "--graph", write_graph(tmp_path, "fig1.txt", fig1),
+            "--variant", "unique"]
+    return base + ["--k", "2"], base + ["--k", "3"]
+
+
+@pytest.mark.parametrize("case, same", [
+    ("refine-iters", False), ("refine-damping", False), ("classify-eps", True),
+    ("coupled-width", True), ("wsne-value-k", True), ("clique-k", False),
+])
+def test_two_reports_share_an_inputs_hash_exactly_when_they_are_the_same_report(
+    capsys, tmp_path, fig1, path3, case, same
+):
+    """The options main does not record are those a handler records in a
+    derived form, so the hash of the recorded inputs names the report."""
+    pair = _hash_pair(tmp_path, fig1, path3, case)
+    command = next(c for c in cli.COMMANDS if c.name.split() == pair[0][:2])
+    out = tmp_path / "artifact"
+    results = []
+    for argv in pair:
+        code, report, _ = run_cli(capsys, argv + (["-o", str(out)] if command.output else []))
+        assert code in (0, 1)
+        artifact = out.read_bytes() if command.output else None
+        results.append((report.pop("inputs_hash"), report, artifact))
+    (hash_a, report_a, artifact_a), (hash_b, report_b, artifact_b) = results
+    assert (report_a == report_b and artifact_a == artifact_b) is same
+    assert (hash_a == hash_b) is same

@@ -75,9 +75,9 @@ def test_only_the_file_checks_decide_what_a_game_file_holds():
     source = CLI.read_text(encoding="utf-8")
     assert handler_kind_checks(source) == set()
     assert set(orientation_comparisons(source)) == {"_source_matrix"}
-    # _save picks the writer of an artifact the CLI built, not of a file it read
+    # the command table names each artifact's writer, so no type is tested to pick one
     assert _callers(source, "isinstance") == {
-        "_require_problem", "_require_game", "_source_matrix", "_save"}
+        "_require_problem", "_require_game", "_source_matrix"}
 
 
 def test_every_command_that_reads_a_game_file_checks_it():

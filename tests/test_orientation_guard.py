@@ -1,10 +1,14 @@
-"""Orientation is folded in one place.
+"""Orientation is folded in one place, and only the kernel multiplies floats.
 
 Outside `games.py` no module may branch on a player's direction by comparing
 a value with MAXIMIZE or MINIMIZE (or their strings); a caller folds its
 values with `games.oriented` or uses the deviation kernel instead.
 Membership tests such as `o not in (MAXIMIZE, MINIMIZE)` and comparisons
 with a whole orientation tuple are format checks and stay allowed.
+
+Nor may it read a game's float payoff mirrors (`float_payoffs`,
+`pair_floats`, `kernel_plan`, `row_float`, `col_float`): every float
+product of a game's payoffs goes through `games.deviation_kernel`.
 """
 
 import ast
@@ -56,3 +60,38 @@ def test_no_module_outside_games_branches_on_orientation():
         if lines:
             found[path.name] = lines
     assert found == {}, f"orientation branches outside games.py: {found}"
+
+
+FLOAT_MIRRORS = {"float_payoffs", "pair_floats", "kernel_plan", "row_float", "col_float"}
+
+
+def float_mirror_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every read of a game's float payoff mirror, as an
+    attribute or a string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in FLOAT_MIRRORS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value in FLOAT_MIRRORS:
+            found.append((node.lineno, node.value))
+    return sorted(found)
+
+
+def test_the_mirror_guard_sees_attribute_and_string_reads():
+    assert float_mirror_reads("v = game.float_payoffs[0] @ x\n") == [(1, "float_payoffs")]
+    assert float_mirror_reads("p = g.pair_floats\nq = getattr(g, 'kernel_plan')\n") == [
+        (1, "pair_floats"), (2, "kernel_plan")
+    ]
+    assert float_mirror_reads("v = deviation_vectors(game, [x, x])[0]\n") == []
+
+
+def test_only_games_multiplies_a_games_float_payoffs():
+    """Every float contraction of a game's payoffs goes through the kernel."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "games.py":
+            continue
+        reads = float_mirror_reads(path.read_text(encoding="utf-8"))
+        if reads:
+            found[path.name] = reads
+    assert found == {}, f"float payoff mirrors read outside games.py: {found}"
