@@ -109,12 +109,11 @@ def require_symmetric_game(game) -> None:
 
     Then one strategy x describes the profile (x, x), both players facing Mx
     in one direction, and the game is the (M, M^T) of the symmetric support
-    enumeration.
+    enumeration.  The game decides its symmetry once (`payoff_symmetry`).
     """
     if not isinstance(game, NormalFormGame) or game.n_players != 2 or not game.identical_payoff():
         raise PreconditionError("expected an identical-payoff two-player game")
-    m = game.payoffs[0]
-    if m.tolist() != m.T.tolist():
+    if not game.payoff_symmetry[1]:
         raise PreconditionError("expected a symmetric payoff matrix")
     if game.orientation[0] != game.orientation[1]:
         raise PreconditionError("players must share an orientation")

@@ -221,8 +221,18 @@ def _regime_obj(regime: ParameterRegime) -> dict:
     }
 
 
+# the regime options each clique variant reads; any other one is refused
+CLIQUE_OPTIONS = {"base": (), "delta": ("delta",), "unique": ("k",),
+                  "robust": ("k", "delta", "eps")}
+
+
 def cmd_gadget_clique(args, inputs):
     graph = args.graph
+    dropped = [f"--{option}" for option in ("k", "delta", "eps")
+               if getattr(args, option) is not None and option not in CLIQUE_OPTIONS[args.variant]]
+    if dropped:
+        raise FormatError(
+            f"gadget clique --variant {args.variant} does not read {', '.join(dropped)}")
     data: dict = {"variant": args.variant}
     if args.variant == "base":
         matrix = payoff_from_graph(graph)

@@ -100,7 +100,8 @@ class MixedStrategy:
 
     Tiny negative components (>= -1e-12) are clamped to zero and the vector
     renormalized; larger violations or a total mass off by more than 1e-9
-    raise.  Only from_exact sets `exact`: the rational point the floats round.
+    raise.  Only from_exact, and the grid's `_grid_point`, set `exact`: the
+    rational point the floats round.
     """
 
     probs: np.ndarray
@@ -121,6 +122,25 @@ class MixedStrategy:
         if any(p < 0 for p in e) or sum(e) != 1:
             raise ValueError("exact strategy must lie on the simplex")
         object.__setattr__(strategy, "exact", e)
+        return strategy
+
+    @classmethod
+    def _grid_point(cls, numerators: Sequence[int], m: int) -> "MixedStrategy":
+        """The point numerators / m, which the caller guarantees lies on the
+        simplex (non-negative ints summing to m), built without the checks.
+
+        Only `oracle.grid_ne_search` calls this.  Python's int true division
+        rounds correctly, so `c / m` is `float(Fraction(c, m))`, and the steps
+        after it are `__post_init__`'s: the bits of `from_exact`'s point.
+        perfbench's `games.MixedStrategy.built` counter patches `__post_init__`
+        and so does not count these points (ROADMAP item 1).
+        """
+        v = np.array([c / m for c in numerators])
+        v /= v.sum()
+        v.flags.writeable = False
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "probs", v)
+        object.__setattr__(strategy, "exact", tuple(Fraction(c, m) for c in numerators))
         return strategy
 
     @classmethod
@@ -150,6 +170,14 @@ class MixedProfile:
         for s in self.strategies:
             if not isinstance(s, MixedStrategy):
                 raise TypeError("profile entries must be MixedStrategy")
+
+    @classmethod
+    def _of_strategies(cls, strategies: tuple[MixedStrategy, ...]) -> "MixedProfile":
+        """The profile of a non-empty tuple of MixedStrategy, built without the
+        checks; only `oracle.grid_ne_search` calls this."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "strategies", strategies)
+        return profile
 
     def __len__(self) -> int:
         return len(self.strategies)
@@ -271,9 +299,17 @@ class NormalFormGame:
     def float_payoffs(self) -> tuple[np.ndarray, ...]:
         return _once_each(lambda t: _read_only(t.astype(float)), self.payoffs)
 
+    @cached_property
+    def payoff_symmetry(self) -> tuple[bool, bool]:
+        """(every player holds the same tensor, and the game is moreover a
+        two-player (M, M) with M = M^T), decided once over the exact cells:
+        a game is immutable."""
+        first, cells = self.payoffs[0], self.payoffs[0].tolist()
+        identical = all(t is first or t.tolist() == cells for t in self.payoffs[1:])
+        return identical, identical and self.n_players == 2 and cells == first.T.tolist()
+
     def identical_payoff(self) -> bool:
-        first = self.payoffs[0].tolist()
-        return all(t.tolist() == first for t in self.payoffs[1:])
+        return self.payoff_symmetry[0]
 
 
 class BimatrixGame(NormalFormGame):

@@ -50,9 +50,9 @@ _STACK_PAD_WORK = 20_000
 MAX_CLIQUE_MAX_N = 20
 GRID_SEARCH_CAP = 100_000_000
 # entries of player 0's regret array per chunk of its grid: integers carried
-# in float64 (8 MB a chunk), or Python ints, which take far more memory and
+# in float64 (2 MB a chunk), or Python ints, which take far more memory and
 # time per entry
-_GRID_CHUNK_ENTRIES = {"i": 1_000_000, "O": 200_000}
+_GRID_CHUNK_ENTRIES = {"i": 2**18, "O": 200_000}
 REFINE_MAX_ITERS = 100_000
 REFINE_DAMPING = 0.1
 _STALL_CHECKPOINT = 250  # the stall rule's checkpoints are 250 * 2^k iterations
@@ -451,7 +451,8 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     # no regret exceeds the bound, which the carrier holds exactly
     threshold = min(math.floor(eps * scale), bound)
     dtype = tensors[0].dtype
-    grids = [np.array(list(_compositions(m, c)), dtype=dtype) for c in counts]
+    points = [list(_compositions(m, c)) for c in counts]  # tuples of Python ints
+    grids = [np.array(xs, dtype=dtype) for xs in points]
 
     gap0 = _regret_gaps(tensors[0], grids, 0).reshape(counts[0], -1)
     budget = _GRID_CHUNK_ENTRIES["O" if dtype == object else "i"]
@@ -459,10 +460,11 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     cache: list[dict[int, MixedStrategy]] = [{} for _ in counts]
 
     def column(p: int, idx: np.ndarray) -> list[MixedStrategy]:
-        """Player p's strategies at grid indices idx, each built once per search."""
+        """Player p's strategies at grid indices idx, each built once per search,
+        unchecked: a grid point lies on the simplex by construction."""
         idx, built = idx.tolist(), cache[p]
         for i in set(idx).difference(built):
-            built[i] = MixedStrategy.from_exact(Fraction(int(c), m) for c in grids[p][i])
+            built[i] = MixedStrategy._grid_point(points[p][i], m)
         return list(map(built.__getitem__, idx))
 
     results = []
@@ -486,7 +488,8 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
             worst = np.maximum(worst[keep], r[keep])
         columns = [column(p, i + start if p == 0 else i) for p, i in enumerate(point)]
         # int true division rounds correctly: the bits of float(Fraction(w, scale))
-        results += zip(map(MixedProfile, zip(*columns)), (int(w) / scale for w in worst.tolist()))
+        results += zip(map(MixedProfile._of_strategies, zip(*columns)),
+                       (int(w) / scale for w in worst.tolist()))
     logger.debug("grid search: %d profiles, %d pass player 0, %d hits",
                  total, survivors, len(results))
     return results

@@ -485,6 +485,33 @@ def test_solve_max_clique_reports_one_indexed(capsys, tmp_path, fig1):
     assert report["data"]["clique"] == [1, 2, 3, 4]
 
 
+CLIQUE_VALUES = {"--k": "2", "--delta": "1/3", "--eps": "1/200000"}
+
+
+@pytest.mark.parametrize("variant, reads", [
+    ("base", []), ("delta", ["--delta"]), ("unique", ["--k"]),
+    ("robust", ["--k", "--delta", "--eps"]),
+])
+def test_gadget_clique_refuses_the_options_its_variant_drops(capsys, tmp_path, path3,
+                                                             variant, reads):
+    argv = ["gadget", "clique", "--graph", write_graph(tmp_path, "path3.txt", path3),
+            "--variant", variant]
+    read = [word for option in reads for word in (option, CLIQUE_VALUES[option])]
+    code, report, _ = run_cli(capsys, argv + read)
+    assert code == 0 and report["data"]["variant"] == variant
+    dropped = [option for option in CLIQUE_VALUES if option not in reads]
+    for option in dropped:
+        code, report, err = run_cli(capsys, argv + read + [option, CLIQUE_VALUES[option]])
+        message = f"gadget clique --variant {variant} does not read {option}"
+        assert code == 2 and report["bounds"] == []
+        assert report["error"] == message and message in err
+    if dropped:  # every dropped option is named, in one report
+        everything = [word for option, value in CLIQUE_VALUES.items() for word in (option, value)]
+        code, report, _ = run_cli(capsys, argv + everything)
+        assert code == 2
+        assert report["error"].endswith(f"does not read {', '.join(dropped)}")
+
+
 def test_gadget_quadratic_roundtrip(capsys, tmp_path):
     game = write_game(
         tmp_path, "r.json", [["1/2", "-1/4"], ["1/4", "1/2"]], ["max", "max"]

@@ -12,6 +12,7 @@ definitions kept for another reason are listed in KEPT with that reason.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import minmaxlab
@@ -62,23 +63,21 @@ def bound_names(function: ast.AST) -> set[str]:
     return names - declared
 
 
-def references(tree: ast.AST, skip: ast.AST | None = None, strings: bool = False) -> set[str]:
-    """Names and attributes read (not assigned) in `tree` outside the node `skip`;
-    a name a function binds is its own local in its body, not a reference."""
-    found = set()
+def reference_counts(tree: ast.AST, strings: bool = False) -> Counter:
+    """How often each name or attribute is read (not assigned) in `tree`; a
+    name a function binds is its own local in its body, not a reference."""
+    found = Counter()
     stack = [(tree, frozenset())]
     while stack:
         node, local = stack.pop()
-        if node is skip:
-            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if node.id not in local:
-                found.add(node.id)
+                found[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found.add(node.attr)
+            found[node.attr] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                found.add(node.value)
+                found[node.value] += 1
         children = list(ast.iter_child_nodes(node))
         if isinstance(node, FUNCTIONS):  # defaults, decorators and annotations stay outside
             inner = local | bound_names(node)
@@ -89,17 +88,27 @@ def references(tree: ast.AST, skip: ast.AST | None = None, strings: bool = False
     return found
 
 
+def references(tree: ast.AST, strings: bool = False) -> set[str]:
+    """The names and attributes `reference_counts` finds in `tree`."""
+    return set(reference_counts(tree, strings))
+
+
 def unreferenced(package: dict[str, str], outside: set[str]) -> list[str]:
-    """`module.name` of every definition in `package` that nothing references."""
+    """`module.name` of every definition in `package` that nothing references.
+
+    A definition is a top-level statement, walked from no enclosing locals,
+    so its module's references outside it are the module's counts less its
+    own: one walk per module and one per definition, not one per pair.
+    """
     trees = {name: ast.parse(source) for name, source in package.items()}
+    counts = {name: reference_counts(tree) for name, tree in trees.items()}
     out = []
     for module, tree in trees.items():
         for name, node in definitions(tree).items():
             if name in outside:
                 continue
-            if not any(
-                name in references(t, skip=node if m == module else None) for m, t in trees.items()
-            ):
+            own = reference_counts(node)[name]
+            if not any(c[name] > (own if m == module else 0) for m, c in counts.items()):
                 out.append(f"{module}.{name}")
     return sorted(out)
 

@@ -64,6 +64,31 @@ def test_mixed_strategy_rejects_non_distribution():
         MixedStrategy(np.array([-0.2, 1.2]))
 
 
+S = MixedStrategy([0.5, 0.5])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MixedStrategy([np.nan, 1.0]), ValueError, "non-finite"),
+    (lambda: MixedStrategy([]), DimensionError, "empty strategy"),
+    (lambda: MixedStrategy.from_exact((Fraction(2, 3), Fraction(2, 3))), ValueError, "sum to"),
+    # the floats pass the clamp; the exact check does not
+    (lambda: MixedStrategy.from_exact((1 + Fraction(1, 10**14), -Fraction(1, 10**14))),
+     ValueError, "exact strategy must lie on the simplex"),
+    (lambda: MixedProfile(()), DimensionError, "empty profile"),
+    (lambda: MixedProfile((S, [0.5, 0.5])), TypeError, "must be MixedStrategy"),
+    (lambda: MixedProfile((S, np.array([0.5, 0.5]))), TypeError, "must be MixedStrategy"),
+], ids=["nan", "empty", "exact-mass", "exact-negative",
+        "empty-profile", "list-entry", "array-entry"])
+def test_the_public_constructors_check_what_the_grid_constructors_skip(build, error, message):
+    """Only the grid search builds points unchecked (`_grid_point`,
+    `_of_strategies`); every public constructor refuses an off-simplex
+    vector or a profile entry that is not a strategy, as before (see also
+    test_mixed_strategy_rejects_non_distribution)."""
+    with pytest.raises(error, match=message):
+        build()
+    assert type(MixedProfile([S, S]).strategies) is tuple
+
+
 def test_matching_pennies_utilities_by_hand():
     game = matching_pennies()
     prof = MixedProfile((MixedStrategy.pure(2, 0), MixedStrategy.pure(2, 0)))
@@ -111,6 +136,28 @@ def test_bimatrix_symmetry_predicates():
     assert game.identical_payoff()
     other = BimatrixGame(a, fmat([[0, 0], [0, 0]]), (MAXIMIZE, MAXIMIZE))
     assert not other.identical_payoff()
+
+
+@pytest.mark.parametrize("payoffs, symmetry", [
+    (([[1, 2], [2, 0]],) * 2, (True, True)),
+    (([[1, 2], [2, 0]], [[1, 2], [2, 0]]), (True, True)),  # equal, not shared
+    (([[0, 1], [0, 0]],) * 2, (True, False)),
+    (([[1, 2], [2, 0]], [[1, 2], [2, 1]]), (False, False)),
+    ((np.zeros((2, 2, 2), dtype=int),) * 3, (True, False)),  # three players
+], ids=["symmetric", "equal", "shared-lopsided", "distinct", "three-player"])
+def test_a_game_decides_its_symmetry_once(payoffs, symmetry):
+    game = NormalFormGame(payoffs, (MAXIMIZE,) * len(payoffs))
+    assert "payoff_symmetry" not in vars(game)
+    assert game.payoff_symmetry == symmetry and game.identical_payoff() is symmetry[0]
+    assert vars(game)["payoff_symmetry"] == symmetry  # cached on the game
+    if symmetry == (True, True):
+        x = MixedStrategy([0.25, 0.75])
+        measured = checks.wsne_report(game, x)
+        vars(game)["payoff_symmetry"] = (True, False)  # the check reads the cache alone
+        with pytest.raises(PreconditionError, match="symmetric payoff matrix"):
+            checks.wsne_report(game, x)
+        vars(game)["payoff_symmetry"] = symmetry
+        assert checks.wsne_report(game, x) == measured
 
 
 def test_bimatrix_shape_mismatch_raises():

@@ -1,9 +1,11 @@
 """Brute-force reference machinery: enumeration, grids, refinement, cliques."""
 
+import ast
 import itertools
 import logging
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -411,6 +413,29 @@ def test_every_hit_reports_the_float_of_its_exact_regret():
         assert regret == float(oracle.exact_max_regret(game, [s.exact for s in profile.strategies]))
 
 
+def test_every_hit_regret_is_rounded_once_when_the_scale_passes_2_to_53():
+    """Payoffs k/q with q just above 2^53 keep every regret numerator w small,
+    so float64 carries them, while the scale D * m^n passes 2^53: dividing w
+    by float(scale) would round twice and, at some hits, report other bits."""
+    q = 2**53 + 5
+    game = BimatrixGame([[Fraction(3, q), Fraction(1, q)], [Fraction(-2, q), Fraction(2, q)]],
+                        [[Fraction(2, q), Fraction(2, q)], [Fraction(-1, q), Fraction(-3, q)]])
+    m = 7
+    tensors, d, _ = oracle._integer_tensors(oracle._as_normal_form(game), [m, m])
+    scale = d * m * m
+    assert tensors[0].dtype == np.float64 and scale >= 2**53
+    hits = oracle.grid_ne_search(game, Fraction(1, m), 1)
+    assert len(hits) == (m + 1) ** 2
+    rounded_twice = 0
+    for profile, regret in hits:
+        exact = oracle.exact_max_regret(game, [s.exact for s in profile.strategies])
+        assert regret == float(exact)
+        w = exact * scale
+        assert w.denominator == 1
+        rounded_twice += float(w.numerator) / float(scale) != regret
+    assert rounded_twice  # the test tells the two divisions apart
+
+
 def test_one_row_of_player_0_per_chunk_gives_the_same_hits(monkeypatch):
     game, resolution = next(_huge_denominator_games())
     cases = [
@@ -436,6 +461,67 @@ def test_one_row_of_player_0_per_chunk_gives_the_same_hits(monkeypatch):
         assert_same_hits(new, old)
         later = [rows for p, rows in calls if p > 0]
         assert set(later) == {1} and len(later) > len(new[0][0].strategies)
+
+
+def _small_game(counts, seed):
+    """A tensor game with small rational payoffs and mixed orientations."""
+    rng = np.random.default_rng(seed)
+    cells = math.prod(counts)
+
+    def tensor():
+        return np.array([Fraction(int(a), int(b)) for a, b in zip(
+            rng.integers(-6, 7, cells), rng.choice([1, 2, 3, 5], cells))],
+            dtype=object).reshape(counts)
+
+    orientation = tuple(MAXIMIZE if o else MINIMIZE for o in rng.integers(0, 2, len(counts)))
+    return NormalFormGame(tuple(tensor() for _ in counts), orientation)
+
+
+@pytest.mark.parametrize("counts, m", [
+    ((1, 6), 7), ((6, 1), 5), ((2, 5), 7), ((3, 4), 6), ((6, 2, 1), 5), ((4, 3, 2), 5),
+], ids=str)
+def test_every_hit_strategy_has_the_bits_of_from_exact(counts, m):
+    """The grid builds its points unchecked (`MixedStrategy._grid_point`) and
+    its profiles too (`MixedProfile._of_strategies`): byte for byte what
+    `from_exact` and the public constructor build, in either carrier and
+    with one row of player 0 a chunk or the default budget.  With eps above
+    every regret each grid point is built, and the hits run in grid order."""
+    game = _small_game(counts, seed=m * sum(counts))
+    points = [list(_compositions(m, c)) for c in counts]
+    expected = {}
+    runs = []
+    for dtype in CARRIERS:
+        for budget in (oracle._GRID_CHUNK_ENTRIES, {"i": 1, "O": 1}):
+            with mock.patch.object(oracle, "_integer_tensors", carried(dtype)), \
+                    mock.patch.object(oracle, "_GRID_CHUNK_ENTRIES", budget):
+                hits = oracle.grid_ne_search(game, Fraction(1, m), 10**6)
+            assert len(hits) == math.prod(map(len, points))
+            for (profile, _), combo in zip(hits, itertools.product(*points)):
+                assert type(profile) is MixedProfile and type(profile.strategies) is tuple
+                assert len(profile.strategies) == len(counts)
+                for s, point in zip(profile.strategies, combo):
+                    if point not in expected:
+                        expected[point] = MixedStrategy.from_exact(Fraction(c, m) for c in point)
+                    want = expected[point]
+                    assert type(s) is MixedStrategy
+                    assert s.probs.dtype == want.probs.dtype == np.float64
+                    assert s.probs.tobytes() == want.probs.tobytes()
+                    assert s.probs.flags.writeable is want.probs.flags.writeable is False
+                    assert type(s.exact) is tuple and s.exact == want.exact
+                    assert all(type(e) is Fraction for e in s.exact)
+            runs.append([r.hex() for _, r in hits])
+    assert all(run == runs[0] for run in runs)
+
+
+def test_only_the_grid_search_builds_strategies_and_profiles_unchecked():
+    trusted = ("_grid_point", "_of_strategies")
+    callers = {name: set() for name in trusted}
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in trusted:
+                    callers[node.attr].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {name: {"oracle.grid_ne_search"} for name in trusted}
 
 
 def test_grid_search_logs_its_profiles_survivors_and_hits(caplog):
