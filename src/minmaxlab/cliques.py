@@ -738,4 +738,5 @@ def nonsym_instance(graph: Graph, regime: ParameterRegime) -> QuadraticMinMaxPro
     """
     game = robust_unique_ne_game(graph, regime)
     b = game.payoffs[0]
-    return QuadraticMinMaxProblem(qx=2 * b, qy=2 * b, m=np.zeros(b.shape, dtype=object))
+    q = 2 * b  # one Q for both players: coerced, scaled and mirrored once
+    return QuadraticMinMaxProblem(qx=q, qy=q, m=np.zeros(b.shape, dtype=object))

@@ -326,12 +326,10 @@ def _quadratic_problem(matrix, delta: float | None) -> QuadraticMinMaxProblem:
     cells, d = scale_to_integers(r)
     if cells.min() < -d or cells.max() > d:
         raise PreconditionError("entries of R must lie in [-1, 1]")
-    a, c = decompose_symmetric_skew(r)
     n = len(r)
     domain = None if delta is None else JointDomain(n, float(delta))
-    return QuadraticMinMaxProblem(
-        a, a, c, domain, smoothness_bound=4.0 * n, lipschitz_bound=4.0 * n
-    )
+    # A and C of decompose_symmetric_skew, as (cells +- cells^T) / 2d
+    return QuadraticMinMaxProblem._of_scaled(cells + cells.T, cells - cells.T, 2 * d, domain, 4.0 * n)
 
 
 def symmetric_backmap(matrix, x_star: MixedStrategy, gap: float) -> BackmapReport:

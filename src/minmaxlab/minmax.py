@@ -22,7 +22,7 @@ from .checks import require_finite_nonnegative, within
 from .errors import DimensionError, PreconditionError, UnsupportedDomainError
 from .games import MAXIMIZE, MINIMIZE, MixedStrategy, best_deviation
 from .geometry import JointDomain, _project_simplex_rows, project_joint
-from .rational import fmat, scale_to_integers, scaled_to_float
+from .rational import fmat, scale_to_integers, scaled_to_exact, scaled_to_float
 
 
 def _spectral_norm(m: np.ndarray) -> float:
@@ -39,7 +39,7 @@ class QuadraticMinMaxProblem:
     bounds used by the gap-to-VI translations; constructors of specific
     instances may pass tighter or customary values, otherwise spectral-norm
     estimates are filled in.  The exact data is scaled to integers once, for
-    the symmetry check and the float mirrors `qx_float`, `qy_float` and
+    the symmetry checks and the float mirrors `qx_float`, `qy_float` and
     `m_float`.
     """
 
@@ -52,6 +52,7 @@ class QuadraticMinMaxProblem:
     qx_float: np.ndarray = field(init=False, repr=False)
     qy_float: np.ndarray = field(init=False, repr=False)
     m_float: np.ndarray = field(init=False, repr=False)
+    _scaled: tuple = field(init=False, repr=False)  # (cells, d) of qx, qy and m
 
     def __post_init__(self):
         for name in ("smoothness_bound", "lipschitz_bound"):
@@ -59,27 +60,21 @@ class QuadraticMinMaxProblem:
             if value is not None and not (0.0 <= value < math.inf):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         qx = fmat(self.qx)
-        qy = qx if self.qy is self.qx else fmat(self.qy)  # a quadratic gadget's: scaled once
+        qy = qx if self.qy is self.qx else fmat(self.qy)  # scaled and mirrored once
         mm = fmat(self.m)
         nx, nx2 = qx.shape
         ny, ny2 = qy.shape
         if nx != nx2 or ny != ny2:
             raise DimensionError("Qx and Qy must be square")
-        qx_cells, qx_d = scale_to_integers(qx)
-        qy_cells, qy_d = (qx_cells, qx_d) if qy is qx else scale_to_integers(qy)
-        if (qx_cells != qx_cells.T).any() or (qy_cells != qy_cells.T).any():
+        qx_scaled = scale_to_integers(qx)
+        qy_scaled = qx_scaled if qy is qx else scale_to_integers(qy)
+        if any((cells != cells.T).any() for cells, _ in (qx_scaled, qy_scaled)):
             raise DimensionError("Qx and Qy must be symmetric (exactly)")
         if mm.shape != (ny, nx):
             raise DimensionError(f"M must have shape ({ny}, {nx}), got {mm.shape}")
         if self.domain is not None and (self.domain.n != nx or nx != ny):
             raise DimensionError("a coupled domain needs matching x and y dimensions")
-        object.__setattr__(self, "qx", qx)
-        object.__setattr__(self, "qy", qy)
-        object.__setattr__(self, "m", mm)
-        object.__setattr__(self, "qx_float", scaled_to_float(qx_cells, qx_d))
-        qy_float = self.qx_float if qy is qx else scaled_to_float(qy_cells, qy_d)
-        object.__setattr__(self, "qy_float", qy_float)
-        object.__setattr__(self, "m_float", scaled_to_float(*scale_to_integers(mm)))
+        self._store(qx, qy, mm, (qx_scaled, qy_scaled, scale_to_integers(mm)))
         if self.smoothness_bound is None:
             l_est = 2.0 * (
                 _spectral_norm(self.qx_float)
@@ -91,6 +86,29 @@ class QuadraticMinMaxProblem:
             a = _spectral_norm(self.qx_float) + _spectral_norm(self.m_float)
             b = _spectral_norm(self.qy_float) + _spectral_norm(self.m_float)
             object.__setattr__(self, "lipschitz_bound", math.hypot(a, b))
+
+    def _store(self, qx: np.ndarray, qy: np.ndarray, m: np.ndarray, scaled: tuple) -> None:
+        """Set Qx, Qy and M, their integer forms `scaled` ((cells, d) each) and the
+        float mirrors of those; Qy is Qx shares its mirror."""
+        qx_float = scaled_to_float(*scaled[0])
+        qy_float = qx_float if qy is qx else scaled_to_float(*scaled[1])
+        for name, value in zip(("qx", "qy", "m", "qx_float", "qy_float", "m_float", "_scaled"),
+                               (qx, qy, m, qx_float, qy_float, scaled_to_float(*scaled[2]), scaled)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_scaled(cls, q_cells: np.ndarray, m_cells: np.ndarray, d: int,
+                   domain: JointDomain | None, bound: float) -> "QuadraticMinMaxProblem":
+        """Qx = Qy = q_cells / d and M = m_cells / d with L = G = bound, built
+        unchecked: the caller guarantees q_cells symmetric and m_cells skew, of
+        one square shape.  Only `gadgets._quadratic_problem` calls this.  d may
+        exceed the lcm: int true division rounds as float(Fraction) does."""
+        problem = object.__new__(cls)
+        for name, value in zip(("domain", "smoothness_bound", "lipschitz_bound"), (domain, bound, bound)):
+            object.__setattr__(problem, name, value)
+        q = scaled_to_exact(q_cells, d)
+        problem._store(q, q, scaled_to_exact(m_cells, d), ((q_cells, d), (q_cells, d), (m_cells, d)))
+        return problem
 
     @property
     def n_x(self) -> int:
@@ -110,11 +128,14 @@ class QuadraticMinMaxProblem:
         return np.ascontiguousarray(-self.m_float)
 
     def antisymmetric(self) -> bool:
-        """Structural test for f(x, y) = -f(y, x): Qx = Qy and M skew, exactly."""
+        """Structural test for f(x, y) = -f(y, x): Qx = Qy and M skew, exactly,
+        decided on the integer cells.  Unless Qy is Qx, each d is the lcm of
+        its matrix's denominators, so equal matrices have equal cells."""
+        (qx, dx), (qy, dy), (m, _) = self._scaled
         return (
             self.n_x == self.n_y
-            and self.qx.tolist() == self.qy.tolist()
-            and self.m.T.tolist() == (-self.m).tolist()
+            and (qy is qx or (dx == dy and bool((qx == qy).all())))
+            and bool((m == -m.T).all())
         )
 
     @cached_property

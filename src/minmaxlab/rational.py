@@ -44,9 +44,14 @@ _fraction_cells = np.frompyfunc(to_fraction, 1, 1)
 
 
 def exact_array(cells) -> np.ndarray:
-    """Exact cells of any nesting, or an array, in the one exact form: a fresh,
-    read-only, C-ordered object array of Fraction.  The float mirrors
-    (`astype(float)`) keep the C order, which is what BLAS reads."""
+    """Exact cells of any nesting, or an array, in the one exact form: a
+    read-only, C-ordered object array of Fraction, fresh unless `cells` is
+    one already.  The float mirrors (`astype(float)`) keep the C order,
+    which is what BLAS reads."""
+    if (type(cells) is np.ndarray and cells.dtype == object and cells.flags.c_contiguous
+            and not cells.flags.writeable and cells.flags.owndata  # no base to write through
+            and set(map(type, cells.flat)) <= {Fraction}):
+        return cells
     # one ufunc pass over the cells; on a 0-d array it returns a bare Fraction
     out = np.asarray(_fraction_cells(np.array(cells, dtype=object, order="C")), dtype=object)
     out.flags.writeable = False
@@ -116,7 +121,10 @@ def scaled_to_float(cells: np.ndarray, d: int) -> np.ndarray:
 
 def scaled_to_exact(cells: np.ndarray, d: int) -> np.ndarray:
     """The exact array of the integer cells / d, each distinct Fraction built once."""
-    return exact_array(np.frompyfunc(functools.cache(lambda x: Fraction(x, d)), 1, 1)(cells))
+    out = np.empty(np.shape(cells), dtype=object)  # fresh and C-ordered
+    np.frompyfunc(functools.cache(lambda x: Fraction(x, d)), 1, 1)(cells, out=out)
+    out.flags.writeable = False
+    return out
 
 
 def solve_linear(a: Sequence[Sequence[int]], b: Sequence[int]):

@@ -8,14 +8,16 @@ which are now a ValueError.  Its float mirrors have the bits the tuple form's
 `to_float_matrix` gave, in C order.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import prior_forms as prior
-from minmaxlab import gadgets
+from minmaxlab import gadgets, rational
 from minmaxlab.checks import wsne_eps_exact
 from minmaxlab.errors import DimensionError, PreconditionError
 from minmaxlab.games import (
@@ -28,7 +30,7 @@ from minmaxlab.games import (
 )
 from minmaxlab.minmax import QuadraticMinMaxProblem
 from minmaxlab.oracle import symmetric_support_enumeration
-from minmaxlab.rational import fmat, scale_to_integers, to_fraction
+from minmaxlab.rational import exact_array, fmat, scale_to_integers, to_fraction
 
 # ---------------------------------------------------------------------------
 # the coercion at every public entry point, against the tuple form's
@@ -209,3 +211,96 @@ def test_stored_payoffs_and_mirrors_are_c_ordered_read_only_and_keep_their_bits(
                                   (problem.m, problem.m_float, m)):
         assert_exact_form(stored)
         assert_mirror(mirror, prior.fmat(exact.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# an array already in the one exact form passes through uncoerced
+
+
+@pytest.fixture
+def coerced(monkeypatch):
+    """The cells `exact_array` hands to `to_fraction`, recorded by a spy."""
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return to_fraction(x)
+
+    monkeypatch.setattr(rational, "_fraction_cells", np.frompyfunc(spy, 1, 1))
+    return calls
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class Half(Fraction):
+    pass
+
+
+EXACT = fmat([[Fraction(1, 2), Fraction(-3, 7)], [Fraction(0), Fraction(5)]])
+
+
+def test_an_exact_array_passes_exact_array_and_fmat_with_no_coercion(coerced):
+    sym, small = fmat(EXACT + EXACT.T), fmat(EXACT / 5)
+    coerced.clear()
+    assert exact_array(EXACT) is EXACT
+    assert fmat(EXACT) is EXACT
+    problem = QuadraticMinMaxProblem(qx=sym, qy=sym, m=EXACT)
+    assert problem.qx is sym and problem.qy is sym and problem.m is EXACT
+    decompose_symmetric_skew(EXACT)  # scaled_to_exact builds its Fractions itself
+    gadgets.quadratic_gadget(small)
+    assert coerced == []
+
+
+def writable_base_view():
+    base = np.array(EXACT.tolist(), dtype=object)
+    return base, read_only(base[:, :])
+
+
+NOT_EXACT = {
+    "writable": lambda: np.array(EXACT.tolist(), dtype=object),
+    "an int": lambda: read_only(np.array([[Fraction(1, 2), 3], [Fraction(0), Fraction(5)]], dtype=object)),
+    "a float": lambda: read_only(np.array([[Fraction(1, 2), 0.25], [Fraction(0), Fraction(5)]], dtype=object)),
+    "a bool": lambda: read_only(np.array([[Fraction(1, 2), True], [Fraction(0), Fraction(5)]], dtype=object)),
+    "a Fraction subclass": lambda: read_only(
+        np.array([[Half(1, 2), Fraction(-3, 7)], [Fraction(0), Fraction(5)]], dtype=object)
+    ),
+    "Fortran-ordered": lambda: read_only(np.asfortranarray(np.array(EXACT.tolist(), dtype=object))),
+    "a view of a writable base": lambda: writable_base_view()[1],
+}
+
+
+@pytest.mark.parametrize("case", NOT_EXACT)
+@pytest.mark.parametrize("coerce", [exact_array, fmat])
+def test_anything_else_is_coerced_into_a_fresh_array(coerced, case, coerce):
+    a = NOT_EXACT[case]()
+    out = coerce(a)
+    assert out is not a and len(coerced) == a.size
+    assert out.tolist() == a.tolist()
+    assert out.dtype == object and out.flags.c_contiguous and out.flags.owndata
+    assert not out.flags.writeable
+    if case != "a Fraction subclass":  # to_fraction keeps a Fraction as it is
+        assert_exact_form(out)
+
+
+def test_writing_through_a_views_base_leaves_the_stored_matrix_alone():
+    base, view = writable_base_view()
+    stored = fmat(view)
+    game = PolymatrixGame((2, 2), {(0, 1): view}, (MAXIMIZE, MINIMIZE))
+    mirror = game.pair_floats[0, 1].copy()
+    base[0, 0] = Fraction(99)
+    assert view[0, 0] == 99
+    assert stored.tolist() == game.pair_matrices[0, 1].tolist() == EXACT.tolist()
+    assert game.pair_floats[0, 1].tobytes() == mirror.tobytes()
+
+
+def test_only_the_quadratic_gadget_builds_a_problem_unchecked():
+    callers = set()
+    for path in sorted(Path(rational.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "_of_scaled":
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"gadgets._quadratic_problem"}

@@ -21,6 +21,7 @@ from minmaxlab.games import (
     MixedStrategy,
     decompose_symmetric_skew,
 )
+from minmaxlab.geometry import JointDomain
 from minmaxlab.rational import fmat, transpose
 from prior_forms import to_float_matrix
 
@@ -403,6 +404,42 @@ def test_quadratic_gadget_matches_the_fraction_formula(r):
     assert all(map(np.array_equal, (problem.qx, problem.qy, problem.m), (a, a, c)))
     for mirror, exact in ((problem.qx_float, a), (problem.qy_float, a), (problem.m_float, c)):
         assert mirror.tobytes() == to_float_matrix(exact).tobytes()
+
+
+def prior_quadratic_problem(r, delta):
+    """The quadratic gadget as it was built through the public constructor (reference only)."""
+    a, c = decompose_symmetric_skew(r)
+    n = len(r)
+    domain = None if delta is None else JointDomain(n, float(delta))
+    return minmax.QuadraticMinMaxProblem(a, a, c, domain, smoothness_bound=4.0 * n, lipschitz_bound=4.0 * n)
+
+
+def mixed_denominator_matrix(rng, n):
+    """R with entries in [-1, 1] over denominators 1, 3, 7 and 100: most cells
+    of A and C, (cells +- cells^T) / 2d, reduce below the gadget's 2d."""
+    dens = rng.choice([1, 3, 7, 100], (n, n))
+    return fmat([[Fraction(int(rng.integers(-q, q + 1)), int(q)) for q in row] for row in dens])
+
+
+@pytest.mark.parametrize("delta", [None, 0.25])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_the_quadratic_gadget_is_the_one_the_public_constructor_built(n, delta):
+    rng = np.random.default_rng(1000 * n + (delta is None))
+    r = mixed_denominator_matrix(rng, n)
+    new = gadgets.quadratic_gadget(r) if delta is None else gadgets.coupled_gadget(r, delta)
+    old = prior_quadratic_problem(r, delta)
+    for name in ("qx", "qy", "m"):
+        got, want = getattr(new, name), getattr(old, name)
+        assert got.tolist() == want.tolist()
+        assert all(type(x) is Fraction for x in got.flat)
+        assert got.flags.c_contiguous and not got.flags.writeable
+    for name in ("qx_float", "qy_float", "m_float", "mt_float", "neg_m_float"):
+        got, want = getattr(new, name), getattr(old, name)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    assert (new.smoothness_bound, new.lipschitz_bound) == (old.smoothness_bound, old.lipschitz_bound)
+    assert new.domain == old.domain
+    assert new.antisymmetric() and old.antisymmetric()
+    assert minmax.antisymmetry_check(new) == minmax.antisymmetry_check(old)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,52 @@ def random_rational_point(rng, n):
     return tuple(Fraction(v, sum(w)) for v in w)
 
 
+def prior_antisymmetric(problem):
+    """antisymmetric() as it compared the Fraction cells (reference only)."""
+    return (
+        problem.n_x == problem.n_y
+        and problem.qx.tolist() == problem.qy.tolist()
+        and problem.m.T.tolist() == (-problem.m).tolist()
+    )
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def antisymmetry_cases(draw):
+    """A public-constructor problem: skew M, M skew but for one entry, Qx = Qy
+    as two distinct arrays, Qx != Qy (Qy = Qx / 2 has Qx's cells over twice
+    its denominator), or n_x != n_y."""
+    kind = draw(st.sampled_from(["skew", "one entry off", "distinct Qx != Qy", "Qy = Qx / 2", "n_x != n_y"]))
+    n = draw(st.integers(1, 5))
+    ny = n + 1 if kind == "n_x != n_y" else n
+    cells = st.lists(small_fractions, min_size=n * n, max_size=n * n)
+    g, s = (fmat(np.array(draw(cells), dtype=object).reshape(n, n)) for _ in range(2))
+    qx = g + g.T
+    qy = fmat(qx.copy())  # equal to Qx, a distinct array
+    if kind == "distinct Qx != Qy":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        bump = np.zeros((n, n), dtype=object)
+        bump[i, j] = bump[j, i] = draw(small_fractions.filter(bool))
+        qy = fmat(qx + bump)
+    if kind == "Qy = Qx / 2":
+        qy = fmat(qx / 2)
+    m = s - s.T
+    if kind == "one entry off":
+        m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += draw(small_fractions.filter(bool))
+    if ny != n:
+        qy = fmat(np.identity(ny, dtype=object))
+        m = fmat(np.ones((ny, n), dtype=object))
+    return QuadraticMinMaxProblem(qx=qx, qy=qy, m=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(antisymmetry_cases())
+def test_the_integer_antisymmetry_test_keeps_the_fraction_verdict(problem):
+    assert problem.antisymmetric() == prior_antisymmetric(problem)
+
+
 def test_a_problem_can_cancel_everywhere_without_being_structurally_antisymmetric():
     """Qy = Qx + C and M = S - C/2, with C = c1^T + 1c^T and S skew: f(x, y) +
     f(y, x) = c^T x + c^T y - (c^T x + c^T y) = 0 on every strategy pair."""
