@@ -230,25 +230,27 @@ class PolymatrixGame:
         return {key: _read_only(m.astype(float)) for key, m in self.pair_matrices.items()}
 
     @cached_property
-    def kernel_plan(self) -> tuple[tuple, np.ndarray, tuple[int, ...]]:
-        """The static part of deviation_kernel: (pairs, owner, idle).
+    def kernel_plan(self) -> tuple[tuple, np.ndarray, int]:
+        """The static part of deviation_kernel: (pairs, owner, ranks).
 
         `pairs` holds, per pair in pair_floats order, (i, j, M.dot, M^T.dot,
-        whether an earlier pair holds i, whether one holds j, the players
-        outside the pair).  `owner` is the player of each entry of the flat
-        vector of all players' actions, and `idle` the players in no pair.
-        M^T is the transposed view, not a contiguous copy: a copy would run
-        another BLAS kernel, whose sums may round differently.
+        the rank of i's product, the rank of j's, the players outside the
+        pair): rank k is a player's k-th product in pair_floats order, and
+        `ranks` is one more than the largest.  `owner` is the player of each
+        entry of the flat vector of all players' actions.  M^T is the
+        transposed view, not a contiguous copy: a copy would run another
+        BLAS kernel, whose sums may round differently.
         """
         players = range(self.n_players)
         pairs = []
-        seen = set()
+        made = [0] * self.n_players  # products planned so far, per player
         for (i, j), m in self.pair_floats.items():
             others = tuple(q for q in players if q != i and q != j)
-            pairs.append((i, j, m.dot, m.T.dot, i in seen, j in seen, others))
-            seen.update((i, j))
+            pairs.append((i, j, m.dot, m.T.dot, made[i], made[j], others))
+            made[i] += 1
+            made[j] += 1
         owner = _read_only(np.repeat(np.arange(self.n_players), self.action_counts))
-        return tuple(pairs), owner, tuple(q for q in players if q not in seen)
+        return tuple(pairs), owner, max(made)
 
 
 def _once_each(fn, items: tuple) -> tuple:
@@ -385,13 +387,15 @@ def deviation_kernel(game: Game) -> Callable[[Sequence[np.ndarray]], Sequence[np
     and binds its products, so a call looks up no attribute.  A polymatrix
     pair (i, j) costs two products, M s_j for player i and M^T s_i for
     player j; the latter also gives every other player the constant
-    s_i^T M s_j.  Each player's first product is written into its segment
-    of one flat buffer that the closure owns, later products are added in
-    pair_floats order, and every player's constant is added last, in one
-    ufunc, which maps any -0.0 to +0.0; so every entry equals the sum
-    started from zeros (docs/decisions.md, "Float loops").  A player in no
-    pair gets its constant alone.  The returned vectors are that buffer's
-    segments and change on the next call; a caller that keeps one across
+    s_i^T M s_j.  A player's k-th product, in pair_floats order, is written
+    into its segment of rank slot k (`kernel_plan`); the slots are summed
+    over the flat buffer in rank order, one ufunc a rank, and every
+    player's constant is added last, in one more.  A slot a player never
+    reaches holds 0.0, which can only turn a -0.0 into +0.0, and so can the
+    constant add; so every entry equals the sum started from zeros
+    (docs/decisions.md, "Float loops").  A player in no pair gets its
+    constant alone.  The returned vectors are the segments of the sum's
+    buffer and change on the next call; a caller that keeps one across
     calls copies it.
     """
     n = game.n_players
@@ -408,32 +412,30 @@ def deviation_kernel(game: Game) -> Callable[[Sequence[np.ndarray]], Sequence[np
         return lambda probs: [
             np.einsum(sub, t, *[probs[q] for q in others]) for sub, t, others in plan
         ]
-    pairs, owner, idle = game.kernel_plan
+    plan, owner, ranks = game.kernel_plan
+    counts = game.action_counts
+    rows = list(np.zeros((max(ranks, 1), owner.size)))  # the rank slots, flat
+    slots = [split_players(row, counts) for row in rows]
+    pairs = [(i, j, m_dot, slots[r_i][i], mt_dot, slots[r_j][j], others)
+             for i, j, m_dot, mt_dot, r_i, r_j, others in plan]
     out = np.zeros(owner.size)
-    segments = split_players(out, game.action_counts)
-    idle = [segments[p] for p in idle]
+    segments = split_players(out, counts)
+    # the running sum of ranks 0..k is out from k = 1 on
+    sums = [(out if k > 1 else rows[0], rows[k]) for k in range(1, ranks)]
+    total = out if ranks > 1 else rows[0]
+    add = np.add
 
     def kernel(probs):
         consts = [0.0] * n
-        for i, j, m_dot, mt_dot, add_i, add_j, others in pairs:
+        for i, j, m_dot, out_i, mt_dot, out_j, others in pairs:
             s_i, s_j = probs[i], probs[j]
-            if add_i:
-                seg = segments[i]
-                seg += m_dot(s_j)
-            else:
-                m_dot(s_j, segments[i])
-            if add_j:
-                col = mt_dot(s_i)
-                seg = segments[j]
-                seg += col
-            else:
-                col = mt_dot(s_i, segments[j])
-            value = col.dot(s_j)
+            m_dot(s_j, out_i)
+            value = mt_dot(s_i, out_j).dot(s_j)
             for q in others:
                 consts[q] += value
-        for seg in idle:
-            seg.fill(0.0)
-        np.add(out, np.array(consts)[owner], out=out)
+        for a, b in sums:
+            add(a, b, out=out)
+        add(total, np.array(consts)[owner], out=out)
         return segments
 
     return kernel

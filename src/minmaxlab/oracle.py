@@ -430,9 +430,11 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     floor(eps * m^n * D).
     The grid is decided player by player (`_regret_gaps`): player 0's
     regrets densely, a chunk of its grid at a time, and each later player's
-    only at the profiles every earlier player passed.  Each hit carries its
-    exact max regret as a float.  Raises PreconditionError when eps is
-    negative and CapExceededError when the number of joint profiles exceeds
+    only at the profiles every earlier player passed, from its gaps over the
+    whole grid when they fit a chunk's budget (built at the first chunk that
+    needs them) and over the chunk's otherwise.  Each hit carries its exact
+    max regret as a float.  Raises PreconditionError when eps is negative
+    and CapExceededError when the number of joint profiles exceeds
     GRID_SEARCH_CAP.
     """
     eps = to_fraction(eps)
@@ -457,6 +459,10 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
     gap0 = _regret_gaps(tensors[0], grids, 0).reshape(counts[0], -1)
     budget = _GRID_CHUNK_ENTRIES["O" if dtype == object else "i"]
     chunk_rows = max(1, min(sizes[0], int(budget // max(1, total // sizes[0]))))
+    # a later player's gaps over the whole grid, when they fit the budget: built
+    # the first time a chunk leaves that player survivors, then kept
+    fits = [total // size * c <= budget for size, c in zip(sizes, counts)]
+    whole = [None] * len(counts)
     cache: list[dict[int, MixedStrategy]] = [{} for _ in counts]
 
     def column(p: int, idx: np.ndarray) -> list[MixedStrategy]:
@@ -480,8 +486,15 @@ def grid_ne_search(game: Game, resolution, eps) -> list[tuple[MixedProfile, floa
         point = np.unravel_index(flat, (len(rows), *sizes[1:]))
         worst = worst[flat]
         for p in range(1, len(counts)):
-            gap = _regret_gaps(tensors[p], [rows] + grids[1:], p)
-            at = (slice(None),) + tuple(i for q, i in enumerate(point) if q != p)
+            if not len(worst):
+                break
+            if fits[p]:
+                if whole[p] is None:
+                    whole[p] = _regret_gaps(tensors[p], grids, p)
+                gap, first = whole[p], point[0] + start
+            else:
+                gap, first = _regret_gaps(tensors[p], [rows] + grids[1:], p), point[0]
+            at = (slice(None), first) + tuple(i for q, i in enumerate(point) if q not in (0, p))
             r = (grids[p][point[p]].T * gap[at]).sum(axis=0)
             keep = r <= threshold
             point = tuple(i[keep] for i in point)
@@ -562,10 +575,14 @@ def local_ne_refine(
     counts = game.action_counts
     raws, views = split_players(raw, counts), split_players(view, counts)
     deviations = deviation_kernel(game)
-    # a segment below numpy's pairwise block is totalled in a Python loop, with
-    # np.add.reduce's bits and less overhead; not by the builtin sum, which
-    # compensates from Python 3.12 on (docs/decisions.md, "Float loops")
-    looped = [c < _PAIRWISE_BLOCK for c in counts]
+    offsets = list(itertools.accumulate(counts, initial=0))
+    # a segment below numpy's pairwise block is totalled in a Python loop over
+    # the list of raw's entries, with np.add.reduce's bits and less overhead;
+    # not by the builtin sum, which compensates from Python 3.12 on
+    # (docs/decisions.md, "Float loops"); a longer one by np.add.reduce
+    spans = [(a, a + c, None if c < _PAIRWISE_BLOCK else s)
+             for a, c, s in zip(offsets, counts, raws)]
+    owner = np.repeat(np.arange(len(counts)), counts)
     add_reduce, divide = np.add.reduce, np.divide
     best = None  # a flat copy of the best iterate; None while it is the start
     best_regret = math.inf
@@ -598,15 +615,21 @@ def local_ne_refine(
             next_checkpoint *= 2
         eta = damping / (1.0 + damping * t)
         raw *= 1.0 - eta
-        for s, v, br, loop in zip(raws, views, brs, looped):
-            s[br] += eta
-            if loop:
+        flat = raw.tolist()
+        for a, br in zip(offsets, brs):
+            i = a + br
+            flat[i] += eta
+            raw[i] = flat[i]
+        totals = []
+        for a, b, s in spans:
+            if s is None:
                 total = 0.0
-                for x in s.tolist():
+                for x in flat[a:b]:
                     total += x
             else:  # what ndarray.sum runs, without its Python wrapper
                 total = add_reduce(s)
-            divide(s, total, out=v)
+            totals.append(total)
+        divide(raw, np.array(totals)[owner], out=view)
     profile = start if best is None else _profile_of(best, counts)
     # t + 1 is max_iters after the last iteration, or the checkpoint that stalled
     return RefineResult(profile, best_regret, t + 1, False, None, stalled_at, tuple(checkpoints))

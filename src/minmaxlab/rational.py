@@ -23,9 +23,12 @@ _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 def to_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/4', floats, and Fractions to Fraction."""
-    if isinstance(value, Fraction):
+    """Coerce ints, strings like '3/4', floats, and Fractions to Fraction;
+    a Fraction subclass becomes a plain Fraction."""
+    if type(value) is Fraction:
         return value
+    if isinstance(value, Fraction):
+        return Fraction(value)
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
     if isinstance(value, str):

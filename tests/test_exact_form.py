@@ -281,8 +281,7 @@ def test_anything_else_is_coerced_into_a_fresh_array(coerced, case, coerce):
     assert out.tolist() == a.tolist()
     assert out.dtype == object and out.flags.c_contiguous and out.flags.owndata
     assert not out.flags.writeable
-    if case != "a Fraction subclass":  # to_fraction keeps a Fraction as it is
-        assert_exact_form(out)
+    assert_exact_form(out)
 
 
 def test_writing_through_a_views_base_leaves_the_stored_matrix_alone():

@@ -24,7 +24,7 @@ from minmaxlab.games import (
     NormalFormGame,
 )
 from minmaxlab.geometry import _compositions, simplex_grid
-from minmaxlab.rational import fmat
+from minmaxlab.rational import exact_array, fmat
 
 # the float prefilter with exact re-checks that the integer grid replaced
 from test_exact_kernel import (
@@ -461,6 +461,63 @@ def test_one_row_of_player_0_per_chunk_gives_the_same_hits(monkeypatch):
         assert_same_hits(new, old)
         later = [rows for p, rows in calls if p > 0]
         assert set(later) == {1} and len(later) > len(new[0][0].strategies)
+
+
+def _gap_builds(game, m, eps, budget):
+    """The hits of a grid search at chunk budget `budget` (None: the default)
+    and, per `_regret_gaps` call, the player and its number of player-0 rows."""
+    calls = []
+    regret_gaps = oracle._regret_gaps
+
+    def spy(tensor, grids, p):
+        calls.append((p, len(grids[0])))
+        return regret_gaps(tensor, grids, p)
+
+    chunked = {"i": budget, "O": budget} if budget else oracle._GRID_CHUNK_ENTRIES
+    with mock.patch.object(oracle, "_GRID_CHUNK_ENTRIES", chunked), \
+            mock.patch.object(oracle, "_regret_gaps", spy):
+        hits = oracle.grid_ne_search(game, Fraction(1, m), eps)
+    return hits, calls
+
+
+@pytest.mark.parametrize("budget, per_chunk", [(None, set()), (1_500, {2}), (1, {1, 2})])
+def test_later_players_gaps_are_built_once_when_they_fit_the_budget(budget, per_chunk):
+    """At counts (4, 3, 2) and m = 5 the grids hold 56, 21 and 6 points, so
+    player 1's gaps over the whole grid have 3 * 56 * 6 = 1,008 entries and
+    player 2's 2 * 56 * 21 = 2,352.  A player whose gaps fit the budget gets
+    them once, over all 56 rows of player 0; the others per chunk."""
+    game = _small_game((4, 3, 2), seed=12)
+    expected = oracle.grid_ne_search(game, Fraction(1, 5), Fraction(1, 2))
+    assert 0 < len(expected) < 56 * 21 * 6
+    hits, calls = _gap_builds(game, 5, Fraction(1, 2), budget)
+    assert_same_hits(hits, expected)
+    for p in (1, 2):
+        rows = [r for q, r in calls if q == p]
+        if p in per_chunk:
+            assert len(rows) > 1 and max(rows) < 56
+        else:
+            assert rows == [56]
+
+
+@pytest.mark.parametrize("budget, player_1_rows", [(None, [4]), (20, [1, 1])])
+def test_no_gaps_are_built_for_a_player_no_survivor_reaches(budget, player_1_rows):
+    """Players 0 and 1 play matching pennies and player 2 is indifferent.  At
+    m = 3 the grid misses the mixed equilibrium (1/2, 1/2): player 0 passes
+    only its two pure points, and player 1 prunes all it passes.  So player
+    2's gaps are never built, and player 1's only for chunks with survivors:
+    once over all 4 rows when its 2 * 16 gaps fit the budget; at a budget of
+    20, per one-row chunk, for the two pure rows alone.  (Player 0 passes a
+    point of some chunk in every search: a pure best response lies on every
+    grid.)"""
+    pennies = np.array([[[1, 1], [-1, -1]], [[-1, -1], [1, 1]]])
+    game = NormalFormGame(
+        tuple(exact_array(t) for t in (pennies, -pennies, np.zeros((2, 2, 2), dtype=int))),
+        (MAXIMIZE,) * 3,
+    )
+    hits, calls = _gap_builds(game, 3, 0, budget)
+    assert hits == []
+    assert [r for p, r in calls if p == 1] == player_1_rows
+    assert [p for p, _ in calls if p == 2] == []
 
 
 def _small_game(counts, seed):

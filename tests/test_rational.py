@@ -44,6 +44,16 @@ def test_to_fraction_rejects_junk():
         to_fraction("seven thirds")
 
 
+def test_to_fraction_keeps_a_fraction_and_makes_a_subclass_plain():
+    class Half(Fraction):
+        pass
+
+    plain = Fraction(-3, 7)
+    assert to_fraction(plain) is plain
+    out = to_fraction(Half(1, 2))
+    assert type(out) is Fraction and out == Fraction(1, 2)
+
+
 @given(square(3))
 def test_transpose_is_an_involution(rows):
     m = fmat(rows)

@@ -349,6 +349,55 @@ def test_refinement_matches_the_prior_loop_on_segments_on_both_sides_of_the_bloc
     assert (new.converged, new.stalled_at, new.iterations) == exit
 
 
+@st.composite
+def polymatrix_structures(draw):
+    """2-5 players of 1-10 actions, any set of ordered pairs in any order
+    (none, or all 20, so a player may be in up to 8 pairs or in none), any
+    orientations, a seed for the matrices and the Dirichlet start, a damping
+    in (0, 1], 1-300 iterations and a target."""
+    n = draw(st.integers(2, 5))
+    counts = tuple(draw(st.lists(st.integers(1, 10), min_size=n, max_size=n)))
+    ordered = [(i, j) for i in range(n) for j in range(n) if i != j]
+    kept = draw(st.lists(st.booleans(), min_size=len(ordered), max_size=len(ordered)))
+    pairs = tuple(draw(st.permutations([pair for pair, k in zip(ordered, kept) if k])))
+    orientation = tuple(draw(st.lists(orientations, min_size=n, max_size=n)))
+    damping = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return (counts, pairs, orientation, draw(st.integers(0, 2**32 - 1)), damping,
+            draw(st.integers(1, 300)), draw(st.sampled_from([0.0, 1e-3, 0.05])))
+
+
+def random_polymatrix(counts, pairs, orientation, seed):
+    """The game of a drawn structure, with entries a/b, |a| <= 9, b in {1, 2, 3, 5, 7},
+    and a Dirichlet start."""
+    rng = np.random.default_rng(seed)
+    matrices = {
+        (i, j): fmat([[Fraction(int(rng.integers(-9, 10)), int(rng.choice([1, 2, 3, 5, 7])))
+                       for _ in range(counts[j])] for _ in range(counts[i])])
+        for i, j in pairs
+    }
+    game = PolymatrixGame(counts, matrices, orientation)
+    start = MixedProfile(tuple(MixedStrategy(rng.dirichlet(np.ones(c))) for c in counts))
+    return game, start
+
+
+@settings(max_examples=60, deadline=None)
+@given(polymatrix_structures())
+# player 0 is in four pairs, so its products fill four rank slots, and
+# player 4 is in none; two players total a segment of 8 or more entries
+@example(((3, 9, 1, 10, 2), ((0, 1), (2, 0), (1, 3), (0, 3), (1, 0)),
+          (MAXIMIZE, MINIMIZE, MINIMIZE, MAXIMIZE, MAXIMIZE), 39, 0.3, 300, 1e-3))
+@example(((4, 2, 6), (), (MINIMIZE, MAXIMIZE, MAXIMIZE), 5, 1.0, 40, 0.0))  # no pair at all
+def test_refinement_and_kernel_match_the_prior_on_random_structures(case):
+    counts, pairs, orientation, seed, damping, max_iters, target = case
+    game, start = random_polymatrix(counts, pairs, orientation, seed)
+    new = refine_matches_prior(game, start, target, max_iters, damping)
+    kernel = deviation_kernel(game)
+    for profile in (start, new.profile):
+        vectors = kernel([s.probs for s in profile.strategies])
+        for p in range(game.n_players):
+            assert vectors[p].tobytes() == prior_deviation_payoffs(game, profile, p).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # segment totals: a Python loop below the pairwise block, np.add.reduce above
 
