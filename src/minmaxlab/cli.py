@@ -181,12 +181,11 @@ def cmd_gadget_quadratic(args, inputs):
 def cmd_gadget_coupled(args, inputs):
     matrix = _source_matrix(args.game, (MAXIMIZE, MAXIMIZE))
     n = len(matrix)
-    if args.delta is not None:
-        delta = args.delta
-    elif args.eps is not None:
-        delta = coupling_width(args.eps, n)
-    else:
+    if args.delta is not None and args.eps is not None:
+        raise FormatError("gadget coupled reads --delta or --eps, not both")
+    if args.delta is None and args.eps is None:
         raise FormatError("gadget coupled needs --delta or --eps")
+    delta = args.delta if args.delta is not None else coupling_width(args.eps, n)
     inputs["delta"] = repr(delta)
     return [], {"n": n, "delta": delta}, coupled_gadget(matrix, delta)
 
@@ -360,7 +359,7 @@ def cmd_audit_nashgap(args, inputs):
 
 
 def cmd_audit_wsne_value(args, inputs):
-    regime = _default_regime(args.graph, args.k, args.delta, args.eps)
+    regime = _default_regime(args.graph, args.k, args.delta, None)  # the audit reads no epsilon
     inputs["regime"] = _regime_obj(regime)
     report = measure_wsne_value(args.graph, regime, args.resolution)
     data = {"k": report.k, "candidates": report.candidates}
@@ -612,7 +611,7 @@ COMMANDS = (
     Command("audit gadget-structure", cmd_audit_gadget_structure, (_GAME, _EPS_EXACT, _PROFILE)),
     Command("audit nashgap", cmd_audit_nashgap, (_GRAPH,)),
     Command("audit wsne-value", cmd_audit_wsne_value,
-            (_GRAPH, *_REGIME, Arg("--resolution", EXACT, default="1/6"))),
+            (_GRAPH, *_REGIME[:2], Arg("--resolution", EXACT, default="1/6"))),
     Command("audit classify", cmd_audit_classify,
             (_GAME, _PROFILE, Arg("--k", type=int, required=True),
              Arg("--eps", EXACT, record=False, default=None),

@@ -40,7 +40,7 @@ from .oracle import (
     symmetric_support_enumeration,
 )
 from .geometry import _compositions, _grid_denominator
-from .rational import FVec, exact_array, scale_to_integers, to_fraction
+from .rational import FVec, FractionTable, carrier, exact_array, scale_to_integers, to_fraction
 
 
 @dataclass(frozen=True)
@@ -449,26 +449,6 @@ def _wsne_candidates(n: int, m: int, eqs) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([np.full(len(grid), m, dtype=object), dens[kept]]))
 
 
-class _FractionCache(dict):
-    """Fraction(p, q) for each key (p, q), built on first use."""
-
-    def __missing__(self, key):
-        value = self[key] = Fraction(*key)
-        return value
-
-
-class _FractionTable(dict):
-    """Fraction(p, q) for each key p over one denominator q, built on first use."""
-
-    def __init__(self, q: int):
-        super().__init__()
-        self.q = q
-
-    def __missing__(self, p):
-        value = self[p] = Fraction(p, self.q)
-        return value
-
-
 def measure_wsne_value(
     graph: Graph,
     regime: ParameterRegime,
@@ -514,9 +494,9 @@ def measure_wsne_value(
     eqs = symmetric_support_enumeration(a, orientation=MAXIMIZE)
     xs, dens = _wsne_candidates(n, m, eqs)
     rows, d = scale_to_integers(a)  # maximizing players: nothing to fold
-    # |M x| <= max|M| q and |x^T M x| <= max|M| q^2 fit in int64, or stay Python ints
-    if max(map(abs, rows.flat)) * max(dens) ** 2 < 2**63:
-        xs, dens, rows = xs.astype(np.int64), dens.astype(np.int64), rows.astype(np.int64)
+    # |M x| <= max|M| q and |x^T M x| <= max|M| q^2 bound every integer of the product
+    dtype = carrier(max(map(abs, rows.flat)) * max(dens) ** 2)
+    xs, dens, rows = (t.astype(dtype, copy=False) for t in (xs, dens, rows))
 
     slack, value, clique_supported, dist = [], [], [], []
     for start in range(0, len(xs), AUDIT_CHUNK_ROWS):
@@ -534,15 +514,15 @@ def measure_wsne_value(
     base, factor, other = bounds
     violated = _violated_clauses(bounds, d, k, q, e, v, near, np.array(clique_supported))
 
-    # coordinates, slacks and values repeat: build each Fraction once
-    made, tables = _FractionCache(), {}
+    # coordinates over q, slacks over d q and values over d q^2 repeat: build each Fraction once
+    tables: dict[int, tuple[FractionTable, ...]] = {}
     records, offenders = [], []
     for row, dx, ec, vc, cs in zip(xs.tolist(), dens.tolist(), slack, value, clique_supported):
-        table = tables.get(dx)
-        if table is None:
-            table = tables[dx] = _FractionTable(dx)
-        records.append(WsneCandidateRecord(tuple(map(table.__getitem__, row)), made[ec, d * dx],
-                                           made[vc, d * dx * dx], cs))
+        over = tables.get(dx)
+        if over is None:
+            over = tables[dx] = tuple(map(FractionTable, (dx, d * dx, d * dx * dx)))
+        records.append(WsneCandidateRecord(tuple(map(over[0].__getitem__, row)), over[1][ec],
+                                           over[2][vc], cs))
     for c in np.flatnonzero(violated[0] | violated[1] | violated[2]).tolist():
         r = records[c]
         measured = (r.value, Fraction(dist[c], k * q[c]), r.value)

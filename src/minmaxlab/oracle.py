@@ -35,7 +35,7 @@ from .games import (
     to_normal_form,
 )
 from .geometry import _compositions, _resolution_denominator, grid_size
-from .rational import FVec, fmat, fvec, scale_to_integers, solve_stacked, to_fraction
+from .rational import FVec, carrier, fmat, fvec, scale_to_integers, solve_stacked, to_fraction
 
 logger = logging.getLogger(__name__)
 # one counter line per support enumeration, apart from its per-support lines
@@ -169,8 +169,7 @@ def _stacked_census(f: np.ndarray) -> _Census:
     """The equilibria of the square non-negative integer matrix f, maximized,
     in stacks of padded support systems."""
     n = len(f)
-    if max(f.flat, default=0) < 2**63:
-        f = f.astype(np.int64)
+    f = f.astype(carrier(max(f.flat, default=0)), copy=False)
     # supports, singular, stacks, systems wholly in int64, systems on Python ints
     tally = np.zeros(5, int) if _summary_logger.isEnabledFor(logging.DEBUG) else None
     found: _Census = []
@@ -354,13 +353,12 @@ def _integer_tensors(nf: NormalFormGame, denominators: Sequence[int]):
     numerators over m_q, every regret is an integer over D * prod(m_q), and
     the bound 2 * max|T * D| * prod(m_q) exceeds none of them, nor any entry,
     product or partial sum on the way to one (docs/decisions.md, "Exact
-    integer grid").  The tensors carry these integers in float64 when the
-    bound is below 2^53, where every integer is a float and BLAS rounds none
-    of them, and in Python-int object arrays otherwise.
+    integer grid").  The tensors carry these integers on the bound's BLAS
+    `carrier`: float64, where BLAS rounds none of them, or Python ints.
     """
     cells, d = scale_to_integers(nf.payoffs)  # every player's tensor has the same shape
     bound = 2 * max(map(abs, cells.flat), default=0) * math.prod(denominators)
-    dtype = np.float64 if bound < 2**53 else object
+    dtype = carrier(bound, blas=True)
     return [oriented(t.astype(dtype), o) for t, o in zip(cells, nf.orientation)], d, bound
 
 

@@ -2,14 +2,14 @@
 
 Payoff data has one exact form: a read-only, C-ordered numpy object array of
 Fraction, built by `exact_array` (any rank) or `fmat` (a matrix).  Exact
-decisions scale it to integers over a common denominator.  `mat_vec` and
-`vec_dot` are the plain Fraction products, kept as the reference the integer
-core is checked against.
+decisions scale it to integers over a common denominator, carried in the
+dtype `carrier` picks, and build their Fractions through `FractionTable`.
+`mat_vec` and `vec_dot` are the plain Fraction products, kept as the
+reference the integer core is checked against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from operator import attrgetter, index
@@ -97,6 +97,28 @@ def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def carrier(bound: int, blas: bool = False):
+    """The dtype for a kernel's integers, each below `bound` in magnitude: int64
+    below 2^63, or float64 below 2^53 for a kernel on BLAS, which then rounds
+    none of them; else Python ints (docs/decisions.md, "Which carrier")."""
+    if blas:
+        return np.float64 if bound < 2**53 else object
+    return np.int64 if bound < 2**63 else object
+
+
+class FractionTable(dict):
+    """Fraction(p, q) for each integer key p over one denominator q, built on
+    first use, so a Fraction that recurs is one object."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, p):
+        value = self[p] = Fraction(p, self.q)
+        return value
+
+
 def scale_to_integers(cells) -> tuple[np.ndarray, int]:
     """Exact cells (any nesting) times the lcm D of their denominators, as Python ints, and D."""
     a = np.asarray(cells, dtype=object)
@@ -125,7 +147,7 @@ def scaled_to_float(cells: np.ndarray, d: int) -> np.ndarray:
 def scaled_to_exact(cells: np.ndarray, d: int) -> np.ndarray:
     """The exact array of the integer cells / d, each distinct Fraction built once."""
     out = np.empty(np.shape(cells), dtype=object)  # fresh and C-ordered
-    np.frompyfunc(functools.cache(lambda x: Fraction(x, d)), 1, 1)(cells, out=out)
+    np.frompyfunc(FractionTable(d).__getitem__, 1, 1)(cells, out=out)
     out.flags.writeable = False
     return out
 
@@ -158,8 +180,8 @@ def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (batch,): for a nonsingular system det = |det A| > 0 and A num = b det;
     a singular one has det = 0 and num = 0.
 
-    The stack runs every step in int64 when (n + 1) H^2 < 2^63, and on
-    Python ints otherwise.  H^2 is the product of the rows' squared norms,
+    The stack runs every step on the `carrier` of (n + 1) H^2: int64 or
+    Python ints.  H^2 is the product of the rows' squared norms,
     each taken with every position's largest magnitude in the stack and at
     least 1, so by Hadamard's inequality H bounds every minor of [A | b];
     see docs/decisions.md, "One carrier per stack".  The test runs on exact
@@ -169,7 +191,7 @@ def solve_stacked(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if systems.size:
         hi, lo = systems.max(axis=0).tolist(), systems.min(axis=0).tolist()
         h2 = math.prod(max(1, sum(max(x, -y) ** 2 for x, y in zip(h, m))) for h, m in zip(hi, lo))
-    a = systems.astype(np.int64 if (systems.shape[1] + 1) * h2 < 2**63 else object)
+    a = systems.astype(carrier((systems.shape[1] + 1) * h2))
     batch, n = a.shape[:2]
     live = np.arange(batch)  # the systems still being eliminated
     prev = np.ones(batch, a.dtype)

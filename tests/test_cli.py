@@ -85,6 +85,15 @@ def test_nashgap_audit_fig1(capsys, tmp_path, fig1):
     assert all(b["satisfied"] for b in report["bounds"])
 
 
+def test_wsne_value_audit_refuses_an_eps_it_never_reads(capsys, tmp_path, path3):
+    # the audit reads the regime's n, k and delta only, so --eps is not an option
+    gpath = write_graph(tmp_path, "p3.txt", path3)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["audit", "wsne-value", "--graph", gpath, "--eps", "1/100"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --eps 1/100" in capsys.readouterr().err
+
+
 def test_wsne_value_audit_names_the_violated_clause(capsys, tmp_path, path3):
     gpath = write_graph(tmp_path, "p3.txt", path3)
     code, report, err = run_cli(
@@ -581,6 +590,18 @@ def test_gadget_coupled_refuses_a_zero_delta(capsys, tmp_path):
     game = write_game(tmp_path, "r.json", [["0", "-1"], ["1", "0"]], ["max", "max"])
     code, report, _ = run_cli(capsys, ["gadget", "coupled", "--game", game, "--delta", "0"])
     assert (code, report["error"]) == (2, "delta must be finite and positive, got 0.0")
+
+
+def test_gadget_coupled_refuses_delta_together_with_eps(capsys, tmp_path):
+    # --delta alone is read; with --eps beside it, one of the two would be dropped
+    game = write_game(tmp_path, "r.json", [["0", "-1"], ["1", "0"]], ["max", "max"])
+    argv = ["gadget", "coupled", "--game", game, "--delta", "1/4"]
+    assert run_cli(capsys, argv)[0] == 0
+    for eps in ("1/100", "1/20"):
+        code, report, err = run_cli(capsys, argv + ["--eps", eps])
+        assert (code, report["bounds"]) == (2, [])
+        assert report["error"] == "gadget coupled reads --delta or --eps, not both"
+        assert report["error"] in err
 
 
 def test_backmap_symmetric_refuses_a_file_oriented_for_minimizing(capsys, tmp_path):

@@ -13,7 +13,9 @@ nested-tuple helpers it replaced, and every builder stores that form.
 There is one two-player game type, the NormalFormGame: `BimatrixGame` is its
 constructor from two matrices, so no module but games.py tests for it or
 reads its views.  No verdict rests on sampling: no module reads `np.random`
-or imports `random`.
+or imports `random`.  The exact core picks its carrier and builds its
+Fractions in one place: no module but rational.py writes a carrier limit
+(2^63 or 2^53) or defines a dict subclass with `__missing__`.
 """
 
 import ast
@@ -150,6 +152,73 @@ def test_no_module_reads_a_random_generator():
         if lines:
             found[path.name] = lines
     assert found == {}, f"a module reads np.random or imports random: {found}"
+
+
+CARRIER_LIMITS = {63, 53}  # the exponents of int64's and float64's integer limits
+
+
+def carrier_limits(source: str) -> list[int]:
+    """Line numbers of every 2**63, 2**53, 1 << 63 or 1 << 53 written in code."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.BinOp):
+            continue
+        base, power = (getattr(side, "value", None) for side in (node.left, node.right))
+        if (isinstance(node.op, ast.Pow) and base == 2 or isinstance(node.op, ast.LShift)
+                and base == 1) and power in CARRIER_LIMITS:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_limit_guard_sees_each_spelling_in_code_only():
+    assert carrier_limits("if bound < 2**63:\n    pass\n") == [1]
+    assert carrier_limits("a = 2 ** 53\nb = 1 << 63\nc = 1<<53\n") == [1, 2, 3]
+    assert carrier_limits("ok = h2 * (n + 1) < 2 ** 63 - 1\n") == [1]
+    assert carrier_limits('"""int64 below 2**63"""\n# 2**53\nx = "2**63"\n') == []
+    assert carrier_limits("a = 2**18\nb = 3**63\nc = 1 << 8\nd = 2**n\n") == []
+
+
+def test_no_module_but_rational_writes_a_carrier_limit():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = carrier_limits(path.read_text(encoding="utf-8"))
+        if lines:
+            found[path.name] = lines
+    assert set(found) == {"rational.py"}, f"carrier limits outside rational.py: {found}"
+
+
+def fraction_caches(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every class that derives from a dict and defines
+    `__missing__`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = [getattr(b, "id", None) or getattr(b, "attr", "") for b in node.bases]
+        methods = {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+        if any(b.lower().endswith("dict") for b in bases) and "__missing__" in methods:
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_the_cache_guard_sees_dict_subclasses_with_missing():
+    missing = "    def __missing__(self, key):\n        return key\n"
+    assert fraction_caches("class T(dict):\n" + missing) == [(1, "T")]
+    assert fraction_caches("class T(collections.defaultdict):\n" + missing) == [(1, "T")]
+    nested = "def f():\n    class T(dict):\n        def __missing__(self, key):\n            pass\n"
+    assert fraction_caches(nested) == [(2, "T")]
+    assert fraction_caches("class T(dict):\n    pass\n") == []
+    assert fraction_caches("class T:\n" + missing) == []
+
+
+def test_no_module_but_rational_defines_a_fraction_cache():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = fraction_caches(path.read_text(encoding="utf-8"))
+        if names:
+            found[path.name] = names
+    names = {path: [name for _, name in lines] for path, lines in found.items()}
+    assert names == {"rational.py": ["FractionTable"]}, f"dict caches with __missing__: {found}"
 
 
 RETIRED_FORM = {"FMat", "shape", "to_float_matrix", "_matrix_obj"}
